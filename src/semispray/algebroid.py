@@ -40,6 +40,35 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], i
     return tuple(idx), sign
 
 
+def c_is_structural_zero(value) -> bool:
+    """True for the literal zero expression; other values, such as
+    unevaluated fiber integrals, are never structurally zero."""
+    return isinstance(value, ex.Expr) and ex.is_zero_literal(value)
+
+
+def skew_coeffs(coeffs: Mapping, canon, neg, add) -> dict:
+    """The skew-coefficient store shared by every form class.
+
+    ``canon(key)`` returns the sorted key and the sign of the sorting
+    permutation, 0 when an index repeats (such entries vanish).  Expression
+    values are simplified, negated for an odd permutation and accumulated per
+    sorted key; keys whose total is a structural zero are dropped, including
+    totals that cancel.  ``neg``/``add`` are the coefficient arithmetic
+    (``ex.eneg``/``ex.eadd`` for plain expressions).
+    """
+    out = {}
+    for key, value in coeffs.items():
+        key, sign = canon(key)
+        if sign == 0:
+            continue
+        if isinstance(value, ex.Expr):
+            value = ex.simplify(value)
+        if sign < 0:
+            value = neg(value)
+        out[key] = add(out[key], value) if key in out else value
+    return {key: value for key, value in out.items() if not c_is_structural_zero(value)}
+
+
 class AlgebroidChart:
     """One adapted chart of a Lie algebroid."""
 
@@ -141,9 +170,7 @@ class AlgebroidChart:
                         continue
                     value = ex.eadd(*inner)
                     pieces.append(ex.eneg(value) if (p1 + p2) % 2 == 1 else value)
-            total = ex.eadd(*pieces)
-            if not ex.is_zero_literal(total):
-                coeffs[tup] = total
+            coeffs[tup] = ex.eadd(*pieces)
         return AForm(self, k + 1, coeffs)
 
     # -- structure equations ------------------------------------------------
@@ -196,23 +223,15 @@ class AForm:
             raise DegreeError(f"forms are supported up to degree {self.MAX_DEGREE}")
         self.chart = chart
         self.degree = degree
-        self.coeffs: Dict[Tuple[int, ...], ex.Expr] = {}
-        for idx, value in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"index {idx} does not match degree {degree}")
-            sorted_idx, sign = sort_with_sign(idx)
-            if sign == 0:
-                continue
-            value = ex.simplify(ex.as_expr(value))
-            if sign < 0:
-                value = ex.eneg(value)
-            if not ex.is_zero_literal(value):
-                if sorted_idx in self.coeffs:
-                    value = ex.eadd(self.coeffs[sorted_idx], value)
-                self.coeffs[sorted_idx] = value
-        for idx in [i for i, v in self.coeffs.items() if ex.is_zero_literal(v)]:
-            del self.coeffs[idx]
+        self.coeffs: Dict[Tuple[int, ...], ex.Expr] = skew_coeffs(
+            {idx: ex.as_expr(value) for idx, value in coeffs.items()}, self._canon,
+            ex.eneg, ex.eadd)
+
+    def _canon(self, idx) -> Tuple[Optional[Tuple[int, ...]], int]:
+        idx = tuple(idx)
+        if len(idx) != self.degree:
+            raise ValueError(f"index {idx} does not match degree {self.degree}")
+        return sort_with_sign(idx)
 
     def get(self, indices: Sequence[int]) -> ex.Expr:
         sorted_idx, sign = sort_with_sign(tuple(indices))

@@ -1,8 +1,10 @@
 """Batch command line: load a JSON model, run validations, emit brackets,
 fields, reports, and trajectories.
 
-Exit codes: 0 when every check passes, 1 when any residual is certified
-nonzero (or a strict validation fails), 2 on input errors.  Every randomized
+Exit codes: 0 when every check passes; 1 when any residual is certified
+nonzero, the fiber Hessian is singular (with or without ``--strict``) or
+evaluation leaves the real domain at every sample; 2 on input errors,
+including a chart or 2-section that ``--strict`` refuses.  Every randomized
 report embeds the seed it ran with, so identical model + seed gives
 byte-identical output.
 """

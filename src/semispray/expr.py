@@ -20,13 +20,15 @@ identities outside the polynomial fragment are certified probabilistically by
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, UnknownSymbol
+from .report import ZeroResult, ZeroStatus
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -231,23 +233,6 @@ class Add(Expr):
 
     def _make_key(self):
         return (6, len(self.terms)) + tuple(t.sort_key() for t in self.terms)
-
-
-class Neg(Expr):
-    """Unary minus as produced by the parser; eliminated by canonicalization."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash(("N", arg)))
-        object.__setattr__(self, "_key", None)
-
-    def _fields(self):
-        return (self.arg,)
-
-    def _make_key(self):
-        return (7, self.arg.sort_key())
 
 
 ZERO = Const(Fraction(0))
@@ -595,21 +580,7 @@ def efunc(name: str, arg: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Rebuild ``e`` through the canonical constructors."""
-    if isinstance(e, (Const, Var)):
-        return e
-    if isinstance(e, Add):
-        return eadd(*(simplify(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return emul(*(simplify(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return epow(simplify(e.base), e.exponent)
-    if isinstance(e, Div):
-        return ediv(simplify(e.num), simplify(e.den))
-    if isinstance(e, Neg):
-        return eneg(simplify(e.arg))
-    if isinstance(e, Func):
-        return efunc(e.name, simplify(e.arg))
-    raise TypeError(f"not an expression: {e!r}")
+    return subs(e, {})
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +620,6 @@ def _diff(e: Expr, name: str) -> Expr:
         if is_zero_literal(dd):
             return ediv(dn, e.den)
         return ediv(eadd(emul(dn, e.den), eneg(emul(e.num, dd))), epow(e.den, 2))
-    if isinstance(e, Neg):
-        return eneg(_diff(e.arg, name))
     if isinstance(e, Func):
         da = _diff(e.arg, name)
         if is_zero_literal(da):
@@ -669,7 +638,8 @@ def _diff(e: Expr, name: str) -> Expr:
 
 
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    """Substitute variables by expressions and re-canonicalize."""
+    """Substitute variables by expressions and rebuild the tree through the
+    canonical constructors (with an empty mapping, :func:`simplify`)."""
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
@@ -683,8 +653,6 @@ def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
         return epow(subs(e.base, mapping), e.exponent)
     if isinstance(e, Div):
         return ediv(subs(e.num, mapping), subs(e.den, mapping))
-    if isinstance(e, Neg):
-        return eneg(subs(e.arg, mapping))
     if isinstance(e, Func):
         return efunc(e.name, subs(e.arg, mapping))
     raise TypeError(f"not an expression: {e!r}")
@@ -708,7 +676,7 @@ def free_symbols(e: Expr) -> frozenset:
         elif isinstance(node, Div):
             stack.append(node.num)
             stack.append(node.den)
-        elif isinstance(node, (Neg, Func)):
+        elif isinstance(node, Func):
             stack.append(node.arg)
     return frozenset(out)
 
@@ -745,8 +713,6 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
         if den == 0.0:
             raise DomainError("division by zero")
         return evaluate(e.num, env) / den
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
     if isinstance(e, Func):
         x = evaluate(e.arg, env)
         if e.name == "sin":
@@ -806,11 +772,6 @@ def to_text(e: Expr) -> str:
         if not isinstance(e.den, (Var, Func)):
             den = f"({den})"
         return f"{num}/{den}"
-    if isinstance(e, Neg):
-        inner = to_text(e.arg)
-        if isinstance(e.arg, Add):
-            inner = f"({inner})"
-        return f"-{inner}"
     if isinstance(e, Mul):
         factors = list(e.factors)
         sign = ""
@@ -1046,18 +1007,13 @@ class Box:
 
 
 def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
-            seed: int = 0, params: Mapping[str, float] = None):
+            seed: int = 0, params: Mapping[str, float] = None) -> ZeroResult:
     """Decide whether ``e`` vanishes identically.
 
     ``ProvenZero`` iff the canonical form is the literal 0.  Otherwise the
-    expression is evaluated at ``trials`` points drawn uniformly from ``box``
-    with the given seed: the first point with ``|value| > tol`` is returned as
-    a ``NonZero`` witness, else the result is ``LikelyZero``.  Points where
-    evaluation leaves the real domain are skipped; if every point is singular
-    a :class:`DomainError` propagates.
+    expression is sampled by :func:`sample_zero` over its free symbols;
+    ``params`` are bound to fixed values instead of being sampled.
     """
-    from .report import ZeroResult, ZeroStatus
-
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if tol <= 0:
@@ -1065,10 +1021,26 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     e = simplify(e)
     if is_zero_literal(e):
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
-
-    box = box or Box()
     params = dict(params or {})
     names = sorted(free_symbols(e) - set(params))
+    return sample_zero(functools.partial(evaluate, e), names, box=box, trials=trials,
+                       tol=tol, seed=seed, params=params)
+
+
+def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Optional[Box],
+                trials: int, tol: float, seed: int,
+                params: Mapping[str, float] = None) -> ZeroResult:
+    """The sample-and-verdict loop behind every numeric zero test.
+
+    ``value`` is called on ``trials`` environments drawn uniformly from
+    ``box`` over ``names`` with ``random.Random(seed)``, each extended by
+    ``params``.  The first point with ``|value| > tol`` is returned as a
+    ``NonZero`` witness, else the result is ``LikelyZero`` with the largest
+    ``|value|`` seen.  Points where evaluation leaves the real domain are
+    skipped; if every point is singular a :class:`DomainError` propagates.
+    """
+    box = box or Box()
+    params = params or {}
     rng = random.Random(seed)
     max_abs = 0.0
     evaluated = 0
@@ -1076,15 +1048,15 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
         env = box.sample(names, rng)
         env.update(params)
         try:
-            value = evaluate(e, env)
+            v = value(env)
         except DomainError:
             continue
         evaluated += 1
-        if abs(value) > tol:
+        if abs(v) > tol:
             witness = {n: env[n] for n in names}
-            return ZeroResult(ZeroStatus.NONZERO, abs(value), seed=seed,
-                              trials=trials, witness=witness, witness_value=value)
-        max_abs = max(max_abs, abs(value))
+            return ZeroResult(ZeroStatus.NONZERO, abs(v), seed=seed,
+                              trials=trials, witness=witness, witness_value=v)
+        max_abs = max(max_abs, abs(v))
     if evaluated == 0:
         raise DomainError("every sampled point was singular")
     return ZeroResult(ZeroStatus.LIKELY_ZERO, max_abs, seed=seed, trials=trials)
@@ -1107,8 +1079,6 @@ def _codegen(e: Expr, names_index: Mapping[str, int]) -> str:
         return f"_pow({_codegen(e.base, names_index)}, {float(e.exponent)!r})"
     if isinstance(e, Div):
         return f"_div({_codegen(e.num, names_index)}, {_codegen(e.den, names_index)})"
-    if isinstance(e, Neg):
-        return f"(-{_codegen(e.arg, names_index)})"
     if isinstance(e, Func):
         return f"_{e.name}({_codegen(e.arg, names_index)})"
     raise TypeError(f"not an expression: {e!r}")

@@ -1,15 +1,16 @@
 """Radial homotopy operators for the vertical calculus.
 
-Forms here live on the vertical subalgebroid in its pullback frame, where the
-canonical flat transport is the identity on coefficients.  A degree-k form is
-stored by skew coefficients ``w_{j1..jk}(x, y)`` over fiber index tuples; the
-base coordinates ride along as parameters.
+Forms here are bigraded blocks: bidegree-(p, q) components of forms on the
+prolongation, stored by skew coefficients over pairs of index tuples.  A
+vertical q-form is the block with ``p = 0``; it lives on the vertical
+subalgebroid in its pullback frame, where the canonical flat transport is the
+identity on coefficients, and the base coordinates ride along as parameters.
 
 The three operators:
 
-* ``psi_star(w, t)``: coefficientwise ``t^k * w(x, t y)``,
-* ``vertical_d``:     alternating fiber derivative,
-* ``h_op``:           ``(h w)_{J}(x,y) = int_0^1 t^(k-1) y^j w_{jJ}(x,ty) dt``,
+* ``psi_star(w, t)``:    coefficientwise ``t^q * w(x, t y)``,
+* ``dsecond``:           alternating fiber derivative on the vertical legs,
+* ``radial_homotopy``:   ``(h w)_{J}(x,y) = int_0^1 t^(q-1) y^j w_{jJ}(x,ty) dt``,
 
 satisfy ``h(dw) + d(hw) = w - psi_star_0(w)``, with the ``t -> 0`` limit
 vanishing in positive degree and restricting to the fiber origin in degree
@@ -17,9 +18,9 @@ zero.  Integrands polynomial in the scaling parameter integrate exactly;
 anything else is kept as an unevaluated fiber integral and evaluated by
 adaptive Simpson quadrature.
 
-The same integral, applied legwise in the fiber indices with the horizontal
-indices treated as labels, furnishes the constructive primitive for the
-vertical part of the bigraded differential (``dprime_primitive``).
+Applied with the horizontal indices of a block treated as labels (and the
+sign ``(-1)^p``), the same integral furnishes the constructive primitive for
+the vertical part of the bigraded differential (``dprime_primitive``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import expr as ex
-from .algebroid import AlgebroidChart, sort_with_sign
+from .algebroid import (AlgebroidChart, c_is_structural_zero, skew_coeffs, sort_with_sign,
+                        tangent)
 from .errors import NotClosed, QuadratureFailure
 from .report import ValidationReport, ZeroResult, ZeroStatus
 
@@ -133,14 +135,10 @@ def csubs(value: Coefficient, mapping) -> Coefficient:
     return ex.subs(value, mapping)
 
 
-def ceval(value: Coefficient, env: dict, quad_tol: float = 1e-10) -> float:
+def ceval(value: Coefficient, env: dict) -> float:
     if isinstance(value, FiberIntegral):
-        return value.evaluate(env, quad_tol)
+        return value.evaluate(env)
     return ex.evaluate(value, env)
-
-
-def c_is_structural_zero(value: Coefficient) -> bool:
-    return isinstance(value, ex.Expr) and ex.is_zero_literal(value)
 
 
 def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
@@ -179,224 +177,46 @@ def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Vertical forms
+# Bigraded blocks; a vertical q-form is the block of bidegree (0, q)
 
 
-class VerticalForm:
-    """Skew coefficients over fiber index tuples; degree may reach the rank."""
-
-    def __init__(self, chart: AlgebroidChart, degree: int,
-                 coeffs: Dict[Tuple[int, ...], Coefficient]):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        self.chart = chart
-        self.degree = degree
-        self.coeffs: Dict[Tuple[int, ...], Coefficient] = {}
-        for idx, value in coeffs.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError(f"index {idx} does not match degree {degree}")
-            sorted_idx, sign = sort_with_sign(idx)
-            if sign == 0:
-                continue
-            if isinstance(value, ex.Expr):
-                value = ex.simplify(value)
-            if sign < 0:
-                value = cneg(value)
-            if sorted_idx in self.coeffs:
-                value = cadd(self.coeffs[sorted_idx], value)
-            if not c_is_structural_zero(value):
-                self.coeffs[sorted_idx] = value
-
-    def get(self, indices: Sequence[int]) -> Coefficient:
-        sorted_idx, sign = sort_with_sign(tuple(indices))
-        if sign == 0:
-            return ex.ZERO
-        value = self.coeffs.get(sorted_idx, ex.ZERO)
-        return value if sign > 0 else cneg(value)
-
-    def tuples(self):
-        return itertools.combinations(range(self.chart.r), self.degree)
-
-    def __repr__(self):
-        return f"<VerticalForm deg {self.degree}, {len(self.coeffs)} coefficients>"
-
-
-def vertical_d(form: VerticalForm) -> VerticalForm:
-    """Alternating fiber derivative (the vertical algebroid has a trivial
-    bracket and the coordinate fields as anchor images)."""
-    chart = form.chart
-    k = form.degree
-    coeffs = {}
-    for tup in itertools.combinations(range(chart.r), k + 1):
-        pieces = []
-        for pos, j in enumerate(tup):
-            rest = tup[:pos] + tup[pos + 1:]
-            value = cdiff(form.get(rest), chart.fibers[j])
-            pieces.append(value if pos % 2 == 0 else cneg(value))
-        total = cadd(*pieces)
-        if not c_is_structural_zero(total):
-            coeffs[tup] = total
-    return VerticalForm(chart, k + 1, coeffs)
-
-
-def psi_star(form: VerticalForm, t) -> VerticalForm:
-    """Pullback along the fiber scaling: ``t^k * w(x, t y)`` on coefficients
-    (the canonical transport is the identity in the pullback frame)."""
-    t = ex.as_expr(t)
-    if not isinstance(t, ex.Const):
-        raise ValueError("scaling parameter must be numeric")
-    chart = form.chart
-    mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in chart.fibers}
-    factor = ex.epow(t, form.degree) if form.degree else ex.ONE
-    return VerticalForm(chart, form.degree,
-                        {idx: cscale(csubs(v, mapping), factor)
-                         for idx, v in form.coeffs.items()})
-
-
-def psi_zero(form: VerticalForm) -> VerticalForm:
-    """The ``t -> 0`` limit: zero in positive degree, the restriction to the
-    fiber origin in degree zero."""
-    if form.degree > 0:
-        return VerticalForm(form.chart, form.degree, {})
-    mapping = {nm: ex.ZERO for nm in form.chart.fibers}
-    return VerticalForm(form.chart, 0,
-                        {idx: csubs(v, mapping) for idx, v in form.coeffs.items()})
-
-
-def h_op(form: VerticalForm) -> VerticalForm:
-    """The degree-lowering homotopy operator.
-
-    ``(h w)_{j1..j(k-1)}(x, y) = int_0^1 t^(k-1) y^j w_{j j1..j(k-1)}(x, ty) dt``;
-    the degree-zero case is the zero map.  Exact symbolic integration when the
-    scaled coefficient is polynomial in the parameter, else an unevaluated
-    fiber integral.
-    """
-    chart = form.chart
-    k = form.degree
-    if k == 0:
-        return VerticalForm(chart, 0, {})
-    mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
-    t_power = ex.epow(ex.Var(TVAR), k - 1) if k > 1 else ex.ONE
-    coeffs = {}
-    for rest in itertools.combinations(range(chart.r), k - 1):
-        pieces = []
-        for j in range(chart.r):
-            value = form.get((j,) + rest)
-            if c_is_structural_zero(value):
-                continue
-            if isinstance(value, FiberIntegral):
-                raise ValueError("homotopy of an unevaluated fiber integral is not supported")
-            pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
-        if not pieces:
-            continue
-        integrand = ex.emul(t_power, ex.eadd(*pieces))
-        exact = _integrate_unit(integrand)
-        value = exact if exact is not None else FiberIntegral(integrand)
-        if not c_is_structural_zero(value):
-            coeffs[rest] = value
-    return VerticalForm(chart, k - 1, coeffs)
-
-
-def euler_lie_derivative(form: VerticalForm) -> VerticalForm:
-    """Lie derivative along the fiber Euler section in the pullback frame:
-    the radial fiber derivative of each coefficient plus ``k`` copies of it."""
-    chart = form.chart
-    k = form.degree
-
-    def apply(value):
-        radial = cadd(*(cscale(cdiff(value, nm), ex.Var(nm)) for nm in chart.fibers))
-        return cadd(radial, cscale(value, ex.Const(k)))
-
-    return VerticalForm(chart, k, {idx: apply(v) for idx, v in form.coeffs.items()})
-
-
-def homotopy_identity_check(form: VerticalForm, d_op=vertical_d, box: ex.Box = None,
-                            trials: int = 64, tol: float = 1e-9, seed: int = 0,
-                            quad_tol: float = 1e-10) -> ValidationReport:
-    """Residual of ``h(dw) + d(hw) - w + psi_0(w)`` per coefficient.
-
-    Polynomial inputs go through the symbolic zero test (so exact
-    cancellation is visible as proven-zero); inputs that produced unevaluated
-    integrals are sampled numerically on the box.
-    """
-    chart = form.chart
-    parts = [h_op(d_op(form)), d_op(h_op(form))]
-    negated = VerticalForm(chart, form.degree, {i: cneg(v) for i, v in form.coeffs.items()})
-    parts.append(negated)
-    parts.append(psi_zero(form))
-
-    report = ValidationReport(check="homotopy-identity", seed=seed)
-    box = box or ex.Box()
-    rng = random.Random(seed)
-    names = sorted(set(chart.coords) | set(chart.fibers))
-    sample_envs = None
-    for tup in form.tuples():
-        values = [p.get(tup) for p in parts]
-        if all(isinstance(v, ex.Expr) for v in values):
-            residual = ex.eadd(*values)
-            report.add(f"coeff{tuple(i + 1 for i in tup)}",
-                       ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-            continue
-        if sample_envs is None:
-            sample_envs = [box.sample(names, rng) for _ in range(trials)]
-        worst = 0.0
-        witness = None
-        for env in sample_envs:
-            value = sum(ceval(v, env, quad_tol) for v in values)
-            if abs(value) > worst:
-                worst = abs(value)
-                witness = dict(env)
-        if worst > tol:
-            result = ZeroResult(ZeroStatus.NONZERO, worst, seed=seed, trials=trials,
-                                witness=witness, witness_value=worst)
-        else:
-            result = ZeroResult(ZeroStatus.LIKELY_ZERO, worst, seed=seed, trials=trials)
-        report.add(f"coeff{tuple(i + 1 for i in tup)}", result)
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Bigraded blocks and the constructive vertical primitive
+def _sort_pair(idx_i: Tuple[int, ...], idx_j: Tuple[int, ...]):
+    si, sign_i = sort_with_sign(idx_i)
+    sj, sign_j = sort_with_sign(idx_j)
+    return (si, sj), sign_i * sign_j
 
 
 class BigradedBlock:
     """One bidegree-(p, q) component of a form on the prolongation, written
     in a connection-adapted coframe: coefficients over pairs (I, J) of
     strictly increasing index tuples, I for the p horizontal-annihilator legs
-    and J for the q vertical-dual legs."""
+    and J for the q vertical-dual legs.  With ``p = 0`` the block is a
+    vertical q-form in the pullback frame."""
 
     def __init__(self, chart: AlgebroidChart, p: int, q: int,
                  coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient]):
         self.chart = chart
         self.p = p
         self.q = q
-        self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient] = {}
-        for (idx_i, idx_j), value in coeffs.items():
-            idx_i, idx_j = tuple(idx_i), tuple(idx_j)
-            if len(idx_i) != p or len(idx_j) != q:
-                raise ValueError(f"index pair {(idx_i, idx_j)} does not match bidegree ({p},{q})")
-            si, sign_i = sort_with_sign(idx_i)
-            sj, sign_j = sort_with_sign(idx_j)
-            if sign_i == 0 or sign_j == 0:
-                continue
-            if isinstance(value, ex.Expr):
-                value = ex.simplify(value)
-            if sign_i * sign_j < 0:
-                value = cneg(value)
-            key = (si, sj)
-            if key in self.coeffs:
-                value = cadd(self.coeffs[key], value)
-            if not c_is_structural_zero(value):
-                self.coeffs[key] = value
+        self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient] = skew_coeffs(
+            coeffs, self._canon, cneg, cadd)
+
+    def _canon(self, key):
+        idx_i, idx_j = tuple(key[0]), tuple(key[1])
+        if len(idx_i) != self.p or len(idx_j) != self.q:
+            raise ValueError(f"index pair {(idx_i, idx_j)} does not match bidegree ({self.p},{self.q})")
+        return _sort_pair(idx_i, idx_j)
 
     def get(self, idx_i: Sequence[int], idx_j: Sequence[int]) -> Coefficient:
-        si, sign_i = sort_with_sign(tuple(idx_i))
-        sj, sign_j = sort_with_sign(tuple(idx_j))
-        if sign_i == 0 or sign_j == 0:
+        key, sign = _sort_pair(tuple(idx_i), tuple(idx_j))
+        if sign == 0:
             return ex.ZERO
-        value = self.coeffs.get((si, sj), ex.ZERO)
-        return value if sign_i * sign_j > 0 else cneg(value)
+        value = self.coeffs.get(key, ex.ZERO)
+        return value if sign > 0 else cneg(value)
+
+    def map_coeffs(self, fn) -> "BigradedBlock":
+        return BigradedBlock(self.chart, self.p, self.q,
+                             {key: fn(v) for key, v in self.coeffs.items()})
 
     def is_structurally_zero(self) -> bool:
         return not self.coeffs
@@ -408,7 +228,9 @@ class BigradedBlock:
 def dsecond(block: BigradedBlock) -> BigradedBlock:
     """Vertical part of the bigraded differential on a pure block:
     ``(-1)^p`` times the alternating fiber derivative on the vertical legs
-    (valid in any connection-adapted coframe)."""
+    (valid in any connection-adapted coframe).  On a vertical form it is the
+    differential of the vertical algebroid, whose bracket is trivial and
+    whose anchor images are the coordinate fields."""
     chart = block.chart
     sign = -1 if block.p % 2 else 1
     coeffs = {}
@@ -420,53 +242,56 @@ def dsecond(block: BigradedBlock) -> BigradedBlock:
                 value = cdiff(block.get(idx_i, rest), chart.fibers[j])
                 pieces.append(value if pos % 2 == 0 else cneg(value))
             total = cadd(*pieces)
-            if sign < 0:
-                total = cneg(total)
-            if not c_is_structural_zero(total):
-                coeffs[(idx_i, tup)] = total
+            coeffs[(idx_i, tup)] = cneg(total) if sign < 0 else total
     return BigradedBlock(chart, block.p, block.q + 1, coeffs)
 
 
-def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
-                     tol: float = 1e-9, seed: int = 0, check: bool = True) -> BigradedBlock:
-    """Constructive primitive for the vertical differential.
+def psi_star(form: BigradedBlock, t) -> BigradedBlock:
+    """Pullback along the fiber scaling: ``t^q * w(x, t y)`` on coefficients
+    (the canonical transport is the identity in the pullback frame)."""
+    t = ex.as_expr(t)
+    if not isinstance(t, ex.Const):
+        raise ValueError("scaling parameter must be numeric")
+    mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.fibers}
+    factor = ex.epow(t, form.q) if form.q else ex.ONE
+    return form.map_coeffs(lambda v: cscale(csubs(v, mapping), factor))
 
-    Given a bidegree-(p, q) block with vanishing vertical differential,
-    ``q >= 1``, returns the (p, q-1) block obtained by the radial homotopy
-    integral on the vertical legs (horizontal legs as labels), whose vertical
-    differential reproduces the input.
+
+def psi_zero(form: BigradedBlock) -> BigradedBlock:
+    """The ``t -> 0`` limit: zero in positive vertical degree, the
+    restriction to the fiber origin in vertical degree zero."""
+    if form.q > 0:
+        return BigradedBlock(form.chart, form.p, form.q, {})
+    mapping = {nm: ex.ZERO for nm in form.chart.fibers}
+    return form.map_coeffs(lambda v: csubs(v, mapping))
+
+
+def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
+    """The degree-lowering radial homotopy operator on the vertical legs.
+
+    ``(h w)_{I, j1..j(q-1)}(x, y) = (-1)^p int_0^1 t^(q-1) y^j w_{I, j j1..j(q-1)}(x, ty) dt``
+    with the horizontal legs ``I`` as labels; the q = 0 case is the zero map.
+    Exact symbolic integration when the scaled coefficient is polynomial in
+    the parameter, else an unevaluated fiber integral.  The input is not
+    checked for closure (see :func:`dprime_primitive`).
     """
     chart = block.chart
-    if block.q < 1:
-        raise ValueError("primitive requires vertical degree q >= 1")
-    if check:
-        closure = dsecond(block)
-        for (idx_i, idx_j), value in closure.coeffs.items():
-            if isinstance(value, ex.Expr):
-                result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
-                if not result.is_zero:
-                    raise NotClosed(f"vertical differential does not vanish at {(idx_i, idx_j)}")
-            else:
-                rng = random.Random(seed)
-                names = sorted(set(chart.coords) | set(chart.fibers))
-                for _ in range(trials):
-                    env = (box or ex.Box()).sample(names, rng)
-                    if abs(ceval(value, env)) > tol:
-                        raise NotClosed(f"vertical differential does not vanish at {(idx_i, idx_j)}")
-
+    q = block.q
+    if q == 0:
+        return BigradedBlock(chart, block.p, 0, {})
     mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
-    t_power = ex.epow(ex.Var(TVAR), block.q - 1) if block.q > 1 else ex.ONE
+    t_power = ex.epow(ex.Var(TVAR), q - 1) if q > 1 else ex.ONE
     sign = -1 if block.p % 2 else 1
     coeffs = {}
     for idx_i in itertools.combinations(range(chart.r), block.p):
-        for rest in itertools.combinations(range(chart.r), block.q - 1):
+        for rest in itertools.combinations(range(chart.r), q - 1):
             pieces = []
             for j in range(chart.r):
                 value = block.get(idx_i, (j,) + rest)
                 if c_is_structural_zero(value):
                     continue
                 if isinstance(value, FiberIntegral):
-                    raise ValueError("primitive of an unevaluated fiber integral is not supported")
+                    raise ValueError("radial integral of an unevaluated fiber integral is not supported")
                 pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
             if not pieces:
                 continue
@@ -474,10 +299,70 @@ def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
             if sign < 0:
                 integrand = ex.eneg(integrand)
             exact = _integrate_unit(integrand)
-            value = exact if exact is not None else FiberIntegral(integrand)
-            if not c_is_structural_zero(value):
-                coeffs[(idx_i, rest)] = value
-    return BigradedBlock(chart, block.p, block.q - 1, coeffs)
+            coeffs[(idx_i, rest)] = exact if exact is not None else FiberIntegral(integrand)
+    return BigradedBlock(chart, block.p, q - 1, coeffs)
+
+
+def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
+                     tol: float = 1e-9, seed: int = 0) -> BigradedBlock:
+    """Constructive primitive for the vertical differential.
+
+    Given a bidegree-(p, q) block with vanishing vertical differential,
+    ``q >= 1``, returns its :func:`radial_homotopy`, whose vertical
+    differential reproduces the input.  Raises :class:`NotClosed` when the
+    vertical differential fails the zero test on the box.
+    """
+    chart = block.chart
+    if block.q < 1:
+        raise ValueError("primitive requires vertical degree q >= 1")
+    names = sorted(set(chart.coords) | set(chart.fibers))
+    for key, value in dsecond(block).coeffs.items():
+        if isinstance(value, ex.Expr):
+            result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
+        else:
+            result = ex.sample_zero(value.evaluate, names, box=box, trials=trials,
+                                    tol=tol, seed=seed)
+        if not result.is_zero:
+            raise NotClosed(f"vertical differential does not vanish at {key}")
+    return radial_homotopy(block)
+
+
+def euler_lie_derivative(form: BigradedBlock) -> BigradedBlock:
+    """Lie derivative of a vertical form along the fiber Euler section in the
+    pullback frame: the radial fiber derivative of each coefficient plus
+    ``q`` copies of it."""
+    chart = form.chart
+
+    def apply(value):
+        radial = cadd(*(cscale(cdiff(value, nm), ex.Var(nm)) for nm in chart.fibers))
+        return cadd(radial, cscale(value, ex.Const(form.q)))
+
+    return form.map_coeffs(apply)
+
+
+def homotopy_identity_check(form: BigradedBlock, box: ex.Box = None, trials: int = 64,
+                            tol: float = 1e-9, seed: int = 0) -> ValidationReport:
+    """Residual of ``h(dw) + d(hw) - w + psi_0(w)`` per coefficient of a
+    vertical form (a block with ``p = 0``).
+
+    Polynomial inputs go through the symbolic zero test (so exact
+    cancellation is visible as proven-zero); inputs that produced unevaluated
+    integrals are sampled numerically on the box.
+    """
+    chart = form.chart
+    parts = [radial_homotopy(dsecond(form)), dsecond(radial_homotopy(form)),
+             form.map_coeffs(cneg), psi_zero(form)]
+    report = ValidationReport(check="homotopy-identity", seed=seed)
+    names = sorted(set(chart.coords) | set(chart.fibers))
+    for tup in itertools.combinations(range(chart.r), form.q):
+        values = [part.get((), tup) for part in parts]
+        if all(isinstance(v, ex.Expr) for v in values):
+            result = ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
+        else:
+            result = ex.sample_zero(lambda env: sum(ceval(v, env) for v in values), names,
+                                    box=box, trials=trials, tol=tol, seed=seed)
+        report.add(f"coeff{tuple(i + 1 for i in tup)}", result)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -502,26 +387,31 @@ def random_polynomial(rng: random.Random, names: Sequence[str],
 
 
 def random_vertical_form(rng: random.Random, chart: AlgebroidChart, degree: int,
-                         max_degree: int = 3, terms: int = 2) -> VerticalForm:
+                         max_degree: int = 3, terms: int = 2) -> BigradedBlock:
     names = chart.coords + chart.fibers
     coeffs = {}
     for tup in itertools.combinations(range(chart.r), degree):
-        coeffs[tup] = random_polynomial(rng, names, max_degree, terms)
-    return VerticalForm(chart, degree, coeffs)
+        coeffs[((), tup)] = random_polynomial(rng, names, max_degree, terms)
+    return BigradedBlock(chart, 0, degree, coeffs)
 
 
 def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0, 1, 2, 3),
                    forms_per_case: int = 50, seed: int = 0, tol: float = 1e-9,
-                   box: ex.Box = None, trials: int = 16,
-                   include_nonpolynomial: bool = True) -> ValidationReport:
+                   box: ex.Box = None, trials: int = 16) -> ValidationReport:
     """Randomized homotopy-identity suite over small ranks and degrees.
 
     Polynomial cases must cancel exactly; one non-polynomial coefficient case
     per rank exercises the quadrature path.
     """
-    from .algebroid import tangent
-
     report = ValidationReport(check="homotopy-suite", seed=seed)
+
+    def add(label: str, sub: ValidationReport):
+        status = ZeroStatus.PROVEN_ZERO if sub.all_proven else (
+            ZeroStatus.LIKELY_ZERO if sub.passed else ZeroStatus.NONZERO)
+        failure = sub.first_failure
+        report.add(label, ZeroResult(status, sub.max_residual, seed=seed, trials=trials,
+                                     witness=None if failure is None else failure.result.witness))
+
     rng = random.Random(seed)
     for r in ranks:
         chart = tangent(r).chart
@@ -530,24 +420,12 @@ def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0
             # checked vacuously so every (k, r) pair is exercised.
             for form_index in range(forms_per_case):
                 form = random_vertical_form(rng, chart, k)
-                sub = homotopy_identity_check(form, box=box, trials=trials, tol=tol, seed=seed)
-                status = ZeroStatus.PROVEN_ZERO if sub.all_proven else (
-                    ZeroStatus.LIKELY_ZERO if sub.passed else ZeroStatus.NONZERO)
-                failure = sub.first_failure
-                report.add(f"r={r},k={k},form={form_index}",
-                           ZeroResult(status, sub.max_residual, seed=seed,
-                                      trials=trials,
-                                      witness=None if failure is None else failure.result.witness))
-        if include_nonpolynomial:
-            fiber = chart.fibers[0]
-            coeffs = {tup: ex.emul(ex.efunc("exp", ex.Var(fiber)), ex.Var(fiber))
-                      for tup in itertools.combinations(range(r), 1)}
-            form = VerticalForm(chart, 1, coeffs)
-            sub = homotopy_identity_check(form, box=box, trials=max(trials, 8),
-                                          tol=1e-8, seed=seed)
-            failure = sub.first_failure
-            report.add(f"r={r},nonpolynomial",
-                       ZeroResult(ZeroStatus.LIKELY_ZERO if sub.passed else ZeroStatus.NONZERO,
-                                  sub.max_residual, seed=seed, trials=trials,
-                                  witness=None if failure is None else failure.result.witness))
+                add(f"r={r},k={k},form={form_index}",
+                    homotopy_identity_check(form, box=box, trials=trials, tol=tol, seed=seed))
+        # Its coefficients are fiber integrals, sampled, so never proven zero.
+        fiber = ex.Var(chart.fibers[0])
+        form = BigradedBlock(chart, 0, 1, {((), (j,)): ex.emul(ex.efunc("exp", fiber), fiber)
+                                           for j in range(r)})
+        add(f"r={r},nonpolynomial",
+            homotopy_identity_check(form, box=box, trials=max(trials, 8), tol=1e-8, seed=seed))
     return report

@@ -42,20 +42,21 @@ class LagrangianData:
         """Numeric Hessian inverse at a point (pointwise mode and oracles)."""
         m = linalg.eval_matrix(self.M, env)
         n = len(m)
-        cols = []
-        for j in range(n):
-            rhs = [1.0 if i == j else 0.0 for i in range(n)]
-            cols.append(linalg.solve_numeric(m, rhs))
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        units = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
+        return linalg.transpose(linalg.solve(m, units))
 
     def __repr__(self):
         return f"<LagrangianData {self.chart.name or 'chart'} r={self.chart.r} mode={self.mode}>"
 
 
-def _regularity_probe(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
+def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
                       trials: int, tol: float, seed: int,
                       params: dict) -> Optional[dict]:
-    """Return a witness environment where |det M| <= tol, or None."""
+    """Return a witness environment where ``|det| <= tol``, or None.
+
+    The probe set is the box center, the same point moved to the fiber
+    origin, and ``trials`` uniform samples; points where ``det`` leaves the
+    real domain are skipped."""
     rng = random.Random(seed)
     names = sorted(ex.free_symbols(det) - set(params))
     probes = []
@@ -105,11 +106,10 @@ def build(lagrangian, chart: AlgebroidChart, mode: str = "symbolic",
 
     box = box or ex.Box()
     params = dict(params or {})
-    witness = None
     if ex.is_zero_literal(det):
         witness = {"detM": 0.0}
     else:
-        witness = _regularity_probe(chart, det, box, trials, tol, seed, params)
+        witness = probe_determinant(chart, det, box, trials, tol, seed, params)
     regular = witness is None
     if strict and not regular:
         raise SingularHessian(witness)
@@ -119,9 +119,7 @@ def build(lagrangian, chart: AlgebroidChart, mode: str = "symbolic",
         if chart.r > SYMBOLIC_INVERSE_MAX_RANK:
             mode = "pointwise"
         else:
-            adj = linalg.adjugate(hessian)
-            inverse = [[ex.ediv(adj[i][j], det) for j in range(chart.r)]
-                       for i in range(chart.r)]
+            inverse = linalg.inverse(hessian, det)
     return LagrangianData(chart, lagrangian, hessian, inverse, theta, energy,
                           det, mode, regular, witness)
 

@@ -1,4 +1,5 @@
-"""Dense symbolic matrices, small enough for cofactor expansion."""
+"""Dense matrices: symbolic ones small enough for cofactor expansion, and
+one partial-pivot elimination for numeric solves and ranks."""
 
 from __future__ import annotations
 
@@ -7,6 +8,9 @@ from typing import List, Sequence
 from . import expr as ex
 
 Matrix = List[List[ex.Expr]]
+
+#: Largest pivot magnitude :func:`solve` treats as zero.
+SINGULAR_PIVOT = 1e-14
 
 
 def identity(n: int) -> Matrix:
@@ -66,25 +70,52 @@ def adjugate(m: Matrix) -> Matrix:
     return transpose(cof)
 
 
+def inverse(m: Matrix, det: ex.Expr) -> Matrix:
+    """Exact inverse: the adjugate over ``det``, the (nonzero) determinant
+    of ``m``."""
+    return [[ex.ediv(entry, det) for entry in row] for row in adjugate(m)]
+
+
 def eval_matrix(m: Matrix, env: dict) -> List[List[float]]:
     return [[ex.evaluate(entry, env) for entry in row] for row in m]
 
 
-def solve_numeric(a: List[List[float]], b: List[float]) -> List[float]:
-    """Gaussian elimination with partial pivoting for small systems."""
+def row_echelon(rows: List[List[float]], ncols: int, tol: float) -> int:
+    """Gaussian elimination with partial pivoting, in place, over the first
+    ``ncols`` columns of ``rows`` (any further columns are carried along).
+
+    A column whose largest remaining entry is at most ``tol`` in absolute
+    value gets no pivot.  Returns the rank, the number of pivots; the pivot
+    rows come first.
+    """
+    size, width = len(rows), len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        pivot = max(range(rank, size), key=lambda r: abs(rows[r][col]))
+        if abs(rows[pivot][col]) <= tol:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, size):
+            factor = rows[r][col] / rows[rank][col]
+            for c in range(col, width):
+                rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+    return rank
+
+
+def solve(a: List[List[float]], rhs: Sequence[List[float]]) -> List[List[float]]:
+    """Solve ``a x = b`` for every right-hand side ``b`` in ``rhs`` with one
+    elimination of ``[a | b...]``; raises ``ValueError`` when ``a`` is
+    numerically singular (a pivot at most ``SINGULAR_PIVOT``)."""
     n = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if abs(aug[pivot][col]) < 1e-14:
-            raise ValueError("numerically singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        for r in range(col + 1, n):
-            factor = aug[r][col] / aug[col][col]
-            for c in range(col, n + 1):
-                aug[r][c] -= factor * aug[col][c]
-    out = [0.0] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n] - sum(aug[r][c] * out[c] for c in range(r + 1, n))
-        out[r] = acc / aug[r][r]
-    return out
+    aug = [row[:] + [b[i] for b in rhs] for i, row in enumerate(a)]
+    if row_echelon(aug, n, SINGULAR_PIVOT) < n:
+        raise ValueError("numerically singular system")
+    solutions = []
+    for k in range(n, n + len(rhs)):
+        out = [0.0] * n
+        for r in range(n - 1, -1, -1):
+            acc = aug[r][k] - sum(aug[r][c] * out[c] for c in range(r + 1, n))
+            out[r] = acc / aug[r][r]
+        solutions.append(out)
+    return solutions

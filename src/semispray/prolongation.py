@@ -17,7 +17,6 @@ vertical ``U`` sections; a form's blocks follow that split.
 from __future__ import annotations
 
 import itertools
-import random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
@@ -26,7 +25,7 @@ from .algebroid import AForm, AlgebroidChart, sort_with_sign
 from .errors import (DegenerateForm, DegreeError, NotClosed,
                      NotVerticalVanishing, SingularHessian)
 from .homotopy import BigradedBlock, FiberIntegral, dprime_primitive
-from .lagrangian import LagrangianData
+from .lagrangian import LagrangianData, probe_determinant
 from .poisson import VectorFieldOnA
 from .report import ValidationReport
 
@@ -239,10 +238,8 @@ def insert_section(form: ProlongForm, section: ProlongSection) -> ProlongForm:
     s = section.coefficients()
     coeffs = {}
     for rest in itertools.combinations(range(2 * chart.r), form.degree - 1):
-        value = ex.eadd(*(ex.emul(s[a], form.value((a,) + rest))
-                          for a in range(2 * chart.r) if not ex.is_zero_literal(s[a])))
-        if not ex.is_zero_literal(value):
-            coeffs[rest] = value
+        coeffs[rest] = ex.eadd(*(ex.emul(s[a], form.value((a,) + rest))
+                                 for a in range(2 * chart.r) if not ex.is_zero_literal(s[a])))
     return ProlongForm.from_coeffs(chart, form.degree - 1, coeffs)
 
 
@@ -271,9 +268,7 @@ def j_dual(form: ProlongForm) -> ProlongForm:
                 replaced = tup[:pos] + (r + a,) + tup[pos + 1:]
                 pieces.append(form.value(replaced))
         if pieces:
-            value = ex.eneg(ex.eadd(*pieces))
-            if not ex.is_zero_literal(value):
-                coeffs[tup] = value
+            coeffs[tup] = ex.eneg(ex.eadd(*pieces))
     return ProlongForm.from_coeffs(chart, form.degree, coeffs)
 
 
@@ -301,29 +296,6 @@ def cartan_sections(data: LagrangianData) -> Tuple[ProlongForm, ProlongForm]:
     return theta, d(theta)
 
 
-def _probe_determinant(det: ex.Expr, chart: AlgebroidChart, box: ex.Box,
-                       trials: int, tol: float, seed: int) -> Optional[dict]:
-    rng = random.Random(seed)
-    names = sorted(ex.free_symbols(det))
-    box = box or ex.Box()
-    probes = [{n: box.center(names)[n] for n in names}]
-    origin = dict(probes[0])
-    for nm in chart.fibers:
-        if nm in origin:
-            origin[nm] = 0.0
-    probes.append(origin)
-    for _ in range(trials):
-        probes.append(box.sample(names, rng))
-    for env in probes:
-        try:
-            value = ex.evaluate(det, env)
-        except ex.DomainError:
-            continue
-        if abs(value) <= tol:
-            return env
-    return None
-
-
 def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
                         box: ex.Box = None, trials: int = 16, tol: float = 1e-9,
                         seed: int = 0, check: bool = True) -> ProlongSection:
@@ -346,42 +318,32 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
 
     uu_zero = all(ex.is_zero_literal(omega.uu(i, j)) for i in range(r) for j in range(i + 1, r))
     if uu_zero:
-        if r > 4:
-            raise ValueError("symbolic solve supports rank <= 4; use hamiltonian_section_at")
-        b_matrix = [[omega.ue(i, j) for j in range(r)] for i in range(r)]
-        det = ex.simplify(linalg.det(b_matrix))
-        if ex.is_zero_literal(det):
-            raise DegenerateForm({"det": 0.0})
-        if check:
-            witness = _probe_determinant(det, chart, box, trials, tol, seed)
-            if witness is not None:
-                raise DegenerateForm(witness)
-        adj = linalg.adjugate(b_matrix)
-        b_inv = [[ex.ediv(adj[i][j], det) for j in range(r)] for i in range(r)]
-        a = linalg.mat_vec(b_inv, dg_u)
-        rhs = []
-        for j in range(r):
-            acc = [ex.eneg(dg_e[j])]
-            for i in range(r):
-                acc.append(ex.eneg(ex.emul(a[i], omega.ee(i, j))))
-            rhs.append(ex.eadd(*acc))
-        b = linalg.mat_vec(linalg.transpose(b_inv), rhs)
-        return ProlongSection(chart, a, b)
-
-    if 2 * r > 4:
-        raise ValueError("symbolic solve supports total rank <= 4; use hamiltonian_section_at")
-    k_matrix = [[omega.value((p, q)) for q in range(2 * r)] for p in range(2 * r)]
-    det = ex.simplify(linalg.det(k_matrix))
+        matrix = [[omega.ue(i, j) for j in range(r)] for i in range(r)]
+    else:
+        matrix = [[omega.value((p, q)) for q in range(2 * r)] for p in range(2 * r)]
+    if len(matrix) > 4:
+        raise ValueError(f"symbolic solve supports {'rank' if uu_zero else 'total rank'} <= 4; "
+                         "use hamiltonian_section_at")
+    det = ex.simplify(linalg.det(matrix))
     if ex.is_zero_literal(det):
         raise DegenerateForm({"det": 0.0})
     if check:
-        witness = _probe_determinant(det, chart, box, trials, tol, seed)
+        witness = probe_determinant(chart, det, box or ex.Box(), trials, tol, seed, {})
         if witness is not None:
             raise DegenerateForm(witness)
-    adj = linalg.adjugate(k_matrix)
-    k_inv = [[ex.ediv(adj[i][j], det) for j in range(2 * r)] for i in range(2 * r)]
-    solution = linalg.mat_vec(k_inv, dg_e + dg_u)
-    return ProlongSection(chart, solution[:r], solution[r:])
+    inverse = linalg.inverse(matrix, det)
+    if not uu_zero:
+        solution = linalg.mat_vec(inverse, dg_e + dg_u)
+        return ProlongSection(chart, solution[:r], solution[r:])
+    a = linalg.mat_vec(inverse, dg_u)
+    rhs = []
+    for j in range(r):
+        acc = [ex.eneg(dg_e[j])]
+        for i in range(r):
+            acc.append(ex.eneg(ex.emul(a[i], omega.ee(i, j))))
+        rhs.append(ex.eadd(*acc))
+    b = linalg.mat_vec(linalg.transpose(inverse), rhs)
+    return ProlongSection(chart, a, b)
 
 
 def hamiltonian_section_at(omega: ProlongForm, hamiltonian: ex.Expr,
@@ -395,7 +357,7 @@ def hamiltonian_section_at(omega: ProlongForm, hamiltonian: ex.Expr,
     dg += [ex.evaluate(ex.diff(g, nm), env) for nm in chart.fibers]
     k = [[ex.evaluate(omega.value((p, q)), env) for q in range(2 * r)] for p in range(2 * r)]
     try:
-        solution = linalg.solve_numeric(k, dg)
+        solution, = linalg.solve(k, [dg])
     except ValueError:
         raise DegenerateForm(env) from None
     return solution[:r], solution[r:]
@@ -651,18 +613,7 @@ def coefficient_rank_at(form: ProlongForm, point: ex.ChartPoint, tol: float = 1e
     env = point.env(chart.coords, chart.fibers)
     size = 2 * chart.r
     matrix = [[ex.evaluate(form.value((a, b)), env) for b in range(size)] for a in range(size)]
-    rank = 0
-    for col in range(size):
-        pivot = max(range(rank, size), key=lambda r_: abs(matrix[r_][col]))
-        if abs(matrix[pivot][col]) <= tol:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        for r_ in range(rank + 1, size):
-            factor = matrix[r_][col] / matrix[rank][col]
-            for c_ in range(col, size):
-                matrix[r_][c_] -= factor * matrix[rank][c_]
-        rank += 1
-    return rank
+    return linalg.row_echelon(matrix, size, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ def random_raw_tree(rng: random.Random, names, depth=3, allow_funcs=True):
         return ex.Pow(random_raw_tree(rng, names, depth - 1, allow_funcs),
                       Fraction(rng.choice([2, 3, -1, Fraction(1, 2)])))
     if kind == 3:
-        return ex.Neg(random_raw_tree(rng, names, depth - 1, allow_funcs))
+        return ex.Mul((ex.MINUS_ONE, random_raw_tree(rng, names, depth - 1, allow_funcs)))
     if kind == 4:
         den = ex.Add((ex.Const(Fraction(2)),
                       ex.Pow(ex.Var(rng.choice(list(names))), Fraction(2))))

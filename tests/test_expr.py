@@ -96,7 +96,7 @@ class TestEval:
 
 class TestIsZero:
     def test_proven(self):
-        e = ex.Add((ex.Var("y1"), ex.Neg(ex.Var("y1"))))
+        e = ex.Add((ex.Var("y1"), ex.Mul((ex.MINUS_ONE, ex.Var("y1")))))
         assert ex.is_zero(ex.simplify(e)).status is ZeroStatus.PROVEN_ZERO
 
     def test_pythagorean_identity_likely(self):

@@ -194,6 +194,20 @@ class TestHamiltonianSection:
         with pytest.raises(DegenerateForm):
             pr.hamiltonian_section(omega, ex.Var("x1"))
 
+    def test_block_vanishing_on_the_box_rejected(self, tangent1):
+        # det = x1 is not literally zero but vanishes at the box center.
+        omega = pr.ProlongForm.from_blocks(tangent1.chart, ue=[[ex.Var("x1")]])
+        with pytest.raises(DegenerateForm):
+            pr.hamiltonian_section(omega, ex.Var("x1"))
+
+    def test_pointwise_solver_rejects_singular_point(self, tangent1):
+        omega = pr.ProlongForm.from_blocks(tangent1.chart, ue=[[ex.Var("x1")]])
+        with pytest.raises(DegenerateForm):
+            pr.hamiltonian_section_at(omega, ex.Var("x1"), ex.ChartPoint((0.0,), (1.0,)))
+        for x1, rank in ((0.0, 0), (0.5, 2)):
+            point = ex.ChartPoint((x1,), (1.0,))
+            assert pr.coefficient_rank_at(omega, point) == rank
+
     def test_full_solve_with_vertical_block(self, tangent1):
         # A vertical-vertical block forces the full coefficient-matrix solve.
         chart = tangent1.chart
