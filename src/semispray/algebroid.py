@@ -139,9 +139,6 @@ class AlgebroidChart:
 
     # -- exterior calculus --------------------------------------------------
 
-    def zero_form(self, degree: int) -> "AForm":
-        return AForm(self, degree, {})
-
     def d(self, form: "AForm") -> "AForm":
         """Koszul differential; capped at input degree 2."""
         if form.chart is not self:
@@ -176,31 +173,26 @@ class AlgebroidChart:
     # -- structure equations ------------------------------------------------
 
     def structure_residuals(self):
-        """Yield ``(label, residual)`` for both structure equations.
+        """Yield ``(label, residual)`` for both structure equations, read off
+        ``d² = 0``.
 
-        First family: ``rho^i_j d(rho^k_l)/dx^i - rho^i_l d(rho^k_j)/dx^i
-        - rho^k_i C^i_{jl}`` over base indices ``k`` and frame pairs
-        ``j < l``.  Second family: the cyclic sum
-        ``rho^i_j d(C^k_{ls})/dx^i + C^t_{ls} C^k_{jt}`` over frame indices
-        ``k`` and ``j < l < s`` (both families are skew in the lower indices,
-        so ordered tuples carry all the information).
+        First family: the coefficient ``(j, l)`` of ``d(dx^k)``, where
+        ``dx^k`` pulls back to the 1-form ``rho^k_j``, over base indices
+        ``k`` and frame pairs ``j < l``.  Second family: the coefficient
+        ``(j, l, s)`` of ``d(C^k)``, where ``C^k`` is the 2-form
+        ``C^k_{ij}`` (``d`` of the frame covector ``e^k`` is ``-C^k``), over
+        frame indices ``k`` and ``j < l < s``.  Both families are skew in the
+        lower indices, so ordered tuples carry all the information.
         """
         for k in range(self.n):
-            for j in range(self.r):
-                for l in range(j + 1, self.r):
-                    lhs = ex.eadd(self.anchor_derivative(j, self.rho[k][l]),
-                                  ex.eneg(self.anchor_derivative(l, self.rho[k][j])))
-                    rhs = ex.eadd(*(ex.emul(self.rho[k][i], self.c(i, j, l))
-                                    for i in range(self.r)))
-                    yield (f"anchor[k={k + 1},j={j + 1},l={l + 1}]", ex.eadd(lhs, ex.eneg(rhs)))
+            d_dx = self.d(AForm(self, 1, {(j,): self.rho[k][j] for j in range(self.r)}))
+            for j, l in itertools.combinations(range(self.r), 2):
+                yield (f"anchor[k={k + 1},j={j + 1},l={l + 1}]", d_dx.get((j, l)))
         for k in range(self.r):
+            d_c = self.d(AForm(self, 2, {(i, j): self.c(k, i, j)
+                                         for i, j in itertools.combinations(range(self.r), 2)}))
             for j, l, s in itertools.combinations(range(self.r), 3):
-                pieces = []
-                for a, b, c in ((j, l, s), (l, s, j), (s, j, l)):
-                    pieces.append(self.anchor_derivative(a, self.c(k, b, c)))
-                    pieces.append(ex.eadd(*(ex.emul(self.c(t, b, c), self.c(k, a, t))
-                                            for t in range(self.r))))
-                yield (f"jacobi[k={k + 1},(j,l,s)=({j + 1},{l + 1},{s + 1})]", ex.eadd(*pieces))
+                yield (f"jacobi[k={k + 1},(j,l,s)=({j + 1},{l + 1},{s + 1})]", d_c.get((j, l, s)))
 
     def validate_structure(self, box: ex.Box = None, trials: int = 64,
                            tol: float = 1e-9, seed: int = 0) -> ValidationReport:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
 from . import expr as ex
+from . import linalg
 from .errors import BlowUp
 from .poisson import VectorFieldOnA
 from .report import ValidationReport, ZeroResult, ZeroStatus
@@ -183,9 +184,7 @@ def base_projection_check(chart, field_on_a: VectorFieldOnA, traj: Trajectory,
     contraction ``y^j rho^i_j`` within ``tol * (1 + speed)``, using central
     finite differences on the stored grid."""
     names = list(chart.coords) + list(chart.fibers)
-    y = [ex.Var(nm) for nm in chart.fibers]
-    expected = [ex.eadd(*(ex.emul(y[j], chart.rho[i][j]) for j in range(chart.r)))
-                for i in range(chart.n)]
+    expected = linalg.mat_vec(chart.rho, [ex.Var(nm) for nm in chart.fibers])
     if params:
         expected = [ex.subs(e, {k: ex.Const(v) for k, v in params.items()})
                     for e in expected]

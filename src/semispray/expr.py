@@ -252,10 +252,6 @@ def is_zero_literal(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-def is_one_literal(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1
-
-
 # ---------------------------------------------------------------------------
 # Canonical constructors
 

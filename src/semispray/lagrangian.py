@@ -1,11 +1,12 @@
 """Derived data of a regular Lagrangian on an algebroid chart.
 
 ``build`` computes the fiber Hessian ``M``, its exact inverse (adjugate over
-determinant, ranks up to 4), the fiber derivative coefficients, and the
-energy function ``E_L = y^k dL/dy^k - L``.  Regularity is certified on a
-sample box, never globally: the probe set is the uniform sample plus the box
-center and the fiber origin, so Hessians degenerating on the zero section are
-caught deterministically.
+determinant, ranks up to 4; above that ``Minv`` is None and callers factor
+``M`` pointwise with ``minv_at``), the fiber derivative coefficients, and
+the energy function ``E_L = y^k dL/dy^k - L``.  A singular Hessian is always
+an error.  Regularity is certified on a sample box, never globally: the probe
+set is the uniform sample plus the box center and the fiber origin, so
+Hessians degenerating on the zero section are caught deterministically.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ class LagrangianData:
     def __init__(self, chart: AlgebroidChart, lagrangian: ex.Expr,
                  hessian: linalg.Matrix, hessian_inv: Optional[linalg.Matrix],
                  fiber_derivative: List[ex.Expr], energy: ex.Expr,
-                 hessian_det: ex.Expr, mode: str, regular: bool,
-                 singular_witness: Optional[dict]):
+                 hessian_det: ex.Expr):
         self.chart = chart
         self.L = lagrangian
         self.M = hessian
@@ -34,19 +34,17 @@ class LagrangianData:
         self.thetaL = fiber_derivative
         self.EL = energy
         self.detM = hessian_det
-        self.mode = mode
-        self.regular = regular
-        self.singular_witness = singular_witness
 
     def minv_at(self, env: dict) -> List[List[float]]:
-        """Numeric Hessian inverse at a point (pointwise mode and oracles)."""
+        """Numeric Hessian inverse at a point (ranks above
+        ``SYMBOLIC_INVERSE_MAX_RANK`` and oracles)."""
         m = linalg.eval_matrix(self.M, env)
         n = len(m)
         units = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
         return linalg.transpose(linalg.solve(m, units))
 
     def __repr__(self):
-        return f"<LagrangianData {self.chart.name or 'chart'} r={self.chart.r} mode={self.mode}>"
+        return f"<LagrangianData {self.chart.name or 'chart'} r={self.chart.r}>"
 
 
 def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
@@ -81,18 +79,15 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
     return None
 
 
-def build(lagrangian, chart: AlgebroidChart, mode: str = "symbolic",
-          box: ex.Box = None, trials: int = 64, tol: float = 1e-9,
-          seed: int = 0, params: dict = None, strict: bool = True) -> LagrangianData:
+def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 64,
+          tol: float = 1e-9, seed: int = 0, params: dict = None) -> LagrangianData:
     """Derive Hessian, inverse, fiber derivative, and energy from ``L``.
 
-    In ``symbolic`` mode the Hessian inverse is exact (rank <= 4); in
-    ``pointwise`` mode it is left to per-point factorization.  With
-    ``strict`` the Hessian determinant must stay away from zero on the probe
-    set, else :class:`SingularHessian` carries the witness point.
+    The Hessian determinant must stay away from zero on the probe set of
+    :func:`probe_determinant`, else :class:`SingularHessian` carries the
+    witness point.  The Hessian inverse is exact for ranks up to
+    ``SYMBOLIC_INVERSE_MAX_RANK`` and None above it.
     """
-    if mode not in ("symbolic", "pointwise"):
-        raise ValueError("mode must be 'symbolic' or 'pointwise'")
     if isinstance(lagrangian, str):
         lagrangian = chart.parse(lagrangian)
     lagrangian = ex.simplify(lagrangian)
@@ -104,24 +99,18 @@ def build(lagrangian, chart: AlgebroidChart, mode: str = "symbolic",
                      ex.eneg(lagrangian))
     det = ex.simplify(linalg.det(hessian))
 
-    box = box or ex.Box()
-    params = dict(params or {})
     if ex.is_zero_literal(det):
         witness = {"detM": 0.0}
     else:
-        witness = probe_determinant(chart, det, box, trials, tol, seed, params)
-    regular = witness is None
-    if strict and not regular:
+        witness = probe_determinant(chart, det, box or ex.Box(), trials, tol, seed,
+                                    dict(params or {}))
+    if witness is not None:
         raise SingularHessian(witness)
 
     inverse = None
-    if mode == "symbolic" and regular:
-        if chart.r > SYMBOLIC_INVERSE_MAX_RANK:
-            mode = "pointwise"
-        else:
-            inverse = linalg.inverse(hessian, det)
-    return LagrangianData(chart, lagrangian, hessian, inverse, theta, energy,
-                          det, mode, regular, witness)
+    if chart.r <= SYMBOLIC_INVERSE_MAX_RANK:
+        inverse = linalg.inverse(hessian, det)
+    return LagrangianData(chart, lagrangian, hessian, inverse, theta, energy, det)
 
 
 def legendre(data: LagrangianData, point: ex.ChartPoint) -> tuple:

@@ -17,10 +17,6 @@ def identity(n: int) -> Matrix:
     return [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[ex.ZERO for _ in range(cols)] for _ in range(rows)]
-
-
 def transpose(m: Matrix) -> Matrix:
     return [list(row) for row in zip(*m)]
 

@@ -20,10 +20,8 @@ from typing import List
 from . import expr as ex
 from . import linalg
 from .algebroid import AlgebroidChart
-from .errors import SingularHessian
 from .lagrangian import LagrangianData
 from .report import ValidationReport
-from .twoform import NMatrix
 
 
 @dataclass
@@ -63,21 +61,16 @@ class PoissonBivector:
         return self.pyy[a - n][b - n]
 
 
-def build_bracket(chart: AlgebroidChart, data: LagrangianData, n_matrix: NMatrix) -> PoissonBivector:
+def build_bracket(chart: AlgebroidChart, data: LagrangianData,
+                  n_matrix: linalg.Matrix) -> PoissonBivector:
     """Assemble the bracket coefficient matrices from the Hessian inverse and
-    the twisted skew matrix."""
+    the twisted skew matrix ``N`` (see :func:`~semispray.twoform.assemble_N`)."""
     if data.Minv is None:
-        if not data.regular:
-            raise SingularHessian(data.singular_witness)
         raise ValueError("building the bracket symbolically needs the exact Hessian inverse")
     minv = data.Minv
-    r, n = chart.r, chart.n
-    pxy = [[ex.eneg(ex.eadd(*(ex.emul(chart.rho[i][s], minv[s][k]) for s in range(r))))
-            for k in range(r)] for i in range(n)]
-    nm = n_matrix.matrix()
-    mn = linalg.mat_mul(minv, nm)
-    mnm = linalg.mat_mul(mn, minv)
-    pyy = [[ex.eneg(mnm[k][l]) for l in range(r)] for k in range(r)]
+    pxy = [[ex.eneg(v) for v in row] for row in linalg.mat_mul(chart.rho, minv)]
+    mnm = linalg.mat_mul(linalg.mat_mul(minv, n_matrix), minv)
+    pyy = [[ex.eneg(v) for v in row] for row in mnm]
     return PoissonBivector(chart, pxy, pyy)
 
 
@@ -129,10 +122,9 @@ def is_semispray(chart: AlgebroidChart, field: VectorFieldOnA, box: ex.Box = Non
                  trials: int = 64, tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Residuals ``Vx^i - y^j rho^i_j`` of the base-projection condition."""
     report = ValidationReport(check="semispray", seed=seed)
-    y = [ex.Var(nm) for nm in chart.fibers]
+    expected = linalg.mat_vec(chart.rho, [ex.Var(nm) for nm in chart.fibers])
     for i in range(chart.n):
-        expected = ex.eadd(*(ex.emul(y[j], chart.rho[i][j]) for j in range(chart.r)))
-        residual = ex.eadd(field.vx[i], ex.eneg(expected))
+        residual = ex.eadd(field.vx[i], ex.eneg(expected[i]))
         report.add(f"d/d{chart.coords[i]}",
                    ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
     return report

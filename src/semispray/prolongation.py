@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import expr as ex
 from . import linalg
 from .algebroid import AForm, AlgebroidChart, sort_with_sign
-from .errors import (DegenerateForm, DegreeError, NotClosed,
-                     NotVerticalVanishing, SingularHessian)
+from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
 from .homotopy import BigradedBlock, FiberIntegral, dprime_primitive
 from .lagrangian import LagrangianData, probe_determinant
 from .poisson import VectorFieldOnA
@@ -98,9 +97,7 @@ def anchor(section: ProlongSection) -> VectorFieldOnA:
     """Project to the vector field on the total space:
     ``Vx^i = a^j rho^i_j``, ``Vy^k = b^k``."""
     chart = section.chart
-    vx = [ex.eadd(*(ex.emul(section.a[j], chart.rho[i][j]) for j in range(chart.r)))
-          for i in range(chart.n)]
-    return VectorFieldOnA(chart, vx, list(section.b))
+    return VectorFieldOnA(chart, linalg.mat_vec(chart.rho, section.a), list(section.b))
 
 
 def _section_derivative(section: ProlongSection, f: ex.Expr) -> ex.Expr:
@@ -569,7 +566,7 @@ def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
     """
     chart = data.chart
     if data.Minv is None:
-        raise SingularHessian(data.singular_witness)
+        raise ValueError("the vertical correction needs the exact Hessian inverse")
     r = chart.r
     f = ex.ZERO if base_potential is None else ex.simplify(ex.as_expr(base_potential))
     y = [ex.Var(nm) for nm in chart.fibers]
@@ -644,7 +641,7 @@ def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
             residual = ex.eadd(omega_l.ue(i, j), ex.eneg(data.M[i][j]))
             report.add(f"fundamental-block M[{i + 1},{j + 1}]",
                        ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-            residual = ex.eadd(omega_l.ee(i, j), ex.eneg(n_plain.entry(i, j)))
+            residual = ex.eadd(omega_l.ee(i, j), ex.eneg(n_plain[i][j]))
             report.add(f"fundamental-block N[{i + 1},{j + 1}]",
                        ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
 

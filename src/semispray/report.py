@@ -92,12 +92,3 @@ class ValidationReport:
         if failure is not None and failure.result.witness is not None:
             out["witness"] = failure.result.witness
         return out
-
-    def summary(self) -> str:
-        lines = [f"[{'PASS' if self.passed else 'FAIL'}] {self.check} "
-                 f"(items={len(self.items)}, max residual={self.max_residual:.3e}, seed={self.seed})"]
-        for item in self.items:
-            if not item.result.is_zero:
-                lines.append(f"  NONZERO {item.label}: |value|={item.result.max_residual:.3e} "
-                             f"at {item.result.witness}")
-        return "\n".join(lines)

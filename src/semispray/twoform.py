@@ -1,16 +1,18 @@
-"""Closed 2-sections and the skew coefficient matrix they twist.
+"""Closed 2-sections and the skew matrix ``N`` they twist.
 
-The closed 2-section is the free parameter of the bracket family; it is
-always user-supplied (or read off a catalog fixture) and checked, never
-synthesized.
+The closed 2-section ``Theta`` is the free parameter of the bracket family;
+it is always user-supplied (or read off a catalog fixture) and checked,
+never synthesized.  Its closedness residuals and ``N = d(theta_L) + Theta``
+are both read off the chart's Koszul differential.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 from . import expr as ex
+from . import linalg
 from .algebroid import AForm, AlgebroidChart
 from .lagrangian import LagrangianData
 from .report import ValidationReport
@@ -38,16 +40,11 @@ class ThetaSection:
         return self.form.get((i, j))
 
     def closedness_residuals(self):
-        """Yield ``(label, residual)`` per index triple ``i < j < k``:
-        ``sum_cyc(i,j,k) rho^r_k dTheta_{ij}/dx^r - C^r_{jk} Theta_{ri}``."""
-        chart = self.chart
-        for i, j, k in itertools.combinations(range(chart.r), 3):
-            pieces = []
-            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                pieces.append(chart.anchor_derivative(c, self.coefficient(a, b)))
-                pieces.append(ex.eneg(ex.eadd(*(ex.emul(chart.c(r, b, c), self.coefficient(r, a))
-                                                for r in range(chart.r)))))
-            yield f"(i,j,k)=({i + 1},{j + 1},{k + 1})", ex.eadd(*pieces)
+        """Yield ``(label, residual)`` per index triple ``i < j < k``: the
+        coefficient ``(i, j, k)`` of the Koszul differential ``d(Theta)``."""
+        d_theta = self.chart.d(self.form)
+        for i, j, k in itertools.combinations(range(self.chart.r), 3):
+            yield f"(i,j,k)=({i + 1},{j + 1},{k + 1})", d_theta.get((i, j, k))
 
     def check_closed(self, box: ex.Box = None, trials: int = 64,
                      tol: float = 1e-9, seed: int = 0) -> ValidationReport:
@@ -58,43 +55,18 @@ class ThetaSection:
         return report
 
 
-class NMatrix:
-    """Skew matrix of bracket-twisting coefficients on the total space."""
-
-    def __init__(self, chart: AlgebroidChart, upper: Dict[Tuple[int, int], ex.Expr]):
-        self.chart = chart
-        self._upper = upper  # keys (i, j) with i < j
-
-    def entry(self, i: int, j: int) -> ex.Expr:
-        if i == j:
-            return ex.ZERO
-        if i < j:
-            return self._upper.get((i, j), ex.ZERO)
-        return ex.eneg(self._upper.get((j, i), ex.ZERO))
-
-    def matrix(self):
-        r = self.chart.r
-        return [[self.entry(i, j) for j in range(r)] for i in range(r)]
-
-
 def assemble_N(data: LagrangianData, chart: AlgebroidChart,
-               theta: Optional[ThetaSection] = None) -> NMatrix:
-    """Assemble
-    ``N_{ij} = rho_i^k d2L/dx^k dy^j - rho_j^k d2L/dx^k dy^i
-    - dL/dy^k C^k_{ij} + Theta_{ij}``
-    for ``i < j``; the full matrix is recovered by skewness."""
+               theta: Optional[ThetaSection] = None) -> linalg.Matrix:
+    """The skew ``r x r`` matrix ``N = d(theta_L) + Theta``, where
+    ``theta_L`` is the 1-form ``dL/dy^k``:
+    ``N_{ij} = rho_i(dL/dy^j) - rho_j(dL/dy^i) - dL/dy^k C^k_{ij} + Theta_{ij}``."""
     if data.chart is not chart:
         raise ValueError("Lagrangian data belongs to a different chart")
-    upper: Dict[Tuple[int, int], ex.Expr] = {}
-    for i in range(chart.r):
-        for j in range(i + 1, chart.r):
-            pieces = [chart.anchor_derivative(i, data.thetaL[j]),
-                      ex.eneg(chart.anchor_derivative(j, data.thetaL[i]))]
-            pieces.append(ex.eneg(ex.eadd(*(ex.emul(data.thetaL[k], chart.c(k, i, j))
-                                            for k in range(chart.r)))))
-            if theta is not None:
-                pieces.append(theta.coefficient(i, j))
-            value = ex.eadd(*pieces)
-            if not ex.is_zero_literal(value):
-                upper[(i, j)] = value
-    return NMatrix(chart, upper)
+    d_theta_l = chart.d(AForm(chart, 1, {(k,): v for k, v in enumerate(data.thetaL)}))
+    n = [[ex.ZERO] * chart.r for _ in range(chart.r)]
+    for i, j in itertools.combinations(range(chart.r), 2):
+        value = d_theta_l.get((i, j))
+        if theta is not None:
+            value = ex.eadd(value, theta.coefficient(i, j))
+        n[i][j], n[j][i] = value, ex.eneg(value)
+    return n

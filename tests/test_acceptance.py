@@ -199,7 +199,7 @@ def test_criterion_06_fundamental_block_identity(fixtures, built, curved):
         for i in range(chart.r):
             for j in range(chart.r):
                 if omega.ue(i, j) != data.M[i][j] or \
-                        omega.ee(i, j) != n_plain.entry(i, j) or \
+                        omega.ee(i, j) != n_plain[i][j] or \
                         omega.uu(i, j) != ex.ZERO:
                     ok = False
                     details.append(f"{fixture.label} block ({i},{j})")

@@ -25,17 +25,13 @@ class TestBuild:
 
     def test_cubic_is_singular_on_zero_section(self, tangent1):
         with pytest.raises(SingularHessian) as err:
-            lagrangian.build("y1^3/6", tangent1.chart, strict=True)
+            lagrangian.build("y1^3/6", tangent1.chart)
         assert err.value.witness["y1"] == 0.0
 
-    def test_non_strict_records_witness(self, tangent1):
-        data = lagrangian.build("y1^3/6", tangent1.chart, strict=False)
-        assert not data.regular
-        assert data.singular_witness is not None
-
     def test_identically_singular(self, tangent2):
-        data = lagrangian.build("1/2*y1^2", tangent2.chart, strict=False)
-        assert not data.regular  # no y2 dependence: det M = 0 everywhere
+        with pytest.raises(SingularHessian) as err:
+            lagrangian.build("1/2*y1^2", tangent2.chart)
+        assert err.value.witness == {"detM": 0.0}  # no y2 dependence: det M = 0 everywhere
 
     def test_energy_formula(self, curved_metric):
         data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
@@ -45,25 +41,19 @@ class TestBuild:
         assert data.EL == expected
 
     def test_pointwise_mode_matches_symbolic(self, curved_metric):
-        sym = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
-        pw = lagrangian.build(curved_metric.lagrangian, curved_metric.chart, mode="pointwise")
-        assert pw.Minv is None
+        data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
         env = {"x1": 0.4, "x2": -0.3, "y1": 1.0, "y2": 0.5}
-        numeric = pw.minv_at(env)
+        numeric = data.minv_at(env)
         for i in range(2):
             for j in range(2):
-                assert numeric[i][j] == pytest.approx(ex.evaluate(sym.Minv[i][j], env), rel=1e-12)
-
-    def test_invalid_mode(self, tangent1):
-        with pytest.raises(ValueError):
-            lagrangian.build("1/2*y1^2", tangent1.chart, mode="auto")
+                assert numeric[i][j] == pytest.approx(ex.evaluate(data.Minv[i][j], env), rel=1e-12)
 
     def test_large_rank_forces_pointwise(self):
         from semispray.algebroid import tangent
 
         fx = tangent(5)
         data = lagrangian.build(fx.lagrangian, fx.chart)
-        assert data.mode == "pointwise" and data.Minv is None
+        assert data.Minv is None
         env = {nm: 0.0 for nm in fx.chart.coords}
         env.update({nm: 1.0 for nm in fx.chart.fibers})
         assert data.minv_at(env)[2][2] == pytest.approx(1.0)

@@ -137,6 +137,21 @@ class TestCliCommands:
         code, _ = run_cli(["validate", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
+                                            ("--tol", "0"), ("--tol", "-1")])
+    def test_out_of_range_settings_are_input_errors(self, so3_path, flag, value, capsys):
+        code, out = run_cli(["check", "jacobi", so3_path, flag, value])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_identically_singular_hessian_fails_prolongation(self, tmp_path, strict, capsys):
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps({"n": 1, "r": 1, "rho": [["1"]], "L": "x1*y1"}))
+        code, out = run_cli(["check", "prolongation", str(path), *strict])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: fiber Hessian is singular at {'detM': 0.0}\n"
+
     def test_bracket_emits_parseable_matrices(self, so3_path):
         code, out = run_cli(["bracket", so3_path])
         payload = json.loads(out)

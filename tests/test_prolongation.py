@@ -101,7 +101,7 @@ class TestDifferential:
             for i in range(chart.r):
                 for j in range(chart.r):
                     assert omega.ue(i, j) == data.M[i][j]
-                    assert omega.ee(i, j) == n_plain.entry(i, j)
+                    assert omega.ee(i, j) == n_plain[i][j]
                     assert omega.uu(i, j) == ex.ZERO
 
     @pytest.mark.parametrize("seed", range(4))
@@ -243,7 +243,7 @@ class TestHamiltonianSection:
             pieces = []
             for l in range(chart.r):
                 inner = ex.eadd(chart.anchor_derivative(l, data.EL),
-                                ex.eadd(*(ex.emul(n_plain.entry(s, l), y[s])
+                                ex.eadd(*(ex.emul(n_plain[s][l], y[s])
                                           for s in range(chart.r))))
                 pieces.append(ex.emul(data.Minv[r_][l], inner))
             expected = ex.eneg(ex.eadd(*pieces))
