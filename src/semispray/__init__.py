@@ -15,7 +15,7 @@ from .algebroid import AForm, AlgebroidChart, Fixture, catalog
 from .errors import (BlowUp, DegenerateForm, DegreeError, DomainError,
                      InvalidFixtureParam, ModelError, NotClosed,
                      NotVerticalVanishing, QuadratureFailure, SingularHessian,
-                     UnknownSymbol)
+                     StepCollapse, UnknownSymbol)
 from .expr import (Box, ChartPoint, Expr, compile_evaluator, diff, evaluate,
                    free_symbols, is_zero, parse, simplify, subs, to_text)
 from .model import ModelDocument, load_model
@@ -32,5 +32,5 @@ __all__ = [
     "to_text", "twoform",
     "BlowUp", "DegenerateForm", "DegreeError", "DomainError",
     "InvalidFixtureParam", "ModelError", "NotClosed", "NotVerticalVanishing",
-    "QuadratureFailure", "SingularHessian", "UnknownSymbol",
+    "QuadratureFailure", "SingularHessian", "StepCollapse", "UnknownSymbol",
 ]

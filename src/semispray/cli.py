@@ -2,8 +2,9 @@
 fields, reports, and trajectories.
 
 Exit codes: 0 when every check passes; 1 when any residual is certified
-nonzero, the fiber Hessian is singular (with or without ``--strict``) or
-evaluation leaves the real domain at every sample; 2 on input errors,
+nonzero, the fiber Hessian is singular (with or without ``--strict``),
+evaluation leaves the real domain at every sample, or a flow leaves the
+state-norm bound (``BlowUp``) or collapses its adaptive step; 2 on input errors,
 including ``--trials`` below 1, a ``--tol`` that is not positive, and a chart
 or 2-section that ``--strict`` refuses.  Every randomized
 report embeds the seed it ran with, so identical model + seed gives
@@ -19,7 +20,7 @@ from typing import Optional
 
 from . import expr as ex
 from . import dynamics, homotopy, poisson, prolongation, twoform
-from .errors import DomainError, ModelError, SingularHessian
+from .errors import BlowUp, DomainError, ModelError, SingularHessian, StepCollapse
 from .lagrangian import build as build_lagrangian
 from .model import ModelDocument, load_model
 from .report import ValidationReport
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     except ModelError as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (OSError, SingularHessian, DomainError) as err:
+    except (OSError, SingularHessian, DomainError, BlowUp, StepCollapse) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT if isinstance(err, OSError) else EXIT_FAIL
 

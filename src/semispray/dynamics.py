@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 from . import expr as ex
 from . import linalg
-from .errors import BlowUp
+from .errors import BlowUp, StepCollapse
 from .poisson import VectorFieldOnA
 from .report import ValidationReport, ZeroResult, ZeroStatus
 
@@ -98,7 +98,8 @@ def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
     ``rk4`` uses the fixed step ``h``; ``rk45`` treats ``h`` as the initial
     step and adapts to the local tolerance ``rtol``.  The drift column
     records ``invariant(state) - invariant(state0)`` (zero when no invariant
-    is supplied).  Raises :class:`BlowUp` past the sup-norm bound and
+    is supplied).  Raises :class:`BlowUp` past the sup-norm bound,
+    :class:`StepCollapse` when the ``rk45`` step shrinks below ``1e-14``, and
     propagates :class:`~semispray.errors.DomainError` from evaluation.
     """
     if h <= 0 or T <= 0:
@@ -174,7 +175,7 @@ def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
         if dt < 1e-14:
-            raise RuntimeError("adaptive step collapsed; the field may be singular")
+            raise StepCollapse(t, dt)
     return traj
 
 

@@ -64,6 +64,16 @@ class BlowUp(RuntimeError):
         super().__init__(f"state norm {norm:.3e} exceeded bound at t={t:.6g}")
 
 
+class StepCollapse(RuntimeError):
+    """The adaptive step size fell below its floor; the field may be singular."""
+
+    def __init__(self, t, dt):
+        self.t = t
+        self.dt = dt
+        super().__init__(f"adaptive step collapsed to {dt:.3e} at t={t:.6g}; "
+                         "the field may be singular")
+
+
 class ModelError(ValueError):
     """A model document failed schema or symbol validation."""
 

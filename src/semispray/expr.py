@@ -2,9 +2,9 @@
 
 Expressions are immutable trees over a declared alphabet of variable names.
 Constants are exact rationals (:class:`fractions.Fraction`) unless a float is
-injected programmatically; decimal literals are parsed exactly.  The smart
-constructors ``eadd``/``emul``/``epow``/``ediv``/``efunc`` always return
-canonical trees:
+injected programmatically; decimal literals (``1.5e-3`` included) are parsed
+exactly.  The smart constructors ``eadd``/``emul``/``epow``/``ediv``/``efunc``
+always return canonical trees:
 
 * sums and products are flattened and sorted by a fixed total order,
 * constants are folded, ``0`` summands and ``1`` factors dropped,
@@ -828,6 +828,13 @@ def _tokenize(src: str):
                 if src[j] == ".":
                     seen_dot = True
                 j += 1
+            # Exponent notation, as ``repr`` prints floats: [eE][+-]?digits.
+            if j < n and src[j] in "eE":
+                k = j + 2 if j + 1 < n and src[j + 1] in "+-" else j + 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
             tokens.append(_Token("num", src[i:j], i))
             i = j
             continue
@@ -943,9 +950,9 @@ class _Parser:
 def parse(src: str, alphabet: Iterable[str]) -> Expr:
     """Parse ``src`` over the declared variable names into a canonical tree.
 
-    Decimal literals become exact rationals.  Raises :class:`SyntaxError`
-    (with ``.offset``) on malformed input and :class:`UnknownSymbol` on names
-    outside the alphabet.
+    Decimal literals, with or without an exponent (``1.5e-3``), become exact
+    rationals.  Raises :class:`SyntaxError` (with ``.offset``) on malformed
+    input and :class:`UnknownSymbol` on names outside the alphabet.
     """
     return _Parser(src, alphabet).parse()
 
@@ -1060,24 +1067,70 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
 
 # ---------------------------------------------------------------------------
 # Compilation to fast evaluators (used by the flow integrator)
+#
+# The generated code is one straight-line function with one local per
+# structurally distinct non-leaf node and per variable read.  Statements come
+# in post-order of first occurrence, which is the order in which the nested
+# expression ``(t1 + t2 + ...)`` would evaluate its subtrees left to right and
+# depth first.  So every float operation, its operand order, and the first
+# guard to raise :class:`DomainError` are those of the nested code; a
+# repeated subtree is only skipped, never reordered.
 
 
-def _codegen(e: Expr, names_index: Mapping[str, int]) -> str:
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Var):
-        return f"_v[{names_index[e.name]}]"
-    if isinstance(e, Add):
-        return "(" + " + ".join(_codegen(t, names_index) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_codegen(f, names_index) for f in e.factors) + ")"
-    if isinstance(e, Pow):
-        return f"_pow({_codegen(e.base, names_index)}, {float(e.exponent)!r})"
-    if isinstance(e, Div):
-        return f"_div({_codegen(e.num, names_index)}, {_codegen(e.den, names_index)})"
-    if isinstance(e, Func):
-        return f"_{e.name}({_codegen(e.arg, names_index)})"
-    raise TypeError(f"not an expression: {e!r}")
+def _emit(exprs: Sequence[Expr], names_index: Mapping[str, int]):
+    """Straight-line statements computing ``exprs``, and their result operands."""
+    lines: list = []
+    local: dict = {}  # distinct node -> its temporary
+    by_id: dict = {}  # id of every visited node object -> its temporary
+
+    def operand(e: Expr) -> str:
+        return repr(float(e.value)) if isinstance(e, Const) else by_id[id(e)]
+
+    def emit(node: Expr, code: str) -> None:
+        name = local[node] = by_id[id(node)] = f"_t{len(local)}"
+        lines.append(f"    {name} = {code}")
+
+    for root in exprs:
+        missing = set()
+        stack = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if isinstance(node, Const) or id(node) in by_id:
+                continue
+            if ready:
+                if missing:
+                    continue
+                if isinstance(node, Add):
+                    emit(node, " + ".join(map(operand, node.terms)))
+                elif isinstance(node, Mul):
+                    emit(node, " * ".join(map(operand, node.factors)))
+                elif isinstance(node, Pow):
+                    emit(node, f"_pow({operand(node.base)}, {float(node.exponent)!r})")
+                elif isinstance(node, Div):
+                    emit(node, f"_div({operand(node.num)}, {operand(node.den)})")
+                else:
+                    emit(node, f"_{node.name}({operand(node.arg)})")
+            elif node in local:
+                by_id[id(node)] = local[node]
+            elif isinstance(node, Var):
+                if node.name in names_index:
+                    emit(node, f"_v[{names_index[node.name]}]")
+                else:
+                    missing.add(node.name)
+            else:
+                if isinstance(node, Pow):
+                    children = (node.base,)
+                elif isinstance(node, Func):
+                    children = (node.arg,)
+                elif isinstance(node, (Add, Mul, Div)):
+                    children = node._fields()
+                else:
+                    raise TypeError(f"not an expression: {node!r}")
+                stack.append((node, True))
+                stack.extend((c, False) for c in reversed(children))
+        if missing:
+            raise UnknownSymbol(sorted(missing)[0], "compiled evaluator")
+    return lines, [operand(e) for e in exprs]
 
 
 def _guarded_namespace() -> dict:
@@ -1119,14 +1172,16 @@ def _guarded_namespace() -> dict:
 def compile_evaluator(exprs: Sequence[Expr], names: Sequence[str]):
     """Compile expressions into one fast ``f(values) -> list[float]``.
 
-    ``values`` binds positionally to ``names``.  Domain guards raise the same
-    :class:`DomainError` as :func:`evaluate`.
+    ``values`` binds positionally to ``names``.  The code is straight-line:
+    each distinct subexpression is computed once, in the order the nested
+    expression would compute it, so results are bit-identical to evaluating
+    each expression as a nested left-to-right ``+``/``*`` formula, and the
+    domain guards raise the same :class:`DomainError` as :func:`evaluate`
+    at the same first offending node.  Raises :class:`UnknownSymbol` for a
+    name outside ``names``.
     """
-    names_index = {n: i for i, n in enumerate(names)}
-    for e in exprs:
-        missing = free_symbols(e) - set(names)
-        if missing:
-            raise UnknownSymbol(sorted(missing)[0], "compiled evaluator")
-    body = "[" + ", ".join(_codegen(e, names_index) for e in exprs) + "]"
+    lines, outputs = _emit(exprs, {n: i for i, n in enumerate(names)})
+    source = "\n".join(["def _compiled(_v):", *lines, f"    return [{', '.join(outputs)}]"])
     ns = _guarded_namespace()
-    return eval(f"lambda _v: {body}", ns)  # noqa: S307 - source is generated here
+    exec(source, ns)  # noqa: S102 - source is generated here
+    return ns["_compiled"]

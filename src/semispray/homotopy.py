@@ -405,11 +405,11 @@ def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0
     """
     report = ValidationReport(check="homotopy-suite", seed=seed)
 
-    def add(label: str, sub: ValidationReport):
+    def add(label: str, sub: ValidationReport, ran: int):
         status = ZeroStatus.PROVEN_ZERO if sub.all_proven else (
             ZeroStatus.LIKELY_ZERO if sub.passed else ZeroStatus.NONZERO)
         failure = sub.first_failure
-        report.add(label, ZeroResult(status, sub.max_residual, seed=seed, trials=trials,
+        report.add(label, ZeroResult(status, sub.max_residual, seed=seed, trials=ran,
                                      witness=None if failure is None else failure.result.witness))
 
     rng = random.Random(seed)
@@ -421,11 +421,13 @@ def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0
             for form_index in range(forms_per_case):
                 form = random_vertical_form(rng, chart, k)
                 add(f"r={r},k={k},form={form_index}",
-                    homotopy_identity_check(form, box=box, trials=trials, tol=tol, seed=seed))
+                    homotopy_identity_check(form, box=box, trials=trials, tol=tol, seed=seed),
+                    trials)
         # Its coefficients are fiber integrals, sampled, so never proven zero.
         fiber = ex.Var(chart.fibers[0])
         form = BigradedBlock(chart, 0, 1, {((), (j,)): ex.emul(ex.efunc("exp", fiber), fiber)
                                            for j in range(r)})
+        ran = max(trials, 8)
         add(f"r={r},nonpolynomial",
-            homotopy_identity_check(form, box=box, trials=max(trials, 8), tol=1e-8, seed=seed))
+            homotopy_identity_check(form, box=box, trials=ran, tol=1e-8, seed=seed), ran)
     return report

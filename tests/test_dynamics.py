@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semispray import dynamics, expr as ex, lagrangian, poisson, twoform
-from semispray.errors import BlowUp
+from semispray.errors import BlowUp, StepCollapse
 
 
 def hamiltonian_flow(fixture, theta=None, potential=None, data=None):
@@ -40,6 +40,16 @@ class TestIntegrate:
                                        [ex.parse("y1^2", ("y1",))])
         with pytest.raises(BlowUp):
             dynamics.integrate(field, ex.ChartPoint((0.0,), (2.0,)), T=1.0, h=1e-3)
+
+    def test_adaptive_step_collapse(self, tangent1):
+        # x'' = 4 x^3 blows up near t = 0.75; with the norm bound out of the
+        # way the adaptive step shrinks with the time left and collapses.
+        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")],
+                                       [ex.parse("4*x1^3", ("x1",))])
+        with pytest.raises(StepCollapse) as err:
+            dynamics.integrate(field, ex.ChartPoint((1.0,), (1.0,)), T=10.0, h=1e-2,
+                               method="rk45", blowup_bound=1e300)
+        assert err.value.dt < 1e-14 and 0.7 < err.value.t < 0.8
 
     def test_rejects_bad_steps(self, tangent1):
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])

@@ -34,6 +34,26 @@ class TestParse:
         got = ex.parse("0.25*x1", ("x1",))
         assert got == ex.emul(ex.Const(Fraction(1, 4)), ex.Var("x1"))
 
+    @pytest.mark.parametrize("src,value", [("1e-12*x1", Fraction(1, 10 ** 12)),
+                                           ("2.5E3*x1", Fraction(2500)),
+                                           ("1.5e+2*x1", Fraction(150)),
+                                           (".5e1*x1", Fraction(5))])
+    def test_exponent_notation_is_exact(self, src, value):
+        assert ex.parse(src, ("x1",)) == ex.emul(ex.Const(value), ex.Var("x1"))
+
+    @pytest.mark.parametrize("src", ["2e", "2e+", "2e-x1"])
+    def test_incomplete_exponent_rejected(self, src):
+        with pytest.raises(SyntaxError):
+            ex.parse(src, ("x1",))
+
+    @pytest.mark.parametrize("value", [1e-12, -2.5e-7, 3.0e20, 1.5e+2, 0.1, 5e-324])
+    def test_float_constants_roundtrip_through_printer(self, value):
+        # ``to_text`` prints a float constant with ``repr``; ``parse`` reads
+        # the text back exactly, and that rational rounds to the same float.
+        e = ex.emul(ex.Const(value), ex.Var("x1"))
+        back = ex.parse(ex.to_text(e), ("x1",))
+        assert ex.evaluate(back, {"x1": 1.0}) == value
+
     def test_power_right_associative(self):
         assert ex.parse("x1^2^3", ("x1",)) == ex.epow(ex.Var("x1"), 8)
 
@@ -270,6 +290,80 @@ class TestCompile:
         fn = ex.compile_evaluator([ex.parse("log(x1)", ("x1",))], ("x1",))
         with pytest.raises(DomainError):
             fn([-1.0])
+
+    def test_shared_subtrees_match_tree_walker(self):
+        # Every component reuses log(x1 - x2); points with x1 <= x2 leave
+        # the domain there, and must do so in both evaluators.
+        names = ("x1", "x2", "y1")
+        exprs = [ex.parse(src, names) for src in (
+            "log(x1 - x2)*y1",
+            "exp(log(x1 - x2)) + log(x1 - x2)^2",
+            "sin(log(x1 - x2)*y1)/(1 + y1^2)",
+            "y1 - log(x1 - x2)*y1",
+            "x1*x2",
+        )]
+        fn = ex.compile_evaluator(exprs, names)
+        rng = random.Random(4)
+        raised = 0
+        for _ in range(40):
+            values = [rng.uniform(-1.0, 1.0) for _ in names]
+            env = dict(zip(names, values))
+            try:
+                expected = [ex.evaluate(e, env) for e in exprs]
+            except DomainError:
+                raised += 1
+                with pytest.raises(DomainError):
+                    fn(values)
+                continue
+            assert fn(values) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert 0 < raised < 40
+
+    def test_same_float_operations_as_nested_code(self):
+        # Shared subtrees are computed once, but every float operation and
+        # its operand order stay those of the nested left-to-right code.
+        rng = random.Random(21)
+        base = [ex.simplify(random_raw_tree(rng, ALPHABET)) for _ in range(6)]
+        exprs = base + [ex.emul(a, b) for a, b in zip(base, base[1:])]
+        fn = ex.compile_evaluator(exprs, ALPHABET)
+        for _ in range(30):
+            values = [rng.uniform(0.2, 0.8) for _ in ALPHABET]
+            env = dict(zip(ALPHABET, values))
+            got = [v.hex() for v in fn(values)]
+            assert got == [float(nested_value(e, env)).hex() for e in exprs]
+
+    def test_deep_tree_compiles(self):
+        e = ex.Var("x1")
+        for _ in range(250):
+            e = ex.efunc("sin", e)
+        fn = ex.compile_evaluator([e, ex.emul(e, e)], ("x1",))
+        value = ex.evaluate(e, {"x1": 0.3})
+        assert fn([0.3]) == [value, value ** 2.0]
+
+    def test_unknown_symbol(self):
+        exprs = [ex.parse("x1 + x2", ("x1", "x2")), ex.parse("b*a", ("a", "b"))]
+        with pytest.raises(UnknownSymbol) as err:
+            ex.compile_evaluator(exprs, ("x1", "x2"))
+        assert err.value.name == "a"
+
+
+def nested_value(e, env):
+    """Reference for compiled code: the tree evaluated as the nested
+    expression ``(t1 + t2 + ...)`` would be, left to right with plain ``+``."""
+    if isinstance(e, ex.Const):
+        return float(e.value)
+    if isinstance(e, ex.Var):
+        return env[e.name]
+    if isinstance(e, (ex.Add, ex.Mul)):
+        parts = [nested_value(p, env) for p in e._fields()]
+        out = parts[0]
+        for p in parts[1:]:
+            out = out + p if isinstance(e, ex.Add) else out * p
+        return out
+    if isinstance(e, ex.Pow):
+        return nested_value(e.base, env) ** float(e.exponent)
+    if isinstance(e, ex.Div):
+        return nested_value(e.num, env) / nested_value(e.den, env)
+    return ex.evaluate(ex.Func(e.name, ex.Const(nested_value(e.arg, env))), {})
 
 
 def test_point_env_mismatch():

@@ -256,3 +256,9 @@ class TestIdentitySuite:
         assert report.passed
         polynomial_items = [i for i in report.items if "nonpolynomial" not in i.label]
         assert all(i.result.status is ZeroStatus.PROVEN_ZERO for i in polynomial_items)
+
+    def test_reports_the_trials_that_ran(self):
+        # The nonpolynomial items sample at least 8 points whatever ``trials`` is.
+        report = ho.identity_suite(ranks=(1,), degrees=(0,), forms_per_case=1, seed=2, trials=3)
+        trials = {i.label: i.result.trials for i in report.items}
+        assert trials == {"r=1,k=0,form=0": 3, "r=1,nonpolynomial": 8}

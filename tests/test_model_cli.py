@@ -5,7 +5,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from semispray import cli, expr as ex
-from semispray.errors import ModelError
+from semispray.errors import ModelError, StepCollapse
 from semispray.model import load_model
 
 SO3_DOC = {
@@ -226,6 +226,27 @@ class TestCliCommands:
                              "--T", "0.01", "--h", "0.001", "--format", "json"])
         payload = json.loads(out)
         assert code == 0 and payload["max_drift"] < 1e-12
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_integrate_blowup_is_a_failure(self, tmp_path, method, capsys):
+        # x'' = 4 x^3 leaves every bound in finite time (t ~ 0.75 from x = 1).
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps({"n": 1, "r": 1, "rho": [["1"]], "L": "1/2*y1^2",
+                                    "f": "-x1^4"}))
+        code, out = run_cli(["integrate", str(path), "--p0", "1,1", "--T", "10",
+                             "--h", "1e-2", "--method", method])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: state norm ")
+
+    def test_integrate_step_collapse_is_a_failure(self, tangent_path, monkeypatch, capsys):
+        def collapse(*args, **kwargs):
+            raise StepCollapse(0.5, 1e-15)
+
+        monkeypatch.setattr(cli.dynamics, "integrate", collapse)
+        code, out = run_cli(["integrate", tangent_path, "--p0", "0,1", "--method", "rk45"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            "error: adaptive step collapsed to 1.000e-15 at t=0.5; the field may be singular\n")
 
     def test_integrate_dimension_mismatch(self, tangent_path):
         code, _ = run_cli(["integrate", tangent_path, "--p0", "0,1,2",
