@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from . import expr as ex
 from .errors import DegreeError, InvalidFixtureParam
@@ -46,18 +46,19 @@ def c_is_structural_zero(value) -> bool:
     return isinstance(value, ex.Expr) and ex.is_zero_literal(value)
 
 
-def skew_coeffs(coeffs: Mapping, canon, neg, add) -> dict:
+def skew_coeffs(pairs: Iterable[Tuple], canon, neg, add) -> dict:
     """The skew-coefficient store shared by every form class.
 
-    ``canon(key)`` returns the sorted key and the sign of the sorting
-    permutation, 0 when an index repeats (such entries vanish).  Expression
-    values are simplified, negated for an odd permutation and accumulated per
-    sorted key; keys whose total is a structural zero are dropped, including
-    totals that cancel.  ``neg``/``add`` are the coefficient arithmetic
-    (``ex.eneg``/``ex.eadd`` for plain expressions).
+    ``pairs`` yields ``(key, value)``; a key may repeat.  ``canon(key)``
+    returns the sorted key and the sign of the sorting permutation, 0 when an
+    index repeats (such entries vanish).  Expression values are simplified,
+    negated for an odd permutation and accumulated per sorted key; keys whose
+    total is a structural zero are dropped, including totals that cancel.
+    ``neg``/``add`` are the coefficient arithmetic (``ex.eneg``/``ex.eadd``
+    for plain expressions).
     """
     out = {}
-    for key, value in coeffs.items():
+    for key, value in pairs:
         key, sign = canon(key)
         if sign == 0:
             continue
@@ -197,10 +198,8 @@ class AlgebroidChart:
     def validate_structure(self, box: ex.Box = None, trials: int = 64,
                            tol: float = 1e-9, seed: int = 0) -> ValidationReport:
         """Tag every structure-equation residual with the probabilistic zero test."""
-        report = ValidationReport(check="structure-equations", seed=seed)
-        for label, residual in self.structure_residuals():
-            report.add(label, ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-        return report
+        return ex.certify("structure-equations", self.structure_residuals(),
+                          box, trials, tol, seed)
 
 
 class AForm:
@@ -216,7 +215,7 @@ class AForm:
         self.chart = chart
         self.degree = degree
         self.coeffs: Dict[Tuple[int, ...], ex.Expr] = skew_coeffs(
-            {idx: ex.as_expr(value) for idx, value in coeffs.items()}, self._canon,
+            ((idx, ex.as_expr(value)) for idx, value in coeffs.items()), self._canon,
             ex.eneg, ex.eadd)
 
     def _canon(self, idx) -> Tuple[Optional[Tuple[int, ...]], int]:

@@ -4,11 +4,14 @@ fields, reports, and trajectories.
 Exit codes: 0 when every check passes; 1 when any residual is certified
 nonzero, the fiber Hessian is singular (with or without ``--strict``),
 evaluation leaves the real domain at every sample, or a flow leaves the
-state-norm bound (``BlowUp``) or collapses its adaptive step; 2 on input errors,
-including ``--trials`` below 1, a ``--tol`` that is not positive, and a chart
-or 2-section that ``--strict`` refuses.  Every randomized
-report embeds the seed it ran with, so identical model + seed gives
-byte-identical output.
+state-norm bound or turns non-finite (``BlowUp``) or collapses its adaptive
+step; 2 on input errors: a malformed model, a sampling setting that breaks
+the rules of :mod:`semispray.model` (an empty or non-finite box, ``trials``
+below 1, a ``tol`` that is not finite and positive, from the document or a
+flag), bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands
+that build the bracket, and a chart or 2-section that ``--strict`` refuses.
+Every randomized report embeds the seed it ran with, so identical model +
+seed gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Optional
 from . import expr as ex
 from . import dynamics, homotopy, poisson, prolongation, twoform
 from .errors import BlowUp, DomainError, ModelError, SingularHessian, StepCollapse
-from .lagrangian import build as build_lagrangian
-from .model import ModelDocument, load_model
+from .lagrangian import SYMBOLIC_INVERSE_MAX_RANK, build as build_lagrangian
+from .model import ModelDocument, finite, load_model, positive
 from .report import ValidationReport
 
 EXIT_PASS = 0
@@ -30,55 +33,31 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
-def _parse_box_override(raw, base: ex.Box, path="--box") -> ex.Box:
-    ranges = dict(base.ranges)
-    default = base.default
-    for item in raw or []:
-        if "=" in item:
-            name, _, span = item.partition("=")
-            parts = span.split(",")
-            if len(parts) != 2:
-                raise ModelError(path, f"expected NAME=lo,hi, got {item!r}")
-            ranges[name.strip()] = (float(parts[0]), float(parts[1]))
-        else:
-            parts = item.split(",")
-            if len(parts) != 2:
-                raise ModelError(path, f"expected lo,hi, got {item!r}")
-            default = (float(parts[0]), float(parts[1]))
-    return ex.Box(default=default, ranges=ranges)
-
-
 def _emit(payload: dict) -> None:
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _settings(model: ModelDocument, args):
-    box = _parse_box_override(args.box, model.box)
-    seed = model.seed if args.seed is None else args.seed
-    trials = model.trials if args.trials is None else args.trials
-    tol = model.tol if args.tol is None else args.tol
-    if trials < 1:
-        raise ModelError("--trials", "must be at least 1")
-    if tol <= 0:
-        raise ModelError("--tol", "must be positive")
-    return box, trials, tol, seed
-
-
 def _lagrangian_data(model: ModelDocument, box, trials, tol, seed):
+    """Lagrangian data for the commands that build the bracket, which needs
+    the exact Hessian inverse."""
     if model.lagrangian is None:
         raise ModelError("L", "this command needs a Lagrangian in the model")
+    if model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
+        raise ModelError("r", "this command builds the bracket from the exact Hessian "
+                              f"inverse, available up to rank {SYMBOLIC_INVERSE_MAX_RANK}")
     return build_lagrangian(model.lagrangian, model.chart, box=box, trials=trials,
                             tol=tol, seed=seed, params=model.params)
 
 
 def cmd_validate(model: ModelDocument, args) -> int:
-    box, trials, tol, seed = _settings(model, args)
+    box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     reports = [model.chart.validate_structure(box=box, trials=trials, tol=tol, seed=seed)]
     notes = []
     if model.lagrangian is not None:
         try:
-            _lagrangian_data(model, box, trials, tol, seed)
+            build_lagrangian(model.lagrangian, model.chart, box=box, trials=trials,
+                             tol=tol, seed=seed, params=model.params)
             witness = None
         except SingularHessian as err:
             witness = err.witness
@@ -118,7 +97,7 @@ def _bivector(model: ModelDocument, box, trials, tol, seed, strict):
 
 
 def cmd_bracket(model: ModelDocument, args) -> int:
-    box, trials, tol, seed = _settings(model, args)
+    box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     _, bivector = _bivector(model, box, trials, tol, seed, args.strict)
     chart = model.chart
     payload = {
@@ -142,7 +121,7 @@ def _hamiltonian_target(model: ModelDocument, data, args) -> ex.Expr:
 
 
 def cmd_hamiltonian(model: ModelDocument, args) -> int:
-    box, trials, tol, seed = _settings(model, args)
+    box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
     g = _hamiltonian_target(model, data, args)
     field = poisson.hamiltonian_field(bivector, g)
@@ -159,7 +138,7 @@ def cmd_hamiltonian(model: ModelDocument, args) -> int:
 
 
 def cmd_check(model: ModelDocument, args) -> int:
-    box, trials, tol, seed = _settings(model, args)
+    box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     which = args.which
     report: Optional[ValidationReport] = None
     if which == "jacobi":
@@ -187,16 +166,17 @@ def cmd_check(model: ModelDocument, args) -> int:
 
 
 def cmd_integrate(model: ModelDocument, args) -> int:
-    box, trials, tol, seed = _settings(model, args)
-    data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
-    g = _hamiltonian_target(model, data, args)
-    field = poisson.hamiltonian_field(bivector, g)
+    box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     chart = model.chart
-    values = [float(v) for v in args.p0.split(",")]
+    values = [finite(v, "--p0") for v in args.p0.split(",")]
     if len(values) != chart.n + chart.r:
         raise ModelError("--p0", f"expected {chart.n + chart.r} comma-separated values")
     p0 = ex.ChartPoint(tuple(values[:chart.n]), tuple(values[chart.n:]))
-    traj = dynamics.integrate(field, p0, T=args.T, h=args.h, method=args.method,
+    T, h = positive(args.T, "--T"), positive(args.h, "--h")
+    data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
+    g = _hamiltonian_target(model, data, args)
+    field = poisson.hamiltonian_field(bivector, g)
+    traj = dynamics.integrate(field, p0, T=T, h=h, method=args.method,
                               invariant=g, params=model.params)
     if args.format == "csv":
         sys.stdout.write(traj.to_csv())
@@ -217,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model", help="path to the JSON model document")
         p.add_argument("--box", action="append", metavar="LO,HI or NAME=LO,HI",
                        help="sampling box; repeat for per-variable overrides")
-        p.add_argument("--trials", type=int, default=None, help="sample count (default 64)")
-        p.add_argument("--tol", type=float, default=None, help="zero-test tolerance (default 1e-9)")
+        p.add_argument("--trials", default=None, help="sample count (default 64)")
+        p.add_argument("--tol", default=None, help="zero-test tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default from model)")
         p.add_argument("--strict", action="store_true",
                        help="refuse charts that fail the structure equations and "
@@ -247,8 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--energy-only", action="store_true")
     p.add_argument("--p0", required=True, help="initial point, comma-separated x then y")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1e-3)
+    p.add_argument("--T", default=1.0)
+    p.add_argument("--h", default=1e-3)
     p.add_argument("--method", choices=["rk4", "rk45"], default="rk4")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     return parser

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -77,7 +78,10 @@ def _axpy(state: List[float], scale: float, delta: List[float]) -> List[float]:
 
 
 def _sup_norm(state: List[float]) -> float:
-    return max(abs(v) for v in state)
+    """Largest absolute component; inf if one is inf or nan (``max`` can miss a nan)."""
+    if math.isfinite(sum(state)):
+        return max(abs(v) for v in state)
+    return math.inf
 
 
 def _rk4_step(f: Callable, state: List[float], h: float) -> List[float]:
@@ -164,7 +168,9 @@ def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
             if b4:
                 y4 = _axpy(y4, dt * b4, kv)
         scale = rtol * (1.0 + _sup_norm(state))
-        err = max(abs(a - b) for a, b in zip(y5, y4)) / scale
+        err = _sup_norm([a - b for a, b in zip(y5, y4)]) / scale
+        if err == math.inf:
+            raise BlowUp(t + dt, err)
         if err <= 1.0:
             t += dt
             state = y5

@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import DomainError, UnknownSymbol
-from .report import ZeroResult, ZeroStatus
+from .report import ValidationReport, ZeroResult, ZeroStatus
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -1030,6 +1030,15 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
                        tol=tol, seed=seed, params=params)
 
 
+def certify(check: str, residuals, box: Optional[Box], trials: int, tol: float,
+            seed: int) -> ValidationReport:
+    """Zero-test every ``(label, residual)`` pair, in order, into one report."""
+    report = ValidationReport(check=check, seed=seed)
+    for label, residual in residuals:
+        report.add(label, is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
+    return report
+
+
 def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Optional[Box],
                 trials: int, tol: float, seed: int,
                 params: Mapping[str, float] = None) -> ZeroResult:
@@ -1084,7 +1093,11 @@ def _emit(exprs: Sequence[Expr], names_index: Mapping[str, int]):
     by_id: dict = {}  # id of every visited node object -> its temporary
 
     def operand(e: Expr) -> str:
-        return repr(float(e.value)) if isinstance(e, Const) else by_id[id(e)]
+        if not isinstance(e, Const):
+            return by_id[id(e)]
+        value = float(e.value)
+        # repr gives the bare names inf and nan for non-finite values.
+        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
 
     def emit(node: Expr, code: str) -> None:
         name = local[node] = by_id[id(node)] = f"_t{len(local)}"

@@ -123,18 +123,6 @@ def cscale(value: Coefficient, factor: ex.Expr) -> Coefficient:
     return ex.emul(factor, value)
 
 
-def cdiff(value: Coefficient, name: str) -> Coefficient:
-    if isinstance(value, FiberIntegral):
-        return value.diff(name)
-    return ex.diff(value, name)
-
-
-def csubs(value: Coefficient, mapping) -> Coefficient:
-    if isinstance(value, FiberIntegral):
-        return value.subs(mapping)
-    return ex.subs(value, mapping)
-
-
 def ceval(value: Coefficient, env: dict) -> float:
     if isinstance(value, FiberIntegral):
         return value.evaluate(env)
@@ -199,7 +187,7 @@ class BigradedBlock:
         self.p = p
         self.q = q
         self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient] = skew_coeffs(
-            coeffs, self._canon, cneg, cadd)
+            coeffs.items(), self._canon, cneg, cadd)
 
     def _canon(self, key):
         idx_i, idx_j = tuple(key[0]), tuple(key[1])
@@ -239,7 +227,7 @@ def dsecond(block: BigradedBlock) -> BigradedBlock:
             pieces = []
             for pos, j in enumerate(tup):
                 rest = tup[:pos] + tup[pos + 1:]
-                value = cdiff(block.get(idx_i, rest), chart.fibers[j])
+                value = block.get(idx_i, rest).diff(chart.fibers[j])
                 pieces.append(value if pos % 2 == 0 else cneg(value))
             total = cadd(*pieces)
             coeffs[(idx_i, tup)] = cneg(total) if sign < 0 else total
@@ -254,7 +242,7 @@ def psi_star(form: BigradedBlock, t) -> BigradedBlock:
         raise ValueError("scaling parameter must be numeric")
     mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.fibers}
     factor = ex.epow(t, form.q) if form.q else ex.ONE
-    return form.map_coeffs(lambda v: cscale(csubs(v, mapping), factor))
+    return form.map_coeffs(lambda v: cscale(v.subs(mapping), factor))
 
 
 def psi_zero(form: BigradedBlock) -> BigradedBlock:
@@ -263,7 +251,7 @@ def psi_zero(form: BigradedBlock) -> BigradedBlock:
     if form.q > 0:
         return BigradedBlock(form.chart, form.p, form.q, {})
     mapping = {nm: ex.ZERO for nm in form.chart.fibers}
-    return form.map_coeffs(lambda v: csubs(v, mapping))
+    return form.map_coeffs(lambda v: v.subs(mapping))
 
 
 def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
@@ -334,7 +322,7 @@ def euler_lie_derivative(form: BigradedBlock) -> BigradedBlock:
     chart = form.chart
 
     def apply(value):
-        radial = cadd(*(cscale(cdiff(value, nm), ex.Var(nm)) for nm in chart.fibers))
+        radial = cadd(*(cscale(value.diff(nm), ex.Var(nm)) for nm in chart.fibers))
         return cadd(radial, cscale(value, ex.Const(form.q)))
 
     return form.map_coeffs(apply)

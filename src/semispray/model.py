@@ -27,6 +27,7 @@ and re-parsing reproduces the same trees.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,6 +47,17 @@ class ModelDocument:
     seed: int
     trials: int
     tol: float
+
+    def settings(self, box_flags, trials, tol, seed):
+        """The ``(box, trials, tol, seed)`` of a run: the document's values,
+        each replaced by its command-line flag when one is given (not None).
+        ``box_flags`` lists ``lo,hi`` and ``NAME=lo,hi`` strings."""
+        entries = [(name.strip() or "default", span.split(","), "--box")
+                   for name, _, span in (item.rpartition("=") for item in box_flags or ())]
+        return (_box(self.box, entries, self.chart.alphabet),
+                self.trials if trials is None else count(trials, "--trials"),
+                self.tol if tol is None else positive(tol, "--tol"),
+                self.seed if seed is None else seed)
 
     def to_dict(self) -> dict:
         chart = self.chart
@@ -77,6 +89,46 @@ class ModelDocument:
 def _require(condition, path, message):
     if not condition:
         raise ModelError(path, message)
+
+
+def finite(value, path) -> float:
+    """A finite float from a JSON number or a command-line string."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    _require(math.isfinite(number), path, f"must be a finite number, got {value!r}")
+    return number
+
+
+def positive(value, path) -> float:
+    """A finite float above zero (``tol``, ``--T``, ``--h``)."""
+    value = finite(value, path)
+    _require(value > 0, path, "must be positive")
+    return value
+
+
+def count(value, path) -> int:
+    """A whole number of at least 1 (``trials``)."""
+    value = finite(value, path)
+    _require(value.is_integer() and value >= 1, path, "must be an integer of at least 1")
+    return int(value)
+
+
+def _box(base: ex.Box, entries, names) -> ex.Box:
+    """``base`` with each ``(name, [lo, hi], path)`` entry applied; the name
+    ``default`` sets the interval of every variable without its own."""
+    default, ranges = base.default, dict(base.ranges)
+    for name, pair, path in entries:
+        _require(isinstance(pair, (list, tuple)) and len(pair) == 2, path, "must be [lo, hi]")
+        lo, hi = finite(pair[0], path), finite(pair[1], path)
+        _require(lo < hi, path, "must be [lo, hi] with lo < hi")
+        if name == "default":
+            default = (lo, hi)
+        else:
+            _require(name in names, path, f"{name!r} is not a declared variable")
+            ranges[name] = (lo, hi)
+    return ex.Box(default=default, ranges=ranges)
 
 
 def _parse_field(src, alphabet, path) -> ex.Expr:
@@ -184,25 +236,15 @@ def load_model(source) -> ModelDocument:
 
     box_src = doc.get("box", {})
     _require(isinstance(box_src, dict), "box", "must be an object of [lo, hi] pairs")
-    default = tuple(box_src.get("default", (-1.0, 1.0)))
-    ranges = {}
-    for key, value in box_src.items():
-        if key == "default":
-            continue
-        _require(key in names, f"box.{key}", "not a declared variable")
-        _require(isinstance(value, list) and len(value) == 2, f"box.{key}", "must be [lo, hi]")
-        ranges[key] = (float(value[0]), float(value[1]))
-    _require(len(default) == 2 and default[0] < default[1], "box.default", "must be [lo, hi] with lo < hi")
-    box = ex.Box(default=(float(default[0]), float(default[1])), ranges=ranges)
+    box = _box(ex.Box(), [(key, value, f"box.{key}") for key, value in box_src.items()],
+               names)
 
     seed = doc.get("seed", 0)
     _require(isinstance(seed, int), "seed", "must be an integer")
     tolerances = doc.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances", "must be an object")
-    tol = float(tolerances.get("tol", 1e-9))
-    trials = int(tolerances.get("trials", 64))
-    _require(tol > 0, "tolerances.tol", "must be positive")
-    _require(trials >= 1, "tolerances.trials", "must be at least 1")
+    tol = positive(tolerances.get("tol", 1e-9), "tolerances.tol")
+    trials = count(tolerances.get("trials", 64), "tolerances.trials")
 
     params_f = {k: float(v) for k, v in params.items()}
     return ModelDocument(chart, lagrangian, theta, potential, params_f, box, seed, trials, tol)

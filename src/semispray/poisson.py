@@ -98,16 +98,13 @@ def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Tag the Jacobiator of every coordinate triple."""
     names = p.coordinate_names()
-    variables = [ex.Var(nm) for nm in names]
-    report = ValidationReport(check="jacobi", seed=seed)
-    for a, b, c in itertools.combinations(range(len(names)), 3):
-        va, vb, vc = variables[a], variables[b], variables[c]
-        residual = ex.eadd(bracket(p, va, bracket(p, vb, vc)),
-                           bracket(p, vb, bracket(p, vc, va)),
-                           bracket(p, vc, bracket(p, va, vb)))
-        report.add(f"({names[a]},{names[b]},{names[c]})",
-                   ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-    return report
+    v = [ex.Var(nm) for nm in names]
+    return ex.certify("jacobi", ((f"({names[a]},{names[b]},{names[c]})",
+                                  ex.eadd(bracket(p, v[a], bracket(p, v[b], v[c])),
+                                          bracket(p, v[b], bracket(p, v[c], v[a])),
+                                          bracket(p, v[c], bracket(p, v[a], v[b]))))
+                                 for a, b, c in itertools.combinations(range(len(names)), 3)),
+                      box, trials, tol, seed)
 
 
 def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
@@ -121,13 +118,11 @@ def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
 def is_semispray(chart: AlgebroidChart, field: VectorFieldOnA, box: ex.Box = None,
                  trials: int = 64, tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Residuals ``Vx^i - y^j rho^i_j`` of the base-projection condition."""
-    report = ValidationReport(check="semispray", seed=seed)
     expected = linalg.mat_vec(chart.rho, [ex.Var(nm) for nm in chart.fibers])
-    for i in range(chart.n):
-        residual = ex.eadd(field.vx[i], ex.eneg(expected[i]))
-        report.add(f"d/d{chart.coords[i]}",
-                   ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-    return report
+    return ex.certify("semispray", ((f"d/d{chart.coords[i]}",
+                                     ex.eadd(field.vx[i], ex.eneg(expected[i])))
+                                    for i in range(chart.n)),
+                      box, trials, tol, seed)
 
 
 def is_spray(field: VectorFieldOnA, box: ex.Box = None, trials: int = 64,
@@ -136,17 +131,13 @@ def is_spray(field: VectorFieldOnA, box: ex.Box = None, trials: int = 64,
     ``E = y^k d/dy^k``: base components must be fiberwise homogeneous of
     degree 1 and fiber components of degree 2."""
     chart = field.chart
-    y = chart.fibers
-    report = ValidationReport(check="spray", seed=seed)
 
     def euler_degree(component: ex.Expr, degree: int) -> ex.Expr:
-        radial = ex.eadd(*(ex.emul(ex.Var(nm), ex.diff(component, nm)) for nm in y))
+        radial = ex.eadd(*(ex.emul(ex.Var(nm), ex.diff(component, nm)) for nm in chart.fibers))
         return ex.eadd(radial, ex.emul(ex.Const(-degree), component))
 
-    for i, component in enumerate(field.vx):
-        report.add(f"d/d{chart.coords[i]}",
-                   ex.is_zero(euler_degree(component, 1), box=box, trials=trials, tol=tol, seed=seed))
-    for k, component in enumerate(field.vy):
-        report.add(f"d/d{chart.fibers[k]}",
-                   ex.is_zero(euler_degree(component, 2), box=box, trials=trials, tol=tol, seed=seed))
-    return report
+    legs = [(name, component, 1) for name, component in zip(chart.coords, field.vx)]
+    legs += [(name, component, 2) for name, component in zip(chart.fibers, field.vy)]
+    return ex.certify("spray", ((f"d/d{name}", euler_degree(component, degree))
+                                for name, component, degree in legs),
+                      box, trials, tol, seed)

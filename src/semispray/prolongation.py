@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import linalg
-from .algebroid import AForm, AlgebroidChart, sort_with_sign
+from .algebroid import AForm, AlgebroidChart, skew_coeffs, sort_with_sign
 from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
 from .homotopy import BigradedBlock, FiberIntegral, dprime_primitive
 from .lagrangian import LagrangianData, probe_determinant
@@ -269,16 +269,16 @@ def j_dual(form: ProlongForm) -> ProlongForm:
     return ProlongForm.from_coeffs(chart, form.degree, coeffs)
 
 
+def sode_residuals(section: ProlongSection):
+    """Yield ``(label, residual)`` for the second-order condition ``a^j = y^j``."""
+    for j, name in enumerate(section.chart.fibers):
+        yield f"E-component {j + 1}", ex.eadd(section.a[j], ex.eneg(ex.Var(name)))
+
+
 def is_sode(section: ProlongSection, box: ex.Box = None, trials: int = 64,
             tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Residuals ``a^j - y^j`` of the second-order condition."""
-    chart = section.chart
-    report = ValidationReport(check="sode", seed=seed)
-    for j in range(chart.r):
-        residual = ex.eadd(section.a[j], ex.eneg(ex.Var(chart.fibers[j])))
-        report.add(f"E-component {j + 1}",
-                   ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-    return report
+    return ex.certify("sode", sode_residuals(section), box, trials, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -379,17 +379,22 @@ class EhresmannConn:
         self.gamma = [[ex.simplify(ex.as_expr(v)) for v in row] for row in gamma]
 
 
-def _expand_letters(tup: Sequence[int], letter_lists) -> List[Tuple[Tuple, ex.Expr]]:
-    """Expand a basis index tuple through per-index letter substitutions into
-    (letter tuple, coefficient) pairs."""
-    out = [((), ex.ONE)]
-    for a in tup:
-        new = []
-        for letters, coeff in out:
-            for letter, factor in letter_lists(a):
-                new.append((letters + (letter,), ex.emul(coeff, factor)))
-        out = new
-    return out
+def _change_coframe(coeffs, letters) -> dict:
+    """Rewrite skew coefficients in another coframe.
+
+    Each leg of a key expands into ``letters(leg)``, pairs of a new leg and
+    its factor; every product of one choice per leg goes to the skew store,
+    which sorts the new legs with sign and accumulates per sorted tuple.
+    """
+    def expand(key, value):
+        out = [((), ex.ONE)]
+        for leg in key:
+            out = [(legs + (new,), ex.emul(factor, f))
+                   for legs, factor in out for new, f in letters(leg)]
+        return ((legs, ex.emul(value, factor)) for legs, factor in out)
+
+    return skew_coeffs((pair for key, value in coeffs.items() for pair in expand(key, value)),
+                       sort_with_sign, ex.eneg, ex.eadd)
 
 
 def bigrade(form: ProlongForm, conn: Optional[EhresmannConn] = None) -> Dict[Tuple[int, int], BigradedBlock]:
@@ -397,7 +402,8 @@ def bigrade(form: ProlongForm, conn: Optional[EhresmannConn] = None) -> Dict[Tup
 
     A letter ``(0, i)`` stands for the frame covector ``E^i`` (bidegree
     (1,0)), ``(1, j)`` for the horizontal annihilator ``U^j + gamma^j_i E^i``
-    (bidegree (0,1)).
+    (bidegree (0,1)).  Sorted letters put every ``E`` before every
+    annihilator, so a sorted key splits into the block key ``(I, J)``.
     """
     chart = form.chart
     conn = conn or EhresmannConn(chart)
@@ -414,26 +420,12 @@ def bigrade(form: ProlongForm, conn: Optional[EhresmannConn] = None) -> Dict[Tup
                 out.append(((0, i), ex.eneg(gamma[j][i])))
         return out
 
-    accum: Dict[Tuple[int, int], Dict] = {}
-    for tup, coeff in form.form.coeffs.items():
-        for letter_tuple, factor in _expand_letters(tup, letters):
-            sorted_letters, sign = sort_with_sign(letter_tuple)
-            if sign == 0:
-                continue
-            idx_e = tuple(i for kind, i in sorted_letters if kind == 0)
-            idx_n = tuple(j for kind, j in sorted_letters if kind == 1)
-            value = ex.emul(coeff, factor)
-            if sign < 0:
-                value = ex.eneg(value)
-            bucket = accum.setdefault((len(idx_e), len(idx_n)), {})
-            key = (idx_e, idx_n)
-            bucket[key] = ex.eadd(bucket.get(key, ex.ZERO), value)
-    out = {}
-    for (p, q), coeffs in accum.items():
-        block = BigradedBlock(chart, p, q, coeffs)
-        if not block.is_structurally_zero():
-            out[(p, q)] = block
-    return out
+    blocks: Dict[Tuple[int, int], Dict] = {}
+    for ordered, value in _change_coframe(form.form.coeffs, letters).items():
+        idx_e = tuple(i for kind, i in ordered if kind == 0)
+        idx_n = tuple(j for kind, j in ordered if kind == 1)
+        blocks.setdefault((len(idx_e), len(idx_n)), {})[(idx_e, idx_n)] = value
+    return {(p, q): BigradedBlock(chart, p, q, coeffs) for (p, q), coeffs in blocks.items()}
 
 
 def block_to_form(block: BigradedBlock, conn: Optional[EhresmannConn] = None) -> ProlongForm:
@@ -453,20 +445,11 @@ def block_to_form(block: BigradedBlock, conn: Optional[EhresmannConn] = None) ->
                 out.append((i, gamma[idx][i]))
         return out
 
-    coeffs: Dict[Tuple[int, ...], ex.Expr] = {}
-    for (idx_e, idx_n), value in block.coeffs.items():
-        if isinstance(value, FiberIntegral):
-            raise ValueError("cannot rebuild a form from quadrature coefficients")
-        letter_tuple = tuple((0, i) for i in idx_e) + tuple((1, j) for j in idx_n)
-        for std_tuple, factor in _expand_letters(letter_tuple, letters):
-            sorted_idx, sign = sort_with_sign(std_tuple)
-            if sign == 0:
-                continue
-            piece = ex.emul(value, factor)
-            if sign < 0:
-                piece = ex.eneg(piece)
-            coeffs[sorted_idx] = ex.eadd(coeffs.get(sorted_idx, ex.ZERO), piece)
-    return ProlongForm.from_coeffs(chart, block.p + block.q, coeffs)
+    if any(isinstance(value, FiberIntegral) for value in block.coeffs.values()):
+        raise ValueError("cannot rebuild a form from quadrature coefficients")
+    lettered = {tuple((0, i) for i in idx_e) + tuple((1, j) for j in idx_n): value
+                for (idx_e, idx_n), value in block.coeffs.items()}
+    return ProlongForm.from_coeffs(chart, block.p + block.q, _change_coframe(lettered, letters))
 
 
 def d_split(form: ProlongForm, conn: Optional[EhresmannConn] = None
@@ -522,10 +505,9 @@ def decompose_symplectic(omega: ProlongForm, conn: Optional[EhresmannConn] = Non
     r = chart.r
     for i in range(r):
         for j in range(i + 1, r):
-            if not ex.is_zero_literal(ex.simplify(omega.uu(i, j))):
-                result = ex.is_zero(omega.uu(i, j), box=box, trials=trials, tol=tol, seed=seed)
-                if not result.is_zero:
-                    raise NotVerticalVanishing(f"vertical-vertical block ({i + 1},{j + 1}) is nonzero")
+            result = ex.is_zero(omega.uu(i, j), box=box, trials=trials, tol=tol, seed=seed)
+            if not result.is_zero:
+                raise NotVerticalVanishing(f"vertical-vertical block ({i + 1},{j + 1}) is nonzero")
 
     closure = d(omega)
     for tup, value in closure.form.coeffs.items():
@@ -627,40 +609,37 @@ def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
     from . import poisson, twoform
 
     chart = data.chart
-    report = ValidationReport(check="prolongation", seed=seed)
-    theta_section = twoform.ThetaSection(theta) if theta is not None else None
 
-    _, omega_l = cartan_sections(data)
-    sigma = hamiltonian_section(omega_l, data.EL, box=box, trials=trials, tol=tol,
-                                seed=seed, check=False)
-    report.extend(is_sode(sigma, box=box, trials=trials, tol=tol, seed=seed))
+    def residuals():
+        _, omega_l = cartan_sections(data)
+        sigma = hamiltonian_section(omega_l, data.EL, box=box, trials=trials, tol=tol,
+                                    seed=seed, check=False)
+        yield from sode_residuals(sigma)
 
-    n_plain = twoform.assemble_N(data, chart, None)
-    for i in range(chart.r):
-        for j in range(chart.r):
-            residual = ex.eadd(omega_l.ue(i, j), ex.eneg(data.M[i][j]))
-            report.add(f"fundamental-block M[{i + 1},{j + 1}]",
-                       ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-            residual = ex.eadd(omega_l.ee(i, j), ex.eneg(n_plain[i][j]))
-            report.add(f"fundamental-block N[{i + 1},{j + 1}]",
-                       ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
+        n_plain = twoform.assemble_N(data, chart, None)
+        for i in range(chart.r):
+            for j in range(chart.r):
+                yield (f"fundamental-block M[{i + 1},{j + 1}]",
+                       ex.eadd(omega_l.ue(i, j), ex.eneg(data.M[i][j])))
+                yield (f"fundamental-block N[{i + 1},{j + 1}]",
+                       ex.eadd(omega_l.ee(i, j), ex.eneg(n_plain[i][j])))
 
-    n_matrix = twoform.assemble_N(data, chart, theta_section)
-    bivector = poisson.build_bracket(chart, data, n_matrix)
-    g = data.EL if base_potential is None else ex.eadd(data.EL, base_potential)
-    field = poisson.hamiltonian_field(bivector, g)
+        theta_section = twoform.ThetaSection(theta) if theta is not None else None
+        n_matrix = twoform.assemble_N(data, chart, theta_section)
+        bivector = poisson.build_bracket(chart, data, n_matrix)
+        g = data.EL if base_potential is None else ex.eadd(data.EL, base_potential)
+        field = poisson.hamiltonian_field(bivector, g)
 
-    if theta is None and base_potential is None:
-        label, oracle = "energy-section", anchor(sigma)
-    else:
-        horizontal = pullback_horizontal(theta) if theta is not None else None
-        correction = vertical_correction(data, horizontal, base_potential, box=box,
-                                         trials=trials, tol=tol, seed=seed, verify=False)
-        label, oracle = "corrected-section", anchor(sigma + correction)
+        if theta is None and base_potential is None:
+            label, oracle = "energy-section", anchor(sigma)
+        else:
+            horizontal = pullback_horizontal(theta) if theta is not None else None
+            correction = vertical_correction(data, horizontal, base_potential, box=box,
+                                             trials=trials, tol=tol, seed=seed, verify=False)
+            label, oracle = "corrected-section", anchor(sigma + correction)
 
-    for name, lhs, rhs in zip(chart.coords + chart.fibers,
-                              oracle.components(), field.components()):
-        residual = ex.eadd(lhs, ex.eneg(rhs))
-        report.add(f"{label} anchor d/d{name}",
-                   ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-    return report
+        for name, lhs, rhs in zip(chart.coords + chart.fibers,
+                                  oracle.components(), field.components()):
+            yield f"{label} anchor d/d{name}", ex.eadd(lhs, ex.eneg(rhs))
+
+    return ex.certify("prolongation", residuals(), box, trials, tol, seed)

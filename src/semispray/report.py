@@ -58,9 +58,6 @@ class ValidationReport:
     def add(self, label: str, result: ZeroResult):
         self.items.append(CheckItem(label, result))
 
-    def extend(self, other: "ValidationReport"):
-        self.items.extend(other.items)
-
     @property
     def passed(self) -> bool:
         return all(item.result.is_zero for item in self.items)

@@ -49,10 +49,7 @@ class ThetaSection:
     def check_closed(self, box: ex.Box = None, trials: int = 64,
                      tol: float = 1e-9, seed: int = 0) -> ValidationReport:
         """Tag every cyclic closedness residual with the zero test."""
-        report = ValidationReport(check="theta-closed", seed=seed)
-        for label, residual in self.closedness_residuals():
-            report.add(label, ex.is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
-        return report
+        return ex.certify("theta-closed", self.closedness_residuals(), box, trials, tol, seed)
 
 
 def assemble_N(data: LagrangianData, chart: AlgebroidChart,

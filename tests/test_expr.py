@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -338,6 +339,12 @@ class TestCompile:
         fn = ex.compile_evaluator([e, ex.emul(e, e)], ("x1",))
         value = ex.evaluate(e, {"x1": 0.3})
         assert fn([0.3]) == [value, value ** 2.0]
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_compiles_to_its_value(self, value):
+        e = ex.emul(ex.Const(value), ex.Var("x1"))
+        got = ex.compile_evaluator([e, ex.Const(value)], ("x1",))([2.0])
+        assert list(map(repr, got)) == [repr(ex.evaluate(e, {"x1": 2.0})), repr(value)]
 
     def test_unknown_symbol(self):
         exprs = [ex.parse("x1 + x2", ("x1", "x2")), ex.parse("b*a", ("a", "b"))]

@@ -24,6 +24,15 @@ TANGENT_DOC = {
     "L": "1/2*y1^2",
 }
 
+# Theta_{23} = x2 breaks closedness, so jacobi and validate fail.
+SO3_NONCLOSED_DOC = dict(SO3_DOC, Theta={"1,2": "x3", "1,3": "-x2", "2,3": "x2"})
+
+TANGENT5_DOC = {
+    "n": 5, "r": 5,
+    "rho": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
+    "L": "1/2*(y1^2 + y2^2 + y3^2 + y4^2 + y5^2)",
+}
+
 COTANGENT_DOC = {
     "n": 2, "r": 2,
     "fibers": ["p1", "p2"],
@@ -144,6 +153,51 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
 
+    @pytest.mark.parametrize("doc,flags,source", [
+        (SO3_NONCLOSED_DOC, ["--tol", "nan"], "--tol"),
+        (SO3_NONCLOSED_DOC, ["--tol", "inf"], "--tol"),
+        (dict(SO3_DOC, box={"x1": [2, 1]}), [], "box.x1"),
+        (dict(SO3_DOC, box={"x1": ["a", 1]}), [], "box.x1"),
+        (dict(SO3_DOC, box={"default": ["a", 1]}), [], "box.default"),
+        (dict(SO3_DOC, tolerances={"tol": "abc"}), [], "tolerances.tol"),
+        (SO3_DOC, ["--box", "1,0"], "--box"),
+        (SO3_DOC, ["--box", "x1=a,b"], "--box"),
+        (SO3_DOC, ["--box", "nan,1"], "--box"),
+        (SO3_DOC, ["--box", "zz=0,1"], "--box"),
+    ], ids=["tol-nan", "tol-inf", "box-empty", "box-text", "default-text", "tol-text",
+            "flag-empty", "flag-text", "flag-nan", "flag-undeclared"])
+    def test_bad_sampling_settings_are_input_errors(self, tmp_path, doc, flags, source, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["check", "jacobi", str(path), *flags])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"input error: {source}: ")
+
+    @pytest.mark.parametrize("argv,expected_code", [
+        (["bracket"], 2), (["hamiltonian"], 2), (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1"], 2),
+        (["check", "jacobi"], 2), (["check", "semispray"], 2), (["check", "spray"], 2),
+        (["check", "prolongation"], 2),
+        # These two never build the bracket, so the rank check leaves them alone.
+        (["validate"], 0), (["check", "homotopy", "--forms", "1"], 0),
+    ])
+    def test_rank_above_symbolic_inverse(self, tmp_path, argv, expected_code, capsys):
+        path = tmp_path / "tangent5.json"
+        path.write_text(json.dumps(TANGENT5_DOC))
+        at = 2 if argv[0] == "check" else 1
+        code, out = run_cli(argv[:at] + [str(path)] + argv[at:])
+        assert code == expected_code
+        if expected_code == 2:
+            assert out == ""
+            assert capsys.readouterr().err.startswith("input error: r: ")
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--p0", "a,b,c,d,e,f"), ("--T", "0"), ("--h", "-1"), ("--T", "inf"),
+        ("--T", "nan"), ("--h", "nan")])
+    def test_bad_flow_flags_are_input_errors(self, so3_path, flag, value, capsys):
+        code, out = run_cli(["integrate", so3_path, "--p0", "0,0,1,1,0,0", flag, value])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+
     @pytest.mark.parametrize("strict", [[], ["--strict"]])
     def test_identically_singular_hessian_fails_prolongation(self, tmp_path, strict, capsys):
         path = tmp_path / "singular.json"
@@ -237,6 +291,22 @@ class TestCliCommands:
                              "--h", "1e-2", "--method", method])
         assert code == 1 and out == ""
         assert capsys.readouterr().err.startswith("error: state norm ")
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_integrate_non_finite_state_is_a_blowup(self, tmp_path, method):
+        # a*b folds to the constant inf, and inf*x1 is nan at x1 = 0.  A nan
+        # error estimate must not make rk45 retry forever: run it with a timeout.
+        import subprocess
+        import sys
+
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"n": 1, "r": 1, "params": {"a": 1e200, "b": 1e200},
+                                    "rho": [["1"]], "L": "1/2*y1^2 - a*b*x1^2"}))
+        done = subprocess.run([sys.executable, "-m", "semispray", "integrate", str(path),
+                               "--p0", "0,1", "--method", method],
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("error: state norm ")
 
     def test_integrate_step_collapse_is_a_failure(self, tangent_path, monkeypatch, capsys):
         def collapse(*args, **kwargs):
