@@ -2,14 +2,11 @@
 fields, reports, and trajectories.
 
 Exit codes: 0 when every check passes; 1 when any residual is certified
-nonzero, the fiber Hessian is singular (with or without ``--strict``),
-evaluation leaves the real domain at every sample, or a flow leaves the
-state-norm bound or turns non-finite (``BlowUp``) or collapses its adaptive
-step; 2 on input errors: a malformed model, a sampling setting that breaks
-the rules of :mod:`semispray.model` (an empty or non-finite box, ``trials``
-below 1, a ``tol`` that is not finite and positive, from the document or a
-flag), bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands
-that build the bracket, and a chart or 2-section that ``--strict`` refuses.
+nonzero or the model cannot be processed; 2 on input errors: a malformed
+model, a sampling setting that breaks the rules of :mod:`semispray.model`,
+bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands that
+build the bracket, and a chart or 2-section that ``--strict`` refuses.  Every
+error class has its code in :data:`semispray.errors.EXIT_CODES`.
 Every randomized report embeds the seed it ran with, so identical model +
 seed gives byte-identical output.
 """
@@ -18,12 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from . import expr as ex
 from . import dynamics, homotopy, poisson, prolongation, twoform
-from .errors import BlowUp, DomainError, ModelError, SingularHessian, StepCollapse
+from .errors import EXIT_CODES, ModelError, SingularHessian, exit_code
 from .lagrangian import SYMBOLIC_INVERSE_MAX_RANK, build as build_lagrangian
 from .model import ModelDocument, finite, load_model, positive
 from .report import ValidationReport
@@ -173,6 +171,8 @@ def cmd_integrate(model: ModelDocument, args) -> int:
         raise ModelError("--p0", f"expected {chart.n + chart.r} comma-separated values")
     p0 = ex.ChartPoint(tuple(values[:chart.n]), tuple(values[chart.n:]))
     T, h = positive(args.T, "--T"), positive(args.h, "--h")
+    if args.method == "rk4" and not math.isfinite(T / h):
+        raise ModelError("--h", f"the step count T/h = {T:g}/{h:g} is not finite")
     data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
     g = _hamiltonian_target(model, data, args)
     field = poisson.hamiltonian_field(bivector, g)
@@ -249,12 +249,10 @@ def main(argv=None) -> int:
     try:
         model = load_model(args.model)
         return _COMMANDS[args.command](model, args)
-    except ModelError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, SingularHessian, DomainError, BlowUp, StepCollapse) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT if isinstance(err, OSError) else EXIT_FAIL
+    except tuple(EXIT_CODES) as err:
+        code = exit_code(err)
+        print(f"{'input error' if code == EXIT_INPUT else 'error'}: {err}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -102,12 +102,16 @@ def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
     ``rk4`` uses the fixed step ``h``; ``rk45`` treats ``h`` as the initial
     step and adapts to the local tolerance ``rtol``.  The drift column
     records ``invariant(state) - invariant(state0)`` (zero when no invariant
-    is supplied).  Raises :class:`BlowUp` past the sup-norm bound,
-    :class:`StepCollapse` when the ``rk45`` step shrinks below ``1e-14``, and
-    propagates :class:`~semispray.errors.DomainError` from evaluation.
+    is supplied).  Raises ``ValueError`` unless ``T`` and ``h`` are positive
+    and, for ``rk4``, the step count ``T/h`` is finite; :class:`BlowUp` past
+    the sup-norm bound, :class:`StepCollapse` when the ``rk45`` step shrinks
+    below ``1e-14``, and propagates :class:`~semispray.errors.DomainError`
+    from evaluation.
     """
     if h <= 0 or T <= 0:
         raise ValueError("T and h must be positive")
+    if method == "rk4" and not math.isfinite(T / h):
+        raise ValueError("the rk4 step count T/h must be finite")
     if method not in ("rk4", "rk45"):
         raise ValueError("method must be 'rk4' or 'rk45'")
     chart = field_on_a.chart

@@ -80,3 +80,19 @@ class ModelError(ValueError):
     def __init__(self, path, message):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+#: Exit code of every error at the command line: 2 for input the user can
+#: correct (the model document, a flag, an unreadable file), 1 for a well-formed
+#: model that cannot be processed.  ``cli.main`` prints exit-2 errors as
+#: ``input error: …`` and exit-1 errors as ``error: …``.
+EXIT_CODES = {
+    ModelError: 2, UnknownSymbol: 2, InvalidFixtureParam: 2, OSError: 2,
+    SingularHessian: 1, DegenerateForm: 1, DomainError: 1, QuadratureFailure: 1,
+    NotClosed: 1, NotVerticalVanishing: 1, DegreeError: 1, BlowUp: 1, StepCollapse: 1,
+}
+
+
+def exit_code(err: BaseException) -> int:
+    """The code of the nearest class of ``err`` listed in :data:`EXIT_CODES`."""
+    return next(EXIT_CODES[cls] for cls in type(err).__mro__ if cls in EXIT_CODES)

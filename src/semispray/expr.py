@@ -1009,6 +1009,14 @@ class Box:
         return out
 
 
+def _require_tol(tol: float) -> None:
+    """The rule :func:`semispray.model.positive` applies to ``tol`` at the
+    command line, for library callers: a nan or inf tolerance passes every
+    residual."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
             seed: int = 0, params: Mapping[str, float] = None) -> ZeroResult:
     """Decide whether ``e`` vanishes identically.
@@ -1019,8 +1027,7 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _require_tol(tol)
     e = simplify(e)
     if is_zero_literal(e):
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
@@ -1051,6 +1058,7 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
     ``|value|`` seen.  Points where evaluation leaves the real domain are
     skipped; if every point is singular a :class:`DomainError` propagates.
     """
+    _require_tol(tol)
     box = box or Box()
     params = params or {}
     rng = random.Random(seed)

@@ -13,9 +13,11 @@ fixtures (pinned by the acceptance suite).
 
 from __future__ import annotations
 
+import collections
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import List
+from typing import Callable, Iterator, List, Tuple
 
 from . import expr as ex
 from . import linalg
@@ -74,45 +76,92 @@ def build_bracket(chart: AlgebroidChart, data: LagrangianData,
     return PoissonBivector(chart, pxy, pyy)
 
 
-def bracket(p: PoissonBivector, f: ex.Expr, g: ex.Expr) -> ex.Expr:
-    """Bilinear Leibniz extension ``sum P^{ab} da(F) db(G)`` over all
-    coordinate pairs."""
-    names = p.coordinate_names()
-    df = [ex.diff(f, nm) for nm in names]
-    dg = [ex.diff(g, nm) for nm in names]
+def _skew_rows(p: PoissonBivector) -> List[List[Tuple[int, ex.Expr]]]:
+    """Row a of the bracket matrix: the pairs ``(b, P^{ab})`` with b != a and
+    ``P^{ab}`` not the literal 0.  Built per call, not per bivector, because
+    callers may edit ``pxy``/``pyy`` after construction."""
+    size = p.chart.n + p.chart.r
+    return [[(b, coeff) for b in range(size) if b != a
+             for coeff in (p.coefficient(a, b),) if not ex.is_zero_literal(coeff)]
+            for a in range(size)]
+
+
+def _partials(e: ex.Expr, names: List[str]) -> Callable[[int], ex.Expr]:
+    """``a -> d e / d names[a]``, each partial taken at most once, on first use."""
+    return functools.lru_cache(maxsize=None)(lambda a: ex.diff(e, names[a]))
+
+
+def _unit(a: int) -> Callable[[int], ex.Expr]:
+    """The partials of the a-th coordinate."""
+    return lambda b: ex.ONE if b == a else ex.ZERO
+
+
+def _contract(rows, df, dg) -> ex.Expr:
+    """``sum P^{ab} df(a) dg(b)``, with the pieces in (a, b) order.  A partial
+    is asked for only where a nonzero coefficient needs it."""
     pieces = []
-    for a in range(len(names)):
-        if ex.is_zero_literal(df[a]):
+    for a, row in enumerate(rows):
+        if not row:
             continue
-        for b in range(len(names)):
-            if a == b or ex.is_zero_literal(dg[b]):
-                continue
-            coeff = p.coefficient(a, b)
-            if ex.is_zero_literal(coeff):
-                continue
-            pieces.append(ex.emul(coeff, df[a], dg[b]))
+        da = df(a)
+        if ex.is_zero_literal(da):
+            continue
+        for b, coeff in row:
+            db = dg(b)
+            if not ex.is_zero_literal(db):
+                pieces.append(ex.emul(coeff, da, db))
     return ex.eadd(*pieces)
+
+
+def bracket(p: PoissonBivector, f: ex.Expr, g: ex.Expr) -> ex.Expr:
+    """Bilinear Leibniz extension ``sum P^{ab} da(F) db(G)`` over the
+    coordinate pairs.  Partials of F and G are taken lazily, each at most
+    once, and only along coordinates where some ``P^{ab}`` is not 0."""
+    names = p.coordinate_names()
+    return _contract(_skew_rows(p), _partials(f, names), _partials(g, names))
+
+
+def jacobi_residuals(p: PoissonBivector) -> Iterator[Tuple[str, ex.Expr]]:
+    """``(label, Jacobiator)`` of every coordinate triple, in the order of
+    :func:`itertools.combinations`.  Each inner bracket ``{x_b, x_c}`` and
+    each of its partials is built once and shared by the triples using it."""
+    names = p.coordinate_names()
+    rows = _skew_rows(p)
+    triples = list(itertools.combinations(range(len(names)), 3))
+    uses = collections.Counter(pair for a, b, c in triples for pair in ((b, c), (c, a), (a, b)))
+    inner = {}
+
+    def nested(a: int, b: int, c: int) -> ex.Expr:
+        """``{x_a, {x_b, x_c}}``; the partials of ``{x_b, x_c}`` are dropped
+        after their last use."""
+        if (b, c) not in inner:
+            inner[b, c] = _partials(_contract(rows, _unit(b), _unit(c)), names)
+        value = _contract(rows, _unit(a), inner[b, c])
+        uses[b, c] -= 1
+        if not uses[b, c]:
+            del inner[b, c]
+        return value
+
+    for a, b, c in triples:
+        yield (f"({names[a]},{names[b]},{names[c]})",
+               ex.eadd(nested(a, b, c), nested(b, c, a), nested(c, a, b)))
 
 
 def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Tag the Jacobiator of every coordinate triple."""
-    names = p.coordinate_names()
-    v = [ex.Var(nm) for nm in names]
-    return ex.certify("jacobi", ((f"({names[a]},{names[b]},{names[c]})",
-                                  ex.eadd(bracket(p, v[a], bracket(p, v[b], v[c])),
-                                          bracket(p, v[b], bracket(p, v[c], v[a])),
-                                          bracket(p, v[c], bracket(p, v[a], v[b]))))
-                                 for a, b, c in itertools.combinations(range(len(names)), 3)),
-                      box, trials, tol, seed)
+    return ex.certify("jacobi", jacobi_residuals(p), box, trials, tol, seed)
 
 
 def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
-    """Hamiltonian vector field of ``g``: component a is ``{g, coordinate_a}``."""
-    chart = p.chart
-    vx = [bracket(p, g, ex.Var(nm)) for nm in chart.coords]
-    vy = [bracket(p, g, ex.Var(nm)) for nm in chart.fibers]
-    return VectorFieldOnA(chart, vx, vy)
+    """Hamiltonian vector field of ``g``: component a is ``{g, coordinate_a}``.
+    The partials of ``g`` are shared by all components."""
+    names = p.coordinate_names()
+    rows = _skew_rows(p)
+    dg = _partials(g, names)
+    components = [_contract(rows, dg, _unit(a)) for a in range(len(names))]
+    n = p.chart.n
+    return VectorFieldOnA(p.chart, components[:n], components[n:])
 
 
 def is_semispray(chart: AlgebroidChart, field: VectorFieldOnA, box: ex.Box = None,

@@ -56,6 +56,12 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=-0.1)
 
+    def test_rejects_infinite_step_count(self, tangent1):
+        # T and h are finite and positive, but T/h overflows to inf.
+        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        with pytest.raises(ValueError, match="step count"):
+            dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1e308, h=1e-3)
+
     def test_adaptive_matches_fixed_step(self, curved_metric):
         g, field = hamiltonian_flow(curved_metric)
         p0 = ex.ChartPoint((0.3, 0.4), (1.0, 1.2))

@@ -142,6 +142,17 @@ class TestIsZero:
         with pytest.raises(DomainError):
             ex.is_zero(e, trials=8)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # A nan or inf tolerance would pass every residual, x1 included.
+        with pytest.raises(ValueError, match="tol must be"):
+            ex.is_zero(ex.parse("x1", ("x1",)), tol=tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_sampler_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="tol must be"):
+            ex.sample_zero(lambda env: env["x1"], ["x1"], box=None, trials=4, tol=tol, seed=0)
+
 
 class TestCanonical:
     def test_like_terms_collect(self):

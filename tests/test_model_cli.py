@@ -4,7 +4,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from semispray import cli, expr as ex
+from semispray import cli, errors, expr as ex
 from semispray.errors import ModelError, StepCollapse
 from semispray.model import load_model
 
@@ -198,6 +198,12 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
 
+    def test_infinite_rk4_step_count_is_an_input_error(self, tangent_path, capsys):
+        code, out = run_cli(["integrate", tangent_path, "--p0", "0,1",
+                             "--T", "1e308", "--h", "1e-3"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err.startswith("input error: --h: ")
+
     @pytest.mark.parametrize("strict", [[], ["--strict"]])
     def test_identically_singular_hessian_fails_prolongation(self, tmp_path, strict, capsys):
         path = tmp_path / "singular.json"
@@ -353,3 +359,44 @@ class TestCliCommands:
         model = load_model(TANGENT_DOC)
         value = model.chart.evaluate(model.lagrangian, ex.ChartPoint((0.0,), (2.0,)))
         assert value == 2.0
+
+
+#: One instance of every class in ``semispray.errors`` (and ``OSError``),
+#: with the exit code the command line must give it.
+ERROR_CASES = [
+    (errors.ModelError("L", "must be a string"), 2),
+    (errors.UnknownSymbol("z9", "L"), 2),
+    (errors.InvalidFixtureParam("tangent fixture needs n >= 1"), 2),
+    (FileNotFoundError(2, "No such file or directory", "model.json"), 2),
+    (errors.SingularHessian({"detM": 0.0}), 1),
+    (errors.DegenerateForm({"det": 0.0}), 1),
+    (errors.DomainError("every sampled point was singular"), 1),
+    (errors.QuadratureFailure("Simpson rule did not converge"), 1),
+    (errors.NotClosed("d(omega) has nonzero coefficient at (0, 1, 2)"), 1),
+    (errors.NotVerticalVanishing("vertical-vertical block (1,2) is nonzero"), 1),
+    (errors.DegreeError("forms are supported up to degree 4"), 1),
+    (errors.BlowUp(0.75, 1.5e6), 1),
+    (errors.StepCollapse(0.5, 1e-15), 1),
+]
+
+
+def test_error_cases_cover_every_error_class():
+    classes = {obj for obj in vars(errors).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert classes <= {type(err) for err, _ in ERROR_CASES}
+
+
+@pytest.mark.parametrize("err,expected", ERROR_CASES,
+                         ids=[type(err).__name__ for err, _ in ERROR_CASES])
+def test_every_error_reaches_the_user_as_a_message(tangent_path, monkeypatch, capsys,
+                                                   err, expected):
+    def fail(model, args):
+        raise err
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", fail)
+    code, out = run_cli(["validate", tangent_path])
+    prefix = "input error" if expected == 2 else "error"
+    stderr = capsys.readouterr().err
+    assert code == expected and out == ""
+    assert stderr == f"{prefix}: {err}\n" and "Traceback" not in stderr

@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from semispray import expr as ex
+from semispray import algebroid, expr as ex
 from semispray import lagrangian, poisson, twoform
 from semispray.report import ZeroStatus
 
@@ -186,3 +187,122 @@ class TestSprayPredicate:
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")],
                                        [ex.parse("y1^2", ("y1",))])
         assert poisson.is_spray(field).passed
+
+
+def reference_bracket(p, f, g):
+    """The all-pairs bracket: every partial of F and G along every
+    coordinate, then every pair with a nonzero coefficient, in (a, b) order.
+    The lazy bracket must give structurally equal trees."""
+    names = p.coordinate_names()
+    df = [ex.diff(f, nm) for nm in names]
+    dg = [ex.diff(g, nm) for nm in names]
+    pieces = []
+    for a in range(len(names)):
+        if ex.is_zero_literal(df[a]):
+            continue
+        for b in range(len(names)):
+            if a == b or ex.is_zero_literal(dg[b]):
+                continue
+            coeff = p.coefficient(a, b)
+            if ex.is_zero_literal(coeff):
+                continue
+            pieces.append(ex.emul(coeff, df[a], dg[b]))
+    return ex.eadd(*pieces)
+
+
+def reference_jacobi_residuals(p):
+    names = p.coordinate_names()
+    v = [ex.Var(nm) for nm in names]
+    br = reference_bracket
+    for a, b, c in itertools.combinations(range(len(names)), 3):
+        yield (f"({names[a]},{names[b]},{names[c]})",
+               ex.eadd(br(p, v[a], br(p, v[b], v[c])),
+                       br(p, v[b], br(p, v[c], v[a])),
+                       br(p, v[c], br(p, v[a], v[b]))))
+
+
+STRESS_L = "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2"
+
+
+@pytest.fixture(scope="module")
+def stress(so3):
+    """The action chart of so(3) with a Hessian det e^x1 (e^2x1 - x2^2):
+    quotient rules in every partial."""
+    return algebroid.Fixture("stress", so3.chart, ex.parse(STRESS_L, so3.chart.alphabet),
+                             so3.theta)
+
+
+@pytest.fixture(scope="module", params=[("so3", True), ("cotangent", True),
+                                        ("curved_metric", False), ("stress", True)],
+                ids=["so3-theta", "cotangent-theta", "curved_metric", "stress-theta"])
+def bundle(request):
+    name, with_theta = request.param
+    fixture = request.getfixturevalue(name)
+    data, p = bracket_bundle(fixture, theta=fixture.theta if with_theta else None)
+    return fixture, data, p
+
+
+class TestLazyPartialsAreExact:
+    """The lazy bracket, field and Jacobi residuals are structurally equal to
+    the all-pairs ones, so every float and verdict downstream is unchanged."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bracket(self, bundle, seed):
+        fixture, _, p = bundle
+        rng = random.Random(700 + seed)
+        f = random_polynomial(rng, fixture.chart.alphabet)
+        g = random_polynomial(rng, fixture.chart.alphabet)
+        assert poisson.bracket(p, f, g) == reference_bracket(p, f, g)
+
+    def test_hamiltonian_field(self, bundle):
+        _, data, p = bundle
+        field = poisson.hamiltonian_field(p, data.EL)
+        assert field.components() == [reference_bracket(p, data.EL, ex.Var(nm))
+                                      for nm in p.coordinate_names()]
+
+    def test_jacobi_residuals(self, bundle):
+        _, _, p = bundle
+        assert list(poisson.jacobi_residuals(p)) == list(reference_jacobi_residuals(p))
+
+    @pytest.mark.parametrize("block", ["pxy", "pyy"])
+    def test_edits_after_build_are_seen(self, so3, block):
+        _, p = bracket_bundle(so3, theta=so3.theta)
+        assert poisson.check_jacobi(p).passed
+        matrix = getattr(p, block)
+        matrix[0][1] = ex.eadd(matrix[0][1], ex.Var("x1"))
+        if block == "pyy":
+            matrix[1][0] = ex.eneg(matrix[0][1])
+        report = poisson.check_jacobi(p)
+        assert not report.passed and report.first_failure.result.witness is not None
+
+
+class TestDerivativeCounts:
+    @pytest.fixture()
+    def differentiated(self, monkeypatch):
+        """Every non-``Var`` expression handed to ``ex.diff``, in call order."""
+        seen = []
+        original = poisson.ex.diff
+
+        def counting(e, var):
+            if not isinstance(e, ex.Var):
+                seen.append(e)
+            return original(e, var)
+
+        monkeypatch.setattr(poisson.ex, "diff", counting)
+        return seen
+
+    def test_field_takes_each_partial_of_g_once(self, so3, differentiated):
+        data, p = bracket_bundle(so3, theta=so3.theta)
+        differentiated.clear()
+        poisson.hamiltonian_field(p, data.EL)
+        # All n + r partials of G for each of the n + r components would be 36.
+        assert len(differentiated) <= so3.chart.n + so3.chart.r
+
+    def test_jacobi_differentiates_where_a_coefficient_needs_it(self, so3, differentiated):
+        _, p = bracket_bundle(so3, theta=so3.theta)
+        differentiated.clear()
+        poisson.check_jacobi(p)
+        # Each inner bracket differentiated once along each coordinate that
+        # has a nonzero coefficient in the outer row; along every coordinate
+        # in every nested bracket it is 288.
+        assert len(differentiated) == 87
