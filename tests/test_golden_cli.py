@@ -62,15 +62,20 @@ NEGATIVE_MODELS = {
 }
 MODELS.update(NEGATIVE_MODELS)
 
-#: Flow-only models: ``action_so3`` with the non-polynomial ``stress``
-#: Lagrangian, whose Hamiltonian field is the largest tree the flows compile.
-#: Only its trajectories are pinned (its sampled Jacobi check is a known
-#: false NONZERO from roundoff).
-FLOW_MODELS = {
+#: ``action_so3`` with the non-polynomial ``stress`` Lagrangian: its
+#: Hamiltonian field is the largest tree the flows compile, and its sampled
+#: residuals are the largest and most roundoff-prone the checks evaluate.
+#: The ``check_jacobi`` and ``check_prolongation`` files pin ROADMAP defect
+#: (a): the Jacobi NONZERO verdicts are false, float roundoff over ``tol``,
+#: and the prolongation residuals carry the same roundoff (at this seed it
+#: stays under ``tol``; at about 8% of seeds it does not).  Exact verdicts
+#: (ROADMAP item 1) will change those two files on purpose.  ``check_spray``
+#: fails truly: the magnetic term of ``Theta`` is linear in the fibers.
+STRESS_MODELS = {
     "stress": {**MODELS["action_so3"],
                "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2", "seed": 13},
 }
-MODELS.update(FLOW_MODELS)
+MODELS.update(STRESS_MODELS)
 
 P0 = {3: "0.1,0.2,0.3,0.3,0.2,0.1", 2: "0.1,0.2,0.3,0.4"}
 
@@ -88,12 +93,13 @@ COMMANDS = {
 }
 
 CASES = [(model, command) for model in MODELS
-         if model not in NEGATIVE_MODELS and model not in FLOW_MODELS
+         if model not in NEGATIVE_MODELS and model not in STRESS_MODELS
          for command in COMMANDS]
 CASES += [(model, command) for model in NEGATIVE_MODELS
           for command in ("validate", "check_jacobi")]
-CASES += [(model, command) for model in FLOW_MODELS
-          for command in ("integrate_rk4", "integrate_rk45")]
+CASES += [(model, command) for model in STRESS_MODELS
+          for command in ("validate", "check_jacobi", "check_spray", "check_prolongation",
+                          "check_homotopy", "integrate_rk4", "integrate_rk45")]
 
 
 def run_case(model: str, command: str, directory: pathlib.Path):
