@@ -122,9 +122,6 @@ class AlgebroidChart:
     def parse(self, src: str) -> ex.Expr:
         return ex.parse(src, self.alphabet)
 
-    def evaluate(self, e: ex.Expr, p: ex.ChartPoint, params=None) -> float:
-        return ex.eval_at(e, p, self.coords, self.fibers, params)
-
     def c(self, k: int, i: int, j: int) -> ex.Expr:
         """Full bracket coefficient ``C^k_{ij}`` including the skew mirror."""
         if i == j:

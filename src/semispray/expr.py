@@ -20,7 +20,6 @@ identities outside the polynomial fragment are certified probabilistically by
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -133,7 +132,7 @@ class Const(Expr):
 
     def _make_key(self):
         v = self.value
-        return (0, float(v), isinstance(v, float), str(v))
+        return (0, _float_key(v), isinstance(v, float), str(v))
 
 
 class Var(Expr):
@@ -184,7 +183,7 @@ class Pow(Expr):
         return (self.base, self.exponent)
 
     def _make_key(self):
-        return (3, self.base.sort_key(), float(self.exponent), str(self.exponent))
+        return (3, self.base.sort_key(), _float_key(self.exponent), str(self.exponent))
 
 
 class Div(Expr):
@@ -233,6 +232,15 @@ class Add(Expr):
 
     def _make_key(self):
         return (6, len(self.terms)) + tuple(t.sort_key() for t in self.terms)
+
+
+def _float_key(v: Number) -> float:
+    """``float(v)``, with a rational beyond float range read as ``±inf``, so
+    sorting and printing never raise."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 ZERO = Const(Fraction(0))
@@ -580,7 +588,7 @@ def simplify(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Calculus and evaluation
+# Calculus
 
 
 def diff(e: Expr, var) -> Expr:
@@ -661,74 +669,9 @@ def free_symbols(e: Expr) -> frozenset:
         node = stack.pop()
         if isinstance(node, Var):
             out.add(node.name)
-        elif isinstance(node, (Const,)):
-            pass
-        elif isinstance(node, Add):
-            stack.extend(node.terms)
-        elif isinstance(node, Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Div):
-            stack.append(node.num)
-            stack.append(node.den)
-        elif isinstance(node, Func):
-            stack.append(node.arg)
+        elif not isinstance(node, Const):
+            stack.extend(c for c in node._fields() if isinstance(c, Expr))
     return frozenset(out)
-
-
-def evaluate(e: Expr, env: Mapping[str, float]) -> float:
-    """IEEE-754 evaluation; raises :class:`DomainError` on leaving the reals."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise UnknownSymbol(e.name, "evaluation environment") from None
-    if isinstance(e, Add):
-        return math.fsum(evaluate(t, env) for t in e.terms)
-    if isinstance(e, Mul):
-        out = 1.0
-        for f in e.factors:
-            out *= evaluate(f, env)
-        return out
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        exp = e.exponent
-        if base == 0.0 and exp < 0:
-            raise DomainError("0 raised to a negative power")
-        if base < 0.0 and exp.denominator != 1:
-            raise DomainError("negative base with fractional exponent")
-        try:
-            return base ** float(exp)
-        except OverflowError:
-            raise DomainError("overflow in power") from None
-    if isinstance(e, Div):
-        den = evaluate(e.den, env)
-        if den == 0.0:
-            raise DomainError("division by zero")
-        return evaluate(e.num, env) / den
-    if isinstance(e, Func):
-        x = evaluate(e.arg, env)
-        if e.name == "sin":
-            return math.sin(x)
-        if e.name == "cos":
-            return math.cos(x)
-        if e.name == "exp":
-            try:
-                return math.exp(x)
-            except OverflowError:
-                raise DomainError("overflow in exp") from None
-        if e.name == "log":
-            if x <= 0.0:
-                raise DomainError("log of a non-positive value")
-            return math.log(x)
-        if e.name == "sqrt":
-            if x < 0.0:
-                raise DomainError("square root of a negative value")
-            return math.sqrt(x)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +679,7 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
 
 
 def _needs_parens_in_mul(e: Expr) -> bool:
-    return isinstance(e, (Add, Div)) or (isinstance(e, Const) and float(e.value) < 0)
+    return isinstance(e, (Add, Div)) or (isinstance(e, Const) and _float_key(e.value) < 0)
 
 
 def to_text(e: Expr) -> str:
@@ -976,15 +919,6 @@ class ChartPoint:
         return env
 
 
-def eval_at(e: Expr, p: ChartPoint, coords: Sequence[str], fibers: Sequence[str],
-            params: Mapping[str, float] = None) -> float:
-    """Evaluate at a chart point, with optional parameter bindings."""
-    env = p.env(coords, fibers)
-    if params:
-        env.update(params)
-    return evaluate(e, env)
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned sampling domain with per-variable overrides."""
@@ -1033,7 +967,7 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
     params = dict(params or {})
     names = sorted(free_symbols(e) - set(params))
-    return sample_zero(functools.partial(evaluate, e), names, box=box, trials=trials,
+    return sample_zero(Program([e]).value, names, box=box, trials=trials,
                        tol=tol, seed=seed, params=params)
 
 
@@ -1083,87 +1017,33 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
 
 
 # ---------------------------------------------------------------------------
-# Compilation to fast evaluators (used by the flow integrator)
+# Evaluation: one program, two back ends
 #
-# The generated code is one straight-line function with one local per
-# structurally distinct non-leaf node and per variable read.  Statements come
-# in post-order of first occurrence, which is the order in which the nested
-# expression ``(t1 + t2 + ...)`` would evaluate its subtrees left to right and
-# depth first.  So every float operation, its operand order, and the first
-# guard to raise :class:`DomainError` are those of the nested code; a
-# repeated subtree is only skipped, never reordered.
-
-
-def _emit(exprs: Sequence[Expr], names_index: Mapping[str, int]):
-    """Straight-line statements computing ``exprs``, and their result operands."""
-    lines: list = []
-    local: dict = {}  # distinct node -> its temporary
-    by_id: dict = {}  # id of every visited node object -> its temporary
-
-    def operand(e: Expr) -> str:
-        if not isinstance(e, Const):
-            return by_id[id(e)]
-        value = float(e.value)
-        # repr gives the bare names inf and nan for non-finite values.
-        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
-
-    def emit(node: Expr, code: str) -> None:
-        name = local[node] = by_id[id(node)] = f"_t{len(local)}"
-        lines.append(f"    {name} = {code}")
-
-    for root in exprs:
-        missing = set()
-        stack = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if isinstance(node, Const) or id(node) in by_id:
-                continue
-            if ready:
-                if missing:
-                    continue
-                if isinstance(node, Add):
-                    emit(node, " + ".join(map(operand, node.terms)))
-                elif isinstance(node, Mul):
-                    emit(node, " * ".join(map(operand, node.factors)))
-                elif isinstance(node, Pow):
-                    emit(node, f"_pow({operand(node.base)}, {float(node.exponent)!r})")
-                elif isinstance(node, Div):
-                    emit(node, f"_div({operand(node.num)}, {operand(node.den)})")
-                else:
-                    emit(node, f"_{node.name}({operand(node.arg)})")
-            elif node in local:
-                by_id[id(node)] = local[node]
-            elif isinstance(node, Var):
-                if node.name in names_index:
-                    emit(node, f"_v[{names_index[node.name]}]")
-                else:
-                    missing.add(node.name)
-            else:
-                if isinstance(node, Pow):
-                    children = (node.base,)
-                elif isinstance(node, Func):
-                    children = (node.arg,)
-                elif isinstance(node, (Add, Mul, Div)):
-                    children = node._fields()
-                else:
-                    raise TypeError(f"not an expression: {node!r}")
-                stack.append((node, True))
-                stack.extend((c, False) for c in reversed(children))
-        if missing:
-            raise UnknownSymbol(sorted(missing)[0], "compiled evaluator")
-    return lines, [operand(e) for e in exprs]
+# ``Program`` is the only walk that evaluates: one slot per variable read and
+# per structurally distinct node, in post-order of first occurrence, which is
+# the order of the nested left-to-right expression, so every float operation
+# and the first guard to raise are those of the tree.  The guards are those
+# of ``_guarded_namespace``.  The back ends differ only in how they sum:
+# ``compile_evaluator`` renders Python source with ``+`` (fast, for the flow
+# integrator), ``Program.run`` interprets with ``math.fsum`` (correctly
+# rounded whatever the term order, for every verdict, quadrature and probe).
 
 
 def _guarded_namespace() -> dict:
     def _pow(b, e):
         if b == 0.0 and e < 0:
             raise DomainError("0 raised to a negative power")
-        if b < 0.0 and e != int(e):
-            raise DomainError("negative base with fractional exponent")
         try:
             return b ** e
         except OverflowError:
             raise DomainError("overflow in power") from None
+
+    def _root(b, e):
+        # A fractional exponent, decided from the exact rational: its float
+        # may be a whole number (``x^(9007199254740993/2)``).
+        if b < 0.0:
+            raise DomainError("negative base with fractional exponent")
+        return _pow(b, e)
 
     def _div(a, b):
         if b == 0.0:
@@ -1186,23 +1066,134 @@ def _guarded_namespace() -> dict:
         except OverflowError:
             raise DomainError("overflow in exp") from None
 
-    return {"_pow": _pow, "_div": _div, "_log": _log, "_sqrt": _sqrt,
+    return {"_pow": _pow, "_root": _root, "_div": _div, "_log": _log, "_sqrt": _sqrt,
             "_exp": _exp, "_sin": math.sin, "_cos": math.cos}
+
+
+_GUARDS = _guarded_namespace()
+_GUARD_NAMES = {fn: name for name, fn in _GUARDS.items()}
+_OPS = {Add: math.fsum, Mul: math.prod, Div: _GUARDS["_div"]}
+
+
+def _to_float(value: Number) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError("constant out of float range (|c| > 1.8e308)") from None
+
+
+class Program:
+    """The straight-line program computing ``exprs``.
+
+    ``reads`` are ``(slot, name)``, ``ops`` are ``(slot, op, operands)`` and
+    ``outputs`` are operands; an operand ``a >= 0`` is a slot and ``a < 0``
+    is the constant ``consts[a]``.  Building converts every constant to a
+    float, so an out-of-range one raises :class:`DomainError` here.
+    """
+
+    __slots__ = ("size", "reads", "ops", "consts", "outputs")
+
+    def __init__(self, exprs: Sequence[Expr]):
+        reads, ops, consts = [], [], []
+        local: dict = {}  # distinct node -> its operand
+        stack = [(e, None) for e in reversed(exprs)]
+        while stack:
+            node, children = stack.pop()
+            if children is not None:  # every child has its operand
+                args = tuple([local[c] for c in children])
+                if type(node) is Pow:
+                    consts.append(_to_float(node.exponent))
+                    args += (-len(consts),)
+                    op = _GUARDS["_pow" if node.exponent.denominator == 1 else "_root"]
+                else:
+                    op = _OPS.get(type(node)) or _GUARDS[f"_{node.name}"]
+                local[node] = slot = len(reads) + len(ops)
+                ops.append((slot, op, args))
+            elif node in local:
+                continue
+            elif isinstance(node, Const):
+                consts.append(_to_float(node.value))
+                local[node] = -len(consts)
+            elif isinstance(node, Var):
+                local[node] = slot = len(reads) + len(ops)
+                reads.append((slot, node.name))
+            else:
+                children = [c for c in node._fields() if isinstance(c, Expr)]
+                stack.append((node, children))
+                stack.extend([(c, None) for c in reversed(children)])
+        consts.reverse()  # the n-th constant found is consts[-n]
+        self.size = len(reads) + len(ops)
+        self.reads, self.ops, self.consts = reads, ops, consts
+        self.outputs = [local[e] for e in exprs]
+
+    def run(self, env: Mapping[str, float]) -> list:
+        """Every output at ``env``, a mapping of names to numbers, with
+        ``math.fsum`` sums."""
+        slots = [0.0] * self.size + self.consts
+        try:
+            for slot, name in self.reads:
+                slots[slot] = float(env[name])
+        except KeyError as err:
+            raise UnknownSymbol(err.args[0], "evaluation environment") from None
+        get = slots.__getitem__
+        fsum, prod = math.fsum, math.prod
+        # Operands are passed one by one or as an iterator, never unpacked
+        # into a tuple: ``f(*map(...))`` resizes a fresh tuple on every call,
+        # which leaves the interpreter's tuple free lists growing.
+        for slot, op, args in self.ops:
+            if op is fsum or op is prod:
+                slots[slot] = op(map(get, args))
+            elif len(args) == 1:
+                slots[slot] = op(get(args[0]))
+            else:
+                slots[slot] = op(get(args[0]), get(args[1]))
+        return [slots[a] for a in self.outputs]
+
+    def value(self, env: Mapping[str, float]) -> float:
+        """The first output at ``env``."""
+        return self.run(env)[0]
+
+
+def evaluate(e: Expr, env: Mapping[str, float]) -> float:
+    """IEEE-754 value of ``e`` at ``env``; raises :class:`DomainError` on
+    leaving the reals.  One-shot: to evaluate at many points, build the
+    :class:`Program` once and call its ``value``."""
+    return Program([e]).value(env)
 
 
 def compile_evaluator(exprs: Sequence[Expr], names: Sequence[str]):
     """Compile expressions into one fast ``f(values) -> list[float]``.
 
-    ``values`` binds positionally to ``names``.  The code is straight-line:
-    each distinct subexpression is computed once, in the order the nested
-    expression would compute it, so results are bit-identical to evaluating
-    each expression as a nested left-to-right ``+``/``*`` formula, and the
-    domain guards raise the same :class:`DomainError` as :func:`evaluate`
-    at the same first offending node.  Raises :class:`UnknownSymbol` for a
-    name outside ``names``.
+    ``values`` binds positionally to ``names``.  The source is the
+    :class:`Program` of ``exprs`` with ``+`` sums, so results are
+    bit-identical to each expression as a nested left-to-right ``+``/``*``
+    formula, and the guards raise where :meth:`Program.run` raises.  Raises
+    :class:`UnknownSymbol` for a name outside ``names``.
     """
-    lines, outputs = _emit(exprs, {n: i for i, n in enumerate(names)})
-    source = "\n".join(["def _compiled(_v):", *lines, f"    return [{', '.join(outputs)}]"])
-    ns = _guarded_namespace()
+    index = {n: i for i, n in enumerate(names)}
+    program = Program(exprs)
+
+    def operand(a: int) -> str:
+        if a >= 0:
+            return f"_t{a}"
+        value = program.consts[a]
+        # repr gives the bare names inf and nan for non-finite values.
+        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
+
+    body = [""] * program.size
+    try:
+        for slot, name in program.reads:
+            body[slot] = f"_v[{index[name]}]"
+    except KeyError as err:
+        raise UnknownSymbol(err.args[0], "compiled evaluator") from None
+    for slot, op, args in program.ops:
+        if op is math.fsum or op is math.prod:
+            body[slot] = (" + " if op is math.fsum else " * ").join(map(operand, args))
+        else:
+            body[slot] = f"{_GUARD_NAMES[op]}({', '.join(map(operand, args))})"
+    source = "\n".join(["def _compiled(_v):",
+                        *(f"    _t{slot} = {code}" for slot, code in enumerate(body)),
+                        f"    return [{', '.join(map(operand, program.outputs))}]"])
+    ns = dict(_GUARDS)
     exec(source, ns)  # noqa: S102 - source is generated here
     return ns["_compiled"]

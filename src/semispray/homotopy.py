@@ -67,10 +67,12 @@ class FiberIntegral:
         return FiberIntegral(ex.subs(self.integrand, mapping))
 
     def evaluate(self, env: dict, tol: float = 1e-10) -> float:
+        value = ex.Program([self.integrand]).value
+        local = dict(env)
+
         def f(t):
-            local = dict(env)
             local[TVAR] = t
-            return ex.evaluate(self.integrand, local)
+            return value(local)
 
         return _adaptive_simpson(f, 0.0, 1.0, tol)
 
@@ -121,12 +123,6 @@ def cscale(value: Coefficient, factor: ex.Expr) -> Coefficient:
             raise ValueError("scaling factor must not involve the integration variable")
         return FiberIntegral(ex.emul(factor, value.integrand))
     return ex.emul(factor, value)
-
-
-def ceval(value: Coefficient, env: dict) -> float:
-    if isinstance(value, FiberIntegral):
-        return value.evaluate(env)
-    return ex.evaluate(value, env)
 
 
 def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
@@ -347,7 +343,9 @@ def homotopy_identity_check(form: BigradedBlock, box: ex.Box = None, trials: int
         if all(isinstance(v, ex.Expr) for v in values):
             result = ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
         else:
-            result = ex.sample_zero(lambda env: sum(ceval(v, env) for v in values), names,
+            terms = [v.evaluate if isinstance(v, FiberIntegral) else ex.Program([v]).value
+                     for v in values]
+            result = ex.sample_zero(lambda env: sum(term(env) for term in terms), names,
                                     box=box, trials=trials, tol=tol, seed=seed)
         report.add(f"coeff{tuple(i + 1 for i in tup)}", result)
     return report

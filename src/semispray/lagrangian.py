@@ -56,6 +56,7 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
     origin, and ``trials`` uniform samples; points where ``det`` leaves the
     real domain are skipped."""
     rng = random.Random(seed)
+    det_at = ex.Program([det]).value
     names = sorted(ex.free_symbols(det) - set(params))
     probes = []
     center = box.center(chart.alphabet)
@@ -71,7 +72,7 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
         env = dict(env)
         env.update(params)
         try:
-            value = ex.evaluate(det, env)
+            value = det_at(env)
         except ex.DomainError:
             continue
         if abs(value) <= tol:
@@ -116,4 +117,4 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
 def legendre(data: LagrangianData, point: ex.ChartPoint) -> tuple:
     """Fiber derivative of L at a chart point: the covector (dL/dy^k)(p)."""
     env = point.env(data.chart.coords, data.chart.fibers)
-    return tuple(ex.evaluate(component, env) for component in data.thetaL)
+    return tuple(ex.Program(data.thetaL).run(env))

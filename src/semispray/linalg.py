@@ -73,7 +73,9 @@ def inverse(m: Matrix, det: ex.Expr) -> Matrix:
 
 
 def eval_matrix(m: Matrix, env: dict) -> List[List[float]]:
-    return [[ex.evaluate(entry, env) for entry in row] for row in m]
+    """Every entry at ``env``, from one program run once."""
+    values = iter(ex.Program([entry for row in m for entry in row]).run(env))
+    return [[next(values) for _ in row] for row in m]
 
 
 def row_echelon(rows: List[List[float]], ncols: int, tol: float) -> int:

@@ -350,9 +350,9 @@ def hamiltonian_section_at(omega: ProlongForm, hamiltonian: ex.Expr,
     r = chart.r
     env = point.env(chart.coords, chart.fibers)
     g = ex.as_expr(hamiltonian)
-    dg = [ex.evaluate(chart.anchor_derivative(j, g), env) for j in range(r)]
-    dg += [ex.evaluate(ex.diff(g, nm), env) for nm in chart.fibers]
-    k = [[ex.evaluate(omega.value((p, q)), env) for q in range(2 * r)] for p in range(2 * r)]
+    dg = [chart.anchor_derivative(j, g) for j in range(r)] + [ex.diff(g, nm) for nm in chart.fibers]
+    dg, *k = linalg.eval_matrix([dg] + [[omega.value((p, q)) for q in range(2 * r)]
+                                        for p in range(2 * r)], env)
     try:
         solution, = linalg.solve(k, [dg])
     except ValueError:
@@ -591,7 +591,8 @@ def coefficient_rank_at(form: ProlongForm, point: ex.ChartPoint, tol: float = 1e
     chart = form.chart
     env = point.env(chart.coords, chart.fibers)
     size = 2 * chart.r
-    matrix = [[ex.evaluate(form.value((a, b)), env) for b in range(size)] for a in range(size)]
+    matrix = linalg.eval_matrix([[form.value((a, b)) for b in range(size)]
+                                 for a in range(size)], env)
     return linalg.row_echelon(matrix, size, tol)
 
 

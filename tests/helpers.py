@@ -1,10 +1,12 @@
-"""Shared test utilities: random raw expression trees, finite differences,
-and zero-assertion helpers."""
+"""Shared test utilities: random raw expression trees, a reference
+evaluator, finite differences, and zero-assertion helpers."""
 
+import math
 import random
 from fractions import Fraction
 
 from semispray import expr as ex
+from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
 COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
@@ -47,12 +49,62 @@ def random_polynomial(rng: random.Random, names, max_degree=3, terms=3):
     return ex.eadd(*pieces)
 
 
+def reference_value(e, env):
+    """Reference oracle for the evaluators: a recursive walk of the tree with
+    ``math.fsum`` sums and the domain rules written out from the exact
+    exponent, independent of ``expr.Program``.  Children are evaluated left
+    to right before their parent, as in the nested expression."""
+    if isinstance(e, ex.Const):
+        return float(e.value)
+    if isinstance(e, ex.Var):
+        try:
+            return float(env[e.name])
+        except KeyError:
+            raise UnknownSymbol(e.name, "evaluation environment") from None
+    if isinstance(e, ex.Add):
+        return math.fsum([reference_value(t, env) for t in e.terms])
+    if isinstance(e, ex.Mul):
+        out = 1.0
+        for f in e.factors:
+            out *= reference_value(f, env)
+        return out
+    if isinstance(e, ex.Pow):
+        base = reference_value(e.base, env)
+        exp = e.exponent
+        if base == 0.0 and exp < 0:
+            raise DomainError("0 raised to a negative power")
+        if base < 0.0 and exp.denominator != 1:
+            raise DomainError("negative base with fractional exponent")
+        try:
+            return base ** float(exp)
+        except OverflowError:
+            raise DomainError("overflow in power") from None
+    if isinstance(e, ex.Div):
+        num, den = reference_value(e.num, env), reference_value(e.den, env)
+        if den == 0.0:
+            raise DomainError("division by zero")
+        return num / den
+    if isinstance(e, ex.Func):
+        x = reference_value(e.arg, env)
+        if e.name == "exp":
+            try:
+                return math.exp(x)
+            except OverflowError:
+                raise DomainError("overflow in exp") from None
+        if e.name == "log" and x <= 0.0:
+            raise DomainError("log of a non-positive value")
+        if e.name == "sqrt" and x < 0.0:
+            raise DomainError("square root of a negative value")
+        return getattr(math, e.name)(x)
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def central_difference(e, name, env, step=1e-6):
     lo = dict(env)
     hi = dict(env)
     lo[name] -= step
     hi[name] += step
-    return (ex.evaluate(e, hi) - ex.evaluate(e, lo)) / (2.0 * step)
+    return (reference_value(e, hi) - reference_value(e, lo)) / (2.0 * step)
 
 
 def assert_proven_zero(e):

@@ -7,11 +7,12 @@ import pytest
 from semispray import algebroid as alg
 from semispray import expr as ex
 from semispray.errors import DegreeError, InvalidFixtureParam
-from helpers import assert_certified_zero, assert_proven_zero, random_polynomial
+from helpers import (assert_certified_zero, assert_proven_zero, random_polynomial,
+                     reference_value)
 
 
 def _eval_rho(chart, env):
-    return [[ex.evaluate(chart.rho[i][j], env) for j in range(chart.r)]
+    return [[reference_value(chart.rho[i][j], env) for j in range(chart.r)]
             for i in range(chart.n)]
 
 
@@ -30,7 +31,7 @@ def _fd_structure_equation_one(chart, env, k, j, l, step=1e-6):
         d_kl = (rho_at(coord, step)[k][l] - rho_at(coord, -step)[k][l]) / (2 * step)
         d_kj = (rho_at(coord, step)[k][j] - rho_at(coord, -step)[k][j]) / (2 * step)
         lhs += base[i][j] * d_kl - base[i][l] * d_kj
-    rhs = sum(base[k][i] * ex.evaluate(chart.c(i, j, l), env) for i in range(chart.r))
+    rhs = sum(base[k][i] * reference_value(chart.c(i, j, l), env) for i in range(chart.r))
     return lhs - rhs
 
 

@@ -10,7 +10,8 @@ from semispray import expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
-from helpers import assert_certified_zero, central_difference, random_raw_tree
+from helpers import (assert_certified_zero, central_difference, random_raw_tree,
+                     reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
 
@@ -53,7 +54,7 @@ class TestParse:
         # the text back exactly, and that rational rounds to the same float.
         e = ex.emul(ex.Const(value), ex.Var("x1"))
         back = ex.parse(ex.to_text(e), ("x1",))
-        assert ex.evaluate(back, {"x1": 1.0}) == value
+        assert reference_value(back, {"x1": 1.0}) == value
 
     def test_power_right_associative(self):
         assert ex.parse("x1^2^3", ("x1",)) == ex.epow(ex.Var("x1"), 8)
@@ -88,7 +89,7 @@ class TestDiff:
         e = ex.parse("x1/(1 + y1^2)", ("x1", "y1"))
         d = ex.diff(e, "y1")
         env = {"x1": 0.7, "y1": 0.3}
-        assert ex.evaluate(d, env) == pytest.approx(central_difference(e, "y1", env), rel=1e-6)
+        assert reference_value(d, env) == pytest.approx(central_difference(e, "y1", env), rel=1e-6)
 
 
 class TestEval:
@@ -168,7 +169,7 @@ class TestCanonical:
         capped = ex.epow(big, 8)  # 4^8 = 65536 > cap, stays a Pow node
         assert isinstance(capped, ex.Pow)
         env = {v: 0.5 for v in ALPHABET}
-        assert ex.evaluate(capped, env) == pytest.approx(2.0 ** 8)
+        assert reference_value(capped, env) == pytest.approx(2.0 ** 8)
 
     def test_division_constant_folds(self):
         assert ex.parse("x1/4", ("x1",)) == ex.emul(ex.Const(Fraction(1, 4)), ex.Var("x1"))
@@ -229,10 +230,10 @@ class TestProperties:
         for attempt in range(40):
             env = {nm: rng.uniform(-1.5, 1.5) for nm in ALPHABET}
             try:
-                before = ex.evaluate(raw, env)
+                before = reference_value(raw, env)
             except DomainError:
                 continue
-            after = ex.evaluate(canonical, env)
+            after = reference_value(canonical, env)
             assert after == pytest.approx(before, rel=1e-9, abs=1e-9)
             tried += 1
             if tried >= 8:
@@ -246,7 +247,7 @@ class TestProperties:
             v = rng.choice(sorted(ex.free_symbols(e)) or ALPHABET)
             env = {nm: rng.uniform(0.2, 0.9) for nm in ALPHABET}
             try:
-                exact = ex.evaluate(ex.diff(e, v), env)
+                exact = reference_value(ex.diff(e, v), env)
                 approx = central_difference(e, v, env)
             except DomainError:
                 continue
@@ -290,7 +291,7 @@ class TestCompile:
             values = [rng.uniform(0.2, 0.8) for _ in ALPHABET]
             env = dict(zip(ALPHABET, values))
             try:
-                expected = [ex.evaluate(e, env) for e in exprs]
+                expected = [reference_value(e, env) for e in exprs]
             except DomainError:
                 with pytest.raises(DomainError):
                     fn(values)
@@ -321,7 +322,7 @@ class TestCompile:
             values = [rng.uniform(-1.0, 1.0) for _ in names]
             env = dict(zip(names, values))
             try:
-                expected = [ex.evaluate(e, env) for e in exprs]
+                expected = [reference_value(e, env) for e in exprs]
             except DomainError:
                 raised += 1
                 with pytest.raises(DomainError):
@@ -348,20 +349,109 @@ class TestCompile:
         for _ in range(250):
             e = ex.efunc("sin", e)
         fn = ex.compile_evaluator([e, ex.emul(e, e)], ("x1",))
-        value = ex.evaluate(e, {"x1": 0.3})
+        value = reference_value(e, {"x1": 0.3})
         assert fn([0.3]) == [value, value ** 2.0]
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_constant_compiles_to_its_value(self, value):
         e = ex.emul(ex.Const(value), ex.Var("x1"))
         got = ex.compile_evaluator([e, ex.Const(value)], ("x1",))([2.0])
-        assert list(map(repr, got)) == [repr(ex.evaluate(e, {"x1": 2.0})), repr(value)]
+        assert list(map(repr, got)) == [repr(reference_value(e, {"x1": 2.0})), repr(value)]
 
     def test_unknown_symbol(self):
         exprs = [ex.parse("x1 + x2", ("x1", "x2")), ex.parse("b*a", ("a", "b"))]
         with pytest.raises(UnknownSymbol) as err:
             ex.compile_evaluator(exprs, ("x1", "x2"))
         assert err.value.name == "a"
+
+
+def _outcome(run):
+    """``float.hex`` of a value, or the class of the arithmetic error it
+    raised (``math.fsum`` raises ``OverflowError`` and ``ValueError`` too)."""
+    try:
+        return run().hex()
+    except (ArithmeticError, ValueError) as err:
+        return type(err).__name__
+
+
+@st.composite
+def trees_and_points(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    tree = random_raw_tree(rng, ALPHABET, depth=draw(st.integers(min_value=1, max_value=5)))
+    if draw(st.booleans()):
+        try:
+            tree = ex.simplify(tree)
+        except DomainError:  # a constant 0 to a negative power
+            pass
+    env = {nm: draw(st.floats(min_value=-2.0, max_value=2.0)) for nm in ALPHABET}
+    return tree, env
+
+
+class TestProgram:
+    @settings(max_examples=300, deadline=None)
+    @given(trees_and_points())
+    def test_runner_matches_reference(self, case):
+        # Raw and canonical trees; the runner sums with fsum as the
+        # reference does, so every value agrees to the last bit.
+        tree, env = case
+        want = _outcome(lambda: reference_value(tree, env))
+        assert _outcome(lambda: ex.Program([tree]).value(env)) == want
+        assert _outcome(lambda: ex.evaluate(tree, env)) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(trees_and_points(), min_size=2, max_size=4))
+    def test_shared_program_matches_each_output(self, cases):
+        # One program over several outputs computes each shared subtree
+        # once; every output is still the reference value of its tree.
+        trees = [tree for tree, _ in cases]
+        trees.append(ex.Mul((trees[0], trees[1])))
+        env = cases[0][1]
+        want = [_outcome(lambda t=t: reference_value(t, env)) for t in trees]
+        # The run raises the error of the first tree that raises.
+        error = next((w for w in want if w.endswith("Error")), None)
+        try:
+            got = [v.hex() for v in ex.Program(trees).run(env)]
+        except (ArithmeticError, ValueError) as err:
+            got = type(err).__name__
+        assert got == (want if error is None else error)
+
+
+def test_fractional_exponent_rule_is_exact():
+    # The exponent's float is the whole number 2^52, but the exponent is not
+    # whole: a negative base leaves the reals in every evaluator.
+    e = ex.parse("x1^(9007199254740993/2)", ("x1",))
+    assert isinstance(e, ex.Pow) and float(e.exponent) == 2.0 ** 52
+    compiled = ex.compile_evaluator([e], ("x1",))
+    program = ex.Program([e])
+    with pytest.raises(DomainError):
+        compiled([-0.5])
+    with pytest.raises(DomainError):
+        program.value({"x1": -0.5})
+    with pytest.raises(DomainError):
+        ex.evaluate(e, {"x1": -0.5})
+    want = reference_value(e, {"x1": 0.5}).hex()
+    assert compiled([0.5])[0].hex() == program.value({"x1": 0.5}).hex() == want
+    assert ex.evaluate(e, {"x1": 0.5}).hex() == want
+
+
+@pytest.mark.parametrize("src", ["1e400*x1", "10^400*x1", "-(10^400)*x1", "x1^(10^400)"])
+def test_constant_beyond_float_range(src):
+    # Sorting and printing stay exact; turning the constant into a float is
+    # a domain error in both back ends.
+    e = ex.parse(src, ("x1",))
+    assert ex.parse(ex.to_text(e), ("x1",)) == e
+    assert ex.eadd(e, ex.Var("x1")) == ex.eadd(ex.Var("x1"), e)
+    with pytest.raises(DomainError):
+        ex.evaluate(e, {"x1": 0.5})
+    with pytest.raises(DomainError):
+        ex.compile_evaluator([e], ("x1",))
+
+
+def test_huge_constants_sort_after_every_float():
+    big = [ex.Const(Fraction(10) ** 400), ex.Const(-Fraction(10) ** 400)]
+    consts = [ex.Const(v) for v in (Fraction(-3), 1e300, Fraction(1, 3), -1e300)]
+    keys = [c.sort_key() for c in sorted(consts + big, key=ex.Expr.sort_key)]
+    assert keys[0] == big[1].sort_key() and keys[-1] == big[0].sort_key()
 
 
 def nested_value(e, env):
@@ -381,7 +471,7 @@ def nested_value(e, env):
         return nested_value(e.base, env) ** float(e.exponent)
     if isinstance(e, ex.Div):
         return nested_value(e.num, env) / nested_value(e.den, env)
-    return ex.evaluate(ex.Func(e.name, ex.Const(nested_value(e.arg, env))), {})
+    return reference_value(ex.Func(e.name, ex.Const(nested_value(e.arg, env))), {})
 
 
 def test_point_env_mismatch():

@@ -357,7 +357,8 @@ class TestCliCommands:
 
     def test_point_evaluation_helper(self):
         model = load_model(TANGENT_DOC)
-        value = model.chart.evaluate(model.lagrangian, ex.ChartPoint((0.0,), (2.0,)))
+        env = ex.ChartPoint((0.0,), (2.0,)).env(model.chart.coords, model.chart.fibers)
+        value = ex.evaluate(model.lagrangian, env)
         assert value == 2.0
 
 
@@ -400,3 +401,37 @@ def test_every_error_reaches_the_user_as_a_message(tangent_path, monkeypatch, ca
     stderr = capsys.readouterr().err
     assert code == expected and out == ""
     assert stderr == f"{prefix}: {err}\n" and "Traceback" not in stderr
+
+
+#: The five commands of the out-of-range constant repro, with the flags they need.
+HUGE_CONSTANT_COMMANDS = {
+    "validate": ["validate"],
+    "bracket": ["bracket"],
+    "check_jacobi": ["check", "jacobi"],
+    "check_prolongation": ["check", "prolongation"],
+    "integrate": ["integrate", "--p0", "0.1,0.2", "--T", "0.01", "--h", "0.01"],
+}
+
+
+@pytest.mark.parametrize("command", HUGE_CONSTANT_COMMANDS)
+@pytest.mark.parametrize("constant", ["1e400", "10^400"])
+def test_constant_beyond_float_range(tmp_path, capsys, constant, command):
+    # The fiber-linear term is exact in one dimension, so it cancels from the
+    # bracket and the field; the potential f carries the constant into the
+    # integrated field, which must turn it into a float.
+    doc = {"n": 1, "r": 1, "rho": [["1"]], "L": f"1/2*y1^2 + {constant}*x1^2*y1",
+           "f": f"{constant}*x1"}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    argv = list(HUGE_CONSTANT_COMMANDS[command])
+    argv.insert(2 if argv[0] == "check" else 1, str(path))
+    code, out = run_cli(argv)
+    stderr = capsys.readouterr().err
+    assert code in (0, 1) and "Traceback" not in stderr
+    if command == "bracket":
+        plain = tmp_path / "plain.json"
+        plain.write_text(json.dumps({**doc, "L": "1/2*y1^2", "f": "x1"}))
+        assert (code, out) == run_cli(["bracket", str(plain)])
+    if command == "integrate":
+        assert code == 1 and out == ""
+        assert stderr.startswith("error: ") and "out of float range" in stderr
