@@ -77,6 +77,12 @@ STRESS_MODELS = {
 }
 MODELS.update(STRESS_MODELS)
 
+#: The stress model with the ``so3_perturbed`` anchor: its ``check_jacobi``
+#: builds the largest residual trees of any command.
+NEGATIVE_MODELS["stress_perturbed"] = {**STRESS_MODELS["stress"],
+                                       "rho": NEGATIVE_MODELS["so3_perturbed"]["rho"]}
+MODELS.update(NEGATIVE_MODELS)
+
 P0 = {3: "0.1,0.2,0.3,0.3,0.2,0.1", 2: "0.1,0.2,0.3,0.4"}
 
 COMMANDS = {
@@ -98,7 +104,8 @@ CASES = [(model, command) for model in MODELS
 CASES += [(model, command) for model in NEGATIVE_MODELS
           for command in ("validate", "check_jacobi")]
 CASES += [(model, command) for model in STRESS_MODELS
-          for command in ("validate", "check_jacobi", "check_spray", "check_prolongation",
+          for command in ("validate", "bracket", "hamiltonian", "check_jacobi",
+                          "check_semispray", "check_spray", "check_prolongation",
                           "check_homotopy", "integrate_rk4", "integrate_rk45")]
 
 
