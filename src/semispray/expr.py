@@ -246,6 +246,7 @@ def _float_key(v: Number) -> float:
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
+_INNER = (Add, Mul, Pow, Div, Func)  # the node types with children
 
 
 def as_expr(value) -> Expr:
@@ -270,7 +271,7 @@ def _split_coeff(term: Expr):
         rest = term.factors[1:]
         core = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, core
-    return Fraction(1), term
+    return ONE.value, term
 
 
 def _with_coeff(coeff, core: Expr) -> Expr:
@@ -374,7 +375,7 @@ def _mul_plain(const, plain) -> Expr:
         if isinstance(f, Pow) and not isinstance(f.base, Add):
             base, exp = f.base, f.exponent
         else:
-            base, exp = f, Fraction(1)
+            base, exp = f, ONE.value
         if base in powers:
             powers[base] = powers[base] + exp
         else:
@@ -383,7 +384,7 @@ def _mul_plain(const, plain) -> Expr:
 
     factors = []
     for base in order:
-        merged = epow(base, powers[base])
+        merged = base if powers[base] == 1 else epow(base, powers[base])
         if isinstance(merged, Const):
             const = const * merged.value
             if const == 0:
@@ -429,30 +430,33 @@ def _rational_root(value: Fraction, q: int):
     """Exact q-th root of a non-negative rational, or None."""
     if value < 0:
         return None
-
-    def iroot(n: int):
-        if n in (0, 1):
-            return n
-        r = round(n ** (1.0 / q))
-        for c in (r - 1, r, r + 1):
-            if c >= 0 and c ** q == n:
-                return c
-        return None
-
-    pn = iroot(value.numerator)
-    pd = iroot(value.denominator)
-    if pn is None or pd is None:
+    pn, pd = _iroot(value.numerator, q), _iroot(value.denominator, q)
+    if pn ** q != value.numerator or pd ** q != value.denominator:
         return None
     return Fraction(pn, pd)
+
+
+def _iroot(n: int, q: int) -> int:
+    """The q-th root of ``n >= 0`` rounded down, in integer arithmetic (a
+    float estimate overflows or rounds wrong above 2^53)."""
+    if q == 2:
+        return math.isqrt(n)
+    if n.bit_length() <= q:  # n < 2^q
+        return min(n, 1)
+    x = 1 << -(-n.bit_length() // q)  # above the root; Newton descends
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x
+        x = y
 
 
 def epow(base: Expr, exponent) -> Expr:
     """Canonical power with rational exponent."""
     if isinstance(exponent, Const):
         exponent = exponent.value
-    if isinstance(exponent, float):
+    if not isinstance(exponent, Fraction):
         exponent = Fraction(exponent)
-    exponent = Fraction(exponent)
 
     if exponent == 0:
         return ONE
@@ -468,6 +472,8 @@ def epow(base: Expr, exponent) -> Expr:
         if v == 1:
             return ONE
         if isinstance(v, float):
+            if v < 0 and exponent.denominator != 1:  # float ** would be complex
+                raise DomainError(f"{v} ** {exponent} is not a real number")
             try:
                 return Const(float(v) ** float(exponent))
             except (ValueError, OverflowError):
@@ -594,38 +600,64 @@ def simplify(e: Expr) -> Expr:
 def diff(e: Expr, var) -> Expr:
     """Exact partial derivative with respect to a variable name."""
     name = var.name if isinstance(var, Var) else var
-    return _diff(e, name)
+    return _memoized(_diff, e, name)
 
 
-def _diff(e: Expr, name: str) -> Expr:
+def _memoized(step, e: Expr, arg):
+    """``step(node, arg, result)`` once per structurally distinct subtree of
+    ``e``, children first; returns ``e``'s.  The memo lives for this call and
+    matches on sort keys, which tell ``Const(2.0)`` from ``Const(2)``."""
+    memo: dict = {}  # hash -> [(subtree, result)]
+
+    def result(node):
+        if not isinstance(node, _INNER):  # a leaf: cheaper to redo than to look up
+            return step(node, arg, result)
+        for seen, out in memo.get(node._hash, ()):
+            if seen is node or seen.sort_key() == node.sort_key():
+                return out
+        return None
+
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the children of the node below are done
+            node = stack.pop()
+            memo.setdefault(node._hash, []).append((node, step(node, arg, result)))
+        elif isinstance(node, _INNER) and (node._hash not in memo or result(node) is None):
+            stack += (node, None)
+            stack += reversed(node._fields())
+    return result(e)
+
+
+def _diff(e: Expr, name: str, result) -> Expr:
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.name == name else ZERO
     if isinstance(e, Add):
-        return eadd(*(_diff(t, name) for t in e.terms))
+        return eadd(*(result(t) for t in e.terms))
     if isinstance(e, Mul):
         pieces = []
         for i, f in enumerate(e.factors):
-            df = _diff(f, name)
+            df = result(f)
             if is_zero_literal(df):
                 continue
             others = e.factors[:i] + e.factors[i + 1:]
             pieces.append(emul(df, *others))
         return eadd(*pieces)
     if isinstance(e, Pow):
-        db = _diff(e.base, name)
+        db = result(e.base)
         if is_zero_literal(db):
             return ZERO
         return emul(Const(e.exponent), epow(e.base, e.exponent - 1), db)
     if isinstance(e, Div):
-        dn = _diff(e.num, name)
-        dd = _diff(e.den, name)
+        dn = result(e.num)
+        dd = result(e.den)
         if is_zero_literal(dd):
             return ediv(dn, e.den)
         return ediv(eadd(emul(dn, e.den), eneg(emul(e.num, dd))), epow(e.den, 2))
     if isinstance(e, Func):
-        da = _diff(e.arg, name)
+        da = result(e.arg)
         if is_zero_literal(da):
             return ZERO
         if e.name == "sin":
@@ -644,21 +676,25 @@ def _diff(e: Expr, name: str) -> Expr:
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Substitute variables by expressions and rebuild the tree through the
     canonical constructors (with an empty mapping, :func:`simplify`)."""
+    return _memoized(_subs, e, mapping)
+
+
+def _subs(e: Expr, mapping: Mapping[str, Expr], result) -> Expr:
     if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         repl = mapping.get(e.name)
         return e if repl is None else as_expr(repl)
     if isinstance(e, Add):
-        return eadd(*(subs(t, mapping) for t in e.terms))
+        return eadd(*(result(t) for t in e.terms))
     if isinstance(e, Mul):
-        return emul(*(subs(f, mapping) for f in e.factors))
+        return emul(*(result(f) for f in e.factors))
     if isinstance(e, Pow):
-        return epow(subs(e.base, mapping), e.exponent)
+        return epow(result(e.base), e.exponent)
     if isinstance(e, Div):
-        return ediv(subs(e.num, mapping), subs(e.den, mapping))
+        return ediv(result(e.num), result(e.den))
     if isinstance(e, Func):
-        return efunc(e.name, subs(e.arg, mapping))
+        return efunc(e.name, result(e.arg))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -1142,7 +1178,10 @@ class Program:
         # which leaves the interpreter's tuple free lists growing.
         for slot, op, args in self.ops:
             if op is fsum or op is prod:
-                slots[slot] = op(map(get, args))
+                try:
+                    slots[slot] = op(map(get, args))
+                except (ValueError, OverflowError) as err:  # fsum of infinities
+                    raise DomainError(f"overflow in sum: {err}") from None
             elif len(args) == 1:
                 slots[slot] = op(get(args[0]))
             else:

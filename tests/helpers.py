@@ -1,5 +1,6 @@
-"""Shared test utilities: random raw expression trees, a reference
-evaluator, finite differences, and zero-assertion helpers."""
+"""Shared test utilities: random raw expression trees, reference evaluator,
+substitution and derivative walkers, finite differences, and
+zero-assertion helpers."""
 
 import math
 import random
@@ -62,7 +63,11 @@ def reference_value(e, env):
         except KeyError:
             raise UnknownSymbol(e.name, "evaluation environment") from None
     if isinstance(e, ex.Add):
-        return math.fsum([reference_value(t, env) for t in e.terms])
+        terms = [reference_value(t, env) for t in e.terms]
+        try:
+            return math.fsum(terms)
+        except (ValueError, OverflowError):  # -inf + inf, or an overflowing partial sum
+            raise DomainError("overflow in sum") from None
     if isinstance(e, ex.Mul):
         out = 1.0
         for f in e.factors:
@@ -97,6 +102,82 @@ def reference_value(e, env):
             raise DomainError("square root of a negative value")
         return getattr(math, e.name)(x)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_subs(e, mapping):
+    """Reference for :func:`expr.subs` and :func:`expr.simplify`: the plain
+    recursive rebuild, which visits every node of the tree, shared or not."""
+    if isinstance(e, ex.Const):
+        return e
+    if isinstance(e, ex.Var):
+        repl = mapping.get(e.name)
+        return e if repl is None else ex.as_expr(repl)
+    if isinstance(e, ex.Add):
+        return ex.eadd(*(reference_subs(t, mapping) for t in e.terms))
+    if isinstance(e, ex.Mul):
+        return ex.emul(*(reference_subs(f, mapping) for f in e.factors))
+    if isinstance(e, ex.Pow):
+        return ex.epow(reference_subs(e.base, mapping), e.exponent)
+    if isinstance(e, ex.Div):
+        return ex.ediv(reference_subs(e.num, mapping), reference_subs(e.den, mapping))
+    if isinstance(e, ex.Func):
+        return ex.efunc(e.name, reference_subs(e.arg, mapping))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def reference_diff(e, name):
+    """Reference for :func:`expr.diff`: the plain recursive derivative,
+    which differentiates every node of the tree, shared or not."""
+    if isinstance(e, ex.Const):
+        return ex.ZERO
+    if isinstance(e, ex.Var):
+        return ex.ONE if e.name == name else ex.ZERO
+    if isinstance(e, ex.Add):
+        return ex.eadd(*(reference_diff(t, name) for t in e.terms))
+    if isinstance(e, ex.Mul):
+        pieces = []
+        for i, f in enumerate(e.factors):
+            df = reference_diff(f, name)
+            if ex.is_zero_literal(df):
+                continue
+            others = e.factors[:i] + e.factors[i + 1:]
+            pieces.append(ex.emul(df, *others))
+        return ex.eadd(*pieces)
+    if isinstance(e, ex.Pow):
+        db = reference_diff(e.base, name)
+        if ex.is_zero_literal(db):
+            return ex.ZERO
+        return ex.emul(ex.Const(e.exponent), ex.epow(e.base, e.exponent - 1), db)
+    if isinstance(e, ex.Div):
+        dn = reference_diff(e.num, name)
+        dd = reference_diff(e.den, name)
+        if ex.is_zero_literal(dd):
+            return ex.ediv(dn, e.den)
+        return ex.ediv(ex.eadd(ex.emul(dn, e.den), ex.eneg(ex.emul(e.num, dd))),
+                       ex.epow(e.den, 2))
+    if isinstance(e, ex.Func):
+        da = reference_diff(e.arg, name)
+        if ex.is_zero_literal(da):
+            return ex.ZERO
+        if e.name == "sin":
+            return ex.emul(ex.efunc("cos", e.arg), da)
+        if e.name == "cos":
+            return ex.eneg(ex.emul(ex.efunc("sin", e.arg), da))
+        if e.name == "exp":
+            return ex.emul(e, da)
+        if e.name == "log":
+            return ex.ediv(da, e.arg)
+        if e.name == "sqrt":
+            return ex.ediv(da, ex.emul(ex.Const(2), e))
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def constant_types(e):
+    """The type of every constant in ``e``, in pre-order: with
+    :func:`expr.to_text` it tells ``2.0`` from ``2`` at every position."""
+    if isinstance(e, ex.Const):
+        return [type(e.value)]
+    return [t for c in e._fields() if isinstance(c, ex.Expr) for t in constant_types(c)]
 
 
 def central_difference(e, name, env, step=1e-6):

@@ -10,8 +10,8 @@ from semispray import expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
-from helpers import (assert_certified_zero, central_difference, random_raw_tree,
-                     reference_value)
+from helpers import (assert_certified_zero, central_difference, constant_types,
+                     random_raw_tree, reference_diff, reference_subs, reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
 
@@ -414,6 +414,132 @@ class TestProgram:
         except (ArithmeticError, ValueError) as err:
             got = type(err).__name__
         assert got == (want if error is None else error)
+
+
+def _floated(e, rng):
+    """``e`` rebuilt raw with about half its constants turned into floats, so
+    a constant of ``e`` and its float twin are ``==`` where the float is exact."""
+    if isinstance(e, ex.Const):
+        return ex.Const(float(e.value)) if rng.random() < 0.5 else e
+    if isinstance(e, ex.Var):
+        return e
+    if isinstance(e, ex.Func):
+        return ex.Func(e.name, _floated(e.arg, rng))
+    if isinstance(e, ex.Pow):
+        return ex.Pow(_floated(e.base, rng), e.exponent)
+    if isinstance(e, ex.Div):
+        return ex.Div(_floated(e.num, rng), _floated(e.den, rng))
+    return type(e)(tuple(_floated(c, rng) for c in e._fields()))
+
+
+@st.composite
+def shared_trees(draw):
+    """A raw sum whose parts share subtrees: the same object, an equal object
+    built apart, and an equal-looking one with float constants."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    depth = draw(st.integers(min_value=1, max_value=4))
+    a, b = (random_raw_tree(rng, ALPHABET, depth=depth) for _ in range(2))
+    if draw(st.booleans()):
+        try:
+            a, b = ex.simplify(a), ex.simplify(b)
+        except DomainError:  # a constant 0 to a negative power
+            pass
+    copy = ex.Add(a.terms) if isinstance(a, ex.Add) else ex.Mul((ex.ONE, a))
+    twin = _floated(a, rng)
+    parts = [a, copy, twin, ex.Mul((twin, b)), ex.Mul((b, a)), ex.Func("sin", a),
+             ex.Func("sin", twin), ex.Div(b, ex.Add((ex.Const(2), ex.Pow(a, Fraction(2)))))]
+    rng.shuffle(parts)
+    return ex.Add(tuple(parts[:draw(st.integers(min_value=2, max_value=len(parts)))]))
+
+
+def _rebuilt(run):
+    """Text and constant types of a rebuilt tree, or the class of its error."""
+    try:
+        e = run()
+    except DomainError as err:
+        return type(err).__name__
+    return ex.to_text(e), constant_types(e)
+
+
+SUBSTITUTIONS = [{}, {"x1": ex.Const(0.5)}, {"x1": 2.0, "y1": ex.Const(Fraction(2))},
+                 {"x2": ex.parse("y1 + 2*y2", ALPHABET)}]
+
+
+class TestMemoizedWalkers:
+    """``subs``, ``simplify`` and ``diff`` rebuild each distinct subtree once
+    per call; the result is the plain recursive walk's, constant types too."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shared_trees(), st.sampled_from(ALPHABET), st.sampled_from(SUBSTITUTIONS))
+    def test_match_reference_walkers(self, tree, name, mapping):
+        assert _rebuilt(lambda: ex.simplify(tree)) == _rebuilt(lambda: reference_subs(tree, {}))
+        assert _rebuilt(lambda: ex.subs(tree, mapping)) == _rebuilt(
+            lambda: reference_subs(tree, mapping))
+        assert _rebuilt(lambda: ex.diff(tree, name)) == _rebuilt(
+            lambda: reference_diff(tree, name))
+
+    def test_deep_tree_rebuilds_without_recursion(self):
+        # Subtrees are rebuilt children first on an explicit stack, so the
+        # depth of a tree is not bounded by the interpreter's recursion limit.
+        e = ex.Var("x1")
+        for _ in range(3000):
+            e = ex.efunc("sin", ex.eadd(e, ex.Var("x2")))
+        env = {"x1": 0.1, "x2": 0.2}
+        want = ex.evaluate(e, env)
+        assert ex.evaluate(ex.simplify(e), env) == want
+        assert ex.evaluate(ex.subs(e, {"x2": ex.Const(0.2)}), env) == want
+
+    def test_float_constant_stays_apart_from_equal_rational(self):
+        # Const(2.0) == Const(2) and both hash alike: a memo keyed on ``==``
+        # would hand one subtree's result to the other.
+        x1 = ex.Var("x1")
+        e = ex.eadd(ex.efunc("sin", ex.emul(ex.Const(2.0), x1)),
+                    ex.efunc("cos", ex.emul(ex.Const(2), x1)))
+        assert ex.to_text(ex.simplify(e)) == "cos(2*x1) + sin(2.0*x1)"
+        u = ex.efunc("exp", x1)
+        f = ex.eadd(ex.efunc("sin", ex.emul(ex.Const(2.0), u)),
+                    ex.efunc("cos", ex.emul(ex.Const(2), u)))
+        got = ex.diff(f, "x1")
+        assert _rebuilt(lambda: got) == _rebuilt(lambda: reference_diff(f, "x1"))
+        assert ex.to_text(got) == "-2*exp(x1)*sin(2*exp(x1)) + 2.0*cos(2.0*exp(x1))*exp(x1)"
+
+
+def test_sum_of_infinities_is_a_domain_error():
+    # math.fsum raises on inf - inf and on an overflowing partial sum; the
+    # point is then singular, as an overflowing exp is.
+    names = ("x1", "x2", "x3")
+    e = ex.parse("10^308*x1*x2 - 10^308*x1*x3", names)
+    with pytest.raises(DomainError):
+        ex.evaluate(e, {"x1": 2.0, "x2": 2.0, "x3": 2.0})
+    with pytest.raises(DomainError):
+        ex.evaluate(ex.parse("x1 + x2", names), {"x1": 1e308, "x2": 1e308})
+    result = ex.is_zero(e, box=ex.Box((1.0, 2.0)))
+    assert result.status is ZeroStatus.NONZERO
+
+
+@pytest.mark.parametrize("value", [-1.0, -8.0])
+def test_negative_float_to_fractional_power_is_domain_error(value):
+    # Python's float ** returns a complex number here, not an error.
+    with pytest.raises(DomainError):
+        ex.epow(ex.Const(value), Fraction(1, 3))
+    assert ex.epow(ex.Const(value), 3) == ex.Const(value ** 3)
+
+
+@pytest.mark.parametrize("src,value", [
+    ("sqrt((2^80+12345)^2)", 2 ** 80 + 12345),
+    ("sqrt(10^400)", 10 ** 200),
+    ("((2^80+12345)^3)^(1/3)", 2 ** 80 + 12345),
+    ("(10^600/3^5)^(2/5)", Fraction(10 ** 240, 9)),
+    ("(27/8)^(1/3)", Fraction(3, 2)),
+])
+def test_exact_roots_fold(src, value):
+    assert ex.parse(src, ()) == ex.Const(value)
+
+
+@pytest.mark.parametrize("src", ["sqrt(2^81)", "(2^80+1)^(1/2)", "((2^80+12345)^3+1)^(1/3)",
+                                 "2^(1/100000000000000000000000)"])
+def test_inexact_roots_stay_symbolic(src):
+    assert not isinstance(ex.parse(src, ()), ex.Const)
 
 
 def test_fractional_exponent_rule_is_exact():

@@ -414,11 +414,13 @@ HUGE_CONSTANT_COMMANDS = {
 
 
 @pytest.mark.parametrize("command", HUGE_CONSTANT_COMMANDS)
-@pytest.mark.parametrize("constant", ["1e400", "10^400"])
+@pytest.mark.parametrize("constant", ["1e400", "10^400", "sqrt(10^800)"])
 def test_constant_beyond_float_range(tmp_path, capsys, constant, command):
     # The fiber-linear term is exact in one dimension, so it cancels from the
     # bracket and the field; the potential f carries the constant into the
-    # integrated field, which must turn it into a float.
+    # integrated field, which must turn it into a float.  ``sqrt(10^800)``
+    # must fold to 10^400 by an exact integer root; a float estimate of the
+    # root overflows.
     doc = {"n": 1, "r": 1, "rho": [["1"]], "L": f"1/2*y1^2 + {constant}*x1^2*y1",
            "f": f"{constant}*x1"}
     path = tmp_path / "huge.json"

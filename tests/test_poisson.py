@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -230,6 +231,28 @@ def stress(so3):
     quotient rules in every partial."""
     return algebroid.Fixture("stress", so3.chart, ex.parse(STRESS_L, so3.chart.alphabet),
                              so3.theta)
+
+
+def test_expression_kernel_keeps_no_cache(stress):
+    # ``subs``, ``simplify`` and ``diff`` memoize within one call only: a
+    # cache kept across calls would grow with every residual a check builds.
+    _, p = bracket_bundle(stress, theta=stress.theta)
+    residual = max((r for _, r in poisson.jacobi_residuals(p)),
+                   key=lambda r: len(ex.to_text(r)))
+
+    def container_sizes():
+        return {name: len(v) if isinstance(v, (dict, list, set)) else v.cache_info().currsize
+                for name, v in vars(ex).items()
+                if isinstance(v, (dict, list, set)) or hasattr(v, "cache_info")}
+
+    before = container_sizes()
+    ex.simplify(residual)
+    ex.subs(residual, {"x1": ex.Const(0.5), "y2": ex.Var("y3")})
+    ex.diff(residual, "y1")
+    assert container_sizes() == before
+    assert {f.__name__: list(inspect.signature(f).parameters)
+            for f in (ex.subs, ex.simplify, ex.diff)} == {
+        "subs": ["e", "mapping"], "simplify": ["e"], "diff": ["e", "var"]}
 
 
 @pytest.fixture(scope="module", params=[("so3", True), ("cotangent", True),
