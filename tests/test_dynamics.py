@@ -79,6 +79,46 @@ class TestIntegrate:
         assert len(traj.times) == len(traj.states) == len(traj.invariant_drift)
 
 
+class TestFieldCalls:
+    """The integrators call the field through the evaluator that
+    ``expr.compile_evaluator`` returns at call time, once per stage: the
+    bench's tracer wraps that name and derives RK steps from the count."""
+
+    @pytest.fixture
+    def field_calls(self, monkeypatch):
+        calls = []
+        compile_evaluator = ex.compile_evaluator
+
+        def counting(exprs, names):
+            evaluator = compile_evaluator(exprs, names)
+            if len(exprs) == 1:  # the invariant
+                return evaluator
+
+            def field(values):
+                calls.append(1)
+                return evaluator(values)
+            return field
+
+        monkeypatch.setattr(ex, "compile_evaluator", counting)
+        return calls
+
+    def test_rk4_calls_the_field_four_times_per_step(self, curved_metric, field_calls):
+        g, field = hamiltonian_flow(curved_metric)
+        traj = dynamics.integrate(field, ex.ChartPoint((0.3, 0.4), (1.0, 1.2)),
+                                  T=0.1, h=1e-2, invariant=g)
+        assert len(traj.times) == 11
+        assert len(field_calls) == 4 * 10
+
+    def test_dormand_prince_calls_the_field_once_then_six_times_per_try(self, tangent1,
+                                                                        field_calls):
+        # The free line is exact at every order, so every try is accepted.
+        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-2,
+                                  method="rk45")
+        assert len(traj.times) > 2
+        assert len(field_calls) == 1 + 6 * (len(traj.times) - 1)
+
+
 class TestBaseProjection:
     def test_free_line_passes(self, tangent1):
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])

@@ -416,6 +416,75 @@ class TestProgram:
         assert got == (want if error is None else error)
 
 
+#: (source, point, message) of each domain guard, and two sums where the
+#: first guard in evaluation order raises although a later one would too.
+GUARD_CASES = [
+    ("1/(x1 - 1)", {"x1": 1.0}, "division by zero"),
+    ("x1^400", {"x1": 10.0}, "overflow in power"),
+    ("x1^-2", {"x1": 0.0}, "0 raised to a negative power"),
+    ("exp(x1)", {"x1": 1000.0}, "overflow in exp"),
+    ("sqrt(x1)", {"x1": -1.0}, "square root of a negative value"),
+    ("log(x1)", {"x1": 0.0}, "log of a non-positive value"),
+    ("x1^(1/2)", {"x1": -1.0}, "negative base with fractional exponent"),
+    ("exp(x1) + 1/x2", {"x1": 1000.0, "x2": 0.0}, "overflow in exp"),
+    ("x1^300 + 1/x2", {"x1": 100.0, "x2": 0.0}, "overflow in power"),
+]
+
+
+@pytest.mark.parametrize("src,env,message", GUARD_CASES, ids=[c[0] for c in GUARD_CASES])
+def test_compiled_domain_errors_match_program(src, env, message):
+    names = ("x1", "x2")
+    e = ex.parse(src, names)
+    with pytest.raises(DomainError) as interpreted:
+        ex.Program([e]).run(env)
+    with pytest.raises(DomainError) as compiled:
+        ex.compile_evaluator([e], names)([env.get(nm, 0.5) for nm in names])
+    assert str(compiled.value) == str(interpreted.value) == message
+
+
+def _division_power_trees():
+    """Raw trees of sums, products, quotients and integer powers (negative,
+    huge and of negative constants among them), over ``ALPHABET``."""
+    leaves = st.one_of(
+        st.sampled_from([ex.Var(nm) for nm in ALPHABET]),
+        st.integers(min_value=-3, max_value=3).map(lambda k: ex.Const(Fraction(k))),
+        st.floats(min_value=-4.0, max_value=4.0).map(ex.Const))
+    exponents = st.one_of(st.integers(min_value=-3, max_value=4), st.sampled_from([300, 400]))
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda ts: ex.Add(tuple(ts))),
+            st.lists(children, min_size=2, max_size=3).map(lambda fs: ex.Mul(tuple(fs))),
+            st.tuples(children, children).map(lambda nd: ex.Div(*nd)),
+            st.tuples(children, exponents).map(lambda be: ex.Pow(be[0], Fraction(be[1]))))
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+def _nested_outcome(e, env):
+    """``float.hex`` of the nested value, or ``"raises"`` where the nested
+    code raises: dividing by zero, 0 to a negative power, an overflowing
+    power."""
+    try:
+        return float(nested_value(e, env)).hex()
+    except ArithmeticError:
+        return "raises"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_division_power_trees(), min_size=1, max_size=3),
+       st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.5, 2.0, 1e-200, 1e200]),
+                min_size=len(ALPHABET), max_size=len(ALPHABET)))
+def test_compiled_division_and_powers_match_nested_code(trees, values):
+    # One evaluator over all trees raises where the first raising tree does.
+    env = dict(zip(ALPHABET, values))
+    want = [_nested_outcome(e, env) for e in trees]
+    try:
+        got = [v.hex() for v in ex.compile_evaluator(trees, ALPHABET)(values)]
+    except DomainError:
+        got = "raises"
+    assert got == ("raises" if "raises" in want else want)
+
+
 def _floated(e, rng):
     """``e`` rebuilt raw with about half its constants turned into floats, so
     a constant of ``e`` and its float twin are ``==`` where the float is exact."""

@@ -8,6 +8,7 @@ meant to alter the output, regenerate them with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -96,6 +97,8 @@ COMMANDS = {
     "check_homotopy": ["check", "homotopy", "--forms", "2"],
     "integrate_rk4": ["integrate", "--T", "0.05", "--h", "1e-2", "--method", "rk4"],
     "integrate_rk45": ["integrate", "--T", "0.05", "--h", "1e-2", "--method", "rk45"],
+    "integrate_json": ["integrate", "--T", "0.05", "--h", "1e-2", "--method", "rk4",
+                       "--format", "json"],
 }
 
 CASES = [(model, command) for model in MODELS
@@ -106,7 +109,8 @@ CASES += [(model, command) for model in NEGATIVE_MODELS
 CASES += [(model, command) for model in STRESS_MODELS
           for command in ("validate", "bracket", "hamiltonian", "check_jacobi",
                           "check_semispray", "check_spray", "check_prolongation",
-                          "check_homotopy", "integrate_rk4", "integrate_rk45")]
+                          "check_homotopy", "integrate_rk4", "integrate_rk45",
+                          "integrate_json")]
 
 
 def run_case(model: str, command: str, directory: pathlib.Path):
@@ -134,6 +138,59 @@ def test_cli_bytes_match_golden(model, command, tmp_path):
     name = f"{model}__{command}"
     assert code == _expected_codes()[name]
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+#: The long flows of the bench's ``flow`` workload (``bench/workloads.py``),
+#: with the documents copied here and the start point at the workload's
+#: centre: 5,000 rk4 steps, so a change in the last bit of any step shows.
+FLOW_MODELS = {
+    "so3_magnetic": {
+        "n": 3, "r": 3, "rho": SO3_RHO, "C": MODELS["action_so3"]["C"],
+        "L": "1/2*(y1^2+y2^2+y3^2) + x1*y1 + x2*y2 + x3*y3",
+        "Theta": MODELS["action_so3"]["Theta"], "f": "x1^3 + x2*x3",
+    },
+    "stress": {
+        "n": 3, "r": 3, "rho": SO3_RHO, "C": MODELS["action_so3"]["C"],
+        "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2",
+        "Theta": MODELS["action_so3"]["Theta"],
+    },
+    "trig2": {
+        "n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]],
+        "L": "1/2*(y1^2 + (2+sin(x1))*y2^2) + cos(x2)*y1",
+        "Theta": {"1,2": "x1"}, "f": "cos(x1)",
+    },
+}
+
+#: (lines with the header, sha256 of the CSV bytes) of each long flow.
+LONG_FLOWS = {
+    ("so3_magnetic", "rk4", "1e-3"):
+        (5002, "0c161994ebeec59aa7cbb2e897bb58b05867d1c687994468d394fcf644b1ea42"),
+    ("stress", "rk4", "1e-3"):
+        (5002, "548b2238d837b89bf2dd309690aa5425fa5b7a9bf6bd4aff50fe178c4ce9febe"),
+    ("trig2", "rk4", "1e-3"):
+        (5002, "f2c02b7aa05993d233bd7ea35955715317f818a9c87993d870a52980fffc938b"),
+    ("stress", "rk45", "1e-2"):
+        (40, "d45c2c3131a62d101e36c2a3ae41778c2c3b5ad9641e5c03f9cdf70a06af743e"),
+}
+
+
+def run_long_flow(model: str, method: str, h: str, directory: pathlib.Path) -> str:
+    doc = FLOW_MODELS[model]
+    path = directory / f"{model}.json"
+    path.write_text(json.dumps(doc))
+    argv = ["integrate", str(path), "--p0", P0[doc["n"]], "--T", "5", "--h", h,
+            "--method", method, "--format", "csv"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("case", LONG_FLOWS, ids=["-".join(c) for c in LONG_FLOWS])
+def test_long_flow_csv_bytes_are_pinned(case, tmp_path):
+    csv_text = run_long_flow(*case, tmp_path)
+    lines, digest = LONG_FLOWS[case]
+    assert (csv_text.count("\n"), hashlib.sha256(csv_text.encode()).hexdigest()) == (lines, digest)
 
 
 def regenerate(directory: pathlib.Path) -> None:
