@@ -31,9 +31,24 @@ EXIT_FAIL = 1
 EXIT_INPUT = 2
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float as the string ``"inf"``,
+    ``"-inf"`` or ``"nan"``: JSON has no token for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:  # a non-finite float
+        text = json.dumps(_json_safe(payload), indent=2, sort_keys=True)
+    sys.stdout.write(text + "\n")
 
 
 def _lagrangian_data(model: ModelDocument, box, trials, tol, seed):

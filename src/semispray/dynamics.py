@@ -37,11 +37,12 @@ class Trajectory:
         return self.states[-1]
 
     def write_csv(self, stream) -> None:
-        writer = csv.writer(stream)
-        writer.writerow(["t", *self.coords, *self.fibers, "drift"])
-        for t, state, drift in zip(self.times, self.states, self.invariant_drift):
-            writer.writerow([f"{t!r}", *(f"{v!r}" for v in state.x),
-                             *(f"{v!r}" for v in state.y), f"{drift!r}"])
+        # Names may need quoting; a float's repr never does, so a row is the
+        # reprs joined as csv.writer would write them.
+        csv.writer(stream).writerow(["t", *self.coords, *self.fibers, "drift"])
+        stream.writelines(",".join(map(repr, (t, *state.x, *state.y, drift))) + "\r\n"
+                          for t, state, drift in zip(self.times, self.states,
+                                                     self.invariant_drift))
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -79,18 +80,33 @@ def _axpy(state: List[float], scale: float, delta: List[float]) -> List[float]:
 
 def _sup_norm(state: List[float]) -> float:
     """Largest absolute component; inf if one is inf or nan (``max`` can miss a nan)."""
-    if math.isfinite(sum(state)):
-        return max(abs(v) for v in state)
+    if all(map(math.isfinite, state)):
+        return max(map(abs, state))
     return math.inf
 
 
-def _rk4_step(f: Callable, state: List[float], h: float) -> List[float]:
-    k1 = f(state)
-    k2 = f(_axpy(state, 0.5 * h, k1))
-    k3 = f(_axpy(state, 0.5 * h, k2))
-    k4 = f(_axpy(state, h, k3))
-    return [s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-            for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+def _rk4_stepper(f: Callable, dim: int) -> Callable:
+    """The classical RK4 step ``step(state, h)`` for states of ``dim``
+    components, unrolled into straight-line code.  It calls ``f`` four times
+    and does the float operations of the loop form in the same order:
+    ``s + (0.5*h)*k`` for a stage, ``s + (h/6.0)*(a + 2.0*b + 2.0*c + d)``
+    for the step."""
+    def row(template):
+        return ", ".join(template.format(i=i) for i in range(dim))
+
+    source = "\n".join([
+        "def _step(_s, _h):",
+        f"    {row('_s{i}')}, = _s",
+        "    _hh = 0.5 * _h",
+        f"    {row('_a{i}')}, = _f(_s)",
+        f"    {row('_b{i}')}, = _f([{row('_s{i} + _hh * _a{i}')}])",
+        f"    {row('_c{i}')}, = _f([{row('_s{i} + _hh * _b{i}')}])",
+        f"    {row('_d{i}')}, = _f([{row('_s{i} + _h * _c{i}')}])",
+        "    _h6 = _h / 6.0",
+        f"    return [{row('_s{i} + _h6 * (_a{i} + 2.0 * _b{i} + 2.0 * _c{i} + _d{i})')}]"])
+    ns = {"_f": f}
+    exec(source, ns)  # noqa: S102 - source is generated here
+    return ns["_step"]
 
 
 def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
@@ -143,8 +159,9 @@ def integrate(field_on_a: VectorFieldOnA, p0: ex.ChartPoint, T: float, h: float,
         steps = max(1, round(T / h))
         dt = T / steps
         t = 0.0
+        step = _rk4_stepper(f, len(state))
         for _ in range(steps):
-            state = _rk4_step(f, state, dt)
+            state = step(state, dt)
             t += dt
             if _sup_norm(state) > blowup_bound:
                 raise BlowUp(t, _sup_norm(state))

@@ -1061,7 +1061,9 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
 # and the first guard to raise are those of the tree.  The guards are those
 # of ``_guarded_namespace``.  The back ends differ only in how they sum:
 # ``compile_evaluator`` renders Python source with ``+`` (fast, for the flow
-# integrator), ``Program.run`` interprets with ``math.fsum`` (correctly
+# integrator; where Python's own ``/`` and ``**`` raise exactly where their
+# guards would, it writes them and maps their errors to the guards'
+# messages), ``Program.run`` interprets with ``math.fsum`` (correctly
 # rounded whatever the term order, for every verdict, quadrature and probe).
 
 
@@ -1200,39 +1202,90 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     return Program([e]).value(env)
 
 
+#: Nesting depth up to which ``compile_evaluator`` writes a single-use sum
+#: or product into its consumer; a deeper one gets its own temporary, since
+#: Python refuses code nested 200 parentheses deep and its compiler recurses
+#: once per operator of an expression.
+_FOLD_DEPTH = 100
+
+
 def compile_evaluator(exprs: Sequence[Expr], names: Sequence[str]):
     """Compile expressions into one fast ``f(values) -> list[float]``.
 
     ``values`` binds positionally to ``names``.  The source is the
     :class:`Program` of ``exprs`` with ``+`` sums, so results are
     bit-identical to each expression as a nested left-to-right ``+``/``*``
-    formula, and the guards raise where :meth:`Program.run` raises.  Raises
+    formula, and the guards raise where :meth:`Program.run` raises.  A
+    division and a power with a non-negative integer exponent are Python's
+    own ``/`` and ``**``: one ``try`` turns the ``ZeroDivisionError`` and
+    ``OverflowError`` only they can raise into the guards' messages.  A sum
+    or product used once is written into its one consumer: neither can
+    raise, so the first guard to raise stays the same.  Raises
     :class:`UnknownSymbol` for a name outside ``names``.
     """
     index = {n: i for i, n in enumerate(names)}
     program = Program(exprs)
+    consts = program.consts
+    div, power = _GUARDS["_div"], _GUARDS["_pow"]
+    uses = [0] * program.size
+    for a in [a for _slot, _op, args in program.ops for a in args] + program.outputs:
+        if a >= 0:
+            uses[a] += 1
 
     def operand(a: int) -> str:
         if a >= 0:
             return f"_t{a}"
-        value = program.consts[a]
-        # repr gives the bare names inf and nan for non-finite values.
-        return repr(value) if math.isfinite(value) else f"float('{value!r}')"
+        value = consts[a]
+        if not math.isfinite(value):  # repr gives the bare names inf and nan
+            return f"float('{value!r}')"
+        # Parenthesized, since ``-2.0 ** 3.0`` parses as ``-(2.0 ** 3.0)``.
+        return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
 
-    body = [""] * program.size
+    lines = []
     try:
-        for slot, name in program.reads:
-            body[slot] = f"_v[{index[name]}]"
+        lines += [f"_t{slot} = _v[{index[name]}]" for slot, name in program.reads]
     except KeyError as err:
         raise UnknownSymbol(err.args[0], "compiled evaluator") from None
+    pending: dict = {}  # single-use sum or product -> (source, nesting depth)
+
+    def place(args, width: int):
+        """Sources of the operands of an operation on ``width`` of them, and
+        its nesting depth; a pending operand is folded in or written out."""
+        parts, depth = [], 0
+        for a in args:
+            if a in pending:
+                code, inner = pending.pop(a)
+                if width + inner <= _FOLD_DEPTH:
+                    parts.append(f"({code})")
+                    depth = max(depth, inner)
+                    continue
+                lines.append(f"_t{a} = {code}")
+            parts.append(operand(a))
+        return parts, width + depth
+
     for slot, op, args in program.ops:
         if op is math.fsum or op is math.prod:
-            body[slot] = (" + " if op is math.fsum else " * ").join(map(operand, args))
+            parts, depth = place(args, len(args))
+            code = (" + " if op is math.fsum else " * ").join(parts)
+            if uses[slot] == 1:
+                pending[slot] = (code, depth)
+                continue
+        elif op is div or (op is power and consts[args[1]] >= 0):
+            parts, _ = place(args, 2)
+            code = f"{parts[0]} {'/' if op is div else '**'} {parts[1]}"
         else:
-            body[slot] = f"{_GUARD_NAMES[op]}({', '.join(map(operand, args))})"
+            parts, _ = place(args, len(args))
+            code = f"{_GUARD_NAMES[op]}({', '.join(parts)})"
+        lines.append(f"_t{slot} = {code}")
+    outputs = [place([a], 1)[0][0] for a in program.outputs]
     source = "\n".join(["def _compiled(_v):",
-                        *(f"    _t{slot} = {code}" for slot, code in enumerate(body)),
-                        f"    return [{', '.join(map(operand, program.outputs))}]"])
-    ns = dict(_GUARDS)
+                        "    try:",
+                        *(f"        {line}" for line in lines),
+                        f"        return [{', '.join(outputs)}]",
+                        "    except ZeroDivisionError:",
+                        "        raise _DomainError('division by zero') from None",
+                        "    except OverflowError:",
+                        "        raise _DomainError('overflow in power') from None"])
+    ns = dict(_GUARDS, _DomainError=DomainError)
     exec(source, ns)  # noqa: S102 - source is generated here
     return ns["_compiled"]

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -77,6 +78,20 @@ class TestIntegrate:
                                   T=0.5, h=1e-2, method="rk45", invariant=g)
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
         assert len(traj.times) == len(traj.states) == len(traj.invariant_drift)
+
+
+@pytest.mark.parametrize("state,norm", [
+    ([1e308, 1e308], 1e308),
+    ([-1e308, 1e308, -1e308], 1e308),
+    ([0.5, -2.0], 2.0),
+    ([1.0, math.inf], math.inf),
+    ([-math.inf, 1.0], math.inf),
+    ([math.nan, 1.0], math.inf),
+    ([1.0, math.nan], math.inf),
+])
+def test_sup_norm(state, norm):
+    # A finite state whose sum overflows keeps its finite norm.
+    assert dynamics._sup_norm(state) == norm
 
 
 class TestFieldCalls:

@@ -352,6 +352,28 @@ class TestCompile:
         value = reference_value(e, {"x1": 0.3})
         assert fn([0.3]) == [value, value ** 2.0]
 
+    def test_deep_single_use_chain_compiles(self):
+        # Every sum and product is used once, so each would be written into
+        # its consumer; the nesting is capped, and the value is the nested one.
+        e, want = ex.Var("x1"), 0.3
+        for i in range(2000):
+            if i % 2:
+                e, want = ex.Add((e, ex.Var("x2"))), want + 0.7
+            else:
+                e, want = ex.Mul((ex.Var("x2"), e)), 0.7 * want
+        assert ex.compile_evaluator([e], ("x1", "x2"))([0.3, 0.7]) == [want]
+
+    @pytest.mark.parametrize("base", [-2.0, Fraction(-2), -0.0])
+    def test_negative_constant_base(self, base):
+        # ``-2.0 ** 3.0`` would parse as ``-(2.0 ** 3.0)``, and ``-0.0 ** 2.0``
+        # as ``-(0.0 ** 2.0)``.
+        e = ex.Add((ex.Pow(ex.Const(base), Fraction(3)), ex.Var("x1")))
+        f = ex.compile_evaluator([e, ex.Pow(ex.Const(base), Fraction(2))], ("x1",))
+        assert [v.hex() for v in f([1.0])] == [(float(base) ** 3.0 + 1.0).hex(),
+                                               (float(base) ** 2.0).hex()]
+        if base == -2.0:
+            assert f([1.0])[0] == -7.0
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_constant_compiles_to_its_value(self, value):
         e = ex.emul(ex.Const(value), ex.Var("x1"))

@@ -437,3 +437,21 @@ def test_constant_beyond_float_range(tmp_path, capsys, constant, command):
     if command == "integrate":
         assert code == 1 and out == ""
         assert stderr.startswith("error: ") and "out of float range" in stderr
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("seed", ["0", "2", "6"])
+def test_overflowed_residual_prints_as_json(tmp_path, seed):
+    # 10^308*exp(x3) overflows to inf in a product without raising, so the
+    # failing report carries an infinite residual; JSON has no token for it.
+    doc = {"n": 3, "r": 3, "rho": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+           "L": "1/2*(y1^2 + y2^2 + y3^2)", "Theta": {"1,2": "10^308*exp(x3)"}}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(["validate", str(path), "--seed", seed])
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert code == 1 and "inf" in out
+    assert payload["status"] == "fail"
