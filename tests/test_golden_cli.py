@@ -113,19 +113,25 @@ CASES += [(model, command) for model in STRESS_MODELS
                           "integrate_json")]
 
 
-def run_case(model: str, command: str, directory: pathlib.Path):
-    """Run one CLI call in-process; returns (stdout, exit code)."""
-    doc = MODELS[model]
-    path = directory / f"{model}.json"
+def run_cli(name: str, doc: dict, argv, directory: pathlib.Path):
+    """Run one CLI call in-process on ``doc``, saved as ``name.json`` and
+    passed after the command words; returns (stdout, exit code)."""
+    path = directory / f"{name}.json"
     path.write_text(json.dumps(doc))
-    argv = list(COMMANDS[command])
+    argv = list(argv)
     argv.insert(2 if argv[0] == "check" else 1, str(path))
-    if argv[0] == "integrate":
-        argv += ["--p0", P0[doc["n"]]]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
     return out.getvalue(), code
+
+
+def run_case(model: str, command: str, directory: pathlib.Path):
+    doc = MODELS[model]
+    argv = list(COMMANDS[command])
+    if argv[0] == "integrate":
+        argv += ["--p0", P0[doc["n"]]]
+    return run_cli(model, doc, argv, directory)
 
 
 def _expected_codes() -> dict:
@@ -174,22 +180,15 @@ LONG_FLOWS = {
 }
 
 
-def run_long_flow(model: str, method: str, h: str, directory: pathlib.Path) -> str:
-    doc = FLOW_MODELS[model]
-    path = directory / f"{model}.json"
-    path.write_text(json.dumps(doc))
-    argv = ["integrate", str(path), "--p0", P0[doc["n"]], "--T", "5", "--h", h,
-            "--method", method, "--format", "csv"]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert cli.main(argv) == 0
-    return out.getvalue()
-
-
 @pytest.mark.parametrize("case", LONG_FLOWS, ids=["-".join(c) for c in LONG_FLOWS])
 def test_long_flow_csv_bytes_are_pinned(case, tmp_path):
-    csv_text = run_long_flow(*case, tmp_path)
+    model, method, h = case
+    doc = FLOW_MODELS[model]
+    csv_text, code = run_cli(model, doc, ["integrate", "--p0", P0[doc["n"]], "--T", "5",
+                                          "--h", h, "--method", method, "--format", "csv"],
+                             tmp_path)
     lines, digest = LONG_FLOWS[case]
+    assert code == 0
     assert (csv_text.count("\n"), hashlib.sha256(csv_text.encode()).hexdigest()) == (lines, digest)
 
 

@@ -453,5 +453,5 @@ def test_overflowed_residual_prints_as_json(tmp_path, seed):
     path.write_text(json.dumps(doc))
     code, out = run_cli(["validate", str(path), "--seed", seed])
     payload = json.loads(out, parse_constant=_reject_constant)
-    assert code == 1 and "inf" in out
-    assert payload["status"] == "fail"
+    assert code == 1 and payload["status"] == "fail"
+    assert payload["residual_max"] == "inf"
