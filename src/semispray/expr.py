@@ -243,10 +243,13 @@ def _float_key(v: Number) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-ZERO = Const(Fraction(0))
-ONE = Const(Fraction(1))
+_FRACTION_ZERO = Fraction(0)
+_FRACTION_ONE = Fraction(1)
+ZERO = Const(_FRACTION_ZERO)
+ONE = Const(_FRACTION_ONE)
 MINUS_ONE = Const(Fraction(-1))
 _INNER = (Add, Mul, Pow, Div, Func)  # the node types with children
+_DEN = object()  # emul's stack marker: the entry below it is a denominator
 
 
 def as_expr(value) -> Expr:
@@ -285,35 +288,31 @@ def _with_coeff(coeff, core: Expr) -> Expr:
 
 
 def eadd(*args) -> Expr:
-    """Canonical sum of canonical expressions."""
-    const = Fraction(0)
-    buckets: dict = {}
-    order: list = []
-
-    def absorb(e):
-        nonlocal const
+    """Canonical sum of canonical expressions.  Nested sums are flattened left
+    to right; a term whose core nothing merged into is kept as given."""
+    const = _FRACTION_ZERO
+    buckets: dict = {}  # core -> [coefficient, the term while nothing merged]
+    stack = list(reversed(args))
+    while stack:
+        e = stack.pop()
         if isinstance(e, Add):
-            for t in e.terms:
-                absorb(t)
+            stack += reversed(e.terms)
         elif isinstance(e, Const):
             const = const + e.value
         else:
             coeff, core = _split_coeff(e)
-            if core in buckets:
-                buckets[core] = buckets[core] + coeff
+            entry = buckets.get(core)
+            if entry is None:
+                buckets[core] = [coeff, e]
             else:
-                buckets[core] = coeff
-                order.append(core)
-
-    for a in args:
-        absorb(a)
+                entry[0] = entry[0] + coeff
+                entry[1] = None
 
     terms = []
-    for core in order:
-        coeff = buckets[core]
+    for core, (coeff, term) in buckets.items():
         if coeff == 0:
             continue
-        terms.append(_with_coeff(coeff, core))
+        terms.append(_with_coeff(coeff, core) if term is None else term)
     terms.sort(key=Expr.sort_key)
     if const != 0:
         terms.insert(0, Const(const))
@@ -335,30 +334,27 @@ def _expansion_size(factors) -> int:
 
 def emul(*args) -> Expr:
     """Canonical product; distributes over sums below the expansion cap."""
-    const = Fraction(1)
+    const = _FRACTION_ONE
     plain: list = []
     dens: list = []
-
-    def absorb(e):
-        nonlocal const
+    stack = list(reversed(args))
+    while stack:
+        e = stack.pop()
         if isinstance(e, Mul):
-            for f in e.factors:
-                absorb(f)
+            stack += reversed(e.factors)
         elif isinstance(e, Const):
             const = const * e.value
         elif isinstance(e, Div):
-            absorb(e.num)
-            dens.append(e.den)
+            stack += (e.den, _DEN, e.num)  # the denominator goes after the numerator's
+        elif e is _DEN:
+            dens.append(stack.pop())
         else:
             plain.append(e)
-
-    for a in args:
-        absorb(a)
     if const == 0:
         return ZERO
     if dens:
         num = _mul_plain(const, plain)
-        return ediv(num, _mul_plain(Fraction(1), dens))
+        return ediv(num, _mul_plain(_FRACTION_ONE, dens))
     return _mul_plain(const, plain)
 
 
@@ -506,7 +502,7 @@ def epow(base: Expr, exponent) -> Expr:
 
 def _factor_map(e: Expr):
     """Decompose a canonical Add-free expression into (const, {base: exp})."""
-    const = Fraction(1)
+    const = _FRACTION_ONE
     powers: dict = {}
     stack = [e]
     while stack:
@@ -516,9 +512,9 @@ def _factor_map(e: Expr):
         elif isinstance(f, Const):
             const = const * f.value
         elif isinstance(f, Pow):
-            powers[f.base] = powers.get(f.base, Fraction(0)) + f.exponent
+            powers[f.base] = powers.get(f.base, _FRACTION_ZERO) + f.exponent
         else:
-            powers[f] = powers.get(f, Fraction(0)) + 1
+            powers[f] = powers.get(f, _FRACTION_ZERO) + 1
     return const, powers
 
 
@@ -528,7 +524,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
             raise DomainError("division by literal zero")
-        return emul(Const(1 / den.value if isinstance(den.value, float) else Fraction(1) / den.value), num)
+        return emul(Const(1 / den.value if isinstance(den.value, float) else _FRACTION_ONE / den.value), num)
     if is_zero_literal(num):
         return ZERO
     if num == den:
@@ -558,7 +554,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
         c = den.factors[0].value
         rest = den.factors[1:]
         stripped = rest[0] if len(rest) == 1 else Mul(rest)
-        return ediv(emul(Const(Fraction(1) / c if not isinstance(c, float) else 1.0 / c), num), stripped)
+        return ediv(emul(Const(_FRACTION_ONE / c if not isinstance(c, float) else 1.0 / c), num), stripped)
 
     return Div(num, den)
 
@@ -605,18 +601,12 @@ def diff(e: Expr, var) -> Expr:
 
 def _memoized(step, e: Expr, arg):
     """``step(node, arg, result)`` once per structurally distinct subtree of
-    ``e``, children first; returns ``e``'s.  The memo lives for this call and
-    matches on sort keys, which tell ``Const(2.0)`` from ``Const(2)``."""
-    memo: dict = {}  # hash -> [(subtree, result)]
-
-    def result(node):
-        if not isinstance(node, _INNER):  # a leaf: cheaper to redo than to look up
-            return step(node, arg, result)
-        for seen, out in memo.get(node._hash, ()):
-            if seen is node or seen.sort_key() == node.sort_key():
-                return out
-        return None
-
+    ``e``, children first; returns ``e``'s.  ``result`` is a :class:`_Memo`,
+    which holds no reference back to itself, so the memo is freed as soon as
+    the call returns.  The memo matches on sort keys, which tell
+    ``Const(2.0)`` from ``Const(2)``."""
+    result = _Memo(step, arg)
+    memo = result.memo
     stack = [e]
     while stack:
         node = stack.pop()
@@ -627,6 +617,26 @@ def _memoized(step, e: Expr, arg):
             stack += (node, None)
             stack += reversed(node._fields())
     return result(e)
+
+
+class _Memo:
+    """``result(node)`` of :func:`_memoized`: a leaf's step redone, an inner
+    node's memoized step, or None for an inner node not done yet."""
+
+    __slots__ = ("step", "arg", "memo")
+
+    def __init__(self, step, arg):
+        self.step = step
+        self.arg = arg
+        self.memo: dict = {}  # hash -> [(subtree, result)]
+
+    def __call__(self, node):
+        if not isinstance(node, _INNER):  # a leaf: cheaper to redo than to look up
+            return self.step(node, self.arg, self)
+        for seen, out in self.memo.get(node._hash, ()):
+            if seen is node or seen.sort_key() == node.sort_key():
+                return out
+        return None
 
 
 def _diff(e: Expr, name: str, result) -> Expr:

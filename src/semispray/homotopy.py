@@ -51,10 +51,11 @@ class FiberIntegral:
     evaluation uses adaptive Simpson quadrature.
     """
 
-    __slots__ = ("integrand",)
+    __slots__ = ("integrand", "_value")
 
     def __init__(self, integrand: ex.Expr):
         self.integrand = ex.simplify(integrand)
+        self._value = None  # the compiled integrand, built on first evaluation
 
     def diff(self, name: str) -> "FiberIntegral":
         if name == TVAR:
@@ -67,7 +68,9 @@ class FiberIntegral:
         return FiberIntegral(ex.subs(self.integrand, mapping))
 
     def evaluate(self, env: dict, tol: float = 1e-10) -> float:
-        value = ex.Program([self.integrand]).value
+        if self._value is None:
+            self._value = ex.Program([self.integrand]).value
+        value = self._value
         local = dict(env)
 
         def f(t):
@@ -86,21 +89,21 @@ Coefficient = Union[ex.Expr, FiberIntegral]
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) -> float:
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_refine(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
 
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth:
-            raise QuadratureFailure(f"maximum refinement depth reached on [{a}, {b}]")
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return (recurse(a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-                + recurse(m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
 
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
+def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, depth, max_depth) -> float:
+    m = 0.5 * (a + b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth >= max_depth:
+        raise QuadratureFailure(f"maximum refinement depth reached on [{a}, {b}]")
+    if abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return (_simpson_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1, max_depth)
+            + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1, max_depth))
 
 
 def cneg(value: Coefficient) -> Coefficient:

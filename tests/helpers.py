@@ -2,6 +2,8 @@
 substitution and derivative walkers, finite differences, and
 zero-assertion helpers."""
 
+import contextlib
+import gc
 import math
 import random
 from fractions import Fraction
@@ -198,3 +200,24 @@ def assert_certified_zero(e, tol=1e-9, seed=0, box=None, trials=64):
     assert result.status is not ZeroStatus.NONZERO, (
         f"nonzero: |{result.witness_value}| at {result.witness}")
     return result
+
+
+@contextlib.contextmanager
+def cyclic_garbage():
+    """Run the block with the cyclic collector off and ``gc.DEBUG_SAVEALL``
+    set; the yielded list then receives every object that only the cyclic
+    collector could free.  The collector's state is restored on exit."""
+    gc.collect()
+    enabled, debug, saved = gc.isenabled(), gc.get_debug(), len(gc.garbage)
+    gc.disable()
+    gc.set_debug(debug | gc.DEBUG_SAVEALL)
+    found = []
+    try:
+        yield found
+        gc.collect()
+        found.extend(gc.garbage[saved:])
+    finally:
+        del gc.garbage[saved:]
+        gc.set_debug(debug)
+        if enabled:
+            gc.enable()

@@ -10,7 +10,7 @@ from semispray import expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
-from helpers import (assert_certified_zero, central_difference, constant_types,
+from helpers import (COEFFS, assert_certified_zero, central_difference, constant_types,
                      random_raw_tree, reference_diff, reference_subs, reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
@@ -593,6 +593,130 @@ class TestMemoizedWalkers:
         got = ex.diff(f, "x1")
         assert _rebuilt(lambda: got) == _rebuilt(lambda: reference_diff(f, "x1"))
         assert ex.to_text(got) == "-2*exp(x1)*sin(2*exp(x1)) + 2.0*cos(2.0*exp(x1))*exp(x1)"
+
+
+def _closure_eadd(*args):
+    """The former ``eadd``, which flattened with a recursive closure and
+    rebuilt every term from its coefficient and core: the reference for the
+    canonical form of the stack-based one."""
+    const = Fraction(0)
+    buckets = {}
+    order = []
+
+    def absorb(e):
+        nonlocal const
+        if isinstance(e, ex.Add):
+            for t in e.terms:
+                absorb(t)
+        elif isinstance(e, ex.Const):
+            const = const + e.value
+        else:
+            coeff, core = ex._split_coeff(e)
+            if core in buckets:
+                buckets[core] = buckets[core] + coeff
+            else:
+                buckets[core] = coeff
+                order.append(core)
+
+    for a in args:
+        absorb(a)
+    terms = [ex._with_coeff(buckets[core], core) for core in order if buckets[core] != 0]
+    terms.sort(key=ex.Expr.sort_key)
+    if const != 0:
+        terms.insert(0, ex.Const(const))
+    if not terms:
+        return ex.ZERO
+    return terms[0] if len(terms) == 1 else ex.Add(tuple(terms))
+
+
+def _closure_emul(*args):
+    """The former ``emul``, which flattened with a recursive closure."""
+    const = Fraction(1)
+    plain, dens = [], []
+
+    def absorb(e):
+        nonlocal const
+        if isinstance(e, ex.Mul):
+            for f in e.factors:
+                absorb(f)
+        elif isinstance(e, ex.Const):
+            const = const * e.value
+        elif isinstance(e, ex.Div):
+            absorb(e.num)
+            dens.append(e.den)
+        else:
+            plain.append(e)
+
+    for a in args:
+        absorb(a)
+    if const == 0:
+        return ex.ZERO
+    if dens:
+        return ex.ediv(ex._mul_plain(const, plain), ex._mul_plain(Fraction(1), dens))
+    return ex._mul_plain(const, plain)
+
+
+FLOAT_COEFFS = [0.1, 0.2, 0.3, 2.0, -0.5, 1.0 / 3.0, 1e-3]
+
+
+@st.composite
+def canonical_operands(draw):
+    """Operands of ``eadd`` (``kind == "add"``) or ``emul``: canonical terms
+    over a few shared cores, each core beside its float twin (``Const(2.0)``
+    beside ``Const(2)``), products of several float and rational
+    coefficients, and raw sums (products and quotients for ``emul``) nesting
+    them, whose flattening order decides how float coefficients round."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    kind = draw(st.sampled_from(["add", "mul"]))
+    cores = [ex.Var("x1")]
+    for _ in range(rng.randint(1, 3)):
+        raw = random_raw_tree(rng, ALPHABET, depth=rng.randint(1, 3))
+        try:
+            cores += [ex.simplify(raw), ex.simplify(_floated(raw, rng))]
+        except DomainError:  # a constant 0 to a negative power
+            pass
+
+    def coeff():
+        return ex.Const(rng.choice(FLOAT_COEFFS) if rng.random() < 0.6 else rng.choice(COEFFS))
+
+    def operand(depth):
+        pick = rng.randrange(5 if depth else 3)
+        if pick == 0:
+            return coeff()
+        if pick == 1:
+            return rng.choice(cores)
+        if pick == 2:
+            return ex.emul(*(coeff() for _ in range(rng.randint(1, 3))), rng.choice(cores))
+        parts = tuple(operand(depth - 1) for _ in range(rng.randint(2, 3)))
+        if kind == "add":
+            return ex.Add(parts)
+        if pick == 3:
+            return ex.Mul(parts)
+        # Nested quotients: their constant denominators fold by multiplication
+        # in flattening order, innermost first.
+        quotient = ex.Mul(parts)
+        for _ in range(rng.randint(1, 3)):
+            quotient = ex.Div(quotient, coeff() if rng.random() < 0.7 else operand(depth - 1))
+        return quotient
+
+    return kind, [operand(2) for _ in range(rng.randint(1, 5))]
+
+
+def _canonical_form(run):
+    """Sort key and text of a canonical result, or the class of its error."""
+    try:
+        e = run()
+    except DomainError as err:
+        return type(err).__name__
+    return e.sort_key(), ex.to_text(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_operands())
+def test_stack_constructors_match_closure_reference(case):
+    kind, args = case
+    new, old = (ex.eadd, _closure_eadd) if kind == "add" else (ex.emul, _closure_emul)
+    assert _canonical_form(lambda: new(*args)) == _canonical_form(lambda: old(*args))
 
 
 def test_sum_of_infinities_is_a_domain_error():

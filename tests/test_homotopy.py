@@ -61,6 +61,17 @@ class TestSkewStore:
         assert ceval(block.coeffs[((), (0, 1))], env) == -ceval(value, env)
         assert ceval(block.get((), (1, 0)), env) == ceval(value, env)
 
+    def test_fiber_integral_compiles_its_integrand_once(self, monkeypatch):
+        # A check evaluates the same integral at every sample point.
+        built = []
+        build = ex.Program.__init__
+        monkeypatch.setattr(ex.Program, "__init__",
+                            lambda self, exprs: built.append(exprs) or build(self, exprs))
+        value = ho.FiberIntegral(ex.parse("exp(_t*y1)", ("_t", "y1")))
+        got = [value.evaluate({"y1": y}) for y in (0.5, 1.0)]
+        assert len(built) == 1
+        assert got == [pytest.approx(math.expm1(y) / y, rel=1e-9) for y in (0.5, 1.0)]
+
 
 class TestPsiStar:
     def test_degree_zero_rescales_fibers(self, rank2):

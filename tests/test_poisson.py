@@ -1,14 +1,20 @@
+import collections
+import contextlib
 import inspect
+import io
 import itertools
+import json
 import random
+import types
+from fractions import Fraction
 
 import pytest
 
-from semispray import algebroid, expr as ex
-from semispray import lagrangian, poisson, twoform
+from semispray import algebroid, cli, expr as ex
+from semispray import homotopy, lagrangian, poisson, twoform
 from semispray.report import ZeroStatus
 
-from helpers import assert_proven_zero, random_polynomial
+from helpers import assert_proven_zero, cyclic_garbage, random_polynomial
 
 
 def bracket_bundle(fixture, theta=None, data=None):
@@ -253,6 +259,33 @@ def test_expression_kernel_keeps_no_cache(stress):
     assert {f.__name__: list(inspect.signature(f).parameters)
             for f in (ex.subs, ex.simplify, ex.diff)} == {
         "subs": ["e", "mapping"], "simplify": ["e"], "diff": ["e", "var"]}
+
+
+def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
+    # Everything a kernel call allocates is freed by reference counting, so
+    # the cyclic collector never has to trace the trees a check builds.
+    # What remains is the CLI's argparse parser, which is not the kernel's.
+    doc = {"n": 3, "r": 3, "rho": [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]],
+           "C": {"3,1,2": "1", "2,1,3": "-1", "1,2,3": "1"}, "L": STRESS_L,
+           "Theta": {"1,2": "x3", "1,3": "-x2", "2,3": "x1"}}
+    path = tmp_path / "stress.json"
+    path.write_text(json.dumps(doc))
+    x1, y1 = ex.Var("x1"), ex.Var("y1")
+    integral = homotopy.FiberIntegral(ex.efunc("exp", ex.emul(ex.Var(homotopy.TVAR), x1)))
+    with cyclic_garbage() as found:
+        e = ex.emul(ex.eadd(x1, ex.Const(2.0), y1), ex.ediv(ex.Const(3), ex.eadd(x1, y1)), x1)
+        ex.simplify(ex.eadd(e, ex.diff(e, "x1"), stress.lagrangian))
+        _, p = bracket_bundle(stress, theta=stress.theta)
+        poisson.check_jacobi(p, trials=4, seed=1)
+        integral.evaluate({"x1": 0.5})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", "semispray", str(path), "--seed", "1"]) == 0
+    kernel = collections.Counter(
+        o.__qualname__ if isinstance(o, types.FunctionType) else type(o).__name__
+        for o in found
+        if isinstance(o, (ex.Expr, Fraction))
+        or isinstance(o, types.FunctionType) and o.__module__.startswith("semispray"))
+    assert kernel == {}
 
 
 @pytest.fixture(scope="module", params=[("so3", True), ("cotangent", True),
