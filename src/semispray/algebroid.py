@@ -40,38 +40,31 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], i
     return tuple(idx), sign
 
 
-def c_is_structural_zero(value) -> bool:
-    """True for the literal zero expression; other values, such as
-    unevaluated fiber integrals, are never structurally zero."""
-    return isinstance(value, ex.Expr) and ex.is_zero_literal(value)
-
-
 def skew_coeffs(pairs: Iterable[Tuple], canon, neg, add) -> dict:
     """The skew-coefficient store shared by every form class.
 
     ``pairs`` yields ``(key, value)``; a key may repeat.  ``canon(key)``
     returns the sorted key and the sign of the sorting permutation, 0 when an
-    index repeats (such entries vanish).  Expression values are simplified,
-    negated for an odd permutation and accumulated per sorted key; keys whose
-    total is a structural zero are dropped, including totals that cancel.
-    ``neg``/``add`` are the coefficient arithmetic (``ex.eneg``/``ex.eadd``
-    for plain expressions).
+    index repeats (such entries vanish).  Values, canonical trees or fiber
+    integrals, are negated for an odd permutation and accumulated per sorted
+    key; keys whose total is the literal 0 are dropped, including totals
+    that cancel (a fiber integral never is).  ``neg``/``add`` are the
+    coefficient arithmetic (``ex.eneg``/``ex.eadd`` for plain expressions).
     """
     out = {}
     for key, value in pairs:
         key, sign = canon(key)
         if sign == 0:
             continue
-        if isinstance(value, ex.Expr):
-            value = ex.simplify(value)
         if sign < 0:
             value = neg(value)
         out[key] = add(out[key], value) if key in out else value
-    return {key: value for key, value in out.items() if not c_is_structural_zero(value)}
+    return {key: value for key, value in out.items() if not ex.is_zero_literal(value)}
 
 
 class AlgebroidChart:
-    """One adapted chart of a Lie algebroid."""
+    """One adapted chart of a Lie algebroid.  ``rho`` and ``structure`` take
+    numbers or canonical trees (:func:`expr.simplify` is for raw-node ones)."""
 
     def __init__(self, coords: Sequence[str], fibers: Sequence[str],
                  rho: Sequence[Sequence[ex.Expr]],
@@ -86,7 +79,7 @@ class AlgebroidChart:
         for row in rho:
             if len(row) != len(self.fibers):
                 raise ValueError("rho must have one column per frame section")
-        self.rho = [[ex.simplify(ex.as_expr(v)) for v in row] for row in rho]
+        self.rho = [[ex.as_expr(v) for v in row] for row in rho]
 
         allowed = set(self.coords) | set(self.params)
         for i, row in enumerate(self.rho):
@@ -100,7 +93,7 @@ class AlgebroidChart:
         for (k, i, j), value in structure.items():
             if not (0 <= k < r and 0 <= i < j < r):
                 raise ValueError(f"bad structure index (k,i,j)=({k},{i},{j}); need i < j")
-            value = ex.simplify(ex.as_expr(value))
+            value = ex.as_expr(value)
             bad = ex.free_symbols(value) - allowed
             if bad:
                 raise ValueError(f"C[{k},{i},{j}] depends on non-base symbol {sorted(bad)[0]!r}")
@@ -340,15 +333,15 @@ def cotangent_poisson(pi: Sequence[Sequence[ex.Expr]],
     n = len(pi)
     coords = [f"x{i + 1}" for i in range(n)]
     fibers = [f"p{i + 1}" for i in range(n)]
-    pi = [[ex.simplify(ex.as_expr(v)) for v in row] for row in pi]
-    metric = [[ex.simplify(ex.as_expr(v)) for v in row] for row in metric]
+    pi = [[ex.as_expr(v) for v in row] for row in pi]
+    metric = [[ex.as_expr(v) for v in row] for row in metric]
     if len(metric) != n or any(len(row) != n for row in pi + metric):
         raise InvalidFixtureParam("pi and metric must be square of equal size")
     for i in range(n):
         for j in range(n):
-            if ex.simplify(ex.eadd(pi[i][j], pi[j][i])) != ex.ZERO:
+            if ex.eadd(pi[i][j], pi[j][i]) != ex.ZERO:
                 raise InvalidFixtureParam(f"pi is not skew at ({i + 1},{j + 1})")
-            if ex.simplify(ex.eadd(metric[i][j], ex.eneg(metric[j][i]))) != ex.ZERO:
+            if ex.eadd(metric[i][j], ex.eneg(metric[j][i])) != ex.ZERO:
                 raise InvalidFixtureParam(f"metric is not symmetric at ({i + 1},{j + 1})")
     rho = [[ex.eneg(pi[i][j]) for j in range(n)] for i in range(n)]
     structure = {}

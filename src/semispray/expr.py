@@ -13,6 +13,10 @@ always return canonical trees:
   (bounded by ``EXPAND_TERM_CAP``), so polynomial identities cancel to the
   literal zero.
 
+Their outputs, and those of ``diff``, ``subs`` and ``parse``, are fixed points
+of :func:`simplify`.  Only this module builds the raw node classes, so no other
+re-canonicalizes; :func:`simplify` is for trees built from raw nodes.
+
 No trigonometric rewriting, factorization, or root denesting is attempted;
 identities outside the polynomial fragment are certified probabilistically by
 :func:`is_zero`.
@@ -128,7 +132,8 @@ class Const(Expr):
         object.__setattr__(self, "_key", None)
 
     def _fields(self):
-        return (self.value,)
+        v = self.value  # -0.0 == 0, but one program slot for both would be wrong
+        return (v, "-") if isinstance(v, float) and not v and math.copysign(1, v) < 0 else (v,)
 
     def _make_key(self):
         v = self.value
@@ -282,6 +287,8 @@ def _with_coeff(coeff, core: Expr) -> Expr:
         return ZERO
     if coeff == 1:
         return core
+    if isinstance(core, Div):  # the coefficient joins the numerator, as in ``emul``
+        return emul(Const(coeff), core)
     if isinstance(core, Mul):
         return Mul((Const(coeff),) + core.factors)
     return Mul((Const(coeff), core))
@@ -308,11 +315,13 @@ def eadd(*args) -> Expr:
                 entry[0] = entry[0] + coeff
                 entry[1] = None
 
-    terms = []
+    terms, requoted = [], False
     for core, (coeff, term) in buckets.items():
-        if coeff == 0:
-            continue
-        terms.append(_with_coeff(coeff, core) if term is None else term)
+        if coeff != 0:
+            requoted = requoted or (term is None and isinstance(core, Div))
+            terms.append(_with_coeff(coeff, core) if term is None else term)
+    if requoted and len({_split_coeff(t)[1] for t in terms}) < len(terms):
+        return eadd(Const(const), *terms)  # a merged quotient is now another term's core
     terms.sort(key=Expr.sort_key)
     if const != 0:
         terms.insert(0, Const(const))
@@ -368,10 +377,8 @@ def _mul_plain(const, plain) -> Expr:
         if isinstance(f, Add):
             adds.append(f)
             continue
-        if isinstance(f, Pow) and not isinstance(f.base, Add):
-            base, exp = f.base, f.exponent
-        else:
-            base, exp = f, ONE.value
+        base = _power_base(f)
+        exp = ONE.value if base is f else f.exponent
         if base in powers:
             powers[base] = powers[base] + exp
         else:
@@ -379,25 +386,21 @@ def _mul_plain(const, plain) -> Expr:
             order.append(base)
 
     factors = []
+    refolded = []
     for base in order:
         merged = base if powers[base] == 1 else epow(base, powers[base])
         if isinstance(merged, Const):
             const = const * merged.value
             if const == 0:
                 return ZERO
-        elif isinstance(merged, Mul):
-            # A merged power may itself refold (rare); absorb its pieces.
-            for g in merged.factors:
-                if isinstance(g, Const):
-                    const = const * g.value
-                elif isinstance(g, Add):
-                    adds.append(g)
-                else:
-                    factors.append(g)
         elif isinstance(merged, Add):
             adds.append(merged)
+        elif isinstance(merged, (Mul, Div)) or _power_base(merged) != base:
+            refolded.append(merged)
         else:
             factors.append(merged)
+    if refolded:  # a merged power refolded into other bases (rare): merge again
+        return emul(Const(const), *factors, *adds, *refolded)
 
     if adds and _expansion_size(factors + adds) <= EXPAND_TERM_CAP:
         partial = [_with_coeff(const, factors[0] if len(factors) == 1
@@ -412,7 +415,7 @@ def _mul_plain(const, plain) -> Expr:
         for a in adds:
             counts[a] = counts.get(a, 0) + 1
         for a, count in counts.items():
-            factors.append(a if count == 1 else Pow(a, Fraction(count)))
+            factors.append(epow(a, count))
 
     factors.sort(key=Expr.sort_key)
     if not factors:
@@ -420,6 +423,11 @@ def _mul_plain(const, plain) -> Expr:
     if const == 1:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
     return Mul((Const(const),) + tuple(factors))
+
+
+def _power_base(f: Expr) -> Expr:
+    """The base ``_mul_plain`` merges ``f`` under; a power of a sum is its own."""
+    return f.base if isinstance(f, Pow) and not isinstance(f.base, Add) else f
 
 
 def _rational_root(value: Fraction, q: int):
@@ -524,7 +532,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
             raise DomainError("division by literal zero")
-        return emul(Const(1 / den.value if isinstance(den.value, float) else _FRACTION_ONE / den.value), num)
+        return emul(Const(1 / den.value), num)
     if is_zero_literal(num):
         return ZERO
     if num == den:
@@ -551,10 +559,8 @@ def ediv(num: Expr, den: Expr) -> Expr:
             return ediv(new_num, new_den)
 
     if isinstance(den, Mul) and isinstance(den.factors[0], Const):
-        c = den.factors[0].value
-        rest = den.factors[1:]
-        stripped = rest[0] if len(rest) == 1 else Mul(rest)
-        return ediv(emul(Const(_FRACTION_ONE / c if not isinstance(c, float) else 1.0 / c), num), stripped)
+        c, stripped = _split_coeff(den)
+        return ediv(emul(Const(1 / c), num), stripped)
 
     return Div(num, den)
 
@@ -563,18 +569,15 @@ def eneg(e: Expr) -> Expr:
     return emul(MINUS_ONE, e)
 
 
+_EXACT_VALUES = {("sin", 0): ZERO, ("cos", 0): ONE, ("exp", 0): ONE, ("log", 1): ZERO}
+
+
 def efunc(name: str, arg: Expr) -> Expr:
     """Canonical elementary function application with exact constant folds."""
     if isinstance(arg, Const) and not isinstance(arg.value, float):
         v = arg.value
-        if name == "sin" and v == 0:
-            return ZERO
-        if name == "cos" and v == 0:
-            return ONE
-        if name == "exp" and v == 0:
-            return ONE
-        if name == "log" and v == 1:
-            return ZERO
+        if (name, v) in _EXACT_VALUES:
+            return _EXACT_VALUES[name, v]
         if name == "sqrt":
             root = _rational_root(v, 2)
             if root is not None:
@@ -585,7 +588,8 @@ def efunc(name: str, arg: Expr) -> Expr:
 
 
 def simplify(e: Expr) -> Expr:
-    """Rebuild ``e`` through the canonical constructors."""
+    """Rebuild ``e``, built from raw nodes, through the canonical constructors;
+    a constructor output comes back unchanged."""
     return subs(e, {})
 
 
@@ -999,16 +1003,16 @@ def _require_tol(tol: float) -> None:
 
 def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
             seed: int = 0, params: Mapping[str, float] = None) -> ZeroResult:
-    """Decide whether ``e`` vanishes identically.
+    """Decide whether the canonical tree ``e`` vanishes identically (a tree
+    built from raw nodes goes through :func:`simplify` first).
 
-    ``ProvenZero`` iff the canonical form is the literal 0.  Otherwise the
-    expression is sampled by :func:`sample_zero` over its free symbols;
-    ``params`` are bound to fixed values instead of being sampled.
+    ``ProvenZero`` iff ``e`` is the literal 0.  Otherwise the expression is
+    sampled by :func:`sample_zero` over its free symbols; ``params`` are
+    bound to fixed values instead of being sampled.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     _require_tol(tol)
-    e = simplify(e)
     if is_zero_literal(e):
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
     params = dict(params or {})

@@ -31,8 +31,7 @@ from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from . import expr as ex
-from .algebroid import (AlgebroidChart, c_is_structural_zero, skew_coeffs, sort_with_sign,
-                        tangent)
+from .algebroid import AlgebroidChart, skew_coeffs, sort_with_sign, tangent
 from .errors import NotClosed, QuadratureFailure
 from .report import ValidationReport, ZeroResult, ZeroStatus
 
@@ -47,14 +46,15 @@ TVAR = "_t"
 class FiberIntegral:
     """``int_0^1 integrand d_t`` kept unevaluated.
 
-    Differentiation in chart variables passes under the integral sign;
-    evaluation uses adaptive Simpson quadrature.
+    The integrand is a canonical tree (:func:`expr.simplify` is for a
+    raw-node one).  Differentiation in chart variables passes under the
+    integral sign; evaluation uses adaptive Simpson quadrature.
     """
 
     __slots__ = ("integrand", "_value")
 
     def __init__(self, integrand: ex.Expr):
-        self.integrand = ex.simplify(integrand)
+        self.integrand = integrand
         self._value = None  # the compiled integrand, built on first evaluation
 
     def diff(self, name: str) -> "FiberIntegral":
@@ -154,7 +154,6 @@ def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
                 rest.append(f)
         return ex.emul(ex.Const(Fraction(1, power + 1)), *rest)
 
-    e = ex.simplify(e)
     if isinstance(e, ex.Add):
         pieces = [term(t) for t in e.terms]
         if any(p is None for p in pieces):
@@ -275,7 +274,7 @@ def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
             pieces = []
             for j in range(chart.r):
                 value = block.get(idx_i, (j,) + rest)
-                if c_is_structural_zero(value):
+                if ex.is_zero_literal(value):
                     continue
                 if isinstance(value, FiberIntegral):
                     raise ValueError("radial integral of an unevaluated fiber integral is not supported")

@@ -84,6 +84,9 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
           tol: float = 1e-9, seed: int = 0, params: dict = None) -> LagrangianData:
     """Derive Hessian, inverse, fiber derivative, and energy from ``L``.
 
+    ``lagrangian`` is source text or a canonical tree (:func:`expr.simplify`
+    is for a raw-node one).
+
     The Hessian determinant must stay away from zero on the probe set of
     :func:`probe_determinant`, else :class:`SingularHessian` carries the
     witness point.  The Hessian inverse is exact for ranks up to
@@ -91,14 +94,13 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
     """
     if isinstance(lagrangian, str):
         lagrangian = chart.parse(lagrangian)
-    lagrangian = ex.simplify(lagrangian)
 
     fibers = chart.fibers
     theta = [ex.diff(lagrangian, nm) for nm in fibers]
     hessian = [[ex.diff(theta[i], fibers[j]) for j in range(chart.r)] for i in range(chart.r)]
     energy = ex.eadd(*(ex.emul(ex.Var(nm), theta[k]) for k, nm in enumerate(fibers)),
                      ex.eneg(lagrangian))
-    det = ex.simplify(linalg.det(hessian))
+    det = linalg.det(hessian)
 
     if ex.is_zero_literal(det):
         witness = {"detM": 0.0}

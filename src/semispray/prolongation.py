@@ -60,8 +60,8 @@ class ProlongSection:
         if len(a) != chart.r or len(b) != chart.r:
             raise ValueError("component counts must equal the chart rank")
         self.chart = chart
-        self.a = [ex.simplify(ex.as_expr(v)) for v in a]
-        self.b = [ex.simplify(ex.as_expr(v)) for v in b]
+        self.a = [ex.as_expr(v) for v in a]
+        self.b = [ex.as_expr(v) for v in b]
 
     @property
     def is_vertical(self) -> bool:
@@ -309,7 +309,7 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     if omega.degree != 2:
         raise DegreeError("Hamiltonian sections need a degree-2 section")
     r = chart.r
-    g = ex.simplify(ex.as_expr(hamiltonian))
+    g = ex.as_expr(hamiltonian)
     dg_e = [chart.anchor_derivative(j, g) for j in range(r)]
     dg_u = [ex.diff(g, nm) for nm in chart.fibers]
 
@@ -321,7 +321,7 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     if len(matrix) > 4:
         raise ValueError(f"symbolic solve supports {'rank' if uu_zero else 'total rank'} <= 4; "
                          "use hamiltonian_section_at")
-    det = ex.simplify(linalg.det(matrix))
+    det = linalg.det(matrix)
     if ex.is_zero_literal(det):
         raise DegenerateForm({"det": 0.0})
     if check:
@@ -376,7 +376,7 @@ class EhresmannConn:
             gamma = [[ex.ZERO] * r for _ in range(r)]
         if len(gamma) != r or any(len(row) != r for row in gamma):
             raise ValueError("gamma must be an r x r matrix")
-        self.gamma = [[ex.simplify(ex.as_expr(v)) for v in row] for row in gamma]
+        self.gamma = [[ex.as_expr(v) for v in row] for row in gamma]
 
 
 def _change_coframe(coeffs, letters) -> dict:
@@ -550,7 +550,7 @@ def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
     if data.Minv is None:
         raise ValueError("the vertical correction needs the exact Hessian inverse")
     r = chart.r
-    f = ex.ZERO if base_potential is None else ex.simplify(ex.as_expr(base_potential))
+    f = ex.ZERO if base_potential is None else ex.as_expr(base_potential)
     y = [ex.Var(nm) for nm in chart.fibers]
     rhs = []
     for j in range(r):

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 import random
 from fractions import Fraction
 
@@ -507,6 +509,18 @@ def test_compiled_division_and_powers_match_nested_code(trees, values):
     assert got == ("raises" if "raises" in want else want)
 
 
+def test_signed_zero_constants_keep_their_own_slots():
+    # -0.0 == 0, but a program sharing one slot for both computed -0.0 + 0
+    # and 0*x1 as -0.0, where the nested code gives 0.0.
+    x1 = ex.Var("x1")
+    trees = [ex.Add((ex.Const(-0.0), ex.Const(Fraction(0)))),
+             ex.Mul((ex.Const(-0.0), x1)), ex.Mul((ex.ZERO, x1))]
+    values = [1.0] * len(ALPHABET)
+    want = [_nested_outcome(e, dict(zip(ALPHABET, values))) for e in trees]
+    assert want == ["0x0.0p+0", "-0x0.0p+0", "0x0.0p+0"]
+    assert [v.hex() for v in ex.compile_evaluator(trees, ALPHABET)(values)] == want
+
+
 def _floated(e, rng):
     """``e`` rebuilt raw with about half its constants turned into floats, so
     a constant of ``e`` and its float twin are ``==`` where the float is exact."""
@@ -598,7 +612,9 @@ class TestMemoizedWalkers:
 def _closure_eadd(*args):
     """The former ``eadd``, which flattened with a recursive closure and
     rebuilt every term from its coefficient and core: the reference for the
-    canonical form of the stack-based one."""
+    canonical form of the stack-based one.  A merged quotient takes its
+    coefficient into its numerator and may then be another term's core, so
+    the sum is merged again until every core is distinct."""
     const = Fraction(0)
     buckets = {}
     order = []
@@ -621,6 +637,8 @@ def _closure_eadd(*args):
     for a in args:
         absorb(a)
     terms = [ex._with_coeff(buckets[core], core) for core in order if buckets[core] != 0]
+    if len({ex._split_coeff(t)[1] for t in terms}) < len(terms):
+        return _closure_eadd(ex.Const(const), *terms)
     terms.sort(key=ex.Expr.sort_key)
     if const != 0:
         terms.insert(0, ex.Const(const))
@@ -717,6 +735,111 @@ def test_stack_constructors_match_closure_reference(case):
     kind, args = case
     new, old = (ex.eadd, _closure_eadd) if kind == "add" else (ex.emul, _closure_emul)
     assert _canonical_form(lambda: new(*args)) == _canonical_form(lambda: old(*args))
+
+
+@st.composite
+def canonical_pairs(draw):
+    """Two constructor outputs, with float and rational constants and
+    fractional powers, and a variable name."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+
+    def tree():
+        while True:
+            raw = random_raw_tree(rng, ALPHABET, depth=rng.randint(1, 3))
+            if rng.random() < 0.5:
+                raw = _floated(raw, rng)
+            if rng.random() < 0.3:
+                raw = ex.Pow(raw, Fraction(1, 2))
+            try:
+                return ex.simplify(raw)
+            except DomainError:  # a constant 0 to a negative power
+                pass
+
+    return tree(), tree(), rng.choice(ALPHABET)
+
+
+#: Every constructor, and the walkers built on them, on canonical operands.
+CONSTRUCTORS = {
+    "eadd": lambda a, b, v: ex.eadd(a, b),
+    "emul": lambda a, b, v: ex.emul(a, b),
+    "emul3": lambda a, b, v: ex.emul(a, b, a),  # a fractional power may square up
+    "ediv": lambda a, b, v: ex.ediv(a, b),
+    "eneg": lambda a, b, v: ex.eneg(a),
+    **{f"epow{n}": lambda a, b, v, n=n: ex.epow(a, n) for n in (-1, 2, 3, Fraction(1, 2))},
+    **{f"efunc_{f}": lambda a, b, v, f=f: ex.efunc(f, a) for f in ex.FUNCTIONS},
+    "diff": lambda a, b, v: ex.diff(a, v),
+    "subs": lambda a, b, v: ex.subs(a, {v: b}),
+}
+
+
+def _is_fixed_point(e):
+    return ex.simplify(e).sort_key() == e.sort_key()
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_pairs())
+def test_constructor_outputs_are_fixed_points_of_simplify(case):
+    # Callers rely on it: no module outside ``expr`` re-canonicalizes a tree.
+    a, b, v = case
+    not_fixed = []
+    for name, build in CONSTRUCTORS.items():
+        try:
+            out = build(a, b, v)
+        except DomainError:  # a division by 0 or a root of a negative constant
+            continue
+        if not _is_fixed_point(out):
+            not_fixed.append(name)
+    assert not_fixed == []
+    assert ex.eadd(a, a).sort_key() == ex.emul(ex.Const(2), a).sort_key()
+
+
+def _sum_of_powers(name, count):
+    return ex.eadd(*(ex.epow(ex.Var(name), k) for k in range(1, count + 1)))
+
+
+_x2, _y1 = ex.Var("x2"), ex.Var("y1")
+_root = ex.epow(ex.emul(ex.Const(-2), _x2), Fraction(1, 2))
+_quotient = ex.ediv(ex.Var("x1"), ex.eadd(ex.ONE, _y1))
+_big_a = ex.eadd(_x2, _y1, ex.ONE)
+_big_b, _big_c = _sum_of_powers("x1", 40), _sum_of_powers("y2", 40)
+
+
+@pytest.mark.parametrize("build,want", [
+    # A merged power that refolds into a product meets the other factors.
+    (lambda: ex.emul(_x2, _root, _root), lambda: ex.emul(ex.Const(-2), ex.epow(_x2, 2))),
+    (lambda: ex.emul(_y1, ex.epow(ex.epow(_y1, 4), Fraction(1, 2)),
+                     ex.epow(ex.epow(_y1, 4), Fraction(1, 2)), _y1), lambda: ex.epow(_y1, 6)),
+    # Above the expansion cap a repeated sum is its canonical power.
+    (lambda: ex.emul(_big_a, _big_a, _big_b, _big_c),
+     lambda: ex.emul(ex.epow(_big_a, 2), _big_b, _big_c)),
+    # A merged quotient is the coefficient times the quotient, which may be
+    # another term of the sum.
+    (lambda: ex.eadd(_quotient, _quotient), lambda: ex.emul(ex.Const(2), _quotient)),
+    (lambda: ex.eadd(_quotient, _quotient, ex.emul(ex.Const(2), _quotient)),
+     lambda: ex.emul(ex.Const(4), _quotient)),
+], ids=["refold", "refold-nested-power", "above-cap", "quotient", "quotient-meets-term"])
+def test_constructor_defects_are_fixed_points(build, want):
+    got = build()
+    assert _is_fixed_point(got)
+    assert got.sort_key() == want().sort_key()
+
+
+def test_only_the_kernel_builds_raw_nodes():
+    # Every other module takes its trees from ``parse`` and the constructors,
+    # which return canonical trees, so none of them calls ``simplify``.
+    raw = {"Add", "Mul", "Div", "Pow", "Func"}
+    package = pathlib.Path(ex.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in raw:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []
 
 
 def test_sum_of_infinities_is_a_domain_error():

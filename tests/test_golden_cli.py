@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from semispray import cli
+from semispray import cli, expr as ex
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -144,6 +144,23 @@ def test_cli_bytes_match_golden(model, command, tmp_path):
     name = f"{model}__{command}"
     assert code == _expected_codes()[name]
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_commands_run_no_simplify_pass(tmp_path, monkeypatch):
+    # The constructors return canonical trees, so no command rebuilds one
+    # through ``simplify``.
+    calls = []
+    simplify = ex.simplify
+
+    def counting(e):
+        calls.append(e)
+        return simplify(e)
+
+    monkeypatch.setattr(ex, "simplify", counting)
+    for command in ("validate", "bracket", "hamiltonian", "check_jacobi", "check_semispray",
+                    "check_spray", "check_prolongation", "check_homotopy", "integrate_rk4"):
+        run_case("stress", command, tmp_path)
+    assert len(calls) == 0
 
 
 #: The long flows of the bench's ``flow`` workload (``bench/workloads.py``),
