@@ -1,10 +1,16 @@
 """Symbolic expression kernel.
 
 Expressions are immutable trees over a declared alphabet of variable names.
-Constants are exact rationals (:class:`fractions.Fraction`) unless a float is
+Power exponents are exact rationals, and so are constants unless a float is
 injected programmatically; decimal literals (``1.5e-3`` included) are parsed
-exactly.  The smart constructors ``eadd``/``emul``/``epow``/``ediv``/``efunc``
-always return canonical trees:
+exactly.  An exact rational is held as an ``int`` when it is integral and as
+a :class:`fractions.Fraction` only when its denominator is above 1.  Equal
+values of the two forms compare, hash and print alike, so the form never
+changes a tree, its order or its text; the ``int`` form keeps whole-number
+coefficient arithmetic out of ``fractions``.
+
+The smart constructors ``eadd``/``emul``/``epow``/``ediv``/``efunc`` always
+return canonical trees:
 
 * sums and products are flattened and sorted by a fixed total order,
 * constants are folded, ``0`` summands and ``1`` factors dropped,
@@ -120,13 +126,15 @@ class Expr:
 
 
 class Const(Expr):
+    """A numeric constant.  ``value`` is an ``int`` when the constant is
+    integral, a :class:`~fractions.Fraction` with denominator above 1 for
+    any other rational, and a ``float`` only when a float was given."""
+
     __slots__ = ("value",)
 
     def __init__(self, value: Number):
-        if isinstance(value, int):
-            value = Fraction(value)
-        elif not isinstance(value, (Fraction, float)):
-            raise TypeError(f"constant must be rational or float, got {type(value)}")
+        if type(value) is not int and not isinstance(value, float):
+            value = _exact(value)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash(("C", value)))
         object.__setattr__(self, "_key", None)
@@ -174,11 +182,14 @@ class Func(Expr):
 
 
 class Pow(Expr):
-    """Power with a rational numeric exponent."""
+    """Power with a rational exponent: an ``int`` when integral, else a
+    :class:`~fractions.Fraction`."""
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Fraction):
+    def __init__(self, base: Expr, exponent: Union[int, Fraction]):
+        if type(exponent) is not int:
+            exponent = _exact(exponent)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "_hash", hash(("P", base, exponent)))
@@ -239,6 +250,23 @@ class Add(Expr):
         return (6, len(self.terms)) + tuple(t.sort_key() for t in self.terms)
 
 
+def _exact(value) -> Union[int, Fraction]:
+    """An exact rational in the kernel's form: an ``int`` when integral,
+    else a :class:`~fractions.Fraction`."""
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int):
+        return int(value)  # a bool or other int subclass becomes a plain int
+    raise TypeError(f"not an exact rational: {value!r}")
+
+
+def _reciprocal(value: Number) -> Number:
+    """``1 / value``, exact for an exact ``value``: ``1 / 2`` would be a float."""
+    if isinstance(value, float):
+        return 1 / value
+    return Fraction(1) / value
+
+
 def _float_key(v: Number) -> float:
     """``float(v)``, with a rational beyond float range read as ``±inf``, so
     sorting and printing never raise."""
@@ -248,11 +276,9 @@ def _float_key(v: Number) -> float:
         return math.inf if v > 0 else -math.inf
 
 
-_FRACTION_ZERO = Fraction(0)
-_FRACTION_ONE = Fraction(1)
-ZERO = Const(_FRACTION_ZERO)
-ONE = Const(_FRACTION_ONE)
-MINUS_ONE = Const(Fraction(-1))
+ZERO = Const(0)
+ONE = Const(1)
+MINUS_ONE = Const(-1)
 _INNER = (Add, Mul, Pow, Div, Func)  # the node types with children
 _DEN = object()  # emul's stack marker: the entry below it is a denominator
 
@@ -279,7 +305,7 @@ def _split_coeff(term: Expr):
         rest = term.factors[1:]
         core = rest[0] if len(rest) == 1 else Mul(rest)
         return term.factors[0].value, core
-    return ONE.value, term
+    return 1, term
 
 
 def _with_coeff(coeff, core: Expr) -> Expr:
@@ -297,7 +323,7 @@ def _with_coeff(coeff, core: Expr) -> Expr:
 def eadd(*args) -> Expr:
     """Canonical sum of canonical expressions.  Nested sums are flattened left
     to right; a term whose core nothing merged into is kept as given."""
-    const = _FRACTION_ZERO
+    const = 0
     buckets: dict = {}  # core -> [coefficient, the term while nothing merged]
     stack = list(reversed(args))
     while stack:
@@ -343,7 +369,7 @@ def _expansion_size(factors) -> int:
 
 def emul(*args) -> Expr:
     """Canonical product; distributes over sums below the expansion cap."""
-    const = _FRACTION_ONE
+    const = 1
     plain: list = []
     dens: list = []
     stack = list(reversed(args))
@@ -363,7 +389,7 @@ def emul(*args) -> Expr:
         return ZERO
     if dens:
         num = _mul_plain(const, plain)
-        return ediv(num, _mul_plain(_FRACTION_ONE, dens))
+        return ediv(num, _mul_plain(1, dens))
     return _mul_plain(const, plain)
 
 
@@ -378,7 +404,7 @@ def _mul_plain(const, plain) -> Expr:
             adds.append(f)
             continue
         base = _power_base(f)
-        exp = ONE.value if base is f else f.exponent
+        exp = 1 if base is f else f.exponent
         if base in powers:
             powers[base] = powers[base] + exp
         else:
@@ -430,7 +456,7 @@ def _power_base(f: Expr) -> Expr:
     return f.base if isinstance(f, Pow) and not isinstance(f.base, Add) else f
 
 
-def _rational_root(value: Fraction, q: int):
+def _rational_root(value: Union[int, Fraction], q: int):
     """Exact q-th root of a non-negative rational, or None."""
     if value < 0:
         return None
@@ -459,8 +485,8 @@ def epow(base: Expr, exponent) -> Expr:
     """Canonical power with rational exponent."""
     if isinstance(exponent, Const):
         exponent = exponent.value
-    if not isinstance(exponent, Fraction):
-        exponent = Fraction(exponent)
+    if type(exponent) is not int:
+        exponent = _exact(Fraction(exponent))
 
     if exponent == 0:
         return ONE
@@ -482,9 +508,9 @@ def epow(base: Expr, exponent) -> Expr:
                 return Const(float(v) ** float(exponent))
             except (ValueError, OverflowError):
                 raise DomainError(f"{v} ** {exponent} is not a real number")
-        if exponent.denominator == 1:
-            return Const(v ** exponent.numerator)
-        root = _rational_root(v if exponent > 0 else 1 / v, exponent.denominator)
+        if exponent.denominator == 1:  # int ** negative int would be a float
+            return Const(v ** exponent if exponent > 0 else _reciprocal(v) ** -exponent)
+        root = _rational_root(v if exponent > 0 else _reciprocal(v), exponent.denominator)
         if root is not None:
             return Const(root ** abs(exponent.numerator))
         return Pow(base, exponent)
@@ -510,7 +536,7 @@ def epow(base: Expr, exponent) -> Expr:
 
 def _factor_map(e: Expr):
     """Decompose a canonical Add-free expression into (const, {base: exp})."""
-    const = _FRACTION_ONE
+    const = 1
     powers: dict = {}
     stack = [e]
     while stack:
@@ -520,9 +546,9 @@ def _factor_map(e: Expr):
         elif isinstance(f, Const):
             const = const * f.value
         elif isinstance(f, Pow):
-            powers[f.base] = powers.get(f.base, _FRACTION_ZERO) + f.exponent
+            powers[f.base] = powers.get(f.base, 0) + f.exponent
         else:
-            powers[f] = powers.get(f, _FRACTION_ZERO) + 1
+            powers[f] = powers.get(f, 0) + 1
     return const, powers
 
 
@@ -532,7 +558,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
     if isinstance(den, Const):
         if den.value == 0:
             raise DomainError("division by literal zero")
-        return emul(Const(1 / den.value), num)
+        return emul(Const(_reciprocal(den.value)), num)
     if is_zero_literal(num):
         return ZERO
     if num == den:
@@ -560,7 +586,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
 
     if isinstance(den, Mul) and isinstance(den.factors[0], Const):
         c, stripped = _split_coeff(den)
-        return ediv(emul(Const(1 / c), num), stripped)
+        return ediv(emul(Const(_reciprocal(c)), num), stripped)
 
     return Div(num, den)
 

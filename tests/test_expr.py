@@ -793,6 +793,90 @@ def test_constructor_outputs_are_fixed_points_of_simplify(case):
     assert ex.eadd(a, a).sort_key() == ex.emul(ex.Const(2), a).sort_key()
 
 
+def _numbers(e):
+    """Every ``Const.value`` and ``Pow.exponent`` of ``e``."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ex.Const):
+            out.append(node.value)
+        elif isinstance(node, ex.Pow):
+            out.append(node.exponent)
+        stack.extend(c for c in node._fields() if isinstance(c, ex.Expr))
+    return out
+
+
+def _misplaced_numbers(e, floats_in):
+    """The numbers of ``e`` outside the kernel's three forms: an ``int`` when
+    integral, a ``Fraction`` only with denominator above 1, a ``float`` only
+    when a float constant was in the input."""
+    return [v for v in _numbers(e)
+            if not (type(v) is int
+                    or (type(v) is Fraction and v.denominator > 1)
+                    or (type(v) is float and floats_in))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_pairs())
+def test_constructor_numbers_keep_their_form(case):
+    # Whole numbers stay ``int`` (no ``fractions`` arithmetic on them), and
+    # no exact value becomes a float on the way, e.g. as ``1 / 3``.
+    a, b, v = case
+    floats_in = float in constant_types(a) + constant_types(b)
+    builders = dict(CONSTRUCTORS, parse=lambda a, b, v: ex.parse(ex.to_text(a), ALPHABET))
+    misplaced = {}
+    for name, build in builders.items():
+        try:
+            out = build(a, b, v)
+        except DomainError:  # a division by 0 or a root of a negative constant
+            continue
+        found = _misplaced_numbers(out, floats_in and name != "parse")
+        if found:
+            misplaced[name] = found
+    assert misplaced == {}
+    assert _misplaced_numbers(a, floats_in) == _misplaced_numbers(b, floats_in) == []
+
+
+_x1 = ex.Var("x1")
+
+
+@pytest.mark.parametrize("build,want", [
+    (lambda: ex.ediv(_x1, ex.Const(3)), Fraction(1, 3)),
+    (lambda: ex.ediv(_x1, ex.emul(ex.Const(2), ex.Var("x2"))), Fraction(1, 2)),
+    (lambda: ex.ediv(_x1, ex.Const(4.0)), 0.25),
+    (lambda: ex.ediv(_x1, ex.Const(Fraction(2, 3))), Fraction(3, 2)),
+], ids=["constant-denominator", "denominator-coefficient", "float", "rational"])
+def test_division_coefficients_are_exact_reciprocals(build, want):
+    got = build()
+    coeff = (got.num if isinstance(got, ex.Div) else got).factors[0].value
+    assert (coeff, type(coeff)) == (want, type(want))
+
+
+@pytest.mark.parametrize("base,exponent,want", [
+    (4, Fraction(-1, 2), Fraction(1, 2)),
+    (Fraction(1, 4), Fraction(-1, 2), 2),
+    (2, -3, Fraction(1, 8)),
+    (Fraction(2, 3), -2, Fraction(9, 4)),
+    (4.0, -1, 0.25),
+])
+def test_negative_constant_powers_are_exact(base, exponent, want):
+    got = ex.epow(ex.Const(base), exponent)
+    assert isinstance(got, ex.Const)
+    assert (got.value, type(got.value)) == (want, type(want))
+
+
+def test_integral_numbers_are_ints():
+    # Whatever form an integral value is given in, the node holds an int.
+    assert [type(ex.Const(v).value) for v in (Fraction(6, 3), True, -1)] == [int] * 3
+    assert ex.to_text(ex.emul(ex.Const(True), _x1)) == "x1"
+    p = ex.Pow(_x1, Fraction(4, 2))
+    assert type(p.exponent) is int and ex.to_text(p) == "x1^2"
+    assert type(ex.epow(_x1, Fraction(1, 2)).exponent) is Fraction
+    assert ex.epow(ex.epow(_x1, Fraction(1, 2)), 2) is _x1
+    with pytest.raises(TypeError):
+        ex.Pow(_x1, 0.5)
+
+
 def _sum_of_powers(name, count):
     return ex.eadd(*(ex.epow(ex.Var(name), k) for k in range(1, count + 1)))
 
@@ -840,6 +924,21 @@ def test_only_the_kernel_builds_raw_nodes():
                 if name in raw:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def test_only_the_reciprocal_helper_and_the_div_guard_divide():
+    # ``1 / v`` of two ints is a float: exact constant arithmetic divides
+    # only through ``_reciprocal``, and the evaluators' floats only in ``_div``.
+    tree = ast.parse(pathlib.Path(ex.__file__).read_text(encoding="utf-8"))
+    allowed, divisions = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in ("_reciprocal", "_div"):
+            allowed.update(id(n) for n in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            if id(node) not in allowed:
+                divisions.append(node.lineno)
+    assert divisions == []
 
 
 def test_sum_of_infinities_is_a_domain_error():
