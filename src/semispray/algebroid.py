@@ -40,16 +40,14 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], i
     return tuple(idx), sign
 
 
-def skew_coeffs(pairs: Iterable[Tuple], canon, neg, add) -> dict:
+def skew_coeffs(pairs: Iterable[Tuple], canon) -> dict:
     """The skew-coefficient store shared by every form class.
 
     ``pairs`` yields ``(key, value)``; a key may repeat.  ``canon(key)``
     returns the sorted key and the sign of the sorting permutation, 0 when an
-    index repeats (such entries vanish).  Values, canonical trees or fiber
-    integrals, are negated for an odd permutation and accumulated per sorted
-    key; keys whose total is the literal 0 are dropped, including totals
-    that cancel (a fiber integral never is).  ``neg``/``add`` are the
-    coefficient arithmetic (``ex.eneg``/``ex.eadd`` for plain expressions).
+    index repeats (such entries vanish).  Values are canonical trees,
+    negated for an odd permutation and accumulated per sorted key; keys whose
+    total is the literal 0 are dropped, including totals that cancel.
     """
     out = {}
     for key, value in pairs:
@@ -57,8 +55,8 @@ def skew_coeffs(pairs: Iterable[Tuple], canon, neg, add) -> dict:
         if sign == 0:
             continue
         if sign < 0:
-            value = neg(value)
-        out[key] = add(out[key], value) if key in out else value
+            value = ex.eneg(value)
+        out[key] = ex.eadd(out[key], value) if key in out else value
     return {key: value for key, value in out.items() if not ex.is_zero_literal(value)}
 
 
@@ -205,8 +203,7 @@ class AForm:
         self.chart = chart
         self.degree = degree
         self.coeffs: Dict[Tuple[int, ...], ex.Expr] = skew_coeffs(
-            ((idx, ex.as_expr(value)) for idx, value in coeffs.items()), self._canon,
-            ex.eneg, ex.eadd)
+            ((idx, ex.as_expr(value)) for idx, value in coeffs.items()), self._canon)
 
     def _canon(self, idx) -> Tuple[Optional[Tuple[int, ...]], int]:
         idx = tuple(idx)

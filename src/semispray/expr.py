@@ -118,12 +118,6 @@ class Expr:
     def __str__(self):
         return to_text(self)
 
-    def diff(self, var):
-        return diff(self, var)
-
-    def subs(self, mapping):
-        return subs(self, mapping)
-
 
 class Const(Expr):
     """A numeric constant.  ``value`` is an ``int`` when the constant is
@@ -761,11 +755,7 @@ def _needs_parens_in_mul(e: Expr) -> bool:
 def to_text(e: Expr) -> str:
     """Canonical printer; emits the same grammar :func:`parse` accepts."""
     if isinstance(e, Const):
-        if isinstance(e.value, float):
-            return repr(e.value)
-        if e.value.denominator == 1:
-            return str(e.value.numerator)
-        return f"{e.value.numerator}/{e.value.denominator}"
+        return str(e.value)
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Func):
@@ -774,11 +764,9 @@ def to_text(e: Expr) -> str:
         base = to_text(e.base)
         if not isinstance(e.base, (Var, Func)):
             base = f"({base})"
-        exp = e.exponent
-        if exp.denominator == 1 and exp >= 0:
-            return f"{base}^{exp.numerator}"
-        exp_txt = str(exp.numerator) if exp.denominator == 1 else f"{exp.numerator}/{exp.denominator}"
-        return f"{base}^({exp_txt})"
+        if e.exponent.denominator == 1 and e.exponent >= 0:
+            return f"{base}^{e.exponent}"
+        return f"{base}^({e.exponent})"
     if isinstance(e, Div):
         num = to_text(e.num)
         if isinstance(e.num, Add):
@@ -840,19 +828,19 @@ def _tokenize(src: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
+        if ch.isdecimal() or (ch == "." and i + 1 < n and src[i + 1].isdecimal()):
             j = i
             seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
+            while j < n and (src[j].isdecimal() or (src[j] == "." and not seen_dot)):
                 if src[j] == ".":
                     seen_dot = True
                 j += 1
             # Exponent notation, as ``repr`` prints floats: [eE][+-]?digits.
             if j < n and src[j] in "eE":
                 k = j + 2 if j + 1 < n and src[j + 1] in "+-" else j + 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k].isdecimal():
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j].isdecimal():
                         j += 1
             tokens.append(_Token("num", src[i:j], i))
             i = j
@@ -1042,8 +1030,9 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     if is_zero_literal(e):
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
     params = dict(params or {})
-    names = sorted(free_symbols(e) - set(params))
-    return sample_zero(Program([e]).value, names, box=box, trials=trials,
+    program = Program([e])
+    names = sorted({name for _, name in program.reads} - set(params))
+    return sample_zero(program.value, names, box=box, trials=trials,
                        tol=tol, seed=seed, params=params)
 
 

@@ -14,9 +14,11 @@ The three operators:
 
 satisfy ``h(dw) + d(hw) = w - psi_star_0(w)``, with the ``t -> 0`` limit
 vanishing in positive degree and restricting to the fiber origin in degree
-zero.  Integrands polynomial in the scaling parameter integrate exactly;
-anything else is kept as an unevaluated fiber integral and evaluated by
-adaptive Simpson quadrature.
+zero.  Integrands polynomial in the scaling parameter integrate exactly.
+Any other integrand ``e`` is stored as itself and stands for
+``int_0^1 e d_t``: a coefficient is a fiber integral exactly when the
+reserved scaling parameter ``TVAR`` is free in it, and :func:`fiber_value`
+evaluates it by adaptive Simpson quadrature.
 
 Applied with the horizontal indices of a block treated as labels (and the
 sign ``(-1)^p``), the same integral furnishes the constructive primitive for
@@ -28,7 +30,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import expr as ex
 from .algebroid import AlgebroidChart, skew_coeffs, sort_with_sign, tangent
@@ -40,50 +42,31 @@ TVAR = "_t"
 
 
 # ---------------------------------------------------------------------------
-# Coefficients: plain expressions or unevaluated unit-interval integrals
+# Coefficients: a tree free in ``TVAR`` stands for its unit-interval integral
 
 
-class FiberIntegral:
-    """``int_0^1 integrand d_t`` kept unevaluated.
+def is_fiber_integral(e: ex.Expr) -> bool:
+    return TVAR in ex.free_symbols(e)
 
-    The integrand is a canonical tree (:func:`expr.simplify` is for a
-    raw-node one).  Differentiation in chart variables passes under the
-    integral sign; evaluation uses adaptive Simpson quadrature.
-    """
 
-    __slots__ = ("integrand", "_value")
+def fiber_value(e: ex.Expr) -> Callable[[dict], float]:
+    """``env -> float`` for the coefficient ``e``: adaptive Simpson
+    quadrature over the scaling parameter for a fiber integral, else one run
+    of the compiled tree.  The tree is compiled once, here."""
+    value = ex.Program([e]).value
+    if not is_fiber_integral(e):
+        return value
 
-    def __init__(self, integrand: ex.Expr):
-        self.integrand = integrand
-        self._value = None  # the compiled integrand, built on first evaluation
-
-    def diff(self, name: str) -> "FiberIntegral":
-        if name == TVAR:
-            raise ValueError("cannot differentiate in the integration variable")
-        return FiberIntegral(ex.diff(self.integrand, name))
-
-    def subs(self, mapping) -> "FiberIntegral":
-        if TVAR in mapping:
-            raise ValueError("substitution must not capture the integration variable")
-        return FiberIntegral(ex.subs(self.integrand, mapping))
-
-    def evaluate(self, env: dict, tol: float = 1e-10) -> float:
-        if self._value is None:
-            self._value = ex.Program([self.integrand]).value
-        value = self._value
+    def integral(env: dict) -> float:
         local = dict(env)
 
         def f(t):
             local[TVAR] = t
             return value(local)
 
-        return _adaptive_simpson(f, 0.0, 1.0, tol)
+        return _adaptive_simpson(f, 0.0, 1.0, 1e-10)
 
-    def __repr__(self):
-        return f"<FiberIntegral {ex.to_text(self.integrand)}>"
-
-
-Coefficient = Union[ex.Expr, FiberIntegral]
+    return integral
 
 
 def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) -> float:
@@ -104,28 +87,6 @@ def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, depth, max_depth) -> float:
         return left + right + (left + right - whole) / 15.0
     return (_simpson_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1, max_depth)
             + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1, max_depth))
-
-
-def cneg(value: Coefficient) -> Coefficient:
-    if isinstance(value, FiberIntegral):
-        return FiberIntegral(ex.eneg(value.integrand))
-    return ex.eneg(value)
-
-
-def cadd(*values: Coefficient) -> Coefficient:
-    if all(isinstance(v, ex.Expr) for v in values):
-        return ex.eadd(*values)
-    # A t-free expression equals its own unit-interval integral.
-    integrands = [v.integrand if isinstance(v, FiberIntegral) else v for v in values]
-    return FiberIntegral(ex.eadd(*integrands))
-
-
-def cscale(value: Coefficient, factor: ex.Expr) -> Coefficient:
-    if isinstance(value, FiberIntegral):
-        if TVAR in ex.free_symbols(factor):
-            raise ValueError("scaling factor must not involve the integration variable")
-        return FiberIntegral(ex.emul(factor, value.integrand))
-    return ex.emul(factor, value)
 
 
 def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
@@ -180,12 +141,12 @@ class BigradedBlock:
     vertical q-form in the pullback frame."""
 
     def __init__(self, chart: AlgebroidChart, p: int, q: int,
-                 coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient]):
+                 coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], ex.Expr]):
         self.chart = chart
         self.p = p
         self.q = q
-        self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], Coefficient] = skew_coeffs(
-            coeffs.items(), self._canon, cneg, cadd)
+        self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], ex.Expr] = skew_coeffs(
+            coeffs.items(), self._canon)
 
     def _canon(self, key):
         idx_i, idx_j = tuple(key[0]), tuple(key[1])
@@ -193,12 +154,12 @@ class BigradedBlock:
             raise ValueError(f"index pair {(idx_i, idx_j)} does not match bidegree ({self.p},{self.q})")
         return _sort_pair(idx_i, idx_j)
 
-    def get(self, idx_i: Sequence[int], idx_j: Sequence[int]) -> Coefficient:
+    def get(self, idx_i: Sequence[int], idx_j: Sequence[int]) -> ex.Expr:
         key, sign = _sort_pair(tuple(idx_i), tuple(idx_j))
         if sign == 0:
             return ex.ZERO
         value = self.coeffs.get(key, ex.ZERO)
-        return value if sign > 0 else cneg(value)
+        return value if sign > 0 else ex.eneg(value)
 
     def map_coeffs(self, fn) -> "BigradedBlock":
         return BigradedBlock(self.chart, self.p, self.q,
@@ -225,10 +186,10 @@ def dsecond(block: BigradedBlock) -> BigradedBlock:
             pieces = []
             for pos, j in enumerate(tup):
                 rest = tup[:pos] + tup[pos + 1:]
-                value = block.get(idx_i, rest).diff(chart.fibers[j])
-                pieces.append(value if pos % 2 == 0 else cneg(value))
-            total = cadd(*pieces)
-            coeffs[(idx_i, tup)] = cneg(total) if sign < 0 else total
+                value = ex.diff(block.get(idx_i, rest), chart.fibers[j])
+                pieces.append(value if pos % 2 == 0 else ex.eneg(value))
+            total = ex.eadd(*pieces)
+            coeffs[(idx_i, tup)] = ex.eneg(total) if sign < 0 else total
     return BigradedBlock(chart, block.p, block.q + 1, coeffs)
 
 
@@ -240,16 +201,7 @@ def psi_star(form: BigradedBlock, t) -> BigradedBlock:
         raise ValueError("scaling parameter must be numeric")
     mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.fibers}
     factor = ex.epow(t, form.q) if form.q else ex.ONE
-    return form.map_coeffs(lambda v: cscale(v.subs(mapping), factor))
-
-
-def psi_zero(form: BigradedBlock) -> BigradedBlock:
-    """The ``t -> 0`` limit: zero in positive vertical degree, the
-    restriction to the fiber origin in vertical degree zero."""
-    if form.q > 0:
-        return BigradedBlock(form.chart, form.p, form.q, {})
-    mapping = {nm: ex.ZERO for nm in form.chart.fibers}
-    return form.map_coeffs(lambda v: v.subs(mapping))
+    return form.map_coeffs(lambda v: ex.emul(factor, ex.subs(v, mapping)))
 
 
 def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
@@ -258,8 +210,8 @@ def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
     ``(h w)_{I, j1..j(q-1)}(x, y) = (-1)^p int_0^1 t^(q-1) y^j w_{I, j j1..j(q-1)}(x, ty) dt``
     with the horizontal legs ``I`` as labels; the q = 0 case is the zero map.
     Exact symbolic integration when the scaled coefficient is polynomial in
-    the parameter, else an unevaluated fiber integral.  The input is not
-    checked for closure (see :func:`dprime_primitive`).
+    the parameter, else the integrand is kept as a fiber integral.  The
+    input is not checked for closure (see :func:`dprime_primitive`).
     """
     chart = block.chart
     q = block.q
@@ -276,7 +228,7 @@ def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
                 value = block.get(idx_i, (j,) + rest)
                 if ex.is_zero_literal(value):
                     continue
-                if isinstance(value, FiberIntegral):
+                if is_fiber_integral(value):
                     raise ValueError("radial integral of an unevaluated fiber integral is not supported")
                 pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
             if not pieces:
@@ -285,8 +237,21 @@ def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
             if sign < 0:
                 integrand = ex.eneg(integrand)
             exact = _integrate_unit(integrand)
-            coeffs[(idx_i, rest)] = exact if exact is not None else FiberIntegral(integrand)
+            coeffs[(idx_i, rest)] = exact if exact is not None else integrand
     return BigradedBlock(chart, block.p, q - 1, coeffs)
+
+
+def _zero_test(values: Sequence[ex.Expr], chart: AlgebroidChart, box: Optional[ex.Box],
+               trials: int, tol: float, seed: int) -> ZeroResult:
+    """Zero test of the sum of ``values``: symbolic when none is a fiber
+    integral (so exact cancellation is proven), else sampled on the box with
+    each integral evaluated by quadrature."""
+    if not any(is_fiber_integral(v) for v in values):
+        return ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
+    terms = [fiber_value(v) for v in values]
+    return ex.sample_zero(lambda env: sum(term(env) for term in terms),
+                          sorted(set(chart.coords) | set(chart.fibers)),
+                          box=box, trials=trials, tol=tol, seed=seed)
 
 
 def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
@@ -298,17 +263,10 @@ def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
     differential reproduces the input.  Raises :class:`NotClosed` when the
     vertical differential fails the zero test on the box.
     """
-    chart = block.chart
     if block.q < 1:
         raise ValueError("primitive requires vertical degree q >= 1")
-    names = sorted(set(chart.coords) | set(chart.fibers))
     for key, value in dsecond(block).coeffs.items():
-        if isinstance(value, ex.Expr):
-            result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
-        else:
-            result = ex.sample_zero(value.evaluate, names, box=box, trials=trials,
-                                    tol=tol, seed=seed)
-        if not result.is_zero:
+        if not _zero_test([value], block.chart, box, trials, tol, seed).is_zero:
             raise NotClosed(f"vertical differential does not vanish at {key}")
     return radial_homotopy(block)
 
@@ -320,36 +278,26 @@ def euler_lie_derivative(form: BigradedBlock) -> BigradedBlock:
     chart = form.chart
 
     def apply(value):
-        radial = cadd(*(cscale(value.diff(nm), ex.Var(nm)) for nm in chart.fibers))
-        return cadd(radial, cscale(value, ex.Const(form.q)))
+        radial = ex.eadd(*(ex.emul(ex.Var(nm), ex.diff(value, nm)) for nm in chart.fibers))
+        return ex.eadd(radial, ex.emul(ex.Const(form.q), value))
 
     return form.map_coeffs(apply)
 
 
 def homotopy_identity_check(form: BigradedBlock, box: ex.Box = None, trials: int = 64,
                             tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """Residual of ``h(dw) + d(hw) - w + psi_0(w)`` per coefficient of a
-    vertical form (a block with ``p = 0``).
-
-    Polynomial inputs go through the symbolic zero test (so exact
-    cancellation is visible as proven-zero); inputs that produced unevaluated
-    integrals are sampled numerically on the box.
+    """Residual of ``h(dw) + d(hw) - w + psi_star(w, 0)`` per coefficient
+    of a vertical form (a block with ``p = 0``), zero-tested by
+    :func:`_zero_test`.
     """
     chart = form.chart
     parts = [radial_homotopy(dsecond(form)), dsecond(radial_homotopy(form)),
-             form.map_coeffs(cneg), psi_zero(form)]
+             form.map_coeffs(ex.eneg), psi_star(form, 0)]
     report = ValidationReport(check="homotopy-identity", seed=seed)
-    names = sorted(set(chart.coords) | set(chart.fibers))
     for tup in itertools.combinations(range(chart.r), form.q):
         values = [part.get((), tup) for part in parts]
-        if all(isinstance(v, ex.Expr) for v in values):
-            result = ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
-        else:
-            terms = [v.evaluate if isinstance(v, FiberIntegral) else ex.Program([v]).value
-                     for v in values]
-            result = ex.sample_zero(lambda env: sum(term(env) for term in terms), names,
-                                    box=box, trials=trials, tol=tol, seed=seed)
-        report.add(f"coeff{tuple(i + 1 for i in tup)}", result)
+        report.add(f"coeff{tuple(i + 1 for i in tup)}",
+                   _zero_test(values, chart, box, trials, tol, seed))
     return report
 
 

@@ -56,8 +56,8 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
     origin, and ``trials`` uniform samples; points where ``det`` leaves the
     real domain are skipped."""
     rng = random.Random(seed)
-    det_at = ex.Program([det]).value
-    names = sorted(ex.free_symbols(det) - set(params))
+    program = ex.Program([det])
+    names = sorted({name for _, name in program.reads} - set(params))
     probes = []
     center = box.center(chart.alphabet)
     probes.append({n: center[n] for n in names})
@@ -72,7 +72,7 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
         env = dict(env)
         env.update(params)
         try:
-            value = det_at(env)
+            value = program.value(env)
         except ex.DomainError:
             continue
         if abs(value) <= tol:

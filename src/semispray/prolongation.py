@@ -23,7 +23,7 @@ from . import expr as ex
 from . import linalg
 from .algebroid import AForm, AlgebroidChart, skew_coeffs, sort_with_sign
 from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
-from .homotopy import BigradedBlock, FiberIntegral, dprime_primitive
+from .homotopy import BigradedBlock, dprime_primitive, is_fiber_integral
 from .lagrangian import LagrangianData, probe_determinant
 from .poisson import VectorFieldOnA
 from .report import ValidationReport
@@ -394,7 +394,7 @@ def _change_coframe(coeffs, letters) -> dict:
         return ((legs, ex.emul(value, factor)) for legs, factor in out)
 
     return skew_coeffs((pair for key, value in coeffs.items() for pair in expand(key, value)),
-                       sort_with_sign, ex.eneg, ex.eadd)
+                       sort_with_sign)
 
 
 def bigrade(form: ProlongForm, conn: Optional[EhresmannConn] = None) -> Dict[Tuple[int, int], BigradedBlock]:
@@ -445,7 +445,7 @@ def block_to_form(block: BigradedBlock, conn: Optional[EhresmannConn] = None) ->
                 out.append((i, gamma[idx][i]))
         return out
 
-    if any(isinstance(value, FiberIntegral) for value in block.coeffs.values()):
+    if any(is_fiber_integral(value) for value in block.coeffs.values()):
         raise ValueError("cannot rebuild a form from quadrature coefficients")
     lettered = {tuple((0, i) for i in idx_e) + tuple((1, j) for j in idx_n): value
                 for (idx_e, idx_n), value in block.coeffs.items()}

@@ -2,10 +2,11 @@ import ast
 import math
 import pathlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semispray import expr as ex
@@ -16,6 +17,13 @@ from helpers import (COEFFS, assert_certified_zero, central_difference, constant
                      random_raw_tree, reference_diff, reference_subs, reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
+
+
+#: Tokens for the ``parse`` property: names inside and outside the alphabet,
+#: short numbers, operators, parentheses and characters that are digits or
+#: letters outside ASCII.
+PARSE_TOKENS = ("x1", "y2", "w", "_t", "sin", "exp", "log", "sqrt", "0", "2", "7", "12", "99",
+                "1.5e-3", "0.25", "+", "-", "*", "/", "^", "(", ")", "²", "٣", "α", "①")
 
 
 class TestParse:
@@ -71,6 +79,31 @@ class TestParse:
     def test_function_call(self):
         got = ex.parse("sin(x1)*cos(x2)", ("x1", "x2"))
         assert got == ex.emul(ex.efunc("sin", ex.Var("x1")), ex.efunc("cos", ex.Var("x2")))
+
+    @pytest.mark.parametrize("src,offset", [("y1^²", 3), ("2²*x1", 1), ("①*x1", 0)])
+    def test_non_decimal_digits_are_syntax_errors(self, src, offset):
+        # ``²`` and ``①`` are digits to ``str.isdigit`` but not decimals,
+        # so no number can start or go on with them.
+        with pytest.raises(SyntaxError) as err:
+            ex.parse(src, ("x1", "y1"))
+        assert err.value.offset == offset
+
+    def test_other_decimal_digits_read_as_numbers(self):
+        assert ex.parse("٣*x1", ("x1",)) == ex.emul(ex.Const(3), ex.Var("x1"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PARSE_TOKENS), st.sampled_from(["", " "])),
+                    min_size=1, max_size=8))
+    def test_parse_returns_a_tree_or_an_input_error(self, pieces):
+        text = "".join(token + space for token, space in pieces)
+        # Keep every literal and exponent small: ``9^99999999`` is exact
+        # arithmetic on a 10^8-bit integer, not a parse failure.
+        assume(text.count("^") <= 1 and not re.search(r"\d{3}", text))
+        try:
+            got = ex.parse(text, ALPHABET)
+        except (SyntaxError, UnknownSymbol, DomainError):
+            return
+        assert isinstance(got, ex.Expr)
 
 
 class TestDiff:
@@ -924,6 +957,24 @@ def test_only_the_kernel_builds_raw_nodes():
                 if name in raw:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def test_only_the_kernel_dispatches_on_expr():
+    # A coefficient is always a tree, a fiber integral included (its
+    # integrand, free in the scaling parameter), so no other module needs to
+    # ask whether a value is one.
+    package = pathlib.Path(ex.__file__).parent
+    checks = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                names = {getattr(n, "attr", getattr(n, "id", None))
+                         for n in ast.walk(node.args[1])}
+                if "Expr" in names:
+                    checks.append(f"{path.name}:{node.lineno}")
+    assert checks == []
 
 
 def test_only_the_reciprocal_helper_and_the_div_guard_divide():

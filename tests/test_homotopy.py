@@ -25,8 +25,8 @@ def vertical_tuples(form):
 
 def ceval(value, env):
     """A coefficient's value: a fiber integral by quadrature, else the expression's."""
-    if isinstance(value, ho.FiberIntegral):
-        return value.evaluate(env)
+    if ho.is_fiber_integral(value):
+        return ho.fiber_value(value)(env)
     return reference_value(value, env)
 
 
@@ -55,7 +55,7 @@ class TestSkewStore:
         assert vertical.coeffs == horizontal.coeffs == base.coeffs == {}
 
     def test_fiber_integrals_are_stored_with_their_sign(self, rank2):
-        value = ho.FiberIntegral(ex.parse("exp(_t*y1)", ("_t", "y1")))
+        value = ex.parse("exp(_t*y1)", ("_t", "y1"))
         block = ho.BigradedBlock(rank2, 0, 2, {((), (1, 0)): value})
         env = {"y1": 0.5}
         assert ceval(block.coeffs[((), (0, 1))], env) == -ceval(value, env)
@@ -67,10 +67,20 @@ class TestSkewStore:
         build = ex.Program.__init__
         monkeypatch.setattr(ex.Program, "__init__",
                             lambda self, exprs: built.append(exprs) or build(self, exprs))
-        value = ho.FiberIntegral(ex.parse("exp(_t*y1)", ("_t", "y1")))
-        got = [value.evaluate({"y1": y}) for y in (0.5, 1.0)]
+        value = ho.fiber_value(ex.parse("exp(_t*y1)", ("_t", "y1")))
+        got = [value({"y1": y}) for y in (0.5, 1.0)]
         assert len(built) == 1
         assert got == [pytest.approx(math.expm1(y) / y, rel=1e-9) for y in (0.5, 1.0)]
+
+    def test_coefficient_free_of_the_parameter_is_its_own_value(self, rank2, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("a t-free coefficient went through quadrature")
+
+        monkeypatch.setattr(ho, "_adaptive_simpson", no_quadrature)
+        value = ex.parse("x1*exp(y1) + y2^2/3", rank2.alphabet)
+        env = {"x1": 0.3, "x2": -0.4, "y1": 0.7, "y2": -1.1}
+        assert not ho.is_fiber_integral(value)
+        assert ho.fiber_value(value)(env) == ex.evaluate(value, env)
 
 
 class TestPsiStar:
@@ -91,6 +101,25 @@ class TestPsiStar:
         scaled = ho.psi_star(w, 1)
         assert scaled.coeffs == w.coeffs
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_zero_parameter_restricts_to_the_fiber_origin(self, rank):
+        # The t -> 0 limit: the restriction to the fiber origin in degree 0,
+        # the zero form in every positive degree.
+        chart = tangent(rank).chart
+        origin = {nm: ex.ZERO for nm in chart.fibers}
+        rng = random.Random(rank)
+        for degree in range(rank + 1):
+            for _ in range(10):
+                w = ho.random_vertical_form(rng, chart, degree)
+                limit = ho.psi_star(w, 0)
+                if degree:
+                    assert limit.coeffs == {}
+                else:
+                    restricted = ex.subs(w.get((), ()), origin)
+                    assert limit.get((), ()) == restricted
+                    assert limit.coeffs == ({} if ex.is_zero_literal(restricted)
+                                            else {((), ()): restricted})
+
 
 class TestHOperator:
     def test_weighted_radial_integral_on_line(self, rank1):
@@ -107,6 +136,13 @@ class TestHOperator:
     def test_degree_zero_is_zero_map(self, rank2):
         w = vertical_form(rank2, 0, {(): ex.Var("y1")})
         assert ho.radial_homotopy(w).coeffs == {}
+
+    def test_fiber_integral_input_is_refused(self, rank1):
+        # The radial integral of an integral would need a second parameter.
+        integral = ex.parse("exp(_t*y1)", ("_t", "y1"))
+        w = vertical_form(rank1, 1, {(0,): integral})
+        with pytest.raises(ValueError, match="fiber integral"):
+            ho.radial_homotopy(w)
 
     def test_inverts_differential_on_closed_one_forms(self, rank3):
         rng = random.Random(2)

@@ -146,6 +146,15 @@ class TestCliCommands:
         code, _ = run_cli(["validate", str(path)])
         assert code == 2
 
+    def test_superscript_digit_is_a_syntax_error(self, tmp_path, capsys):
+        path = tmp_path / "superscript.json"
+        path.write_text(json.dumps(dict(TANGENT_DOC, L="1/2*y1^²")))
+        code, out = run_cli(["validate", str(path)])
+        stderr = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert stderr.startswith("input error: L: syntax error: at offset 7: ")
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
                                             ("--tol", "0"), ("--tol", "-1")])
     def test_out_of_range_settings_are_input_errors(self, so3_path, flag, value, capsys):

@@ -324,6 +324,16 @@ class TestBigrading:
             rebuilt += pr.block_to_form(block, conn)
         assert (rebuilt - omega).is_structurally_zero()
 
+    def test_block_with_a_fiber_integral_is_not_rebuilt(self, tangent1):
+        # The radial primitive of a non-polynomial block keeps its integrand
+        # as a fiber integral, which has no place in a prolongation form.
+        chart = tangent1.chart
+        block = ho.BigradedBlock(chart, 0, 1, {((), (0,)): ex.parse("exp(y1)", chart.alphabet)})
+        primitive = ho.radial_homotopy(block)
+        assert ho.is_fiber_integral(primitive.get((), ()))
+        with pytest.raises(ValueError, match="quadrature"):
+            pr.block_to_form(primitive)
+
 
 class TestDecomposition:
     def test_line_kinetic_energy_splits_exactly(self, tangent1):
