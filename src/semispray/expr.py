@@ -17,7 +17,11 @@ return canonical trees:
 * identical power bases are merged and like terms collected,
 * products distribute over sums and small integer powers of sums expand
   (bounded by ``EXPAND_TERM_CAP``), so polynomial identities cancel to the
-  literal zero.
+  literal zero.  When every factor and every term of the sums is a monomial
+  (a coefficient times ``Var``s, ``Func``s and their powers), the expansion
+  runs on exponent maps and builds only the collected terms; any other
+  product of sums, one with a quotient term say, goes through ``emul`` pair
+  by pair and ``eadd``.  Both give the same tree.
 
 Their outputs, and those of ``diff``, ``subs`` and ``parse``, are fixed points
 of :func:`simplify`.  Only this module builds the raw node classes, so no other
@@ -275,6 +279,7 @@ ONE = Const(1)
 MINUS_ONE = Const(-1)
 _INNER = (Add, Mul, Pow, Div, Func)  # the node types with children
 _DEN = object()  # emul's stack marker: the entry below it is a denominator
+_MONOMIAL_BASES = (Var, Func)  # the bases _expand_monomials takes powers of
 
 
 def as_expr(value) -> Expr:
@@ -383,6 +388,10 @@ def emul(*args) -> Expr:
         return ZERO
     if dens:
         num = _mul_plain(const, plain)
+        # A lone canonical denominator is its own product; a product or
+        # quotient still goes through _mul_plain, which flattens raw nodes.
+        if len(dens) == 1 and not isinstance(dens[0], (Mul, Div)):
+            return ediv(num, dens[0])
         return ediv(num, _mul_plain(1, dens))
     return _mul_plain(const, plain)
 
@@ -423,6 +432,9 @@ def _mul_plain(const, plain) -> Expr:
         return emul(Const(const), *factors, *adds, *refolded)
 
     if adds and _expansion_size(factors + adds) <= EXPAND_TERM_CAP:
+        expanded = _expand_monomials(const, factors, adds)
+        if expanded is not None:
+            return expanded
         partial = [_with_coeff(const, factors[0] if len(factors) == 1
                                else Mul(tuple(sorted(factors, key=Expr.sort_key))))
                    if factors else Const(const)]
@@ -443,6 +455,85 @@ def _mul_plain(const, plain) -> Expr:
     if const == 1:
         return factors[0] if len(factors) == 1 else Mul(tuple(factors))
     return Mul((Const(const),) + tuple(factors))
+
+
+def _expand_monomials(const, factors, adds) -> Optional[Expr]:
+    """``const * factors * adds`` expanded on exponent maps, or None unless
+    every factor and every term of every sum is a monomial: a coefficient
+    times ``Var``s, ``Func``s and their powers.
+
+    A monomial is its coefficient and its map ``{base: exponent}``; the
+    product of two multiplies the coefficients and adds the maps.  The tree
+    is the one ``emul`` pair by pair and then ``eadd`` would build: a
+    product's coefficient is the one its node would hold (an int 1 where
+    ``emul`` drops a 1 beside other factors), a product with coefficient 0 is
+    dropped, and like monomials collect in order of appearance, so float
+    coefficients round as they would and each base keeps its first object."""
+    first = {}
+    for f in factors:
+        base = _power_base(f)
+        if type(base) not in _MONOMIAL_BASES:
+            return None
+        first[base] = 1 if base is f else f.exponent
+    sums = []
+    for a in adds:
+        terms = [_factor_map(t) for t in a.terms]
+        for _, powers in terms:
+            for base in powers:
+                if type(base) not in _MONOMIAL_BASES:
+                    return None
+        sums.append(terms)
+
+    if type(const) is Fraction and const.denominator == 1:
+        const = const.numerator
+    partial = [(1 if first and const == 1 else const, first)]
+    for terms in sums:
+        products = []
+        for pc, pm in partial:
+            for tc, tm in terms:
+                c = pc * tc
+                if c == 0:
+                    continue
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+                m = pm
+                if tm:
+                    m = pm.copy()
+                    for base, e in tm.items():
+                        e = m.get(base, 0) + e
+                        if e == 0:
+                            del m[base]
+                        else:
+                            m[base] = e
+                products.append((1 if m and c == 1 else c, m))
+        partial = products
+
+    const = 0
+    buckets: dict = {}  # frozen map -> [summed coefficient, the first map]
+    for c, m in partial:
+        if not m:
+            const = const + c
+            continue
+        key = frozenset(m.items())
+        entry = buckets.get(key)
+        if entry is None:
+            buckets[key] = [c, m]
+        else:
+            entry[0] = entry[0] + c
+
+    terms = []
+    for c, m in buckets.values():
+        if c != 0:
+            term = sorted([b if e == 1 else Pow(b, e) for b, e in m.items()], key=Expr.sort_key)
+            if c != 1:
+                term.insert(0, Const(c))
+            terms.append(term[0] if len(term) == 1 else Mul(tuple(term)))
+    terms.sort(key=Expr.sort_key)
+    if const != 0:
+        terms.insert(0, Const(const))
+    if not terms:
+        return ZERO
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def _power_base(f: Expr) -> Expr:

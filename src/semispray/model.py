@@ -34,6 +34,7 @@ from typing import Optional
 from . import expr as ex
 from .algebroid import AForm, AlgebroidChart
 from .errors import ModelError, UnknownSymbol
+from .homotopy import TVAR
 
 
 @dataclass
@@ -164,8 +165,9 @@ def load_model(source) -> ModelDocument:
 
     n = doc.get("n")
     r = doc.get("r")
-    _require(isinstance(n, int) and n >= 1, "n", "must be a positive integer")
-    _require(isinstance(r, int) and r >= 1, "r", "must be a positive integer")
+    for key, value in (("n", n), ("r", r)):
+        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1, key,
+                 "must be a positive integer")
 
     coords = doc.get("coords", [f"x{i + 1}" for i in range(n)])
     fibers = doc.get("fibers", [f"y{i + 1}" for i in range(r)])
@@ -175,6 +177,9 @@ def load_model(source) -> ModelDocument:
     _require(isinstance(params, dict), "params", "must map names to numbers")
     for key, value in params.items():
         _require(isinstance(value, (int, float)), f"params.{key}", "must be a number")
+        finite(value, f"params.{key}")
+    for key, listed in (("coords", coords), ("fibers", fibers), ("params", params)):
+        _require(TVAR not in listed, key, f"{TVAR!r} is reserved for the fiber integrals")
     names = list(coords) + list(fibers) + list(params)
     _require(len(set(names)) == len(names), "coords", "variable names must be distinct")
 
@@ -240,7 +245,7 @@ def load_model(source) -> ModelDocument:
                names)
 
     seed = doc.get("seed", 0)
-    _require(isinstance(seed, int), "seed", "must be an integer")
+    _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
     tolerances = doc.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances", "must be an object")
     tol = positive(tolerances.get("tol", 1e-9), "tolerances.tol")

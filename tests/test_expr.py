@@ -770,6 +770,167 @@ def test_stack_constructors_match_closure_reference(case):
     assert _canonical_form(lambda: new(*args)) == _canonical_form(lambda: old(*args))
 
 
+def _per_pair_mul_plain(const, plain):
+    """``_mul_plain`` as it was before products of monomial sums were
+    expanded on exponent maps: every pair of terms goes through ``emul`` and
+    ``eadd`` collects the products.  The reference for the expansion."""
+    powers = {}
+    order = []
+    adds = []
+    for f in plain:
+        if isinstance(f, ex.Add):
+            adds.append(f)
+            continue
+        base = ex._power_base(f)
+        exp = 1 if base is f else f.exponent
+        if base in powers:
+            powers[base] = powers[base] + exp
+        else:
+            powers[base] = exp
+            order.append(base)
+    factors, refolded = [], []
+    for base in order:
+        merged = base if powers[base] == 1 else ex.epow(base, powers[base])
+        if isinstance(merged, ex.Const):
+            const = const * merged.value
+            if const == 0:
+                return ex.ZERO
+        elif isinstance(merged, ex.Add):
+            adds.append(merged)
+        elif isinstance(merged, (ex.Mul, ex.Div)) or ex._power_base(merged) != base:
+            refolded.append(merged)
+        else:
+            factors.append(merged)
+    if refolded:
+        return ex.emul(ex.Const(const), *factors, *adds, *refolded)
+    if adds and ex._expansion_size(factors + adds) <= ex.EXPAND_TERM_CAP:
+        partial = [ex._with_coeff(const, factors[0] if len(factors) == 1
+                                  else ex.Mul(tuple(sorted(factors, key=ex.Expr.sort_key))))
+                   if factors else ex.Const(const)]
+        for a in adds:
+            partial = [ex.emul(p, t) for p in partial for t in a.terms]
+        return ex.eadd(*partial)
+    if adds:
+        counts = {}
+        for a in adds:
+            counts[a] = counts.get(a, 0) + 1
+        factors += [ex.epow(a, count) for a, count in counts.items()]
+    factors.sort(key=ex.Expr.sort_key)
+    if not factors:
+        return ex.Const(const)
+    if const == 1:
+        return factors[0] if len(factors) == 1 else ex.Mul(tuple(factors))
+    return ex.Mul((ex.Const(const),) + tuple(factors))
+
+
+def _per_pair(build):
+    """``build()`` with every product of sums distributed pair by pair."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex, "_mul_plain", _per_pair_mul_plain)
+        return build()
+
+
+#: Coefficients of the drawn monomials: ints, rationals and floats, ``1.0``
+#: among them, and a float whose square underflows to 0.
+EXPANSION_COEFFS = [1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3), 1.0, -1.0, 0.5, 0.1, 3.0,
+                    1e-200]
+#: Exponents that cancel to 0 against each other: negative and fractional.
+EXPANSION_EXPONENTS = [1, 1, 2, -1, -2, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2)]
+_x1_var, _y1_var, _y2_var = ex.Var("x1"), ex.Var("y1"), ex.Var("y2")
+EXPANSION_BASES = [_x1_var, _y1_var, _y2_var, ex.efunc("exp", _x1_var),
+                   ex.efunc("sin", ex.emul(ex.Const(2), _y1_var))]
+
+
+@st.composite
+def products_of_sums(draw):
+    """The operands of a product of 1-3 sums of monomials, with constant
+    terms, now and then a quotient term (which the exponent maps cannot
+    hold) and a monomial or non-monomial factor beside the sums."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+
+    def monomial():
+        bases = rng.sample(EXPANSION_BASES, rng.randint(0, 3))
+        return ex.emul(ex.Const(rng.choice(EXPANSION_COEFFS)),
+                       *(ex.epow(b, rng.choice(EXPANSION_EXPONENTS)) for b in bases))
+
+    def term():
+        if rng.random() < 0.05:
+            return ex.ediv(monomial(), ex.eadd(ex.ONE, ex.epow(ex.Var("x2"), 2)))
+        return monomial()
+
+    operands = [ex.eadd(*(term() for _ in range(rng.randint(2, 4))))
+                for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        operands.append(monomial())
+    if rng.random() < 0.1:
+        operands.append(ex.epow(ex.eadd(ex.ONE, _x1_var), Fraction(1, 2)))
+    rng.shuffle(operands)
+    return operands
+
+
+@settings(max_examples=300, deadline=None)
+@given(products_of_sums())
+def test_exponent_map_expansion_matches_per_pair_reference(operands):
+    # The sort key tells Const(2) from Const(2.0) at every position.
+    want = _canonical_form(lambda: _per_pair(lambda: ex.emul(*operands)))
+    assert _canonical_form(lambda: ex.emul(*operands)) == want
+
+
+_exp_x1 = ex.efunc("exp", _x1_var)
+
+
+def _inverses(*bases):
+    return ex.eadd(*(ex.epow(b, -1) for b in bases))
+
+
+@pytest.mark.parametrize("operands,want", [
+    # 1e-200^2 underflows: the product is dropped, not summed as 0.0 into
+    # the int coefficient of x1 or into the int constant.
+    ([ex.eadd(ex.emul(ex.Const(1e-200), _x1_var), ex.Const(2)),
+      ex.eadd(ex.Const(1e-200), _x1_var)], "2e-200 + 1e-200*x1^2 + 2*x1"),
+    ([ex.eadd(ex.Const(1e-200), _x1_var), ex.eadd(ex.Const(1e-200), ex.epow(_x1_var, -1))],
+     "1 + 1e-200*x1 + 1e-200*x1^(-1)"),
+    # Like terms sum in product order: (0.1 + 0.2) + 0.3, not 0.3 + 0.2 + 0.1.
+    ([_y2_var, ex.eadd(ex.emul(ex.Const(0.1), _x1_var), ex.emul(ex.Const(0.2), _y1_var),
+                       ex.emul(ex.Const(0.3), _exp_x1)), _inverses(_x1_var, _y1_var, _exp_x1)],
+     None),
+], ids=["underflow-beside-int", "underflow-beside-int-constant", "float-sum-order"])
+def test_expansion_keeps_per_pair_coefficients(operands, want):
+    got = ex.emul(*operands)
+    assert got.sort_key() == _per_pair(lambda: ex.emul(*operands)).sort_key()
+    if want is not None:
+        assert ex.to_text(got) == want
+    else:
+        assert got.terms[0] == ex.emul(ex.Const(0.1 + 0.2 + 0.3), _y2_var)
+
+
+def test_expansion_at_the_term_cap_matches_per_pair_reference():
+    a, b = _sum_of_powers("x1", 64), _sum_of_powers("y2", 64)
+    assert ex._expansion_size([a, b]) == ex.EXPAND_TERM_CAP
+    got = ex.emul(ex.Const(0.5), a, b)
+    assert len(got.terms) == ex.EXPAND_TERM_CAP
+    assert got.sort_key() == _per_pair(lambda: ex.emul(ex.Const(0.5), a, b)).sort_key()
+    # Like terms collect: x1^2 .. x1^128.
+    got = ex.emul(a, a)
+    assert len(got.terms) == 127
+    assert got.sort_key() == _per_pair(lambda: ex.emul(a, a)).sort_key()
+
+
+def test_expansion_above_the_term_cap_groups_into_powers():
+    c = _sum_of_powers("x1", 65)
+    got = ex.emul(_y1_var, c, c)
+    assert got.sort_key() == ex.Mul((_y1_var, ex.Pow(c, 2))).sort_key()
+    assert got.sort_key() == _per_pair(lambda: ex.emul(_y1_var, c, c)).sort_key()
+
+
+def test_lone_denominator_is_kept_as_built():
+    # A canonical denominator is its own product: it is not expanded again.
+    d = ex.eadd(ex.ONE, ex.epow(_x1_var, 2), ex.emul(ex.Const(2.0), _y1_var))
+    got = ex.emul(_y2_var, ex.ediv(ex.Var("x2"), d))
+    assert isinstance(got, ex.Div) and got.den is d
+    assert got.sort_key() == ex.Div(ex.emul(ex.Var("x2"), _y2_var), d).sort_key()
+
+
 @st.composite
 def canonical_pairs(draw):
     """Two constructor outputs, with float and rational constants and

@@ -182,6 +182,45 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"input error: {source}: ")
 
+    @pytest.mark.parametrize("entries,argv,source", [
+        ('"n": true, "r": 1, "L": "1/2*y1^2"', ["validate"], "n"),
+        ('"n": 1, "r": true, "L": "1/2*y1^2"', ["validate"], "r"),
+        ('"n": 1, "r": 1, "L": "1/2*y1^2", "seed": true', ["check", "jacobi"], "seed"),
+        ('"n": 1, "r": 1, "params": {"a": true}, "L": "1/2*y1^2 + a*x1"', ["validate"],
+         "params.a"),
+        # json reads 1e999 as inf.
+        ('"n": 1, "r": 1, "params": {"a": 1e999}, "L": "1/2*y1^2 + a*x1"', ["validate"],
+         "params.a"),
+        ('"n": 1, "r": 1, "params": {"a": 1e999}, "L": "1/2*y1^2 + a*x1"',
+         ["integrate", "--p0", "0,1", "--format", "json"], "params.a"),
+    ], ids=["n-bool", "r-bool", "seed-bool", "param-bool", "param-inf-validate",
+            "param-inf-integrate"])
+    def test_booleans_and_non_finite_numbers_are_input_errors(self, tmp_path, entries, argv,
+                                                             source, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{%s, "rho": [["1"]]}' % entries)
+        at = 2 if argv[0] == "check" else 1
+        code, out = run_cli(argv[:at] + [str(path)] + argv[at:])
+        stderr = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert stderr.startswith(f"input error: {source}: ")
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("field", ["coords", "fibers", "params"])
+    def test_fiber_integral_parameter_is_a_reserved_name(self, tmp_path, field, capsys):
+        # homotopy.TVAR free in a coefficient marks it as a fiber integral, so
+        # no chart variable may carry that name.
+        from semispray.homotopy import TVAR
+
+        doc = dict(TANGENT_DOC, **{field: {TVAR: 1} if field == "params" else [TVAR]})
+        path = tmp_path / "reserved.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["validate", str(path)])
+        stderr = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert stderr.startswith(f"input error: {field}: {TVAR!r} is reserved")
+        assert "Traceback" not in stderr
+
     @pytest.mark.parametrize("argv,expected_code", [
         (["bracket"], 2), (["hamiltonian"], 2), (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1"], 2),
         (["check", "jacobi"], 2), (["check", "semispray"], 2), (["check", "spray"], 2),

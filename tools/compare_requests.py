@@ -1,0 +1,136 @@
+"""Compare the CLI bytes of two source trees on every bench request.
+
+    python tools/compare_requests.py OLD_SRC NEW_SRC
+
+``OLD_SRC`` and ``NEW_SRC`` are checkouts: directories that hold
+``src/semispray``.  The requests are those of
+``bench/workloads.requests(workload, seed, pass)`` for the three workloads,
+seeds 1-3 and passes 0-2 (540 requests), on the model documents of
+``bench/workloads.MODELS``, both taken from the checkout this script lives
+in.  Each tree runs every request in its own subprocess, which drives
+``semispray.cli.main`` in-process and in order, as the bench does.
+
+Prints every request whose stdout, stderr or exit code differs between the
+trees, then one summary line with the sha256 of each tree's stream of
+responses.  Exits 1 on any difference (or when a subprocess fails), else 0.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SEEDS = (1, 2, 3)
+PASSES = (0, 1, 2)
+
+
+def _workloads():
+    sys.path.insert(0, str(BENCH))
+    import workloads
+    return workloads
+
+
+def plan(workloads):
+    """``(request id, request)`` for every request, in run order."""
+    for workload in workloads.WORKLOADS:
+        for seed in SEEDS:
+            for pass_index in PASSES:
+                for i, request in enumerate(workloads.requests(workload, seed, pass_index)):
+                    yield f"{workload} seed {seed} pass {pass_index} #{i} {request.label}", request
+
+
+def serve(src: str, documents: str) -> int:
+    """Run every request against ``src`` and write one JSON line per
+    response, ``[id, exit code, stdout, stderr]``, to stdout."""
+    workloads = _workloads()
+    sys.path.insert(0, str(Path(src) / "src"))
+    from semispray import cli
+
+    channel = sys.stdout
+    for request_id, request in plan(workloads):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(request.argv(os.path.join(documents, f"{request.model}.json")))
+            except (Exception, SystemExit) as exc:  # reported as a response, not a crash
+                code = f"{type(exc).__name__}: {exc}"
+        channel.write(json.dumps([request_id, code, out.getvalue(), err.getvalue()]) + "\n")
+        channel.flush()
+    return 0
+
+
+def _first_difference(a: str, b: str) -> str:
+    for number, (line_a, line_b) in enumerate(zip(a.splitlines(), b.splitlines()), 1):
+        if line_a != line_b:
+            return f"line {number}: {line_a[:120]!r} vs {line_b[:120]!r}"
+    return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
+
+
+def compare(old_src: str, new_src: str) -> int:
+    for src in (old_src, new_src):
+        if not (Path(src) / "src" / "semispray" / "cli.py").is_file():
+            print(f"compare_requests: no program sources under {src}/src", file=sys.stderr)
+            return 1
+    workloads = _workloads()
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    with tempfile.TemporaryDirectory() as documents:
+        for model, (doc, _) in workloads.MODELS.items():
+            Path(documents, f"{model}.json").write_text(json.dumps(doc, indent=1),
+                                                        encoding="utf-8")
+        workers = [subprocess.Popen([sys.executable, __file__, "--serve", src, documents],
+                                    stdout=subprocess.PIPE, text=True, env=env)
+                   for src in (old_src, new_src)]
+        digests = [hashlib.sha256(), hashlib.sha256()]
+        total = differing = 0
+        for request_id, _ in plan(workloads):
+            lines = [w.stdout.readline() for w in workers]
+            if not all(lines):
+                print(f"{request_id}: no response (a subprocess ended early)")
+                differing += 1
+                break
+            for digest, line in zip(digests, lines):
+                digest.update(line.encode())
+            (_, old_code, old_out, old_err), (_, new_code, new_out, new_err) = map(json.loads,
+                                                                                  lines)
+            total += 1
+            notes = []
+            if old_code != new_code:
+                notes.append(f"exit code {old_code!r} vs {new_code!r}")
+            if old_out != new_out:
+                notes.append(f"stdout differs at {_first_difference(old_out, new_out)}")
+            if old_err != new_err:
+                notes.append(f"stderr differs at {_first_difference(old_err, new_err)}")
+            if notes:
+                differing += 1
+                print(f"{request_id}: {'; '.join(notes)}")
+        for w in workers:
+            w.stdout.close()
+            if w.wait() != 0:
+                print(f"a subprocess exited with code {w.returncode}")
+                differing += 1
+    old_hex, new_hex = (d.hexdigest() for d in digests)
+    print(f"{total} requests, {differing} differing; sha256 old {old_hex[:16]}, "
+          f"new {new_hex[:16]}")
+    return 1 if differing else 0
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 3 and argv[0] == "--serve":
+        return serve(argv[1], argv[2])
+    if len(argv) != 2:
+        print("usage: python tools/compare_requests.py OLD_SRC NEW_SRC", file=sys.stderr)
+        return 2
+    return compare(*argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
