@@ -4,10 +4,13 @@ Expressions are immutable trees over a declared alphabet of variable names.
 Power exponents are exact rationals, and so are constants unless a float is
 injected programmatically; decimal literals (``1.5e-3`` included) are parsed
 exactly.  An exact rational is held as an ``int`` when it is integral and as
-a :class:`fractions.Fraction` only when its denominator is above 1.  Equal
-values of the two forms compare, hash and print alike, so the form never
-changes a tree, its order or its text; the ``int`` form keeps whole-number
-coefficient arithmetic out of ``fractions``.
+a :class:`fractions.Fraction` only when its denominator is above 1, so each
+rational has one form; the ``int`` form keeps whole-number coefficient
+arithmetic out of ``fractions``.
+
+Nodes are interned (hash-consed) in one weak table, so each structure is one
+live object and equality is identity; ``Const(2)`` and ``Const(2.0)``, or
+``0.0`` and ``-0.0``, are distinct nodes.
 
 The smart constructors ``eadd``/``emul``/``epow``/``ediv``/``efunc`` always
 return canonical trees:
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 import random
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -57,20 +61,10 @@ Number = Union[int, float, Fraction]
 
 
 class Expr:
-    """Base class of expression nodes.  Instances are immutable and hashable;
-    equality is structural."""
+    """Base class of expression nodes: immutable and interned, so each
+    structure is one live object and equality and hashing are identity's."""
 
-    __slots__ = ("_hash", "_key")
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other) or self._hash != other._hash:
-            return False
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_key", "__weakref__")
 
     def _fields(self):
         raise NotImplementedError
@@ -123,6 +117,35 @@ class Expr:
         return to_text(self)
 
 
+_INTERNED: dict = {}  # structural key -> _Ref to the one live node with it
+
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref) -> None:
+    """A node's death callback; a node built since under its key stays."""
+    if _INTERNED.get(ref.key) is ref:
+        del _INTERNED[ref.key]
+
+
+def _interned(cls, key, *fields) -> Expr:
+    """The live node under ``key``, else a new ``cls`` node holding ``fields``
+    in slot order.  A key holds the class and the fields; a child in it
+    compares by identity and lives as long as the node does anyway."""
+    ref = _INTERNED.get(key)
+    node = None if ref is None else ref()
+    if node is None:
+        node = object.__new__(cls)
+        for slot, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, slot, value)
+        object.__setattr__(node, "_key", None)
+        ref = _INTERNED[key] = _Ref(node, _forget)
+        ref.key = key
+    return node
+
+
 class Const(Expr):
     """A numeric constant.  ``value`` is an ``int`` when the constant is
     integral, a :class:`~fractions.Fraction` with denominator above 1 for
@@ -130,16 +153,14 @@ class Const(Expr):
 
     __slots__ = ("value",)
 
-    def __init__(self, value: Number):
+    def __new__(cls, value: Number):
         if type(value) is not int and not isinstance(value, float):
             value = _exact(value)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", hash(("C", value)))
-        object.__setattr__(self, "_key", None)
+        sign = (math.copysign(1.0, value),) if isinstance(value, float) else ()  # -0.0 != 0.0
+        return _interned(cls, (cls, value, *sign), value)
 
     def _fields(self):
-        v = self.value  # -0.0 == 0, but one program slot for both would be wrong
-        return (v, "-") if isinstance(v, float) and not v and math.copysign(1, v) < 0 else (v,)
+        return (self.value,)
 
     def _make_key(self):
         v = self.value
@@ -149,10 +170,8 @@ class Const(Expr):
 class Var(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_hash", hash(("V", name)))
-        object.__setattr__(self, "_key", None)
+    def __new__(cls, name: str):
+        return _interned(cls, name, name)
 
     def _fields(self):
         return (self.name,)
@@ -164,13 +183,10 @@ class Var(Expr):
 class Func(Expr):
     __slots__ = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expr):
+    def __new__(cls, name: str, arg: Expr):
         if name not in FUNCTIONS:
             raise ValueError(f"unsupported function {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-        object.__setattr__(self, "_hash", hash(("F", name, arg)))
-        object.__setattr__(self, "_key", None)
+        return _interned(cls, (cls, name, arg), name, arg)
 
     def _fields(self):
         return (self.name, self.arg)
@@ -185,13 +201,10 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent: Union[int, Fraction]):
+    def __new__(cls, base: Expr, exponent: Union[int, Fraction]):
         if type(exponent) is not int:
             exponent = _exact(exponent)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", exponent)
-        object.__setattr__(self, "_hash", hash(("P", base, exponent)))
-        object.__setattr__(self, "_key", None)
+        return _interned(cls, (cls, base, exponent), base, exponent)
 
     def _fields(self):
         return (self.base, self.exponent)
@@ -205,11 +218,8 @@ class Div(Expr):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_hash", hash(("D", num, den)))
-        object.__setattr__(self, "_key", None)
+    def __new__(cls, num: Expr, den: Expr):
+        return _interned(cls, (cls, num, den), num, den)
 
     def _fields(self):
         return (self.num, self.den)
@@ -221,10 +231,8 @@ class Div(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "_hash", hash(("M",) + factors))
-        object.__setattr__(self, "_key", None)
+    def __new__(cls, factors: tuple):
+        return _interned(cls, (cls, factors), factors)
 
     def _fields(self):
         return self.factors
@@ -236,10 +244,8 @@ class Mul(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: tuple):
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", hash(("A",) + terms))
-        object.__setattr__(self, "_key", None)
+    def __new__(cls, terms: tuple):
+        return _interned(cls, (cls, terms), terms)
 
     def _fields(self):
         return self.terms
@@ -320,10 +326,9 @@ def _with_coeff(coeff, core: Expr) -> Expr:
 
 
 def eadd(*args) -> Expr:
-    """Canonical sum of canonical expressions.  Nested sums are flattened left
-    to right; a term whose core nothing merged into is kept as given."""
+    """Canonical sum of canonical expressions, nested sums flattened in order."""
     const = 0
-    buckets: dict = {}  # core -> [coefficient, the term while nothing merged]
+    buckets: dict = {}  # core -> coefficient
     stack = list(reversed(args))
     while stack:
         e = stack.pop()
@@ -333,18 +338,14 @@ def eadd(*args) -> Expr:
             const = const + e.value
         else:
             coeff, core = _split_coeff(e)
-            entry = buckets.get(core)
-            if entry is None:
-                buckets[core] = [coeff, e]
-            else:
-                entry[0] = entry[0] + coeff
-                entry[1] = None
+            seen = buckets.get(core)
+            buckets[core] = coeff if seen is None else seen + coeff
 
     terms, requoted = [], False
-    for core, (coeff, term) in buckets.items():
+    for core, coeff in buckets.items():
         if coeff != 0:
-            requoted = requoted or (term is None and isinstance(core, Div))
-            terms.append(_with_coeff(coeff, core) if term is None else term)
+            requoted = requoted or (coeff != 1 and isinstance(core, Div))
+            terms.append(_with_coeff(coeff, core))
     if requoted and len({_split_coeff(t)[1] for t in terms}) < len(terms):
         return eadd(Const(const), *terms)  # a merged quotient is now another term's core
     terms.sort(key=Expr.sort_key)
@@ -468,7 +469,7 @@ def _expand_monomials(const, factors, adds) -> Optional[Expr]:
     product's coefficient is the one its node would hold (an int 1 where
     ``emul`` drops a 1 beside other factors), a product with coefficient 0 is
     dropped, and like monomials collect in order of appearance, so float
-    coefficients round as they would and each base keeps its first object."""
+    coefficients round as they would."""
     first = {}
     for f in factors:
         base = _power_base(f)
@@ -646,7 +647,7 @@ def ediv(num: Expr, den: Expr) -> Expr:
         return emul(Const(_reciprocal(den.value)), num)
     if is_zero_literal(num):
         return ZERO
-    if num == den:
+    if num is den:
         return ONE
     if isinstance(num, Div):
         return ediv(num.num, emul(num.den, den))
@@ -715,43 +716,25 @@ def diff(e: Expr, var) -> Expr:
 
 
 def _memoized(step, e: Expr, arg):
-    """``step(node, arg, result)`` once per structurally distinct subtree of
-    ``e``, children first; returns ``e``'s.  ``result`` is a :class:`_Memo`,
-    which holds no reference back to itself, so the memo is freed as soon as
-    the call returns.  The memo matches on sort keys, which tell
-    ``Const(2.0)`` from ``Const(2)``."""
-    result = _Memo(step, arg)
-    memo = result.memo
+    """``step(node, arg, result)`` once per distinct subtree of ``e``, children
+    first; returns ``e``'s.  ``result`` is the memo's ``__getitem__``, which
+    the memo does not hold, so the memo is freed when the call returns."""
+    memo: dict = {}
+    result = memo.__getitem__
     stack = [e]
     while stack:
         node = stack.pop()
         if node is None:  # the children of the node below are done
             node = stack.pop()
-            memo.setdefault(node._hash, []).append((node, step(node, arg, result)))
-        elif isinstance(node, _INNER) and (node._hash not in memo or result(node) is None):
+            memo[node] = step(node, arg, result)
+        elif node in memo or not isinstance(node, Expr):  # done, or a name or exponent
+            continue
+        elif isinstance(node, _INNER):
             stack += (node, None)
             stack += reversed(node._fields())
-    return result(e)
-
-
-class _Memo:
-    """``result(node)`` of :func:`_memoized`: a leaf's step redone, an inner
-    node's memoized step, or None for an inner node not done yet."""
-
-    __slots__ = ("step", "arg", "memo")
-
-    def __init__(self, step, arg):
-        self.step = step
-        self.arg = arg
-        self.memo: dict = {}  # hash -> [(subtree, result)]
-
-    def __call__(self, node):
-        if not isinstance(node, _INNER):  # a leaf: cheaper to redo than to look up
-            return self.step(node, self.arg, self)
-        for seen, out in self.memo.get(node._hash, ()):
-            if seen is node or seen.sort_key() == node.sort_key():
-                return out
-        return None
+        else:
+            memo[node] = step(node, arg, result)
+    return memo[e]
 
 
 def _diff(e: Expr, name: str, result) -> Expr:
@@ -902,6 +885,11 @@ def to_text(e: Expr) -> str:
 _BIN_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PRECEDENCE = 25
 
+#: Levels of nesting (parentheses, unary minus, function arguments, right
+#: operands of ``^``) :func:`parse` accepts: it keeps the parser, printer and
+#: sort keys, each recursing per level, well inside the recursion limit.
+MAX_NESTING = 200
+
 
 @dataclass
 class _Token:
@@ -973,6 +961,7 @@ class _Parser:
         self.alphabet = frozenset(alphabet)
         self.tokens = _tokenize(src)
         self.idx = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.idx]
@@ -989,6 +978,15 @@ class _Parser:
             raise _syntax_error(self.src, tok.pos, "end of input or an operator")
         return e
 
+    def nested(self, tok: _Token, min_prec: int) -> Expr:
+        """``expression(min_prec)`` one nesting level below ``tok``."""
+        if self.depth == MAX_NESTING:
+            raise _syntax_error(self.src, tok.pos, f"at most {MAX_NESTING} levels of nesting")
+        self.depth += 1
+        e = self.expression(min_prec)
+        self.depth -= 1
+        return e
+
     def expression(self, min_prec: int) -> Expr:
         left = self.atom()
         while True:
@@ -1000,8 +998,7 @@ class _Parser:
                 break
             self.advance()
             # '^' is right-associative; the rest are left-associative.
-            next_min = prec if tok.text == "^" else prec + 1
-            right = self.expression(next_min)
+            right = self.nested(tok, prec) if tok.text == "^" else self.expression(prec + 1)
             if tok.text == "+":
                 left = eadd(left, right)
             elif tok.text == "-":
@@ -1021,9 +1018,9 @@ class _Parser:
         if tok.kind == "num":
             return Const(Fraction(tok.text))
         if tok.kind == "op" and tok.text == "-":
-            return eneg(self.expression(_UNARY_PRECEDENCE))
+            return eneg(self.nested(tok, _UNARY_PRECEDENCE))
         if tok.kind == "lparen":
-            inner = self.expression(0)
+            inner = self.nested(tok, 0)
             closing = self.advance()
             if closing.kind != "rparen":
                 raise _syntax_error(self.src, closing.pos, "')'")
@@ -1033,7 +1030,7 @@ class _Parser:
                 opening = self.advance()
                 if opening.kind != "lparen":
                     raise _syntax_error(self.src, opening.pos, f"'(' after {tok.text}")
-                arg = self.expression(0)
+                arg = self.nested(opening, 0)
                 closing = self.advance()
                 if closing.kind != "rparen":
                     raise _syntax_error(self.src, closing.pos, "')'")
@@ -1050,7 +1047,8 @@ def parse(src: str, alphabet: Iterable[str]) -> Expr:
 
     Decimal literals, with or without an exponent (``1.5e-3``), become exact
     rationals.  Raises :class:`SyntaxError` (with ``.offset``) on malformed
-    input and :class:`UnknownSymbol` on names outside the alphabet.
+    input or nesting deeper than :data:`MAX_NESTING`, and
+    :class:`UnknownSymbol` on names outside the alphabet.
     """
     return _Parser(src, alphabet).parse()
 
@@ -1176,7 +1174,7 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
 # Evaluation: one program, two back ends
 #
 # ``Program`` is the only walk that evaluates: one slot per variable read and
-# per structurally distinct node, in post-order of first occurrence, which is
+# per distinct node, in post-order of first occurrence, which is
 # the order of the nested left-to-right expression, so every float operation
 # and the first guard to raise are those of the tree.  The guards are those
 # of ``_guarded_namespace``.  The back ends differ only in how they sum:

@@ -132,6 +132,16 @@ def _box(base: ex.Box, entries, names) -> ex.Box:
     return ex.Box(default=default, ranges=ranges)
 
 
+def _variable_name(name, path) -> None:
+    """Refuse a name no expression can use: one that :func:`expr.parse`
+    does not read back as exactly that variable."""
+    try:
+        ok = isinstance(name, str) and ex.parse(name, [name]) is ex.Var(name)
+    except (SyntaxError, UnknownSymbol):
+        ok = False
+    _require(ok, path, f"must be a variable name, got {name!r}")
+
+
 def _parse_field(src, alphabet, path) -> ex.Expr:
     _require(isinstance(src, str), path, f"expected an expression string, got {type(src).__name__}")
     try:
@@ -175,7 +185,11 @@ def load_model(source) -> ModelDocument:
     _require(isinstance(fibers, list) and len(fibers) == r, "fibers", f"must list {r} names")
     params = doc.get("params", {})
     _require(isinstance(params, dict), "params", "must map names to numbers")
+    for key, listed in (("coords", coords), ("fibers", fibers)):
+        for i, name in enumerate(listed):
+            _variable_name(name, f"{key}[{i}]")
     for key, value in params.items():
+        _variable_name(key, f"params.{key}")
         _require(isinstance(value, (int, float)), f"params.{key}", "must be a number")
         finite(value, f"params.{key}")
     for key, listed in (("coords", coords), ("fibers", fibers), ("params", params)):

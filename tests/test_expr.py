@@ -542,6 +542,25 @@ def test_compiled_division_and_powers_match_nested_code(trees, values):
     assert got == ("raises" if "raises" in want else want)
 
 
+@pytest.mark.parametrize("build,same", [
+    (lambda: (ex.Mul((_x1_var, ex.Var("y1"))), ex.emul(_x1_var, ex.Var("y1"))), True),
+    (lambda: (ex.Func("sin", ex.Add((ex.ONE, _x1_var))),
+              ex.parse("sin(x1 + 1)", ALPHABET)), True),
+    (lambda: (ex.Const(Fraction(4, 2)), ex.Const(2)), True),
+    (lambda: (ex.Pow(_x1_var, Fraction(-2, 4)), ex.epow(_x1_var, Fraction(-1, 2))), True),
+    (lambda: (ex.Const(2), ex.Const(2.0)), False),
+    (lambda: (ex.Const(0.0), ex.Const(-0.0)), False),
+    (lambda: (ex.Mul((ex.Const(2.0), _x1_var)), ex.Mul((ex.Const(2), _x1_var))), False),
+], ids=["raw-and-constructed", "raw-and-parsed", "fraction-and-int", "exponent-forms",
+        "int-and-float", "signed-zeros", "float-coefficient"])
+def test_equal_structures_are_one_node(build, same):
+    # Nodes are interned: a structure alive already is returned, not built
+    # again, so equality is identity, and numbers of another type or sign are
+    # other structures.
+    a, b = build()
+    assert (a is b) == same and (a == b) == same
+
+
 def test_signed_zero_constants_keep_their_own_slots():
     # -0.0 == 0, but a program sharing one slot for both computed -0.0 + 0
     # and 0*x1 as -0.0, where the nested code gives 0.0.
@@ -627,9 +646,18 @@ class TestMemoizedWalkers:
         assert ex.evaluate(ex.simplify(e), env) == want
         assert ex.evaluate(ex.subs(e, {"x2": ex.Const(0.2)}), env) == want
 
+    def test_deep_equal_trees_share_one_program_slot(self):
+        # Building the same tree twice gives one object, so the program's
+        # slot lookup never compares two deep trees level by level.
+        e = ex.Var("x1")
+        for _ in range(3000):
+            e = ex.efunc("sin", ex.eadd(e, ex.Var("x2")))
+        program = ex.Program([e, ex.simplify(e)])
+        assert program.outputs[0] == program.outputs[1]
+
     def test_float_constant_stays_apart_from_equal_rational(self):
-        # Const(2.0) == Const(2) and both hash alike: a memo keyed on ``==``
-        # would hand one subtree's result to the other.
+        # 2.0 == 2 and both hash alike: a memo keyed on the values would
+        # hand one subtree's result to the other.
         x1 = ex.Var("x1")
         e = ex.eadd(ex.efunc("sin", ex.emul(ex.Const(2.0), x1)),
                     ex.efunc("cos", ex.emul(ex.Const(2), x1)))

@@ -1,8 +1,14 @@
+import copy
 import io
 import json
-from contextlib import redirect_stdout
+import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semispray import cli, errors, expr as ex
 from semispray.errors import ModelError, StepCollapse
@@ -32,6 +38,9 @@ TANGENT5_DOC = {
     "rho": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
     "L": "1/2*(y1^2 + y2^2 + y3^2 + y4^2 + y5^2)",
 }
+
+#: The identity anchor on the plane: no expression names a variable.
+PLANE_DOC = {"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]]}
 
 COTANGENT_DOC = {
     "n": 2, "r": 2,
@@ -219,6 +228,26 @@ class TestCliCommands:
         stderr = capsys.readouterr().err
         assert code == 2 and out == ""
         assert stderr.startswith(f"input error: {field}: {TVAR!r} is reserved")
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("entries,source", [
+        ({"coords": [["a"], "x2"]}, "coords[0]"),
+        ({"coords": [{"a": 1}, "x2"]}, "coords[0]"),
+        ({"coords": [1, "x2"]}, "coords[0]"),
+        ({"fibers": [None, "y2"]}, "fibers[0]"),
+        ({"coords": ["sin", "x2"]}, "coords[0]"),
+        ({"params": {"1a": 2}}, "params.1a"),
+    ], ids=["list", "object", "number", "null", "function-name", "leading-digit"])
+    def test_names_no_expression_can_use_are_input_errors(self, tmp_path, entries, source,
+                                                          capsys):
+        # A name must parse back as exactly its own variable; anything else
+        # could never appear in an expression of the model.
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps(dict(PLANE_DOC, **entries)))
+        code, out = run_cli(["validate", str(path)])
+        stderr = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert stderr.startswith(f"input error: {source}: must be a variable name, got ")
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("argv,expected_code", [
@@ -503,3 +532,111 @@ def test_overflowed_residual_prints_as_json(tmp_path, seed):
     payload = json.loads(out, parse_constant=_reject_constant)
     assert code == 1 and payload["status"] == "fail"
     assert payload["residual_max"] == "inf"
+
+
+#: Text nested ``k`` levels deep in each form the parser counts.
+NESTED = {"parens": lambda k: "(" * k + "x1" + ")" * k,
+          "minus": lambda k: "-" * k + "x1",
+          "sin": lambda k: "sin(" * k + "x1" + ")" * k,
+          "power": lambda k: "x1" + "^1" * k}
+
+
+def _nested_model(tmp_path, form, depth):
+    deep = NESTED[form](depth)
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps({"n": 1, "r": 1, "rho": [["1"]],
+                                "L": f"1/2*y1^2 + {deep}*y1"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "hamiltonian"])
+@pytest.mark.parametrize("form", NESTED)
+def test_nesting_at_the_limit_runs(tmp_path, capsys, form, command):
+    code, out = run_cli([command, _nested_model(tmp_path, form, ex.MAX_NESTING)])
+    assert code == 0 and json.loads(out)["status"] == "pass"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("form", NESTED)
+def test_nesting_past_the_limit_is_an_input_error(tmp_path, capsys, form):
+    code, out = run_cli(["validate", _nested_model(tmp_path, form, ex.MAX_NESTING + 1)])
+    stderr = capsys.readouterr().err
+    assert code == 2 and out == ""
+    assert stderr.startswith("input error: L: syntax error: at offset ")
+    assert stderr.endswith(f"expected at most {ex.MAX_NESTING} levels of nesting\n")
+
+
+#: A valid model of rank 2 that ``validate`` passes; every perturbation of
+#: :func:`perturbed_models` starts from it.
+FUZZ_DOC = {"n": 2, "r": 2, "coords": ["x1", "x2"], "fibers": ["y1", "y2"], "params": {"a": 1},
+            "rho": [["0", "-1"], ["1", "0"]], "L": "1/2*(y1^2 + y2^2) + a*x1",
+            "Theta": {"1,2": "1"}, "box": {"default": [-1, 1]}, "seed": 0,
+            "tolerances": {"tol": 1e-9, "trials": 8}}
+
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                         st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+                         st.lists(st.integers(0, 2), max_size=2),
+                         st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1))
+_NAMES = st.one_of(_JSON_VALUES, st.sampled_from(["sin", "1a", "x 1", "", "x1", "y2", "a"]))
+_NUMBERS = st.one_of(st.booleans(), st.integers(-2, 4), st.floats(-2, 2),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def perturbed_models(draw):
+    """``FUZZ_DOC`` with one to three fields replaced: a name of any JSON
+    type, a list of the wrong length, text nested up to twice the parser's
+    limit, or a boolean or non-finite number."""
+    doc = copy.deepcopy(FUZZ_DOC)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["name", "length", "text", "number"]))
+        if kind == "name":
+            field, name = draw(st.sampled_from(["coords", "fibers", "params"])), draw(_NAMES)
+            if field == "params":  # a JSON object key is a string
+                doc[field] = {name if isinstance(name, str) else json.dumps(name): 1}
+            else:
+                doc[field] = draw(st.permutations([name, FUZZ_DOC[field][1]]))
+        elif kind == "length":
+            size = draw(st.sampled_from([0, 1, 3]))
+            field = draw(st.sampled_from(["coords", "fibers", "rho", "rho[0]"]))
+            if field == "rho[0]":
+                doc["rho"] = [["0"] * size] + doc["rho"][1:]
+            else:
+                doc[field] = [["0", "0"]] * size if field == "rho" else [f"v{i}" for i in range(size)]
+        elif kind == "text":
+            deep = NESTED[draw(st.sampled_from(list(NESTED)))](
+                draw(st.integers(0, 2 * ex.MAX_NESTING)))
+            field = draw(st.sampled_from(["L", "rho", "Theta", "C"]))
+            if field == "L":
+                doc["L"] = f"{FUZZ_DOC['L']} + {deep}*y1"
+            elif field == "rho":
+                doc["rho"] = [[deep, "-1"], ["1", "0"]]
+            else:
+                doc[field] = {"1,2" if field == "Theta" else "1,1,2": deep}
+        else:
+            path = draw(st.sampled_from([("n",), ("r",), ("seed",), ("params", "a"),
+                                         ("tolerances", "tol"), ("tolerances", "trials"),
+                                         ("box", "default")]))
+            value = draw(_NUMBERS)
+            if path == ("box", "default"):
+                value = draw(st.permutations([value, 1]))
+            target = doc
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=100, deadline=None)
+@given(perturbed_models())
+@example(dict(FUZZ_DOC, coords=[["a"], "x2"]))
+@example(dict(FUZZ_DOC, L="(" * 500 + "x1" + ")" * 500))
+def test_perturbed_models_get_an_exit_code(doc):
+    # Whatever the document, ``validate`` answers with a documented exit
+    # code; no exception escapes ``main``.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(doc))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = cli.main(["validate", str(path)])
+    assert code in (0, 1, 2)

@@ -261,6 +261,16 @@ def test_expression_kernel_keeps_no_cache(stress):
         "subs": ["e", "mapping"], "simplify": ["e"], "diff": ["e", "var"]}
 
 
+def test_intern_table_holds_only_live_nodes(stress):
+    # The table holds its nodes weakly: once the residuals of a check are
+    # dropped, so are their entries.
+    before = len(ex._INTERNED)
+    residuals = [r for _, r in poisson.jacobi_residuals(bracket_bundle(stress, stress.theta)[1])]
+    assert len(ex._INTERNED) > before + 1000
+    del residuals
+    assert len(ex._INTERNED) == before
+
+
 def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
     # Everything a kernel call allocates is freed by reference counting, so
     # the cyclic collector never has to trace the trees a check builds.
