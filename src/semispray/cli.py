@@ -1,5 +1,7 @@
 """Batch command line: load a JSON model, run validations, emit brackets,
-fields, reports, and trajectories.
+fields, reports, and trajectories.  ``integrate`` builds no bracket: it
+integrates the factored field ``X = P(x)·∇G`` from the Hessian, the twist
+and the anchor (:class:`~semispray.poisson.FactoredField`).
 
 Exit codes: 0 when every check passes; 1 when any residual is certified
 nonzero or the model cannot be processed; 2 on input errors: a malformed
@@ -14,6 +16,7 @@ seed gives byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -51,12 +54,13 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _lagrangian_data(model: ModelDocument, box, trials, tol, seed):
-    """Lagrangian data for the commands that build the bracket, which needs
-    the exact Hessian inverse."""
+def _lagrangian_data(model: ModelDocument, box, trials, tol, seed, inverse: bool = True):
+    """Lagrangian data of the model.  A command that builds the bracket
+    (``inverse``) needs the exact Hessian inverse, which ``build`` makes up
+    to rank ``SYMBOLIC_INVERSE_MAX_RANK``."""
     if model.lagrangian is None:
         raise ModelError("L", "this command needs a Lagrangian in the model")
-    if model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
+    if inverse and model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
         raise ModelError("r", "this command builds the bracket from the exact Hessian "
                               f"inverse, available up to rank {SYMBOLIC_INVERSE_MAX_RANK}")
     return build_lagrangian(model.lagrangian, model.chart, box=box, trials=trials,
@@ -92,20 +96,27 @@ def cmd_validate(model: ModelDocument, args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _bivector(model: ModelDocument, box, trials, tol, seed, strict):
+def _twisted(model: ModelDocument, box, trials, tol, seed, strict, inverse: bool):
+    """The Lagrangian data and the twist ``N``; with ``strict``, a chart
+    that fails the structure equations or a 2-section that is not closed is
+    refused first."""
     if strict:
         structure = model.chart.validate_structure(box=box, trials=trials, tol=tol, seed=seed)
         if not structure.passed:
             raise ModelError("rho/C", "structure equations fail "
                                       f"(max residual {structure.max_residual:.3e})")
-    data = _lagrangian_data(model, box, trials, tol, seed)
+    data = _lagrangian_data(model, box, trials, tol, seed, inverse)
     theta = twoform.ThetaSection(model.theta) if model.theta is not None else None
     if strict and theta is not None:
         closed = theta.check_closed(box=box, trials=trials, tol=tol, seed=seed)
         if not closed.passed:
             raise ModelError("Theta", "the 2-section is not closed "
                                       f"(max residual {closed.max_residual:.3e})")
-    n_matrix = twoform.assemble_N(data, model.chart, theta)
+    return data, twoform.assemble_N(data, model.chart, theta)
+
+
+def _bivector(model: ModelDocument, box, trials, tol, seed, strict):
+    data, n_matrix = _twisted(model, box, trials, tol, seed, strict, inverse=True)
     return data, poisson.build_bracket(model.chart, data, n_matrix)
 
 
@@ -188,9 +199,9 @@ def cmd_integrate(model: ModelDocument, args) -> int:
     T, h = positive(args.T, "--T"), positive(args.h, "--h")
     if args.method == "rk4" and not math.isfinite(T / h):
         raise ModelError("--h", f"the step count T/h = {T:g}/{h:g} is not finite")
-    data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
+    data, n_matrix = _twisted(model, box, trials, tol, seed, args.strict, inverse=False)
     g = _hamiltonian_target(model, data, args)
-    field = poisson.hamiltonian_field(bivector, g)
+    field = poisson.FactoredField(chart, data.M, n_matrix, g)
     traj = dynamics.integrate(field, p0, T=T, h=h, method=args.method,
                               invariant=g, params=model.params)
     if args.format == "csv":
@@ -258,9 +269,14 @@ _COMMANDS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         model = load_model(args.model)
         return _COMMANDS[args.command](model, args)

@@ -79,6 +79,11 @@ class Expr:
     def _make_key(self):
         raise NotImplementedError
 
+    def __reduce__(self):
+        # Copies and unpickled nodes are rebuilt through the constructor,
+        # which returns the live node of the same structure.
+        return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
+
     # Arithmetic sugar; all routes go through the canonical constructors.
     def __add__(self, other):
         return eadd(self, as_expr(other))
@@ -1320,6 +1325,14 @@ def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     return Program([e]).value(env)
 
 
+def float_source(value: float) -> str:
+    """Python source of a float, for generated code."""
+    if not math.isfinite(value):  # repr gives the bare names inf and nan
+        return f"float('{value!r}')"
+    # Parenthesized, since ``-2.0 ** 3.0`` parses as ``-(2.0 ** 3.0)``.
+    return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+
+
 #: Nesting depth up to which ``compile_evaluator`` writes a single-use sum
 #: or product into its consumer; a deeper one gets its own temporary, since
 #: Python refuses code nested 200 parentheses deep and its compiler recurses
@@ -1351,13 +1364,7 @@ def compile_evaluator(exprs: Sequence[Expr], names: Sequence[str]):
             uses[a] += 1
 
     def operand(a: int) -> str:
-        if a >= 0:
-            return f"_t{a}"
-        value = consts[a]
-        if not math.isfinite(value):  # repr gives the bare names inf and nan
-            return f"float('{value!r}')"
-        # Parenthesized, since ``-2.0 ** 3.0`` parses as ``-(2.0 ** 3.0)``.
-        return f"({value!r})" if math.copysign(1.0, value) < 0 else repr(value)
+        return f"_t{a}" if a >= 0 else float_source(consts[a])
 
     lines = []
     try:

@@ -1,12 +1,13 @@
 """Derived data of a regular Lagrangian on an algebroid chart.
 
 ``build`` computes the fiber Hessian ``M``, its exact inverse (adjugate over
-determinant, ranks up to 4; above that ``Minv`` is None and callers factor
-``M`` pointwise with ``minv_at``), the fiber derivative coefficients, and
-the energy function ``E_L = y^k dL/dy^k - L``.  A singular Hessian is always
-an error.  Regularity is certified on a sample box, never globally: the probe
-set is the uniform sample plus the box center and the fiber origin, so
-Hessians degenerating on the zero section are caught deterministically.
+determinant, ranks up to 4; above that ``Minv`` is None, and ``integrate``
+needs none, since it solves with ``M`` pointwise), the fiber derivative
+coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.
+A singular Hessian is always an error.  Regularity is certified on a sample
+box, never globally: the probe set is the uniform sample plus the box center
+and the fiber origin, so Hessians degenerating on the zero section are
+caught deterministically.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ class LagrangianData:
         self.thetaL = fiber_derivative
         self.EL = energy
         self.detM = hessian_det
-
-    def minv_at(self, env: dict) -> List[List[float]]:
-        """Numeric Hessian inverse at a point (ranks above
-        ``SYMBOLIC_INVERSE_MAX_RANK`` and oracles)."""
-        m = linalg.eval_matrix(self.M, env)
-        n = len(m)
-        units = [[1.0 if i == j else 0.0 for i in range(n)] for j in range(n)]
-        return linalg.transpose(linalg.solve(m, units))
 
     def __repr__(self):
         return f"<LagrangianData {self.chart.name or 'chart'} r={self.chart.r}>"

@@ -38,6 +38,24 @@ class VectorFieldOnA:
         return list(self.vx) + list(self.vy)
 
 
+class FactoredField:
+    """The Hamiltonian field of ``G`` as the Poisson system ``X = P(x)·∇G``,
+    kept as the data that give it at a point: the fiber Hessian ``M``
+    (symmetric), the twist ``N`` (skew, see
+    :func:`~semispray.twoform.assemble_N`) and the chart's anchor ``rho``.
+    With ``M u = dG/dy``, its components are ``X_x = rho u`` and
+    ``M X_y = N u - rho^T dG/dx``, the components of
+    ``hamiltonian_field(build_bracket(chart, data, N), G)`` without the
+    Hessian inverse.  :func:`~semispray.dynamics.integrate` solves for them
+    pointwise, reading the upper triangles of ``M`` and ``N`` only."""
+
+    def __init__(self, chart: AlgebroidChart, M: linalg.Matrix, N: linalg.Matrix, G: ex.Expr):
+        self.chart = chart
+        self.M = M
+        self.N = N
+        self.G = G
+
+
 class PoissonBivector:
     """Coefficient matrices of the bracket in adapted coordinates; the
     base-base block is identically zero."""

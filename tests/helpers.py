@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 
-from semispray import expr as ex
+from semispray import dynamics, expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
@@ -221,3 +221,35 @@ def cyclic_garbage():
         gc.set_debug(debug)
         if enabled:
             gc.enable()
+
+
+def generated_solve(a, rhs, literal=False):
+    """Solve ``a x = rhs`` with the unrolled elimination the flow writes
+    (``dynamics._Elimination``), run on ``a`` and ``rhs`` as named values,
+    or folded while the source is written with ``literal``.  A zero pivot
+    raises ``DomainError``, as in a flow."""
+    size = len(a)
+    writer = dynamics._Writer("_w")
+    if literal:
+        matrix, b = [list(map(float, row)) for row in a], list(map(float, rhs))
+    else:
+        matrix = [[f"_a{i}_{j}" for j in range(size)] for i in range(size)]
+        b = [f"_b{i}" for i in range(size)]
+    x = dynamics._Elimination(writer, matrix).solve(writer, b)
+    source = ["def _solve(_a, _b):", "    try:"]
+    if not literal:
+        source += [f"        [{', '.join(n for row in matrix for n in row)}] = _a",
+                   f"        [{', '.join(b)}] = _b"]
+    source += [f"        {line}" for line in writer.lines]
+    source += [f"        return [{', '.join(map(dynamics._src, x))}]",
+               *dynamics._RAISE_ON_ZERO_PIVOT]
+    solve = dynamics._function(source, "_solve", None)
+    return solve([float(v) for row in a for v in row], [float(v) for v in rhs])
+
+
+def generated_inverse(a, literal=False):
+    """The inverse of ``a``, one :func:`generated_solve` per unit column."""
+    size = len(a)
+    columns = [generated_solve(a, [1.0 if i == j else 0.0 for i in range(size)], literal)
+               for j in range(size)]
+    return [[columns[j][i] for j in range(size)] for i in range(size)]

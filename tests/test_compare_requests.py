@@ -29,3 +29,17 @@ def test_bad_arguments_exit_nonzero(tmp_path, capsys):
     assert tool.main([str(ROOT)]) == 2
     assert tool.main([str(ROOT), str(tmp_path)]) == 1
     assert "no program sources" in capsys.readouterr().err
+
+
+def test_trajectory_drift_is_reported_per_column_kind():
+    tool = _load_tool()
+    old = "t,x1,y1,drift\r\n0.0,1.0,-2.0,0.0\r\n0.5,1.5,4.0,1e-16\r\n"
+    new = "t,x1,y1,drift\r\n0.0,1.0,-2.0,0.0\r\n0.5,1.5000003,3.9999992,-2e-16\r\n"
+    assert tool._drift(old, new) == ("max |Δ| 8e-07 (relative 2e-07) in the state, "
+                                     "3e-16 in the drift")
+    assert tool._drift(old, old) == "max |Δ| 0 (relative 0) in the state, 0 in the drift"
+    # Not a pair of trajectories of one shape: the tool shows the first
+    # differing line instead.
+    assert tool._drift(old, old + "1.0,2.0,3.0,0.0\r\n") is None
+    assert tool._drift(old, old.replace("y1", "p1")) is None
+    assert tool._drift("", old) is None and tool._drift("a,b\r\nx,y\r\n", old) is None

@@ -1,6 +1,8 @@
 import ast
+import copy
 import math
 import pathlib
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -559,6 +561,21 @@ def test_equal_structures_are_one_node(build, same):
     # other structures.
     a, b = build()
     assert (a is b) == same and (a == b) == same
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ex.Const(3), lambda: ex.Const(Fraction(-2, 7)), lambda: ex.Const(2.5),
+    lambda: ex.Const(-0.0), lambda: ex.Const(math.inf), lambda: ex.Var("x1"),
+    lambda: ex.parse("sin(x1 + 1)", ALPHABET), lambda: ex.parse("x1^3", ALPHABET),
+    lambda: ex.parse("x1^(3/2)", ALPHABET), lambda: ex.parse("x1/(1 + y1)", ALPHABET),
+    lambda: ex.parse("2*x1*y2", ALPHABET), lambda: ex.parse("x1 + exp(y1)*x2", ALPHABET),
+], ids=["int", "fraction", "float", "negative-zero", "inf", "var", "func", "pow",
+        "fractional-pow", "div", "mul", "add"])
+def test_copies_and_pickles_are_the_interned_node(build):
+    e = build()
+    assert copy.copy(e) is e and copy.deepcopy(e) is e
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert pickle.loads(pickle.dumps([e, e])) == [e, e]
 
 
 def test_signed_zero_constants_keep_their_own_slots():

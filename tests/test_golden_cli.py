@@ -64,7 +64,8 @@ NEGATIVE_MODELS = {
 MODELS.update(NEGATIVE_MODELS)
 
 #: ``action_so3`` with the non-polynomial ``stress`` Lagrangian: its
-#: Hamiltonian field is the largest tree the flows compile, and its sampled
+#: Hamiltonian field is the largest tree ``hamiltonian`` prints, its Hessian
+#: the one the flows solve with a runtime row swap, and its sampled
 #: residuals are the largest and most roundoff-prone the checks evaluate.
 #: The ``check_jacobi`` and ``check_prolongation`` files pin ROADMAP defect
 #: (a): the Jacobi NONZERO verdicts are false, float roundoff over ``tol``,
@@ -187,13 +188,13 @@ FLOW_MODELS = {
 #: (lines with the header, sha256 of the CSV bytes) of each long flow.
 LONG_FLOWS = {
     ("so3_magnetic", "rk4", "1e-3"):
-        (5002, "0c161994ebeec59aa7cbb2e897bb58b05867d1c687994468d394fcf644b1ea42"),
+        (5002, "dc5ef644240bd5c0878fce22cb0a4a580c07341bdf0306ecdf56575b8409a072"),
     ("stress", "rk4", "1e-3"):
-        (5002, "548b2238d837b89bf2dd309690aa5425fa5b7a9bf6bd4aff50fe178c4ce9febe"),
+        (5002, "46034dd0e91945d9e1fcf69c5802ef64403b506257ac6fde7d3c6dc1aa421f72"),
     ("trig2", "rk4", "1e-3"):
-        (5002, "f2c02b7aa05993d233bd7ea35955715317f818a9c87993d870a52980fffc938b"),
+        (5002, "8a19866f9371a2f1e97d07cbb8fd5ba2a7fc5c2611bff9815e8fcc21a4976426"),
     ("stress", "rk45", "1e-2"):
-        (40, "d45c2c3131a62d101e36c2a3ae41778c2c3b5ad9641e5c03f9cdf70a06af743e"),
+        (40, "e63343009fb0f7cdc414224e3e053375bea95c7c4833ff688af470e25865e9b9"),
 }
 
 

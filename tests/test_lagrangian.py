@@ -6,7 +6,7 @@ from semispray import expr as ex
 from semispray import lagrangian, linalg
 from semispray.errors import SingularHessian
 
-from helpers import assert_proven_zero, reference_value
+from helpers import assert_proven_zero, generated_inverse, reference_value
 
 
 class TestBuild:
@@ -40,13 +40,18 @@ class TestBuild:
                            ex.eneg(data.L))
         assert data.EL == expected
 
+    # The flow solves with the Hessian pointwise; these pin its elimination,
+    # on named and on literal entries, against the exact inverse and at a
+    # rank the exact inverse skips.
     def test_pointwise_mode_matches_symbolic(self, curved_metric):
         data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
         env = {"x1": 0.4, "x2": -0.3, "y1": 1.0, "y2": 0.5}
-        numeric = data.minv_at(env)
-        for i in range(2):
-            for j in range(2):
-                assert numeric[i][j] == pytest.approx(reference_value(data.Minv[i][j], env), rel=1e-12)
+        for literal in (False, True):
+            numeric = generated_inverse(linalg.eval_matrix(data.M, env), literal)
+            for i in range(2):
+                for j in range(2):
+                    assert numeric[i][j] == pytest.approx(reference_value(data.Minv[i][j], env),
+                                                          rel=1e-12)
 
     def test_large_rank_forces_pointwise(self):
         from semispray.algebroid import tangent
@@ -56,7 +61,9 @@ class TestBuild:
         assert data.Minv is None
         env = {nm: 0.0 for nm in fx.chart.coords}
         env.update({nm: 1.0 for nm in fx.chart.fibers})
-        assert data.minv_at(env)[2][2] == pytest.approx(1.0)
+        for literal in (False, True):
+            inverse = generated_inverse(linalg.eval_matrix(data.M, env), literal)
+            assert inverse[2][2] == pytest.approx(1.0)
 
 
 class TestLegendre:

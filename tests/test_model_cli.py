@@ -251,7 +251,9 @@ class TestCliCommands:
         assert "Traceback" not in stderr
 
     @pytest.mark.parametrize("argv,expected_code", [
-        (["bracket"], 2), (["hamiltonian"], 2), (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1"], 2),
+        (["bracket"], 2), (["hamiltonian"], 2),
+        # The flow solves with the Hessian pointwise and needs no inverse.
+        (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1", "--T", "0.01", "--h", "1e-3"], 0),
         (["check", "jacobi"], 2), (["check", "semispray"], 2), (["check", "spray"], 2),
         (["check", "prolongation"], 2),
         # These two never build the bracket, so the rank check leaves them alone.
@@ -266,6 +268,26 @@ class TestCliCommands:
         if expected_code == 2:
             assert out == ""
             assert capsys.readouterr().err.startswith("input error: r: ")
+
+    def test_rank_five_flow_is_free_motion(self, tmp_path):
+        path = tmp_path / "tangent5.json"
+        path.write_text(json.dumps(TANGENT5_DOC))
+        code, out = run_cli(["integrate", str(path), "--p0", "0,0,0,0,0,1,2,3,4,5",
+                             "--T", "0.5", "--h", "1e-2", "--format", "json"])
+        payload = json.loads(out)
+        assert code == 0 and len(payload["trajectory"]["times"]) == 51
+        final = payload["trajectory"]["states"][-1]
+        assert final["x"] == pytest.approx([0.5, 1.0, 1.5, 2.0, 2.5], rel=1e-12)
+        assert final["y"] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    @pytest.mark.parametrize("method", ["rk4", "rk45"])
+    def test_zero_leading_hessian_entry_integrates(self, tmp_path, method):
+        # M = [[x2, 1], [1, 0]] is regular, with M_11 = 0 at the start point.
+        path = tmp_path / "swap.json"
+        path.write_text(json.dumps({**PLANE_DOC, "L": "y1*y2 + 1/2*x2*y1^2", "f": "x1^2"}))
+        code, out = run_cli(["integrate", str(path), "--p0", "0.3,0,0.5,-0.2",
+                             "--T", "1", "--h", "1e-2", "--method", method, "--format", "json"])
+        assert code == 0 and json.loads(out)["max_drift"] < 1e-8
 
     @pytest.mark.parametrize("flag,value", [
         ("--p0", "a,b,c,d,e,f"), ("--T", "0"), ("--h", "-1"), ("--T", "inf"),
@@ -410,6 +432,15 @@ class TestCliCommands:
         code, out = run_cli(["validate", so3_path, "--box", "0.5,2",
                              "--box", "x1=-3,-1"])
         assert code == 0
+
+    def test_parser_is_built_once_and_keeps_no_state(self, so3_path):
+        argv = ["check", "semispray", so3_path, "--box", "0.5,2", "--box", "x1=-3,-1"]
+        assert run_cli(argv) == run_cli(argv)
+        assert cli._parser() is cli._parser()
+        # ``--box`` appends: each parse starts from a fresh list.
+        boxes = [cli._parser().parse_args(argv).box for _ in range(2)]
+        assert boxes[0] == boxes[1] == ["0.5,2", "x1=-3,-1"] and boxes[0] is not boxes[1]
+        assert cli._parser().parse_args(argv[:3]).box is None
 
     def test_strict_closedness_gate(self, tmp_path):
         doc = dict(SO3_DOC)

@@ -12,7 +12,9 @@ in.  Each tree runs every request in its own subprocess, which drives
 
 Prints every request whose stdout, stderr or exit code differs between the
 trees, then one summary line with the sha256 of each tree's stream of
-responses.  Exits 1 on any difference (or when a subprocess fails), else 0.
+responses.  A differing CSV trajectory of the same shape is reported with
+its largest absolute and relative |Δ| over the state columns, and the
+largest |Δ| of its drift column.  Exits 1 on any difference (or when a subprocess fails), else 0.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from typing import Optional
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 SEEDS = (1, 2, 3)
@@ -74,6 +77,33 @@ def _first_difference(a: str, b: str) -> str:
     return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
 
 
+def _drift(a: str, b: str) -> Optional[str]:
+    """The largest |Δ| between two CSV trajectories with one header and
+    rows of numbers of the same shape: absolute and relative (to the
+    larger magnitude) over the time and state columns, absolute over the
+    last, drift, column.  None when the two are not such a pair."""
+    tables = []
+    for text in (a, b):
+        try:
+            header, *rows = text.splitlines()
+            tables.append((header, [[float(v) for v in row.split(",")] for row in rows]))
+        except ValueError:
+            return None
+    (header_a, rows_a), (header_b, rows_b) = tables
+    if header_a != header_b or [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    absolute = relative = drift = 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for u, v in zip(row_a[:-1], row_b[:-1]):
+            delta = abs(u - v)
+            absolute = max(absolute, delta)
+            if delta:
+                relative = max(relative, delta / max(abs(u), abs(v)))
+        drift = max(drift, abs(row_a[-1] - row_b[-1]))
+    return (f"max |Δ| {absolute:.3g} (relative {relative:.3g}) in the state, "
+            f"{drift:.3g} in the drift")
+
+
 def compare(old_src: str, new_src: str) -> int:
     for src in (old_src, new_src):
         if not (Path(src) / "src" / "semispray" / "cli.py").is_file():
@@ -90,7 +120,7 @@ def compare(old_src: str, new_src: str) -> int:
                    for src in (old_src, new_src)]
         digests = [hashlib.sha256(), hashlib.sha256()]
         total = differing = 0
-        for request_id, _ in plan(workloads):
+        for request_id, request in plan(workloads):
             lines = [w.stdout.readline() for w in workers]
             if not all(lines):
                 print(f"{request_id}: no response (a subprocess ended early)")
@@ -105,7 +135,9 @@ def compare(old_src: str, new_src: str) -> int:
             if old_code != new_code:
                 notes.append(f"exit code {old_code!r} vs {new_code!r}")
             if old_out != new_out:
-                notes.append(f"stdout differs at {_first_difference(old_out, new_out)}")
+                drift = _drift(old_out, new_out) if request.kind == "integrate" else None
+                notes.append(f"stdout differs: {drift}" if drift else
+                             f"stdout differs at {_first_difference(old_out, new_out)}")
             if old_err != new_err:
                 notes.append(f"stderr differs at {_first_difference(old_err, new_err)}")
             if notes:
