@@ -4,10 +4,11 @@ algebroid charts.
 Given a chart-level Lie algebroid, a regular Lagrangian, and a closed
 2-section, the package assembles the associated bracket on the total space,
 verifies that the Hamiltonian dynamics of the energy function projects to the
-anchor (the semispray property), and exposes the full prolongation calculus
-used to certify the construction: frame sections and brackets, the vertical
-endomorphism, fundamental 1- and 2-sections, connection bigrading, and the
-constructive radial homotopy operator.
+anchor (the semispray property), integrates its flow, and exposes the
+prolongation calculus used to certify the construction: the prolonged chart
+and its differential, the vertical endomorphism, Cartan 1- and 2-sections,
+Hamiltonian sections, bigrading, and the constructive radial homotopy
+operator.
 """
 
 from . import algebroid, dynamics, homotopy, lagrangian, poisson, prolongation, twoform

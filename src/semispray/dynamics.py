@@ -21,10 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Union
 
 from . import expr as ex
-from . import linalg
 from .errors import BlowUp, DomainError, StepCollapse
 from .poisson import FactoredField, VectorFieldOnA
-from .report import ValidationReport, ZeroResult, ZeroStatus
 
 
 @dataclass
@@ -489,39 +487,3 @@ def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoin
         if dt < 1e-14:
             raise StepCollapse(t, dt)
     return traj
-
-
-def base_projection_check(chart, field_on_a: VectorFieldOnA, traj: Trajectory,
-                          tol: float = 1e-6, params: Optional[dict] = None) -> ValidationReport:
-    """Check that the base velocity along the trajectory matches the anchor
-    contraction ``y^j rho^i_j`` within ``tol * (1 + speed)``, using central
-    finite differences on the stored grid."""
-    names = list(chart.coords) + list(chart.fibers)
-    expected = linalg.mat_vec(chart.rho, [ex.Var(nm) for nm in chart.fibers])
-    if params:
-        expected = [ex.subs(e, {k: ex.Const(v) for k, v in params.items()})
-                    for e in expected]
-    evaluator = ex.compile_evaluator(expected, names)
-    report = ValidationReport(check="base-projection", seed=0)
-    worst = [0.0] * chart.n
-    witness = [None] * chart.n
-    for idx in range(1, len(traj.times) - 1):
-        dt = traj.times[idx + 1] - traj.times[idx - 1]
-        state = list(traj.states[idx].x) + list(traj.states[idx].y)
-        model = evaluator(state)
-        for i in range(chart.n):
-            fd = (traj.states[idx + 1].x[i] - traj.states[idx - 1].x[i]) / dt
-            residual = abs(fd - model[i]) / (1.0 + abs(model[i]))
-            if residual > worst[i]:
-                worst[i] = residual
-                witness[i] = {"t": traj.times[idx], "fd": fd, "field": model[i]}
-    for i in range(chart.n):
-        if worst[i] > tol:
-            result = ZeroResult(ZeroStatus.NONZERO, worst[i], seed=0,
-                                trials=len(traj.times), witness=witness[i],
-                                witness_value=worst[i])
-        else:
-            result = ZeroResult(ZeroStatus.LIKELY_ZERO, worst[i], seed=0,
-                                trials=len(traj.times))
-        report.add(f"dx{i + 1}/dt", result)
-    return report

@@ -134,11 +134,10 @@ def _sort_pair(idx_i: Tuple[int, ...], idx_j: Tuple[int, ...]):
 
 
 class BigradedBlock:
-    """One bidegree-(p, q) component of a form on the prolongation, written
-    in a connection-adapted coframe: coefficients over pairs (I, J) of
-    strictly increasing index tuples, I for the p horizontal-annihilator legs
-    and J for the q vertical-dual legs.  With ``p = 0`` the block is a
-    vertical q-form in the pullback frame."""
+    """One bidegree-(p, q) component of a form on the prolongation:
+    coefficients over pairs (I, J) of strictly increasing index tuples, I
+    for the p frame legs ``E^i`` and J for the q vertical legs ``U^j``.
+    With ``p = 0`` the block is a vertical q-form in the pullback frame."""
 
     def __init__(self, chart: AlgebroidChart, p: int, q: int,
                  coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], ex.Expr]):
@@ -174,10 +173,10 @@ class BigradedBlock:
 
 def dsecond(block: BigradedBlock) -> BigradedBlock:
     """Vertical part of the bigraded differential on a pure block:
-    ``(-1)^p`` times the alternating fiber derivative on the vertical legs
-    (valid in any connection-adapted coframe).  On a vertical form it is the
-    differential of the vertical algebroid, whose bracket is trivial and
-    whose anchor images are the coordinate fields."""
+    ``(-1)^p`` times the alternating fiber derivative on the vertical legs.
+    On a vertical form it is the differential of the vertical algebroid,
+    whose bracket is trivial and whose anchor images are the coordinate
+    fields."""
     chart = block.chart
     sign = -1 if block.p % 2 else 1
     coeffs = {}
@@ -269,19 +268,6 @@ def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
         if not _zero_test([value], block.chart, box, trials, tol, seed).is_zero:
             raise NotClosed(f"vertical differential does not vanish at {key}")
     return radial_homotopy(block)
-
-
-def euler_lie_derivative(form: BigradedBlock) -> BigradedBlock:
-    """Lie derivative of a vertical form along the fiber Euler section in the
-    pullback frame: the radial fiber derivative of each coefficient plus
-    ``q`` copies of it."""
-    chart = form.chart
-
-    def apply(value):
-        radial = ex.eadd(*(ex.emul(ex.Var(nm), ex.diff(value, nm)) for nm in chart.fibers))
-        return ex.eadd(radial, ex.emul(ex.Const(form.q), value))
-
-    return form.map_coeffs(apply)
 
 
 def homotopy_identity_check(form: BigradedBlock, box: ex.Box = None, trials: int = 64,

@@ -107,9 +107,3 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
     if chart.r <= SYMBOLIC_INVERSE_MAX_RANK:
         inverse = linalg.inverse(hessian, det)
     return LagrangianData(chart, lagrangian, hessian, inverse, theta, energy, det)
-
-
-def legendre(data: LagrangianData, point: ex.ChartPoint) -> tuple:
-    """Fiber derivative of L at a chart point: the covector (dL/dy^k)(p)."""
-    env = point.env(data.chart.coords, data.chart.fibers)
-    return tuple(ex.Program(data.thetaL).run(env))

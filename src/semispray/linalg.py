@@ -1,5 +1,6 @@
-"""Dense matrices: symbolic ones small enough for cofactor expansion, and
-one partial-pivot elimination for numeric solves and ranks."""
+"""Dense symbolic matrices small enough for cofactor expansion: products,
+determinant, adjugate and the exact inverse.  Numeric solves are the flow's
+own (:mod:`semispray.dynamics`)."""
 
 from __future__ import annotations
 
@@ -8,14 +9,6 @@ from typing import List, Sequence
 from . import expr as ex
 
 Matrix = List[List[ex.Expr]]
-
-#: Largest pivot magnitude :func:`solve` treats as zero.
-SINGULAR_PIVOT = 1e-14
-
-
-def identity(n: int) -> Matrix:
-    return [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
-
 
 def transpose(m: Matrix) -> Matrix:
     return [list(row) for row in zip(*m)]
@@ -70,50 +63,3 @@ def inverse(m: Matrix, det: ex.Expr) -> Matrix:
     """Exact inverse: the adjugate over ``det``, the (nonzero) determinant
     of ``m``."""
     return [[ex.ediv(entry, det) for entry in row] for row in adjugate(m)]
-
-
-def eval_matrix(m: Matrix, env: dict) -> List[List[float]]:
-    """Every entry at ``env``, from one program run once."""
-    values = iter(ex.Program([entry for row in m for entry in row]).run(env))
-    return [[next(values) for _ in row] for row in m]
-
-
-def row_echelon(rows: List[List[float]], ncols: int, tol: float) -> int:
-    """Gaussian elimination with partial pivoting, in place, over the first
-    ``ncols`` columns of ``rows`` (any further columns are carried along).
-
-    A column whose largest remaining entry is at most ``tol`` in absolute
-    value gets no pivot.  Returns the rank, the number of pivots; the pivot
-    rows come first.
-    """
-    size, width = len(rows), len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = max(range(rank, size), key=lambda r: abs(rows[r][col]))
-        if abs(rows[pivot][col]) <= tol:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(rank + 1, size):
-            factor = rows[r][col] / rows[rank][col]
-            for c in range(col, width):
-                rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-    return rank
-
-
-def solve(a: List[List[float]], rhs: Sequence[List[float]]) -> List[List[float]]:
-    """Solve ``a x = b`` for every right-hand side ``b`` in ``rhs`` with one
-    elimination of ``[a | b...]``; raises ``ValueError`` when ``a`` is
-    numerically singular (a pivot at most ``SINGULAR_PIVOT``)."""
-    n = len(a)
-    aug = [row[:] + [b[i] for b in rhs] for i, row in enumerate(a)]
-    if row_echelon(aug, n, SINGULAR_PIVOT) < n:
-        raise ValueError("numerically singular system")
-    solutions = []
-    for k in range(n, n + len(rhs)):
-        out = [0.0] * n
-        for r in range(n - 1, -1, -1):
-            acc = aug[r][k] - sum(aug[r][c] * out[c] for c in range(r + 1, n))
-            out[r] = acc / aug[r][r]
-        solutions.append(out)
-    return solutions

@@ -9,9 +9,14 @@ Lie algebroid of rank 2r over the total space, with local frame
   frame section vanish.
 
 We therefore model it as an :class:`~semispray.algebroid.AlgebroidChart`
-over the coordinates ``(x, y)`` and reuse its Koszul differential.  Indices
-``0..r-1`` of the prolongation frame are the ``E`` sections, ``r..2r-1`` the
-vertical ``U`` sections; a form's blocks follow that split.
+over the coordinates ``(x, y)`` (:func:`prolong_chart`), which holds these
+relations, and reuse its Koszul differential.  Indices ``0..r-1`` of the
+prolongation frame are the ``E`` sections, ``r..2r-1`` the vertical ``U``
+sections; a form's blocks, and its bigrading, follow that split.  On top of
+it: sections and their anchor, the interior product, the vertical
+endomorphism, Cartan sections, exact Hamiltonian sections, the decomposition
+of 2-sections vanishing on vertical pairs, and the consistency suite behind
+``check prolongation``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import linalg
-from .algebroid import AForm, AlgebroidChart, skew_coeffs, sort_with_sign
+from .algebroid import AForm, AlgebroidChart
 from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
 from .homotopy import BigradedBlock, dprime_primitive, is_fiber_integral
 from .lagrangian import LagrangianData, probe_determinant
@@ -63,10 +68,6 @@ class ProlongSection:
         self.a = [ex.as_expr(v) for v in a]
         self.b = [ex.as_expr(v) for v in b]
 
-    @property
-    def is_vertical(self) -> bool:
-        return all(ex.is_zero_literal(v) for v in self.a)
-
     def coefficients(self) -> List[ex.Expr]:
         return list(self.a) + list(self.b)
 
@@ -100,39 +101,6 @@ def anchor(section: ProlongSection) -> VectorFieldOnA:
     return VectorFieldOnA(chart, linalg.mat_vec(chart.rho, section.a), list(section.b))
 
 
-def _section_derivative(section: ProlongSection, f: ex.Expr) -> ex.Expr:
-    """Directional derivative of a function on the total space along the
-    anchor image of the section."""
-    chart = section.chart
-    field = anchor(section)
-    pieces = [ex.emul(field.vx[i], ex.diff(f, nm)) for i, nm in enumerate(chart.coords)]
-    pieces += [ex.emul(field.vy[k], ex.diff(f, nm)) for k, nm in enumerate(chart.fibers)]
-    return ex.eadd(*pieces)
-
-
-def lie_bracket(s1: ProlongSection, s2: ProlongSection) -> ProlongSection:
-    """Bracket of sections by bilinear Leibniz extension of the frame
-    relations: structure terms from ``[E_i, E_j]`` plus anchor-directional
-    derivatives of the coefficients."""
-    chart = s1.chart
-    r = chart.r
-    a = []
-    for k in range(r):
-        pieces = []
-        for i in range(r):
-            for j in range(r):
-                coeff = chart.c(k, i, j)
-                if ex.is_zero_literal(coeff):
-                    continue
-                pieces.append(ex.emul(s1.a[i], s2.a[j], coeff))
-        pieces.append(_section_derivative(s1, s2.a[k]))
-        pieces.append(ex.eneg(_section_derivative(s2, s1.a[k])))
-        a.append(ex.eadd(*pieces))
-    b = [ex.eadd(_section_derivative(s1, s2.b[k]),
-                 ex.eneg(_section_derivative(s2, s1.b[k]))) for k in range(r)]
-    return ProlongSection(chart, a, b)
-
-
 class ProlongForm:
     """Form on the prolongation, stored as an :class:`AForm` over the
     prolonged chart.  Degree-2 blocks: ``ee(i, j)`` for two frame legs,
@@ -158,10 +126,6 @@ class ProlongForm:
         return cls(chart, AForm(prolong_chart(chart), degree, coeffs))
 
     @classmethod
-    def function(cls, chart: AlgebroidChart, value: ex.Expr) -> "ProlongForm":
-        return cls.from_coeffs(chart, 0, {(): value})
-
-    @classmethod
     def one_form(cls, chart: AlgebroidChart, e_parts: Sequence[ex.Expr],
                  u_parts: Sequence[ex.Expr]) -> "ProlongForm":
         r = chart.r
@@ -171,28 +135,6 @@ class ProlongForm:
         for k, value in enumerate(u_parts):
             coeffs[(r + k,)] = value
         return cls.from_coeffs(chart, 1, coeffs)
-
-    @classmethod
-    def from_blocks(cls, chart: AlgebroidChart, ee=None, ue=None, uu=None) -> "ProlongForm":
-        """Degree-2 form from block matrices: ``ee`` skew, ``ue`` arbitrary
-        (value on a (vertical, frame) pair), ``uu`` skew."""
-        r = chart.r
-        coeffs = {}
-        if ee is not None:
-            for i in range(r):
-                for j in range(i + 1, r):
-                    coeffs[(i, j)] = ee[i][j]
-        if ue is not None:
-            for i in range(r):
-                for j in range(r):
-                    # Value on (U_i, E_j) stored on the sorted tuple (j, r+i).
-                    coeffs[(j, r + i)] = ex.eadd(coeffs.get((j, r + i), ex.ZERO),
-                                                 ex.eneg(ex.as_expr(ue[i][j])))
-        if uu is not None:
-            for i in range(r):
-                for j in range(i + 1, r):
-                    coeffs[(r + i, r + j)] = uu[i][j]
-        return cls.from_coeffs(chart, 2, coeffs)
 
     def value(self, indices: Sequence[int]) -> ex.Expr:
         return self.form.get(indices)
@@ -300,10 +242,10 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
 
     Solved exactly: when the 2-section vanishes on vertical pairs the system
     decouples and only the (vertical, frame) block needs inverting (rank at
-    most 4); otherwise the full 2r x 2r coefficient matrix is inverted for
-    2r <= 4.  :func:`hamiltonian_section_at` covers larger ranks pointwise.
-    Raises :class:`DegenerateForm` when the relevant determinant vanishes on
-    the probe set.
+    most 4); otherwise the full 2r x 2r coefficient matrix is inverted
+    (2r at most 4).  A larger matrix raises ``ValueError``.  Raises
+    :class:`DegenerateForm` when the relevant determinant vanishes on the
+    probe set.
     """
     chart = omega.chart
     if omega.degree != 2:
@@ -319,8 +261,7 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     else:
         matrix = [[omega.value((p, q)) for q in range(2 * r)] for p in range(2 * r)]
     if len(matrix) > 4:
-        raise ValueError(f"symbolic solve supports {'rank' if uu_zero else 'total rank'} <= 4; "
-                         "use hamiltonian_section_at")
+        raise ValueError(f"symbolic solve supports {'rank' if uu_zero else 'total rank'} <= 4")
     det = linalg.det(matrix)
     if ex.is_zero_literal(det):
         raise DegenerateForm({"det": 0.0})
@@ -343,129 +284,50 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     return ProlongSection(chart, a, b)
 
 
-def hamiltonian_section_at(omega: ProlongForm, hamiltonian: ex.Expr,
-                           point: ex.ChartPoint) -> Tuple[List[float], List[float]]:
-    """Pointwise Hamiltonian section for ranks beyond the symbolic solver."""
-    chart = omega.chart
-    r = chart.r
-    env = point.env(chart.coords, chart.fibers)
-    g = ex.as_expr(hamiltonian)
-    dg = [chart.anchor_derivative(j, g) for j in range(r)] + [ex.diff(g, nm) for nm in chart.fibers]
-    dg, *k = linalg.eval_matrix([dg] + [[omega.value((p, q)) for q in range(2 * r)]
-                                        for p in range(2 * r)], env)
-    try:
-        solution, = linalg.solve(k, [dg])
-    except ValueError:
-        raise DegenerateForm(env) from None
-    return solution[:r], solution[r:]
-
-
 # ---------------------------------------------------------------------------
-# Connection bigrading
+# Bigrading
 
 
-class EhresmannConn:
-    """Projection onto the vertical subbundle, determined in the frame by the
-    matrix ``gamma[j][i]``: the horizontal lifts are ``E_i - gamma[j][i] U_j``
-    and the horizontal annihilator is spanned by ``U^j + gamma[j][i] E^i``."""
+def bigrade(form: ProlongForm) -> Dict[Tuple[int, int], BigradedBlock]:
+    """Split a form into its bidegree components.
 
-    def __init__(self, chart: AlgebroidChart, gamma: Optional[Sequence[Sequence[ex.Expr]]] = None):
-        self.chart = chart
-        r = chart.r
-        if gamma is None:
-            gamma = [[ex.ZERO] * r for _ in range(r)]
-        if len(gamma) != r or any(len(row) != r for row in gamma):
-            raise ValueError("gamma must be an r x r matrix")
-        self.gamma = [[ex.as_expr(v) for v in row] for row in gamma]
-
-
-def _change_coframe(coeffs, letters) -> dict:
-    """Rewrite skew coefficients in another coframe.
-
-    Each leg of a key expands into ``letters(leg)``, pairs of a new leg and
-    its factor; every product of one choice per leg goes to the skew store,
-    which sorts the new legs with sign and accumulates per sorted tuple.
-    """
-    def expand(key, value):
-        out = [((), ex.ONE)]
-        for leg in key:
-            out = [(legs + (new,), ex.emul(factor, f))
-                   for legs, factor in out for new, f in letters(leg)]
-        return ((legs, ex.emul(value, factor)) for legs, factor in out)
-
-    return skew_coeffs((pair for key, value in coeffs.items() for pair in expand(key, value)),
-                       sort_with_sign)
-
-
-def bigrade(form: ProlongForm, conn: Optional[EhresmannConn] = None) -> Dict[Tuple[int, int], BigradedBlock]:
-    """Split a form into its bidegree components in the connection coframe.
-
-    A letter ``(0, i)`` stands for the frame covector ``E^i`` (bidegree
-    (1,0)), ``(1, j)`` for the horizontal annihilator ``U^j + gamma^j_i E^i``
-    (bidegree (0,1)).  Sorted letters put every ``E`` before every
-    annihilator, so a sorted key splits into the block key ``(I, J)``.
+    A key's legs below ``r`` are frame covectors ``E^i`` (bidegree (1,0)),
+    the rest vertical covectors ``U^j`` (bidegree (0,1)).  Sorted keys put
+    every ``E`` leg first, so a key splits into the block key ``(I, J)``
+    with no sign.
     """
     chart = form.chart
-    conn = conn or EhresmannConn(chart)
     r = chart.r
-    gamma = conn.gamma
-
-    def letters(a: int):
-        if a < r:
-            return [((0, a), ex.ONE)]
-        j = a - r
-        out = [((1, j), ex.ONE)]
-        for i in range(r):
-            if not ex.is_zero_literal(gamma[j][i]):
-                out.append(((0, i), ex.eneg(gamma[j][i])))
-        return out
-
     blocks: Dict[Tuple[int, int], Dict] = {}
-    for ordered, value in _change_coframe(form.form.coeffs, letters).items():
-        idx_e = tuple(i for kind, i in ordered if kind == 0)
-        idx_n = tuple(j for kind, j in ordered if kind == 1)
-        blocks.setdefault((len(idx_e), len(idx_n)), {})[(idx_e, idx_n)] = value
+    for key, value in form.form.coeffs.items():
+        idx_e = tuple(a for a in key if a < r)
+        idx_u = tuple(a - r for a in key if a >= r)
+        blocks.setdefault((len(idx_e), len(idx_u)), {})[(idx_e, idx_u)] = value
     return {(p, q): BigradedBlock(chart, p, q, coeffs) for (p, q), coeffs in blocks.items()}
 
 
-def block_to_form(block: BigradedBlock, conn: Optional[EhresmannConn] = None) -> ProlongForm:
-    """Rewrite a bigraded block back in the frame coframe of the prolongation."""
-    chart = block.chart
-    conn = conn or EhresmannConn(chart)
-    r = chart.r
-    gamma = conn.gamma
-
-    def letters(letter):
-        kind, idx = letter
-        if kind == 0:
-            return [(idx, ex.ONE)]
-        out = [(r + idx, ex.ONE)]
-        for i in range(r):
-            if not ex.is_zero_literal(gamma[idx][i]):
-                out.append((i, gamma[idx][i]))
-        return out
-
+def block_to_form(block: BigradedBlock) -> ProlongForm:
+    """Rewrite a bigraded block as a form on the prolongation."""
+    r = block.chart.r
     if any(is_fiber_integral(value) for value in block.coeffs.values()):
         raise ValueError("cannot rebuild a form from quadrature coefficients")
-    lettered = {tuple((0, i) for i in idx_e) + tuple((1, j) for j in idx_n): value
-                for (idx_e, idx_n), value in block.coeffs.items()}
-    return ProlongForm.from_coeffs(chart, block.p + block.q, _change_coframe(lettered, letters))
+    return ProlongForm.from_coeffs(block.chart, block.p + block.q,
+                                   {idx_e + tuple(r + j for j in idx_u): value
+                                    for (idx_e, idx_u), value in block.coeffs.items()})
 
 
-def d_split(form: ProlongForm, conn: Optional[EhresmannConn] = None
-            ) -> Tuple[ProlongForm, ProlongForm, ProlongForm]:
+def d_split(form: ProlongForm) -> Tuple[ProlongForm, ProlongForm, ProlongForm]:
     """Split the differential by bidegree: the (1,0), (0,1), and (2,-1)
     parts.  Their sum is the plain differential."""
     chart = form.chart
-    conn = conn or EhresmannConn(chart)
     degree = form.degree
     parts = {"prime": ProlongForm.zero(chart, degree + 1),
              "second": ProlongForm.zero(chart, degree + 1),
              "lower": ProlongForm.zero(chart, degree + 1)}
-    for (p, q), block in bigrade(form, conn).items():
-        differential = d(block_to_form(block, conn))
-        for (dp, dq), dblock in bigrade(differential, conn).items():
-            piece = block_to_form(dblock, conn)
+    for (p, q), block in bigrade(form).items():
+        differential = d(block_to_form(block))
+        for (dp, dq), dblock in bigrade(differential).items():
+            piece = block_to_form(dblock)
             if (dp, dq) == (p + 1, q):
                 parts["prime"] += piece
             elif (dp, dq) == (p, q + 1):
@@ -488,9 +350,8 @@ def pullback_horizontal(theta: AForm) -> ProlongForm:
     return ProlongForm.from_coeffs(chart, theta.degree, dict(theta.coeffs))
 
 
-def decompose_symplectic(omega: ProlongForm, conn: Optional[EhresmannConn] = None,
-                         box: ex.Box = None, trials: int = 32, tol: float = 1e-9,
-                         seed: int = 0) -> Tuple[ProlongForm, ProlongForm]:
+def decompose_symplectic(omega: ProlongForm, box: ex.Box = None, trials: int = 32,
+                         tol: float = 1e-9, seed: int = 0) -> Tuple[ProlongForm, ProlongForm]:
     """Split a closed 2-section vanishing on vertical pairs as a closed
     horizontal part plus an exact part, ``omega = Theta + d(zeta)``.
 
@@ -501,7 +362,6 @@ def decompose_symplectic(omega: ProlongForm, conn: Optional[EhresmannConn] = Non
     chart = omega.chart
     if omega.degree != 2:
         raise DegreeError("decomposition expects a degree-2 section")
-    conn = conn or EhresmannConn(chart)
     r = chart.r
     for i in range(r):
         for j in range(i + 1, r):
@@ -515,16 +375,16 @@ def decompose_symplectic(omega: ProlongForm, conn: Optional[EhresmannConn] = Non
         if not result.is_zero:
             raise NotClosed(f"d(omega) has nonzero coefficient at {tup}")
 
-    blocks = bigrade(omega, conn)
+    blocks = bigrade(omega)
     mixed = blocks.get((1, 1))
     if mixed is None:
         zeta = ProlongForm.zero(chart, 1)
     else:
         primitive = dprime_primitive(mixed, box=box, trials=trials, tol=tol, seed=seed)
-        zeta = block_to_form(primitive, conn)
+        zeta = block_to_form(primitive)
     horizontal = blocks.get((2, 0))
-    theta = block_to_form(horizontal, conn) if horizontal is not None else ProlongForm.zero(chart, 2)
-    d_prime_zeta, _, _ = d_split(zeta, conn)
+    theta = block_to_form(horizontal) if horizontal is not None else ProlongForm.zero(chart, 2)
+    d_prime_zeta, _, _ = d_split(zeta)
     theta = theta - d_prime_zeta
 
     for tup, value in d(theta).form.coeffs.items():
@@ -580,20 +440,6 @@ def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
                 raise ValueError(f"correction failed verification at {tup}: "
                                  f"residual {result.max_residual:.3e}")
     return correction
-
-
-def coefficient_rank_at(form: ProlongForm, point: ex.ChartPoint, tol: float = 1e-9) -> int:
-    """Numeric rank of the 2r x 2r coefficient matrix of a degree-2 form at
-    a point.  Optional diagnostic: the exact part of a decomposed 2-section
-    vanishing on vertical pairs is expected to have full rank."""
-    if form.degree != 2:
-        raise DegreeError("rank probe expects a degree-2 form")
-    chart = form.chart
-    env = point.env(chart.coords, chart.fibers)
-    size = 2 * chart.r
-    matrix = linalg.eval_matrix([[form.value((a, b)) for b in range(size)]
-                                 for a in range(size)], env)
-    return linalg.row_echelon(matrix, size, tol)
 
 
 # ---------------------------------------------------------------------------

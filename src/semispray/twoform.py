@@ -9,7 +9,7 @@ are both read off the chart's Koszul differential.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional, Tuple
+from typing import Optional
 
 from . import expr as ex
 from . import linalg
@@ -26,15 +26,6 @@ class ThetaSection:
             raise ValueError("a closed 2-section must have degree 2")
         self.form = form
         self.chart = form.chart
-
-    @classmethod
-    def zero(cls, chart: AlgebroidChart) -> "ThetaSection":
-        return cls(AForm(chart, 2, {}))
-
-    @classmethod
-    def from_components(cls, chart: AlgebroidChart,
-                        components: Mapping[Tuple[int, int], ex.Expr]) -> "ThetaSection":
-        return cls(AForm(chart, 2, components))
 
     def coefficient(self, i: int, j: int) -> ex.Expr:
         return self.form.get((i, j))

@@ -274,31 +274,6 @@ def test_generated_elimination_raises_on_a_singular_matrix(matrix, literal):
         generated_solve(matrix, [1, 1], literal)
 
 
-class TestBaseProjection:
-    def test_free_line_passes(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
-        traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-3)
-        report = dynamics.base_projection_check(tangent1.chart, field, traj, tol=1e-6)
-        assert report.passed
-
-    def test_corrupted_base_component_fails(self, tangent1):
-        honest = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
-        corrupted = poisson.VectorFieldOnA(
-            tangent1.chart, [ex.eadd(ex.Var("y1"), ex.Const(0.1))], [ex.ZERO])
-        traj = dynamics.integrate(corrupted, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-3)
-        report = dynamics.base_projection_check(tangent1.chart, honest, traj, tol=1e-6)
-        assert not report.passed
-        # Injected error 0.1 at unit speed: normalized residual 0.1/(1+1).
-        assert report.max_residual == pytest.approx(0.05, rel=0.2)
-
-    def test_curved_spray_passes(self, curved_metric):
-        g, field = hamiltonian_flow(curved_metric)
-        traj = dynamics.integrate(field, ex.ChartPoint((0.3, 0.4), (1.0, 1.2)),
-                                  T=1.0, h=1e-3, invariant=g)
-        report = dynamics.base_projection_check(curved_metric.chart, field, traj, tol=1e-5)
-        assert report.passed
-
-
 class TestOrderAndHomogeneity:
     def test_step_halving_reduces_drift_sixteenfold(self, curved_metric):
         g, field = hamiltonian_flow(curved_metric)

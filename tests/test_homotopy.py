@@ -187,26 +187,6 @@ class TestHomotopyIdentity:
         assert value == pytest.approx(math.exp(0.7) - 1.0, abs=1e-10)
 
 
-class TestEvolutionEquation:
-    def test_parameter_derivative_matches_euler_lie(self, rank2):
-        rng = random.Random(3)
-        pairs = 0
-        while pairs < 16:
-            degree = rng.choice([0, 1, 2])
-            w = ho.random_vertical_form(rng, rank2, degree)
-            lie = ho.euler_lie_derivative(w)
-            t = rng.uniform(0.2, 0.9)
-            env = {nm: rng.uniform(-1, 1) for nm in rank2.alphabet}
-            step = 1e-6
-            for tup in vertical_tuples(w):
-                hi = ho.psi_star(w, t + step).get((), tup)
-                lo = ho.psi_star(w, t - step).get((), tup)
-                fd = (ceval(hi, env) - ceval(lo, env)) / (2 * step)
-                rhs = ceval(ho.psi_star(lie, t).get((), tup), env) / t
-                assert abs(fd - rhs) < 1e-6 * (1 + abs(rhs))
-            pairs += 1
-
-
 class TestVanishingCohomology:
     def test_every_closed_positive_degree_form_has_primitive(self, rank3):
         rng = random.Random(4)

@@ -115,8 +115,8 @@ class TestJacobi:
         # non-closed 2-section breaks the identity.
         data = lagrangian_data(so3)
         chart = so3.chart
-        open_theta = twoform.ThetaSection.from_components(
-            chart, {(0, 1): ex.parse("x1^2", chart.alphabet)})
+        open_theta = twoform.ThetaSection(
+            algebroid.AForm(chart, 2, {(0, 1): ex.parse("x1^2", chart.alphabet)}))
         assert not open_theta.check_closed().passed
         n = twoform.assemble_N(data, chart, open_theta)
         bivector = poisson.build_bracket(chart, data, n)

@@ -8,8 +8,8 @@ from semispray import homotopy as ho
 from semispray import lagrangian, poisson, prolongation as pr, twoform
 from semispray.errors import DegenerateForm, DegreeError, NotVerticalVanishing
 
-from helpers import (assert_certified_zero, assert_proven_zero, random_polynomial,
-                     reference_value)
+from helpers import (assert_certified_zero, assert_proven_zero, generated_inverse,
+                     random_polynomial, reference_value)
 
 
 def zero_section(chart):
@@ -48,35 +48,40 @@ class TestAnchor:
         assert field.vx == [ex.Var("y1")] and field.vy == [ex.ZERO]
 
 
+def coframe(chart, k):
+    """The covector ``E^k`` (``k < r``) or ``U^(k-r)`` of the prolongation."""
+    unit = [ex.ONE if a == k else ex.ZERO for a in range(2 * chart.r)]
+    return pr.ProlongForm.one_form(chart, unit[:chart.r], unit[chart.r:])
+
+
 class TestLieBracket:
+    # The prolonged chart holds the frame relations; its Koszul differential
+    # reads them back: for a covector with constant values on the sections,
+    # d(alpha)(s1, s2) = -alpha([s1, s2]).
+
     def test_frame_relations_on_rotations(self, so3):
-        chart = so3.chart
-        e = [pr.ProlongSection(chart, [ex.ONE if i == j else ex.ZERO for i in range(3)],
-                               [ex.ZERO] * 3) for j in range(3)]
-        got = pr.lie_bracket(e[0], e[1])
-        assert_sections_equal(got, e[2])
+        # [E_1, E_2] = E_3.
+        for k in range(3):
+            expected = ex.MINUS_ONE if k == 2 else ex.ZERO
+            assert pr.d(coframe(so3.chart, k)).ee(0, 1) == expected
 
     def test_vertical_frame_sections_commute(self, so3):
-        chart = so3.chart
-        u1 = pr.ProlongSection(chart, [ex.ZERO] * 3, [ex.ONE, ex.ZERO, ex.ZERO])
-        u2 = pr.ProlongSection(chart, [ex.ZERO] * 3, [ex.ZERO, ex.ONE, ex.ZERO])
-        assert_sections_equal(pr.lie_bracket(u1, u2), zero_section(chart))
-
-    def test_liouville_rescales_vertical_frame(self, so3):
-        chart = so3.chart
-        u1 = pr.ProlongSection(chart, [ex.ZERO] * 3, [ex.ONE, ex.ZERO, ex.ZERO])
-        got = pr.lie_bracket(pr.liouville(chart), u1)
-        expected = pr.ProlongSection(chart, [ex.ZERO] * 3,
-                                     [ex.MINUS_ONE, ex.ZERO, ex.ZERO])
-        assert_sections_equal(got, expected)
+        for k in range(6):
+            dalpha = pr.d(coframe(so3.chart, k))
+            for i in range(3):
+                for j in range(3):
+                    assert dalpha.uu(i, j) == ex.ZERO
 
     @pytest.mark.parametrize("seed", range(4))
     def test_vertical_sections_form_a_subalgebra(self, so3, seed):
+        # Each E^k vanishes on vertical sections, so E^k([V1, V2]) is
+        # -d(E^k)(V1, V2).
         rng = random.Random(700 + seed)
         v1 = random_section(rng, so3.chart, vertical=True)
         v2 = random_section(rng, so3.chart, vertical=True)
-        bracket = pr.lie_bracket(v1, v2)
-        assert bracket.is_vertical
+        for k in range(3):
+            paired = pr.insert_section(pr.insert_section(pr.d(coframe(so3.chart, k)), v1), v2)
+            assert paired.is_structurally_zero()
 
 
 class TestDifferential:
@@ -85,7 +90,7 @@ class TestDifferential:
         for fixture in catalog_fixtures:
             chart = fixture.chart
             data = lagrangian_data(fixture)
-            d_el = pr.d(pr.ProlongForm.function(chart, data.EL))
+            d_el = pr.d(pr.ProlongForm.from_coeffs(chart, 0, {(): data.EL}))
             y = [ex.Var(nm) for nm in chart.fibers]
             for j in range(chart.r):
                 expected_e = chart.anchor_derivative(j, data.EL)
@@ -109,7 +114,7 @@ class TestDifferential:
     def test_d_squared_vanishes(self, so3, seed):
         chart = so3.chart
         rng = random.Random(800 + seed)
-        f = pr.ProlongForm.function(chart, random_polynomial(rng, chart.alphabet))
+        f = pr.ProlongForm.from_coeffs(chart, 0, {(): random_polynomial(rng, chart.alphabet)})
         for value in pr.d(pr.d(f)).form.coeffs.values():
             assert_certified_zero(value, seed=seed)
         one = pr.ProlongForm.one_form(
@@ -138,7 +143,7 @@ class TestVerticalEndomorphism:
         rng = random.Random(900 + seed)
         section = random_section(rng, so3.chart)
         once = pr.vertical_endomorphism(section)
-        assert once.is_vertical  # image inside the vertical subbundle
+        assert once.a == [ex.ZERO] * 3  # image inside the vertical subbundle
         twice = pr.vertical_endomorphism(once)
         assert_sections_equal(twice, zero_section(so3.chart))
 
@@ -191,23 +196,27 @@ class TestHamiltonianSection:
 
     def test_degenerate_form_rejected(self, tangent1):
         chart = tangent1.chart
-        omega = pr.ProlongForm.from_blocks(chart, ue=[[ex.ZERO]])
+        omega = pr.ProlongForm.from_coeffs(chart, 2, {})
         with pytest.raises(DegenerateForm):
             pr.hamiltonian_section(omega, ex.Var("x1"))
 
     def test_block_vanishing_on_the_box_rejected(self, tangent1):
         # det = x1 is not literally zero but vanishes at the box center.
-        omega = pr.ProlongForm.from_blocks(tangent1.chart, ue=[[ex.Var("x1")]])
+        omega = pr.ProlongForm.from_coeffs(tangent1.chart, 2, {(1, 0): ex.Var("x1")})
         with pytest.raises(DegenerateForm):
             pr.hamiltonian_section(omega, ex.Var("x1"))
 
-    def test_pointwise_solver_rejects_singular_point(self, tangent1):
-        omega = pr.ProlongForm.from_blocks(tangent1.chart, ue=[[ex.Var("x1")]])
-        with pytest.raises(DegenerateForm):
-            pr.hamiltonian_section_at(omega, ex.Var("x1"), ex.ChartPoint((0.0,), (1.0,)))
-        for x1, rank in ((0.0, 0), (0.5, 2)):
-            point = ex.ChartPoint((x1,), (1.0,))
-            assert pr.coefficient_rank_at(omega, point) == rank
+    def test_rank_above_four_rejected(self):
+        three = alg.tangent(3)
+        _, omega = pr.cartan_sections(lagrangian.build(three.lagrangian, three.chart))
+        # A vertical-vertical entry needs the full 6 x 6 coefficient matrix.
+        omega += pr.ProlongForm.from_coeffs(three.chart, 2, {(3, 4): ex.ONE})
+        with pytest.raises(ValueError, match=r"^symbolic solve supports total rank <= 4$"):
+            pr.hamiltonian_section(omega, ex.ZERO)
+        five = alg.tangent(5)
+        _, omega = pr.cartan_sections(lagrangian.build(five.lagrangian, five.chart))
+        with pytest.raises(ValueError, match=r"^symbolic solve supports rank <= 4$"):
+            pr.hamiltonian_section(omega, ex.ZERO)
 
     def test_full_solve_with_vertical_block(self, tangent1):
         # A vertical-vertical block forces the full coefficient-matrix solve.
@@ -219,16 +228,6 @@ class TestHamiltonianSection:
         full = pr.ProlongForm(chart, alg.AForm(pr.prolong_chart(chart), 2, omega_dict))
         sigma_full = pr.hamiltonian_section(full, data.EL)
         assert_sections_equal(sigma_block, sigma_full)
-
-    def test_pointwise_solver_matches_symbolic(self, so3, lagrangian_data):
-        data = lagrangian_data(so3)
-        _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
-        point = ex.ChartPoint((0.2, -0.4, 0.6), (0.5, 0.1, -0.3))
-        a, b = pr.hamiltonian_section_at(omega, data.EL, point)
-        env = point.env(so3.chart.coords, so3.chart.fibers)
-        assert a == pytest.approx([reference_value(v, env) for v in sigma.a], abs=1e-10)
-        assert b == pytest.approx([reference_value(v, env) for v in sigma.b], abs=1e-10)
 
     def test_closed_form_coefficients(self, curved_metric):
         # sigma = y^a E_a - M^{rl} (rho^b_l dE_L/dx^b + N_sl y^s) U_r, checked
@@ -284,14 +283,11 @@ class TestBigrading:
     def test_split_reassembles_differential(self, so3, seed):
         chart = so3.chart
         rng = random.Random(1000 + seed)
-        gamma = [[random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(3)]
-                 for _ in range(3)]
-        conn = pr.EhresmannConn(chart, gamma)
         form = pr.ProlongForm.one_form(
             chart,
             [random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(3)],
             [random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(3)])
-        dp, dsec, dl = pr.d_split(form, conn)
+        dp, dsec, dl = pr.d_split(form)
         total = dp + dsec + dl - pr.d(form)
         assert total.is_structurally_zero()
 
@@ -299,29 +295,22 @@ class TestBigrading:
     def test_vertical_part_squares_to_zero(self, so3, seed):
         chart = so3.chart
         rng = random.Random(1100 + seed)
-        gamma = [[random_polynomial(rng, chart.alphabet, 2, 1) for _ in range(3)]
-                 for _ in range(3)]
-        conn = pr.EhresmannConn(chart, gamma)
         form = pr.ProlongForm.one_form(
             chart,
             [random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(3)],
             [random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(3)])
-        _, dsec, _ = pr.d_split(form, conn)
-        _, dsec2, _ = pr.d_split(dsec, conn)
+        _, dsec, _ = pr.d_split(form)
+        _, dsec2, _ = pr.d_split(dsec)
         for value in dsec2.form.coeffs.values():
             assert_certified_zero(value, seed=seed)
 
     def test_bigrade_roundtrip(self, so3):
         chart = so3.chart
-        rng = random.Random(12)
-        gamma = [[random_polynomial(rng, chart.alphabet, 2, 1) for _ in range(3)]
-                 for _ in range(3)]
-        conn = pr.EhresmannConn(chart, gamma)
         data = lagrangian.build(so3.lagrangian, chart)
         _, omega = pr.cartan_sections(data)
         rebuilt = pr.ProlongForm.zero(chart, 2)
-        for block in pr.bigrade(omega, conn).values():
-            rebuilt += pr.block_to_form(block, conn)
+        for block in pr.bigrade(omega).values():
+            rebuilt += pr.block_to_form(block)
         assert (rebuilt - omega).is_structurally_zero()
 
     def test_block_with_a_fiber_integral_is_not_rebuilt(self, tangent1):
@@ -366,9 +355,9 @@ class TestDecomposition:
 
     def test_vertical_block_rejected(self, tangent2):
         chart = tangent2.chart
-        bad = pr.ProlongForm.from_blocks(
-            chart, ue=[[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]],
-            uu=[[ex.ZERO, ex.ONE], [ex.MINUS_ONE, ex.ZERO]])
+        # The (vertical, frame) block is the identity, and U^1 ^ U^2 is not 0.
+        bad = pr.ProlongForm.from_coeffs(chart, 2, {(2, 0): ex.ONE, (3, 1): ex.ONE,
+                                                    (2, 3): ex.ONE})
         with pytest.raises(NotVerticalVanishing):
             pr.decompose_symplectic(bad)
 
@@ -376,8 +365,16 @@ class TestDecomposition:
         data = lagrangian_data(so3)
         _, omega = pr.cartan_sections(data)
         _, exact_part = pr.decompose_symplectic(omega)
-        point = ex.ChartPoint((0.3, -0.2, 0.5), (0.7, 0.4, -0.6))
-        assert pr.coefficient_rank_at(pr.d(exact_part), point) == 2 * so3.chart.r
+        env = ex.ChartPoint((0.3, -0.2, 0.5), (0.7, 0.4, -0.6)).env(so3.chart.coords,
+                                                                    so3.chart.fibers)
+        size = 2 * so3.chart.r
+        exact = pr.d(exact_part)
+        a = [[reference_value(exact.value((p, q)), env) for q in range(size)]
+             for p in range(size)]
+        inverse = generated_inverse(a)  # a zero pivot raises DomainError
+        for i in range(size):
+            row = [sum(a[i][k] * inverse[k][j] for k in range(size)) for j in range(size)]
+            assert row == pytest.approx([float(i == j) for j in range(size)], abs=1e-9)
 
 
 class TestPullback:

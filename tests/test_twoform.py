@@ -11,7 +11,7 @@ from helpers import assert_proven_zero, random_polynomial, reference_value
 
 class TestCheckClosed:
     def test_zero_section_proven(self, so3):
-        theta = twoform.ThetaSection.zero(so3.chart)
+        theta = twoform.ThetaSection(alg.AForm(so3.chart, 2, {}))
         report = theta.check_closed()
         assert report.passed and report.all_proven
 
@@ -51,8 +51,8 @@ class TestCheckClosed:
 
     def test_non_closed_section_detected(self, so3):
         chart = so3.chart
-        theta = twoform.ThetaSection.from_components(
-            chart, {(0, 1): ex.parse("x1^2", chart.alphabet)})
+        theta = twoform.ThetaSection(
+            alg.AForm(chart, 2, {(0, 1): ex.parse("x1^2", chart.alphabet)}))
         report = theta.check_closed()
         assert not report.passed
 
@@ -63,7 +63,7 @@ class TestCheckClosed:
         rng = random.Random(31)
         coeffs = {(i, j): random_polynomial(rng, chart.coords)
                   for i in range(3) for j in range(i + 1, 3)}
-        theta = twoform.ThetaSection.from_components(chart, coeffs)
+        theta = twoform.ThetaSection(alg.AForm(chart, 2, coeffs))
         d_theta = chart.d(theta.form)
         residuals = dict(theta.closedness_residuals())
         assert residuals["(i,j,k)=(1,2,3)"] == d_theta.get((0, 1, 2))
