@@ -6,9 +6,9 @@ coordinate names ``y``, the anchor coefficient matrix ``rho[i][j]`` (row
 only) and the bracket coefficients ``C^k_{ij}``, stored for ``i < j`` and
 reconstructed by skew-symmetry.
 
-The same class also models the prolongation of a chart (an algebroid of rank
-``2r`` over the total space), so the Koszul differential below serves both
-levels of the calculus.
+The same class also models the prolongation of a chart (:func:`prolong_chart`,
+an algebroid of rank ``2r`` over the total space), so the Koszul differential
+and the one form class :class:`AForm` serve both levels of the calculus.
 """
 
 from __future__ import annotations
@@ -40,18 +40,17 @@ def sort_with_sign(indices: Sequence[int]) -> Tuple[Optional[Tuple[int, ...]], i
     return tuple(idx), sign
 
 
-def skew_coeffs(pairs: Iterable[Tuple], canon) -> dict:
-    """The skew-coefficient store shared by every form class.
+def skew_coeffs(pairs: Iterable[Tuple]) -> dict:
+    """The skew-coefficient store of :class:`AForm`.
 
-    ``pairs`` yields ``(key, value)``; a key may repeat.  ``canon(key)``
-    returns the sorted key and the sign of the sorting permutation, 0 when an
-    index repeats (such entries vanish).  Values are canonical trees,
-    negated for an odd permutation and accumulated per sorted key; keys whose
-    total is the literal 0 are dropped, including totals that cancel.
+    ``pairs`` yields ``(key, value)``; a key may repeat.  Each key is sorted,
+    and its value negated for an odd permutation (dropped when an index
+    repeats), then accumulated per sorted key; keys whose total is the
+    literal 0 are dropped, including totals that cancel.
     """
     out = {}
     for key, value in pairs:
-        key, sign = canon(key)
+        key, sign = sort_with_sign(key)
         if sign == 0:
             continue
         if sign < 0:
@@ -63,6 +62,9 @@ def skew_coeffs(pairs: Iterable[Tuple], canon) -> dict:
 class AlgebroidChart:
     """One adapted chart of a Lie algebroid.  ``rho`` and ``structure`` take
     numbers or canonical trees (:func:`expr.simplify` is for raw-node ones)."""
+
+    #: The chart this one prolongs (set by :func:`prolong_chart`), else None.
+    base: Optional["AlgebroidChart"] = None
 
     def __init__(self, coords: Sequence[str], fibers: Sequence[str],
                  rho: Sequence[Sequence[ex.Expr]],
@@ -190,26 +192,49 @@ class AlgebroidChart:
                           box, trials, tol, seed)
 
 
+def prolong_chart(chart: AlgebroidChart) -> AlgebroidChart:
+    """The prolongation of ``chart`` as a rank-2r algebroid over (x, y),
+    with frame ``{E_1..E_r, U_1..U_r}``: ``E_j`` anchors to
+    ``rho^i_j d/dx^i`` and ``U_k`` to ``d/dy^k``; ``[E_i, E_j] = C^k_{ij}
+    E_k`` and every bracket with a vertical frame section vanishes.  Its
+    ``fibers`` are the frame labels ``_e*``/``_u*``; the fiber coordinates
+    are those of :attr:`~AlgebroidChart.base`.
+
+    Cached on the chart so every form built over it shares one instance.
+    """
+    cached = getattr(chart, "_prolonged", None)
+    if cached is not None:
+        return cached
+    n, r = chart.n, chart.r
+    frame = [f"_e{j + 1}" for j in range(r)] + [f"_u{k + 1}" for k in range(r)]
+    rho = [[ex.ZERO for _ in range(2 * r)] for _ in range(n + r)]
+    for i in range(n):
+        for j in range(r):
+            rho[i][j] = chart.rho[i][j]
+    for k in range(r):
+        rho[n + k][r + k] = ex.ONE
+    prolonged = AlgebroidChart(chart.coords + chart.fibers, frame, rho, dict(chart.structure),
+                               params=chart.params, name=f"prolong({chart.name or 'chart'})")
+    prolonged.base = chart
+    chart._prolonged = prolonged
+    return prolonged
+
+
 class AForm:
     """A section of ``∧^k A*`` stored by coefficients on strictly increasing
-    index tuples of the dual frame."""
-
-    MAX_DEGREE = 3
+    index tuples of the dual frame.  On a prolonged chart (see
+    :func:`prolong_chart`) legs below the base rank are frame covectors, the
+    rest vertical ones, so a key carries its own bidegree."""
 
     def __init__(self, chart: AlgebroidChart, degree: int,
                  coeffs: Mapping[Tuple[int, ...], ex.Expr]):
-        if not 0 <= degree <= self.MAX_DEGREE:
-            raise DegreeError(f"forms are supported up to degree {self.MAX_DEGREE}")
         self.chart = chart
         self.degree = degree
+        for idx in coeffs:
+            if len(idx) != degree:
+                raise ValueError(f"index {tuple(idx)} does not match degree {degree}")
         self.coeffs: Dict[Tuple[int, ...], ex.Expr] = skew_coeffs(
-            ((idx, ex.as_expr(value)) for idx, value in coeffs.items()), self._canon)
-
-    def _canon(self, idx) -> Tuple[Optional[Tuple[int, ...]], int]:
-        idx = tuple(idx)
-        if len(idx) != self.degree:
-            raise ValueError(f"index {idx} does not match degree {self.degree}")
-        return sort_with_sign(idx)
+            (tuple(idx), ex.as_expr(value)) for idx, value in coeffs.items())
 
     def get(self, indices: Sequence[int]) -> ex.Expr:
         sorted_idx, sign = sort_with_sign(tuple(indices))

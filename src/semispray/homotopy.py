@@ -1,10 +1,12 @@
 """Radial homotopy operators for the vertical calculus.
 
-Forms here are bigraded blocks: bidegree-(p, q) components of forms on the
-prolongation, stored by skew coefficients over pairs of index tuples.  A
-vertical q-form is the block with ``p = 0``; it lives on the vertical
-subalgebroid in its pullback frame, where the canonical flat transport is the
-identity on coefficients, and the base coordinates ride along as parameters.
+Forms here are plain :class:`~semispray.algebroid.AForm` s over a prolonged
+chart (:func:`~semispray.algebroid.prolong_chart`).  A key's legs below the
+base rank ``r`` are frame covectors ``E^i``, the rest vertical covectors
+``U^j``, so each coefficient carries its bidegree ``(p, q)``.  A vertical
+q-form has only vertical legs; it lives on the vertical subalgebroid in its
+pullback frame, where the canonical flat transport is the identity on
+coefficients, and the base coordinates ride along as parameters.
 
 The three operators:
 
@@ -20,7 +22,7 @@ Any other integrand ``e`` is stored as itself and stands for
 reserved scaling parameter ``TVAR`` is free in it, and :func:`fiber_value`
 evaluates it by adaptive Simpson quadrature.
 
-Applied with the horizontal indices of a block treated as labels (and the
+Applied with the frame legs of a coefficient treated as labels (and the
 sign ``(-1)^p``), the same integral furnishes the constructive primitive for
 the vertical part of the bigraded differential (``dprime_primitive``).
 """
@@ -33,7 +35,7 @@ from fractions import Fraction
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from . import expr as ex
-from .algebroid import AlgebroidChart, skew_coeffs, sort_with_sign, tangent
+from .algebroid import AForm, AlgebroidChart, prolong_chart, tangent
 from .errors import NotClosed, QuadratureFailure
 from .report import ValidationReport, ZeroResult, ZeroStatus
 
@@ -124,166 +126,145 @@ def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Bigraded blocks; a vertical q-form is the block of bidegree (0, q)
+# Operators on forms over a prolonged chart, one bidegree component at a time
 
 
-def _sort_pair(idx_i: Tuple[int, ...], idx_j: Tuple[int, ...]):
-    si, sign_i = sort_with_sign(idx_i)
-    sj, sign_j = sort_with_sign(idx_j)
-    return (si, sj), sign_i * sign_j
+def bigrade(form: AForm) -> Dict[Tuple[int, int], AForm]:
+    """Split a form on the prolongation into its bidegree components.
+
+    A key's legs below ``r`` are frame covectors ``E^i`` (bidegree (1,0)),
+    the rest vertical covectors ``U^j`` (bidegree (0,1)).
+    """
+    r = form.chart.base.r
+    blocks: Dict[Tuple[int, int], Dict] = {}
+    for key, value in form.coeffs.items():
+        p = sum(a < r for a in key)
+        blocks.setdefault((p, form.degree - p), {})[key] = value
+    return {pq: AForm(form.chart, form.degree, coeffs) for pq, coeffs in blocks.items()}
 
 
-class BigradedBlock:
-    """One bidegree-(p, q) component of a form on the prolongation:
-    coefficients over pairs (I, J) of strictly increasing index tuples, I
-    for the p frame legs ``E^i`` and J for the q vertical legs ``U^j``.
-    With ``p = 0`` the block is a vertical q-form in the pullback frame."""
-
-    def __init__(self, chart: AlgebroidChart, p: int, q: int,
-                 coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], ex.Expr]):
-        self.chart = chart
-        self.p = p
-        self.q = q
-        self.coeffs: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], ex.Expr] = skew_coeffs(
-            coeffs.items(), self._canon)
-
-    def _canon(self, key):
-        idx_i, idx_j = tuple(key[0]), tuple(key[1])
-        if len(idx_i) != self.p or len(idx_j) != self.q:
-            raise ValueError(f"index pair {(idx_i, idx_j)} does not match bidegree ({self.p},{self.q})")
-        return _sort_pair(idx_i, idx_j)
-
-    def get(self, idx_i: Sequence[int], idx_j: Sequence[int]) -> ex.Expr:
-        key, sign = _sort_pair(tuple(idx_i), tuple(idx_j))
-        if sign == 0:
-            return ex.ZERO
-        value = self.coeffs.get(key, ex.ZERO)
-        return value if sign > 0 else ex.eneg(value)
-
-    def map_coeffs(self, fn) -> "BigradedBlock":
-        return BigradedBlock(self.chart, self.p, self.q,
-                             {key: fn(v) for key, v in self.coeffs.items()})
-
-    def is_structurally_zero(self) -> bool:
-        return not self.coeffs
-
-    def __repr__(self):
-        return f"<BigradedBlock ({self.p},{self.q}), {len(self.coeffs)} coefficients>"
-
-
-def dsecond(block: BigradedBlock) -> BigradedBlock:
-    """Vertical part of the bigraded differential on a pure block:
-    ``(-1)^p`` times the alternating fiber derivative on the vertical legs.
-    On a vertical form it is the differential of the vertical algebroid,
-    whose bracket is trivial and whose anchor images are the coordinate
-    fields."""
-    chart = block.chart
-    sign = -1 if block.p % 2 else 1
+def dsecond(form: AForm) -> AForm:
+    """Vertical part of the bigraded differential: on each bidegree-(p, q)
+    component, ``(-1)^p`` times the alternating fiber derivative on the
+    vertical legs.  On a vertical form it is the differential of the vertical
+    algebroid, whose bracket is trivial and whose anchor images are the
+    coordinate fields."""
+    chart = form.chart.base
+    r = chart.r
     coeffs = {}
-    for idx_i in itertools.combinations(range(chart.r), block.p):
-        for tup in itertools.combinations(range(chart.r), block.q + 1):
-            pieces = []
-            for pos, j in enumerate(tup):
-                rest = tup[:pos] + tup[pos + 1:]
-                value = ex.diff(block.get(idx_i, rest), chart.fibers[j])
-                pieces.append(value if pos % 2 == 0 else ex.eneg(value))
-            total = ex.eadd(*pieces)
-            coeffs[(idx_i, tup)] = ex.eneg(total) if sign < 0 else total
-    return BigradedBlock(chart, block.p, block.q + 1, coeffs)
+    for (p, q), block in bigrade(form).items():
+        for idx_i in itertools.combinations(range(r), p):
+            for tup in itertools.combinations(range(r, 2 * r), q + 1):
+                pieces = []
+                for pos, j in enumerate(tup):
+                    rest = tup[:pos] + tup[pos + 1:]
+                    value = ex.diff(block.get(idx_i + rest), chart.fibers[j - r])
+                    pieces.append(value if pos % 2 == 0 else ex.eneg(value))
+                total = ex.eadd(*pieces)
+                coeffs[idx_i + tup] = ex.eneg(total) if p % 2 else total
+    return AForm(form.chart, form.degree + 1, coeffs)
 
 
-def psi_star(form: BigradedBlock, t) -> BigradedBlock:
-    """Pullback along the fiber scaling: ``t^q * w(x, t y)`` on coefficients
-    (the canonical transport is the identity in the pullback frame)."""
+def psi_star(form: AForm, t) -> AForm:
+    """Pullback along the fiber scaling: ``t^q * w(x, t y)`` on each
+    coefficient with ``q`` vertical legs (the canonical transport is the
+    identity in the pullback frame)."""
     t = ex.as_expr(t)
     if not isinstance(t, ex.Const):
         raise ValueError("scaling parameter must be numeric")
-    mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.fibers}
-    factor = ex.epow(t, form.q) if form.q else ex.ONE
-    return form.map_coeffs(lambda v: ex.emul(factor, ex.subs(v, mapping)))
+    mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.base.fibers}
+    coeffs = {}
+    for (_, q), block in bigrade(form).items():
+        factor = ex.epow(t, q) if q else ex.ONE
+        for key, v in block.coeffs.items():
+            coeffs[key] = ex.emul(factor, ex.subs(v, mapping))
+    return AForm(form.chart, form.degree, coeffs)
 
 
-def radial_homotopy(block: BigradedBlock) -> BigradedBlock:
+def radial_homotopy(form: AForm) -> AForm:
     """The degree-lowering radial homotopy operator on the vertical legs.
 
     ``(h w)_{I, j1..j(q-1)}(x, y) = (-1)^p int_0^1 t^(q-1) y^j w_{I, j j1..j(q-1)}(x, ty) dt``
-    with the horizontal legs ``I`` as labels; the q = 0 case is the zero map.
-    Exact symbolic integration when the scaled coefficient is polynomial in
-    the parameter, else the integrand is kept as a fiber integral.  The
-    input is not checked for closure (see :func:`dprime_primitive`).
+    on each bidegree-(p, q) component, with the frame legs ``I`` as labels;
+    it is the zero map on components with q = 0.  Exact symbolic integration
+    when the scaled coefficient is polynomial in the parameter, else the
+    integrand is kept as a fiber integral.  The input is not checked for
+    closure (see :func:`dprime_primitive`).
     """
-    chart = block.chart
-    q = block.q
-    if q == 0:
-        return BigradedBlock(chart, block.p, 0, {})
+    chart = form.chart.base
+    r = chart.r
     mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
-    t_power = ex.epow(ex.Var(TVAR), q - 1) if q > 1 else ex.ONE
-    sign = -1 if block.p % 2 else 1
     coeffs = {}
-    for idx_i in itertools.combinations(range(chart.r), block.p):
-        for rest in itertools.combinations(range(chart.r), q - 1):
-            pieces = []
-            for j in range(chart.r):
-                value = block.get(idx_i, (j,) + rest)
-                if ex.is_zero_literal(value):
+    for (p, q), block in bigrade(form).items():
+        if q == 0:
+            continue
+        t_power = ex.epow(ex.Var(TVAR), q - 1) if q > 1 else ex.ONE
+        for idx_i in itertools.combinations(range(r), p):
+            for rest in itertools.combinations(range(r, 2 * r), q - 1):
+                pieces = []
+                for j in range(r):
+                    value = block.get(idx_i + (r + j,) + rest)
+                    if ex.is_zero_literal(value):
+                        continue
+                    if is_fiber_integral(value):
+                        raise ValueError("radial integral of an unevaluated fiber integral is not supported")
+                    pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
+                if not pieces:
                     continue
-                if is_fiber_integral(value):
-                    raise ValueError("radial integral of an unevaluated fiber integral is not supported")
-                pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
-            if not pieces:
-                continue
-            integrand = ex.emul(t_power, ex.eadd(*pieces))
-            if sign < 0:
-                integrand = ex.eneg(integrand)
-            exact = _integrate_unit(integrand)
-            coeffs[(idx_i, rest)] = exact if exact is not None else integrand
-    return BigradedBlock(chart, block.p, q - 1, coeffs)
+                integrand = ex.emul(t_power, ex.eadd(*pieces))
+                if p % 2:
+                    integrand = ex.eneg(integrand)
+                exact = _integrate_unit(integrand)
+                coeffs[idx_i + rest] = exact if exact is not None else integrand
+    return AForm(form.chart, form.degree - 1, coeffs)
 
 
 def _zero_test(values: Sequence[ex.Expr], chart: AlgebroidChart, box: Optional[ex.Box],
                trials: int, tol: float, seed: int) -> ZeroResult:
     """Zero test of the sum of ``values``: symbolic when none is a fiber
-    integral (so exact cancellation is proven), else sampled on the box with
-    each integral evaluated by quadrature."""
+    integral (so exact cancellation is proven), else sampled on the box over
+    the chart's coordinates and parameters, with each integral evaluated by
+    quadrature."""
     if not any(is_fiber_integral(v) for v in values):
         return ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
     terms = [fiber_value(v) for v in values]
     return ex.sample_zero(lambda env: sum(term(env) for term in terms),
-                          sorted(set(chart.coords) | set(chart.fibers)),
+                          sorted(set(chart.coords) | set(chart.params)),
                           box=box, trials=trials, tol=tol, seed=seed)
 
 
-def dprime_primitive(block: BigradedBlock, box: ex.Box = None, trials: int = 64,
-                     tol: float = 1e-9, seed: int = 0) -> BigradedBlock:
+def dprime_primitive(form: AForm, box: ex.Box = None, trials: int = 64,
+                     tol: float = 1e-9, seed: int = 0) -> AForm:
     """Constructive primitive for the vertical differential.
 
-    Given a bidegree-(p, q) block with vanishing vertical differential,
-    ``q >= 1``, returns its :func:`radial_homotopy`, whose vertical
-    differential reproduces the input.  Raises :class:`NotClosed` when the
-    vertical differential fails the zero test on the box.
+    Given a form with vanishing vertical differential and at least one
+    vertical leg in every coefficient, returns its :func:`radial_homotopy`,
+    whose vertical differential reproduces the input.  Raises
+    :class:`NotClosed` when the vertical differential fails the zero test on
+    the box.
     """
-    if block.q < 1:
+    if form.degree < 1 or any(q == 0 for _, q in bigrade(form)):
         raise ValueError("primitive requires vertical degree q >= 1")
-    for key, value in dsecond(block).coeffs.items():
-        if not _zero_test([value], block.chart, box, trials, tol, seed).is_zero:
+    for key, value in dsecond(form).coeffs.items():
+        if not _zero_test([value], form.chart, box, trials, tol, seed).is_zero:
             raise NotClosed(f"vertical differential does not vanish at {key}")
-    return radial_homotopy(block)
+    return radial_homotopy(form)
 
 
-def homotopy_identity_check(form: BigradedBlock, box: ex.Box = None, trials: int = 64,
+def homotopy_identity_check(form: AForm, box: ex.Box = None, trials: int = 64,
                             tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Residual of ``h(dw) + d(hw) - w + psi_star(w, 0)`` per coefficient
-    of a vertical form (a block with ``p = 0``), zero-tested by
+    of a vertical form (every leg vertical), zero-tested by
     :func:`_zero_test`.
     """
-    chart = form.chart
+    r = form.chart.base.r
     parts = [radial_homotopy(dsecond(form)), dsecond(radial_homotopy(form)),
              form.map_coeffs(ex.eneg), psi_star(form, 0)]
     report = ValidationReport(check="homotopy-identity", seed=seed)
-    for tup in itertools.combinations(range(chart.r), form.q):
-        values = [part.get((), tup) for part in parts]
-        report.add(f"coeff{tuple(i + 1 for i in tup)}",
-                   _zero_test(values, chart, box, trials, tol, seed))
+    for tup in itertools.combinations(range(r, 2 * r), form.degree):
+        values = [part.get(tup) for part in parts]
+        report.add(f"coeff{tuple(j - r + 1 for j in tup)}",
+                   _zero_test(values, form.chart, box, trials, tol, seed))
     return report
 
 
@@ -309,12 +290,13 @@ def random_polynomial(rng: random.Random, names: Sequence[str],
 
 
 def random_vertical_form(rng: random.Random, chart: AlgebroidChart, degree: int,
-                         max_degree: int = 3, terms: int = 2) -> BigradedBlock:
+                         max_degree: int = 3, terms: int = 2) -> AForm:
+    """A random vertical ``degree``-form on the prolongation of ``chart``."""
     names = chart.coords + chart.fibers
     coeffs = {}
-    for tup in itertools.combinations(range(chart.r), degree):
-        coeffs[((), tup)] = random_polynomial(rng, names, max_degree, terms)
-    return BigradedBlock(chart, 0, degree, coeffs)
+    for tup in itertools.combinations(range(chart.r, 2 * chart.r), degree):
+        coeffs[tup] = random_polynomial(rng, names, max_degree, terms)
+    return AForm(prolong_chart(chart), degree, coeffs)
 
 
 def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0, 1, 2, 3),
@@ -347,8 +329,8 @@ def identity_suite(ranks: Sequence[int] = (1, 2, 3), degrees: Sequence[int] = (0
                     trials)
         # Its coefficients are fiber integrals, sampled, so never proven zero.
         fiber = ex.Var(chart.fibers[0])
-        form = BigradedBlock(chart, 0, 1, {((), (j,)): ex.emul(ex.efunc("exp", fiber), fiber)
-                                           for j in range(r)})
+        form = AForm(prolong_chart(chart), 1, {(r + j,): ex.emul(ex.efunc("exp", fiber), fiber)
+                                               for j in range(r)})
         ran = max(trials, 8)
         add(f"r={r},nonpolynomial",
             homotopy_identity_check(form, box=box, trials=ran, tol=1e-8, seed=seed), ran)

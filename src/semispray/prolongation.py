@@ -8,53 +8,34 @@ Lie algebroid of rank 2r over the total space, with local frame
 * brackets: ``[E_i, E_j] = C^k_{ij} E_k``, all brackets involving a vertical
   frame section vanish.
 
-We therefore model it as an :class:`~semispray.algebroid.AlgebroidChart`
-over the coordinates ``(x, y)`` (:func:`prolong_chart`), which holds these
-relations, and reuse its Koszul differential.  Indices ``0..r-1`` of the
+:func:`~semispray.algebroid.prolong_chart` models it as an
+:class:`~semispray.algebroid.AlgebroidChart` over the coordinates ``(x, y)``
+that holds these relations, so a form on the prolongation is a plain
+:class:`~semispray.algebroid.AForm` over it, and its differential is the
+prolonged chart's Koszul differential.  Indices ``0..r-1`` of the
 prolongation frame are the ``E`` sections, ``r..2r-1`` the vertical ``U``
-sections; a form's blocks, and its bigrading, follow that split.  On top of
-it: sections and their anchor, the interior product, the vertical
-endomorphism, Cartan sections, exact Hamiltonian sections, the decomposition
-of 2-sections vanishing on vertical pairs, and the consistency suite behind
+sections: a 2-form's frame-frame, (vertical, frame) and vertical-vertical
+blocks are read with ``get`` at ``(i, j)``, ``(r+i, j)`` and ``(r+i, r+j)``,
+and a coefficient's bidegree is read off its key.  On top of it: sections
+and their anchor, the interior product, the vertical endomorphism, Cartan
+sections, exact Hamiltonian sections, the decomposition of 2-sections
+vanishing on vertical pairs, and the consistency suite behind
 ``check prolongation``.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import expr as ex
 from . import linalg
-from .algebroid import AForm, AlgebroidChart
+from .algebroid import AForm, AlgebroidChart, prolong_chart
 from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
-from .homotopy import BigradedBlock, dprime_primitive, is_fiber_integral
+from .homotopy import bigrade, dprime_primitive, is_fiber_integral
 from .lagrangian import LagrangianData, probe_determinant
 from .poisson import VectorFieldOnA
 from .report import ValidationReport
-
-def prolong_chart(chart: AlgebroidChart) -> AlgebroidChart:
-    """The prolongation of ``chart`` as a rank-2r algebroid over (x, y).
-
-    Cached on the chart so every form built over it shares one instance.
-    """
-    cached = getattr(chart, "_prolonged", None)
-    if cached is not None:
-        return cached
-    n, r = chart.n, chart.r
-    coords = chart.coords + chart.fibers
-    frame = [f"_e{j + 1}" for j in range(r)] + [f"_u{k + 1}" for k in range(r)]
-    rho = [[ex.ZERO for _ in range(2 * r)] for _ in range(n + r)]
-    for i in range(n):
-        for j in range(r):
-            rho[i][j] = chart.rho[i][j]
-    for k in range(r):
-        rho[n + k][r + k] = ex.ONE
-    structure = dict(chart.structure)
-    prolonged = AlgebroidChart(coords, frame, rho, structure, params=chart.params,
-                               name=f"prolong({chart.name or 'chart'})")
-    chart._prolonged = prolonged
-    return prolonged
 
 
 class ProlongSection:
@@ -101,85 +82,17 @@ def anchor(section: ProlongSection) -> VectorFieldOnA:
     return VectorFieldOnA(chart, linalg.mat_vec(chart.rho, section.a), list(section.b))
 
 
-class ProlongForm:
-    """Form on the prolongation, stored as an :class:`AForm` over the
-    prolonged chart.  Degree-2 blocks: ``ee(i, j)`` for two frame legs,
-    ``ue(i, j)`` for (vertical, frame), ``uu(i, j)`` for two vertical legs."""
-
-    def __init__(self, chart: AlgebroidChart, form: AForm):
-        self.chart = chart
-        self.pchart = prolong_chart(chart)
-        if form.chart is not self.pchart:
-            raise ValueError("underlying form must live on the prolonged chart")
-        self.form = form
-
-    @property
-    def degree(self) -> int:
-        return self.form.degree
-
-    @classmethod
-    def zero(cls, chart: AlgebroidChart, degree: int) -> "ProlongForm":
-        return cls(chart, AForm(prolong_chart(chart), degree, {}))
-
-    @classmethod
-    def from_coeffs(cls, chart: AlgebroidChart, degree: int, coeffs) -> "ProlongForm":
-        return cls(chart, AForm(prolong_chart(chart), degree, coeffs))
-
-    @classmethod
-    def one_form(cls, chart: AlgebroidChart, e_parts: Sequence[ex.Expr],
-                 u_parts: Sequence[ex.Expr]) -> "ProlongForm":
-        r = chart.r
-        coeffs = {}
-        for j, value in enumerate(e_parts):
-            coeffs[(j,)] = value
-        for k, value in enumerate(u_parts):
-            coeffs[(r + k,)] = value
-        return cls.from_coeffs(chart, 1, coeffs)
-
-    def value(self, indices: Sequence[int]) -> ex.Expr:
-        return self.form.get(indices)
-
-    def ee(self, i: int, j: int) -> ex.Expr:
-        return self.form.get((i, j))
-
-    def ue(self, i: int, j: int) -> ex.Expr:
-        return self.form.get((self.chart.r + i, j))
-
-    def uu(self, i: int, j: int) -> ex.Expr:
-        return self.form.get((self.chart.r + i, self.chart.r + j))
-
-    def __add__(self, other: "ProlongForm") -> "ProlongForm":
-        return ProlongForm(self.chart, self.form + other.form)
-
-    def __sub__(self, other: "ProlongForm") -> "ProlongForm":
-        return ProlongForm(self.chart, self.form - other.form)
-
-    def scale(self, factor) -> "ProlongForm":
-        return ProlongForm(self.chart, self.form.scale(factor))
-
-    def is_structurally_zero(self) -> bool:
-        return self.form.is_structurally_zero()
-
-    def __repr__(self):
-        return f"<ProlongForm deg {self.degree}, {len(self.form.coeffs)} coefficients>"
-
-
-def d(form: ProlongForm) -> ProlongForm:
-    """Koszul differential on the prolongation (input degree at most 2)."""
-    return ProlongForm(form.chart, form.pchart.d(form.form))
-
-
-def insert_section(form: ProlongForm, section: ProlongSection) -> ProlongForm:
-    """Interior product ``i_S F``."""
+def insert_section(form: AForm, section: ProlongSection) -> AForm:
+    """Interior product ``i_S F`` of a form on the prolongation."""
     if form.degree == 0:
         raise DegreeError("cannot insert into a degree-0 form")
-    chart = form.chart
+    size = form.chart.r
     s = section.coefficients()
     coeffs = {}
-    for rest in itertools.combinations(range(2 * chart.r), form.degree - 1):
-        coeffs[rest] = ex.eadd(*(ex.emul(s[a], form.value((a,) + rest))
-                                 for a in range(2 * chart.r) if not ex.is_zero_literal(s[a])))
-    return ProlongForm.from_coeffs(chart, form.degree - 1, coeffs)
+    for rest in itertools.combinations(range(size), form.degree - 1):
+        coeffs[rest] = ex.eadd(*(ex.emul(s[a], form.get((a,) + rest))
+                                 for a in range(size) if not ex.is_zero_literal(s[a])))
+    return AForm(form.chart, form.degree - 1, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +104,23 @@ def vertical_endomorphism(section: ProlongSection) -> ProlongSection:
     return ProlongSection(section.chart, [ex.ZERO] * section.chart.r, list(section.a))
 
 
-def j_dual(form: ProlongForm) -> ProlongForm:
+def j_dual(form: AForm) -> AForm:
     """Degree-zero derivation on forms dual to the vertical endomorphism:
     it annihilates functions and frame covectors and sends a vertical dual
     covector ``U^j`` to ``-E^j``."""
-    chart = form.chart
-    r = chart.r
+    r = form.chart.base.r
     if form.degree == 0:
-        return ProlongForm.zero(chart, 0)
+        return AForm(form.chart, 0, {})
     coeffs = {}
     for tup in itertools.combinations(range(2 * r), form.degree):
         pieces = []
         for pos, a in enumerate(tup):
             if a < r:  # J maps the frame section E_a to the vertical U_a
                 replaced = tup[:pos] + (r + a,) + tup[pos + 1:]
-                pieces.append(form.value(replaced))
+                pieces.append(form.get(replaced))
         if pieces:
             coeffs[tup] = ex.eneg(ex.eadd(*pieces))
-    return ProlongForm.from_coeffs(chart, form.degree, coeffs)
+    return AForm(form.chart, form.degree, coeffs)
 
 
 def sode_residuals(section: ProlongSection):
@@ -227,15 +139,15 @@ def is_sode(section: ProlongSection, box: ex.Box = None, trials: int = 64,
 # Cartan sections and Hamiltonian sections
 
 
-def cartan_sections(data: LagrangianData) -> Tuple[ProlongForm, ProlongForm]:
+def cartan_sections(data: LagrangianData) -> Tuple[AForm, AForm]:
     """The horizontal 1-section with fiber-derivative coefficients and its
     differential, the fundamental 2-section of the Lagrangian."""
-    chart = data.chart
-    theta = ProlongForm.one_form(chart, data.thetaL, [ex.ZERO] * chart.r)
-    return theta, d(theta)
+    pchart = prolong_chart(data.chart)
+    theta = AForm(pchart, 1, {(j,): value for j, value in enumerate(data.thetaL)})
+    return theta, pchart.d(theta)
 
 
-def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
+def hamiltonian_section(omega: AForm, hamiltonian: ex.Expr,
                         box: ex.Box = None, trials: int = 16, tol: float = 1e-9,
                         seed: int = 0, check: bool = True) -> ProlongSection:
     """The unique section ``s`` with ``i_s omega = -d(hamiltonian)``.
@@ -247,7 +159,7 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     :class:`DegenerateForm` when the relevant determinant vanishes on the
     probe set.
     """
-    chart = omega.chart
+    chart = omega.chart.base
     if omega.degree != 2:
         raise DegreeError("Hamiltonian sections need a degree-2 section")
     r = chart.r
@@ -255,11 +167,12 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     dg_e = [chart.anchor_derivative(j, g) for j in range(r)]
     dg_u = [ex.diff(g, nm) for nm in chart.fibers]
 
-    uu_zero = all(ex.is_zero_literal(omega.uu(i, j)) for i in range(r) for j in range(i + 1, r))
+    uu_zero = all(ex.is_zero_literal(omega.get((r + i, r + j)))
+                  for i in range(r) for j in range(i + 1, r))
     if uu_zero:
-        matrix = [[omega.ue(i, j) for j in range(r)] for i in range(r)]
+        matrix = [[omega.get((r + i, j)) for j in range(r)] for i in range(r)]
     else:
-        matrix = [[omega.value((p, q)) for q in range(2 * r)] for p in range(2 * r)]
+        matrix = [[omega.get((p, q)) for q in range(2 * r)] for p in range(2 * r)]
     if len(matrix) > 4:
         raise ValueError(f"symbolic solve supports {'rank' if uu_zero else 'total rank'} <= 4")
     det = linalg.det(matrix)
@@ -278,7 +191,7 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
     for j in range(r):
         acc = [ex.eneg(dg_e[j])]
         for i in range(r):
-            acc.append(ex.eneg(ex.emul(a[i], omega.ee(i, j))))
+            acc.append(ex.eneg(ex.emul(a[i], omega.get((i, j)))))
         rhs.append(ex.eadd(*acc))
     b = linalg.mat_vec(linalg.transpose(inverse), rhs)
     return ProlongSection(chart, a, b)
@@ -288,89 +201,51 @@ def hamiltonian_section(omega: ProlongForm, hamiltonian: ex.Expr,
 # Bigrading
 
 
-def bigrade(form: ProlongForm) -> Dict[Tuple[int, int], BigradedBlock]:
-    """Split a form into its bidegree components.
-
-    A key's legs below ``r`` are frame covectors ``E^i`` (bidegree (1,0)),
-    the rest vertical covectors ``U^j`` (bidegree (0,1)).  Sorted keys put
-    every ``E`` leg first, so a key splits into the block key ``(I, J)``
-    with no sign.
-    """
-    chart = form.chart
-    r = chart.r
-    blocks: Dict[Tuple[int, int], Dict] = {}
-    for key, value in form.form.coeffs.items():
-        idx_e = tuple(a for a in key if a < r)
-        idx_u = tuple(a - r for a in key if a >= r)
-        blocks.setdefault((len(idx_e), len(idx_u)), {})[(idx_e, idx_u)] = value
-    return {(p, q): BigradedBlock(chart, p, q, coeffs) for (p, q), coeffs in blocks.items()}
-
-
-def block_to_form(block: BigradedBlock) -> ProlongForm:
-    """Rewrite a bigraded block as a form on the prolongation."""
-    r = block.chart.r
-    if any(is_fiber_integral(value) for value in block.coeffs.values()):
-        raise ValueError("cannot rebuild a form from quadrature coefficients")
-    return ProlongForm.from_coeffs(block.chart, block.p + block.q,
-                                   {idx_e + tuple(r + j for j in idx_u): value
-                                    for (idx_e, idx_u), value in block.coeffs.items()})
-
-
-def d_split(form: ProlongForm) -> Tuple[ProlongForm, ProlongForm, ProlongForm]:
+def d_split(form: AForm) -> Tuple[AForm, AForm, AForm]:
     """Split the differential by bidegree: the (1,0), (0,1), and (2,-1)
     parts.  Their sum is the plain differential."""
-    chart = form.chart
-    degree = form.degree
-    parts = {"prime": ProlongForm.zero(chart, degree + 1),
-             "second": ProlongForm.zero(chart, degree + 1),
-             "lower": ProlongForm.zero(chart, degree + 1)}
+    zero = AForm(form.chart, form.degree + 1, {})
+    parts = {(1, 0): zero, (0, 1): zero, (2, -1): zero}
     for (p, q), block in bigrade(form).items():
-        differential = d(block_to_form(block))
-        for (dp, dq), dblock in bigrade(differential).items():
-            piece = block_to_form(dblock)
-            if (dp, dq) == (p + 1, q):
-                parts["prime"] += piece
-            elif (dp, dq) == (p, q + 1):
-                parts["second"] += piece
-            elif (dp, dq) == (p + 2, q - 1):
-                parts["lower"] += piece
-            else:  # pragma: no cover - excluded by the bigrading algebra
+        for (dp, dq), piece in bigrade(form.chart.d(block)).items():
+            shift = (dp - p, dq - q)
+            if shift not in parts:  # pragma: no cover - excluded by the bigrading algebra
                 raise AssertionError(f"unexpected bidegree ({dp},{dq}) in d of ({p},{q})")
-    return parts["prime"], parts["second"], parts["lower"]
+            parts[shift] += piece
+    return parts[(1, 0)], parts[(0, 1)], parts[(2, -1)]
 
 
 # ---------------------------------------------------------------------------
 # Structure of 2-sections vanishing on vertical pairs
 
 
-def pullback_horizontal(theta: AForm) -> ProlongForm:
+def pullback_horizontal(theta: AForm) -> AForm:
     """Pull a form on the base algebroid back through the frame projection:
     same coefficients, frame legs only."""
-    chart = theta.chart
-    return ProlongForm.from_coeffs(chart, theta.degree, dict(theta.coeffs))
+    return AForm(prolong_chart(theta.chart), theta.degree, theta.coeffs)
 
 
-def decompose_symplectic(omega: ProlongForm, box: ex.Box = None, trials: int = 32,
-                         tol: float = 1e-9, seed: int = 0) -> Tuple[ProlongForm, ProlongForm]:
+def decompose_symplectic(omega: AForm, box: ex.Box = None, trials: int = 32,
+                         tol: float = 1e-9, seed: int = 0) -> Tuple[AForm, AForm]:
     """Split a closed 2-section vanishing on vertical pairs as a closed
     horizontal part plus an exact part, ``omega = Theta + d(zeta)``.
 
     ``zeta`` is horizontal and obtained from the mixed bidegree block by the
     constructive vertical primitive; ``Theta`` is the frame-frame block minus
-    the (1,0)-part of ``d(zeta)`` and is certified closed.
+    the (1,0)-part of ``d(zeta)`` and is certified closed.  A ``zeta`` with a
+    fiber integral among its coefficients raises ``ValueError``.
     """
-    chart = omega.chart
+    pchart = omega.chart
     if omega.degree != 2:
         raise DegreeError("decomposition expects a degree-2 section")
-    r = chart.r
+    r = pchart.base.r
     for i in range(r):
         for j in range(i + 1, r):
-            result = ex.is_zero(omega.uu(i, j), box=box, trials=trials, tol=tol, seed=seed)
+            result = ex.is_zero(omega.get((r + i, r + j)), box=box, trials=trials, tol=tol, seed=seed)
             if not result.is_zero:
                 raise NotVerticalVanishing(f"vertical-vertical block ({i + 1},{j + 1}) is nonzero")
 
-    closure = d(omega)
-    for tup, value in closure.form.coeffs.items():
+    for tup, value in pchart.d(omega).coeffs.items():
         result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
         if not result.is_zero:
             raise NotClosed(f"d(omega) has nonzero coefficient at {tup}")
@@ -378,23 +253,22 @@ def decompose_symplectic(omega: ProlongForm, box: ex.Box = None, trials: int = 3
     blocks = bigrade(omega)
     mixed = blocks.get((1, 1))
     if mixed is None:
-        zeta = ProlongForm.zero(chart, 1)
+        zeta = AForm(pchart, 1, {})
     else:
-        primitive = dprime_primitive(mixed, box=box, trials=trials, tol=tol, seed=seed)
-        zeta = block_to_form(primitive)
-    horizontal = blocks.get((2, 0))
-    theta = block_to_form(horizontal) if horizontal is not None else ProlongForm.zero(chart, 2)
+        zeta = dprime_primitive(mixed, box=box, trials=trials, tol=tol, seed=seed)
+    if any(is_fiber_integral(value) for value in zeta.coeffs.values()):
+        raise ValueError("cannot rebuild a form from quadrature coefficients")
     d_prime_zeta, _, _ = d_split(zeta)
-    theta = theta - d_prime_zeta
+    theta = blocks.get((2, 0), AForm(pchart, 2, {})) - d_prime_zeta
 
-    for tup, value in d(theta).form.coeffs.items():
+    for tup, value in pchart.d(theta).coeffs.items():
         result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
         if not result.is_zero:
             raise NotClosed(f"recovered horizontal part is not closed at {tup}")
     return theta, zeta
 
 
-def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
+def vertical_correction(data: LagrangianData, horizontal: Optional[AForm],
                         base_potential: Optional[ex.Expr], box: ex.Box = None,
                         trials: int = 32, tol: float = 1e-9, seed: int = 0,
                         verify: bool = True) -> ProlongSection:
@@ -417,7 +291,7 @@ def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
         pieces = [ex.eneg(chart.anchor_derivative(j, f))]
         if horizontal is not None:
             for a in range(r):
-                pieces.append(ex.eneg(ex.emul(y[a], horizontal.ee(a, j))))
+                pieces.append(ex.eneg(ex.emul(y[a], horizontal.get((a, j)))))
         rhs.append(ex.eadd(*pieces))
     z = linalg.mat_vec(data.Minv, rhs)
     correction = ProlongSection(chart, [ex.ZERO] * r, z)
@@ -427,14 +301,10 @@ def vertical_correction(data: LagrangianData, horizontal: Optional[ProlongForm],
         sigma = hamiltonian_section(omega_l, data.EL, box=box, trials=trials,
                                     tol=tol, seed=seed, check=False)
         total_omega = omega_l if horizontal is None else omega_l + horizontal
-        total_h = ex.eadd(data.EL, f)
-        residual = insert_section(total_omega, sigma + correction)
-        differential = ProlongForm.one_form(
-            chart,
-            [chart.anchor_derivative(j, total_h) for j in range(r)],
-            [ex.diff(total_h, nm) for nm in chart.fibers])
-        total = residual + differential
-        for tup, value in total.form.coeffs.items():
+        pchart = omega_l.chart
+        differential = pchart.d(AForm(pchart, 0, {(): ex.eadd(data.EL, f)}))
+        total = insert_section(total_omega, sigma + correction) + differential
+        for tup, value in total.coeffs.items():
             result = ex.is_zero(value, box=box, trials=trials, tol=tol, seed=seed)
             if not result.is_zero:
                 raise ValueError(f"correction failed verification at {tup}: "
@@ -467,9 +337,9 @@ def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
         for i in range(chart.r):
             for j in range(chart.r):
                 yield (f"fundamental-block M[{i + 1},{j + 1}]",
-                       ex.eadd(omega_l.ue(i, j), ex.eneg(data.M[i][j])))
+                       ex.eadd(omega_l.get((chart.r + i, j)), ex.eneg(data.M[i][j])))
                 yield (f"fundamental-block N[{i + 1},{j + 1}]",
-                       ex.eadd(omega_l.ee(i, j), ex.eneg(n_plain[i][j])))
+                       ex.eadd(omega_l.get((i, j)), ex.eneg(n_plain[i][j])))
 
         theta_section = twoform.ThetaSection(theta) if theta is not None else None
         n_matrix = twoform.assemble_N(data, chart, theta_section)

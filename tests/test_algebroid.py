@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -158,6 +160,21 @@ class TestAForm:
         b = alg.AForm(chart, 2, {(0, 1): ex.Var("x2")})
         total = a + b.scale(ex.Const(2))
         assert total.get((0, 1)) == ex.parse("x1 + 2*x2", chart.alphabet)
+
+    def test_only_algebroid_reaches_the_skew_store(self):
+        # AForm is the one class that holds skew coefficients, on the base
+        # chart and on its prolongation alike; no other module sorts keys
+        # with a sign or builds a store of its own.
+        package = pathlib.Path(alg.__file__).parent
+        uses = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "algebroid.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                names = {getattr(node, field, None) for field in ("id", "attr", "name", "asname")}
+                if names & {"sort_with_sign", "skew_coeffs"}:
+                    uses.append(f"{path.name}:{node.lineno}")
+        assert uses == []
 
 
 class TestCatalog:
