@@ -63,6 +63,9 @@ class Trajectory:
         }
 
 
+#: Relative local error tolerance of the ``rk45`` step control.
+RK45_RTOL = 1e-9
+
 # Dormand-Prince 5(4) tableau.
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
@@ -389,8 +392,7 @@ def _rhs_function(f: Callable, stage: Callable, dim: int) -> Callable:
 
 def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoint, T: float,
               h: float, method: str = "rk4", invariant: Optional[ex.Expr] = None,
-              params: Optional[dict] = None, rtol: float = 1e-9,
-              blowup_bound: float = 1e6) -> Trajectory:
+              params: Optional[dict] = None, blowup_bound: float = 1e6) -> Trajectory:
     """Integrate the flow from ``p0`` for time ``T``.
 
     A :class:`~semispray.poisson.VectorFieldOnA` is compiled from its
@@ -399,9 +401,10 @@ def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoin
     with partial pivoting (a zero pivot, where ``M`` is singular, raises
     :class:`~semispray.errors.DomainError`).  Parameters are substituted
     first.  ``rk4`` uses the fixed step ``h``; ``rk45`` treats ``h`` as the
-    initial step and adapts to the local tolerance ``rtol``.  The drift column
-    records ``invariant(state) - invariant(state0)`` (zero when no invariant
-    is supplied).  Raises ``ValueError`` unless ``T`` and ``h`` are positive
+    initial step and adapts to the relative local tolerance
+    :data:`RK45_RTOL`.  The drift column records
+    ``invariant(state) - invariant(state0)`` (zero when no invariant is
+    supplied).  Raises ``ValueError`` unless ``T`` and ``h`` are positive
     and, for ``rk4``, the step count ``T/h`` is finite; :class:`BlowUp` past
     the sup-norm bound, :class:`StepCollapse` when the ``rk45`` step shrinks
     below ``1e-14``, and propagates :class:`~semispray.errors.DomainError`
@@ -471,7 +474,7 @@ def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoin
                 y5 = _axpy(y5, dt * b5, kv)
             if b4:
                 y4 = _axpy(y4, dt * b4, kv)
-        scale = rtol * (1.0 + _sup_norm(state))
+        scale = RK45_RTOL * (1.0 + _sup_norm(state))
         err = _sup_norm([a - b for a, b in zip(y5, y4)]) / scale
         if err == math.inf:
             raise BlowUp(t + dt, err)

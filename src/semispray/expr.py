@@ -66,9 +66,6 @@ class Expr:
 
     __slots__ = ("_key", "__weakref__")
 
-    def _fields(self):
-        raise NotImplementedError
-
     def sort_key(self):
         key = self._key
         if key is None:
@@ -76,44 +73,10 @@ class Expr:
             object.__setattr__(self, "_key", key)
         return key
 
-    def _make_key(self):
-        raise NotImplementedError
-
     def __reduce__(self):
         # Copies and unpickled nodes are rebuilt through the constructor,
         # which returns the live node of the same structure.
         return type(self), tuple(getattr(self, slot) for slot in type(self).__slots__)
-
-    # Arithmetic sugar; all routes go through the canonical constructors.
-    def __add__(self, other):
-        return eadd(self, as_expr(other))
-
-    def __radd__(self, other):
-        return eadd(as_expr(other), self)
-
-    def __sub__(self, other):
-        return eadd(self, eneg(as_expr(other)))
-
-    def __rsub__(self, other):
-        return eadd(as_expr(other), eneg(self))
-
-    def __mul__(self, other):
-        return emul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return emul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return ediv(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return ediv(as_expr(other), self)
-
-    def __pow__(self, other):
-        return epow(self, other)
-
-    def __neg__(self):
-        return eneg(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} {to_text(self)}>"
@@ -812,10 +775,15 @@ def _subs(e: Expr, mapping: Mapping[str, Expr], result) -> Expr:
 
 
 def free_symbols(e: Expr) -> frozenset:
+    """Names of the variables in ``e``; each distinct subtree is visited once."""
     out = set()
+    seen = set()
     stack = [e]
     while stack:
         node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
         if isinstance(node, Var):
             out.add(node.name)
         elif not isinstance(node, Const):

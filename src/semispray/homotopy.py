@@ -42,6 +42,9 @@ from .report import ValidationReport, ZeroResult, ZeroStatus
 #: Reserved name of the scaling parameter inside fiber integrals.
 TVAR = "_t"
 
+#: Halvings of the unit interval before adaptive Simpson quadrature gives up.
+SIMPSON_MAX_DEPTH = 24
+
 
 # ---------------------------------------------------------------------------
 # Coefficients: a tree free in ``TVAR`` stands for its unit-interval integral
@@ -71,24 +74,24 @@ def fiber_value(e: ex.Expr) -> Callable[[dict], float]:
     return integral
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 24) -> float:
+def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
     fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_refine(f, a, b, fa, fm, fb, whole, tol, 0, max_depth)
+    return _simpson_refine(f, a, b, fa, fm, fb, whole, tol, 0)
 
 
-def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, depth, max_depth) -> float:
+def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
     m = 0.5 * (a + b)
     lm, rm = 0.5 * (a + m), 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth >= max_depth:
+    if depth >= SIMPSON_MAX_DEPTH:
         raise QuadratureFailure(f"maximum refinement depth reached on [{a}, {b}]")
     if abs(left + right - whole) <= 15.0 * tol:
         return left + right + (left + right - whole) / 15.0
-    return (_simpson_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1, max_depth)
-            + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1, max_depth))
+    return (_simpson_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
+            + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
 
 
 def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
@@ -276,26 +279,25 @@ _COEFF_POOL = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
                Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3), Fraction(3))
 
 
-def random_polynomial(rng: random.Random, names: Sequence[str],
-                      max_degree: int = 3, terms: int = 3) -> ex.Expr:
-    """Random exact-coefficient polynomial: a small sum of monomials."""
+def random_polynomial(rng: random.Random, names: Sequence[str]) -> ex.Expr:
+    """Random exact-coefficient polynomial: a sum of two monomials of
+    degree at most 3."""
     pieces = []
-    for _ in range(terms):
+    for _ in range(2):
         coeff = ex.Const(rng.choice(_COEFF_POOL))
         factors = [coeff]
-        for _ in range(rng.randint(0, max_degree)):
+        for _ in range(rng.randint(0, 3)):
             factors.append(ex.Var(rng.choice(list(names))))
         pieces.append(ex.emul(*factors))
     return ex.eadd(*pieces)
 
 
-def random_vertical_form(rng: random.Random, chart: AlgebroidChart, degree: int,
-                         max_degree: int = 3, terms: int = 2) -> AForm:
+def random_vertical_form(rng: random.Random, chart: AlgebroidChart, degree: int) -> AForm:
     """A random vertical ``degree``-form on the prolongation of ``chart``."""
     names = chart.coords + chart.fibers
     coeffs = {}
     for tup in itertools.combinations(range(chart.r, 2 * chart.r), degree):
-        coeffs[tup] = random_polynomial(rng, names, max_degree, terms)
+        coeffs[tup] = random_polynomial(rng, names)
     return AForm(prolong_chart(chart), degree, coeffs)
 
 

@@ -159,7 +159,7 @@ def test_criterion_04_prolongation_oracle_equivalence(fixtures, built):
             continue
         potential = ex.Var(chart.coords[0])
         horizontal = pr.pullback_horizontal(fixture.theta)
-        correction = pr.vertical_correction(data, horizontal, potential, verify=False)
+        correction = pr.vertical_correction(data, horizontal, potential)
         twisted = pr.anchor(sigma + correction)
         g = ex.eadd(data.EL, potential)
         field = poisson.hamiltonian_field(_bivector(fixture, data, fixture.theta), g)

@@ -1,6 +1,7 @@
 import ast
 import copy
 import math
+import os
 import pathlib
 import pickle
 import random
@@ -128,8 +129,24 @@ class TestDiff:
         env = {"x1": 0.7, "y1": 0.3}
         assert reference_value(d, env) == pytest.approx(central_difference(e, "y1", env), rel=1e-6)
 
+    @pytest.mark.parametrize("text,want", [("log(x1^2 + x2)", "2*x1/(x2 + x1^2)"),
+                                           ("sqrt(x1^2 + x2)", "x1/sqrt(x2 + x1^2)")])
+    def test_log_and_sqrt_rules_match_numerics(self, text, want):
+        e = ex.parse(text, ("x1", "x2"))
+        d = ex.diff(e, "x1")
+        assert d == reference_diff(e, "x1") and ex.to_text(d) == want
+        env = {"x1": 0.7, "x2": 0.3}
+        assert reference_value(d, env) == pytest.approx(central_difference(e, "x1", env), rel=1e-6)
+
 
 class TestEval:
+    def test_sqrt_at_a_valid_point(self):
+        e = ex.parse("sqrt(x1^2 + x2)", ("x1", "x2"))
+        env = {"x1": 0.7, "x2": 0.3}
+        want = reference_value(e, env)
+        assert ex.Program([e]).run(env) == [want]
+        assert ex.compile_evaluator([e], ("x1", "x2"))([0.7, 0.3]) == [want]
+
     def test_simple(self):
         assert ex.evaluate(ex.parse("y1^2/2", ("y1",)), {"y1": 2.0}) == 2.0
 
@@ -671,6 +688,22 @@ class TestMemoizedWalkers:
             e = ex.efunc("sin", ex.eadd(e, ex.Var("x2")))
         program = ex.Program([e, ex.simplify(e)])
         assert program.outputs[0] == program.outputs[1]
+
+    def test_free_symbols_visits_shared_subtrees_once(self):
+        # Each level uses the one below twice, so a walk that does not skip
+        # seen nodes takes 2^60 steps; run it with a timeout.
+        import subprocess
+        import sys
+
+        code = ("from semispray import expr as ex, homotopy as ho\n"
+                "e = ex.Var('x1')\n"
+                "for _ in range(60):\n"
+                "    e = ex.efunc('sin', ex.eadd(e, ex.efunc('cos', e)))\n"
+                "assert ex.free_symbols(e) == {'x1'} and not ho.is_fiber_integral(e)\n")
+        src = str(pathlib.Path(ex.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=30, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
 
     def test_float_constant_stays_apart_from_equal_rational(self):
         # 2.0 == 2 and both hash alike: a memo keyed on the values would

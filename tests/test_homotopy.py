@@ -145,6 +145,19 @@ class TestHOperator:
         assert vget(hw, (0,)) == ex.parse("-1/2*y2", rank2.alphabet)
         assert vget(hw, (1,)) == ex.parse("1/2*y1", rank2.alphabet)
 
+    def test_quotient_with_a_basic_denominator_integrates_exactly(self, rank1):
+        w = vertical_form(rank1, 1, {(0,): ex.parse("y1/(1 + x1^2)", rank1.alphabet)})
+        hw = ho.radial_homotopy(w)
+        assert vget(hw, ()) == ex.parse("1/2*y1^2/(1 + x1^2)", rank1.alphabet)
+
+    def test_quotient_with_a_fiber_denominator_stays_an_integral(self, rank1):
+        # int_0^1 t*y^2/(1 + t^2*y^2) dt = log(1 + y^2)/2
+        w = vertical_form(rank1, 1, {(0,): ex.parse("y1/(1 + y1^2)", rank1.alphabet)})
+        hw = vget(ho.radial_homotopy(w), ())
+        assert ho.is_fiber_integral(hw)
+        assert ceval(hw, {"x1": 0.2, "y1": 0.7}) == pytest.approx(math.log1p(0.49) / 2,
+                                                                  rel=1e-9)
+
     def test_degree_zero_is_zero_map(self, rank2):
         w = vertical_form(rank2, 0, {(): ex.Var("y1")})
         assert ho.radial_homotopy(w).coeffs == {}

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -148,6 +149,35 @@ class TestCliCommands:
         payload = json.loads(out)
         assert code == 1 and payload["status"] == "fail"
         assert "witness" in payload
+
+    def test_degenerate_hessian_fails_validation(self, tmp_path, capsys):
+        path = tmp_path / "cubic.json"
+        path.write_text(json.dumps({"n": 1, "r": 1, "rho": [["1"]], "L": "1/3*y1^3"}))
+        code, out = run_cli(["validate", str(path)])
+        payload = json.loads(out)
+        hessian = next(r for r in payload["reports"] if r["check"] == "hessian-regularity")
+        assert code == 1 and payload["status"] == "fail"
+        assert hessian == {"check": "hessian-regularity", "seed": 0, "status": "fail",
+                           "witness": {"y1": 0.0}}
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,argv,pattern", [
+        ('{"n": 1, "r": 1, "rho": [["1"]]}', ["bracket"],
+         r"L: this command needs a Lagrangian in the model"),
+        ('{"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]], "C": {"1,a,2": "1"}}',
+         ["validate"], r"C\['1,a,2'\]: indices must be integers"),
+        ('{"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]], "Theta": {"1,b": "1"}}',
+         ["validate"], r"Theta\['1,b'\]: indices must be integers"),
+        ('{"n": 1, ', ["validate"], r"\$: invalid JSON: [^\n]+"),
+    ], ids=["no-lagrangian", "structure-index", "theta-index", "truncated-json"])
+    def test_model_errors_name_their_source(self, tmp_path, text, argv, pattern, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code, out = run_cli(argv + [str(path)])
+        stderr = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert re.fullmatch(f"input error: {pattern}\n", stderr), stderr
+        assert "Traceback" not in stderr
 
     def test_input_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -235,25 +235,22 @@ class TestHamiltonianSection:
     def test_rank_above_four_rejected(self):
         three = alg.tangent(3)
         _, omega = pr.cartan_sections(lagrangian.build(three.lagrangian, three.chart))
-        # A vertical-vertical entry needs the full 6 x 6 coefficient matrix.
+        # A vertical-vertical entry is refused before any solve.
         omega += prolong_form(three.chart, 2, {(3, 4): ex.ONE})
-        with pytest.raises(ValueError, match=r"^symbolic solve supports total rank <= 4$"):
+        with pytest.raises(NotVerticalVanishing):
             pr.hamiltonian_section(omega, ex.ZERO)
         five = alg.tangent(5)
         _, omega = pr.cartan_sections(lagrangian.build(five.lagrangian, five.chart))
         with pytest.raises(ValueError, match=r"^symbolic solve supports rank <= 4$"):
             pr.hamiltonian_section(omega, ex.ZERO)
 
-    def test_full_solve_with_vertical_block(self, tangent1):
-        # A vertical-vertical block forces the full coefficient-matrix solve.
-        chart = tangent1.chart
-        data = lagrangian.build("1/2*y1^2", chart)
-        _, omega = pr.cartan_sections(data)
-        sigma_block = pr.hamiltonian_section(omega, data.EL)
-        omega_dict = dict(omega.coeffs)
-        full = alg.AForm(pr.prolong_chart(chart), 2, omega_dict)
-        sigma_full = pr.hamiltonian_section(full, data.EL)
-        assert_sections_equal(sigma_block, sigma_full)
+    def test_vertical_pair_block_rejected(self, tangent2):
+        # Only 2-sections vanishing on vertical pairs have a solve.
+        chart = tangent2.chart
+        _, omega = pr.cartan_sections(lagrangian.build("1/2*(y1^2 + y2^2)", chart))
+        omega += prolong_form(chart, 2, {(2, 3): ex.Var("x1")})
+        with pytest.raises(NotVerticalVanishing, match=r"block \(1,2\) is nonzero"):
+            pr.hamiltonian_section(omega, ex.ZERO)
 
     def test_closed_form_coefficients(self, curved_metric):
         # sigma = y^a E_a - M^{rl} (rho^b_l dE_L/dx^b + N_sl y^s) U_r, checked
@@ -461,6 +458,24 @@ class TestVerticalCorrection:
         via_bracket = poisson.hamiltonian_field(bivector, data.EL)
         for lhs, rhs in zip(via_sections.components(), via_bracket.components()):
             assert_proven_zero(ex.eadd(lhs, ex.eneg(rhs)))
+
+    @pytest.mark.parametrize("fixture_name, potential", [
+        ("tangent1", None), ("tangent1", "x1"), ("cotangent", None)])
+    def test_corrected_section_is_hamiltonian(self, fixture_name, potential, request,
+                                              lagrangian_data):
+        # i_{sigma+Z}(omega_L + pi*Theta) + d(E_L + f) = 0, on the inputs above.
+        fixture = request.getfixturevalue(fixture_name)
+        data = lagrangian_data(fixture)
+        f = None if potential is None else ex.Var(potential)
+        horizontal = None if fixture.theta is None else pr.pullback_horizontal(fixture.theta)
+        z = pr.vertical_correction(data, horizontal, f)
+        _, omega = pr.cartan_sections(data)
+        sigma = pr.hamiltonian_section(omega, data.EL)
+        total = omega if horizontal is None else omega + horizontal
+        energy = alg.AForm(omega.chart, 0, {(): ex.eadd(data.EL, f or ex.ZERO)})
+        residual = pr.insert_section(total, sigma + z) + d(energy)
+        for value in residual.coeffs.values():
+            assert_certified_zero(value)
 
 
 class TestInducedBracket:
