@@ -5,10 +5,13 @@ A field is compiled once per integration: a
 :class:`~semispray.poisson.FactoredField` from the entries of ``M``, ``N``,
 ``rho`` and the partials of ``G``, followed by generated straight-line code
 that solves with ``M`` by elimination with partial pivoting.  ``rk4`` is the
-classical fixed-step scheme, its step unrolled into the same straight-line
-code; ``rk45`` is embedded Dormand-Prince 5(4) with local error control.
-Conservation diagnostics track the drift of a supplied invariant (normally
-the generating Hamiltonian) along the flow.
+classical fixed-step scheme: the whole run is one generated loop that keeps
+the state in locals, runs the step unrolled into the same straight-line
+code, checks the norm bound inline and appends one flat row per step.
+``rk45`` is embedded Dormand-Prince 5(4) with local error control.  A
+:class:`Trajectory` holds the rows ``(t, *x, *y, drift)`` of both; the drift
+tracks a supplied invariant (normally the generating Hamiltonian) along the
+flow.
 """
 
 from __future__ import annotations
@@ -27,26 +30,34 @@ from .poisson import FactoredField, VectorFieldOnA
 
 @dataclass
 class Trajectory:
+    """A flow as rows ``(t, *x, *y, drift)``, one per recorded step."""
+
     coords: Sequence[str]
     fibers: Sequence[str]
-    times: List[float] = field(default_factory=list)
-    states: List[ex.ChartPoint] = field(default_factory=list)
-    invariant_drift: List[float] = field(default_factory=list)
+    rows: List[tuple] = field(default_factory=list)
 
     @property
     def max_drift(self) -> float:
         return max((abs(v) for v in self.invariant_drift), default=0.0)
 
-    def final_state(self) -> ex.ChartPoint:
-        return self.states[-1]
+    @property
+    def times(self) -> List[float]:
+        return [row[0] for row in self.rows]
+
+    @property
+    def states(self) -> List[ex.ChartPoint]:
+        n = len(self.coords)
+        return [ex.ChartPoint(row[1:n + 1], row[n + 1:-1]) for row in self.rows]
+
+    @property
+    def invariant_drift(self) -> List[float]:
+        return [row[-1] for row in self.rows]
 
     def write_csv(self, stream) -> None:
         # Names may need quoting; a float's repr never does, so a row is the
         # reprs joined as csv.writer would write them.
         csv.writer(stream).writerow(["t", *self.coords, *self.fibers, "drift"])
-        stream.writelines(",".join(map(repr, (t, *state.x, *state.y, drift))) + "\r\n"
-                          for t, state, drift in zip(self.times, self.states,
-                                                     self.invariant_drift))
+        stream.writelines(",".join(map(repr, row)) + "\r\n" for row in self.rows)
 
     def to_csv(self) -> str:
         buffer = io.StringIO()
@@ -347,7 +358,7 @@ def _compiled(field_on_a: Union[VectorFieldOnA, FactoredField],
 
 def _function(source: List[str], name: str, f: Callable) -> Callable:
     """Define the generated function ``name`` from its ``source`` lines."""
-    ns = {"_f": f, "_DomainError": DomainError}
+    ns = {"_f": f, "_DomainError": DomainError, "_BlowUp": BlowUp, "_sup_norm": _sup_norm}
     exec("\n".join(source), ns)  # noqa: S102 - source is generated here
     return ns[name]
 
@@ -356,28 +367,42 @@ _RAISE_ON_ZERO_PIVOT = ["    except ZeroDivisionError:",
                         "        raise _DomainError('division by zero') from None"]
 
 
-def _rk4_stepper(f: Callable, stage: Callable, dim: int) -> Callable:
-    """The classical RK4 step ``step(state, h)`` for states of ``dim``
-    components, unrolled into straight-line code with each right-hand side
-    written by ``stage`` around one call of ``f``.  It does the float
-    operations of the loop form in the same order: ``s + (0.5*h)*k`` for a
-    stage, ``s + (h/6.0)*(a + 2.0*b + 2.0*c + d)`` for the step."""
-    lines = [f"{', '.join(f'_s{i}' for i in range(dim))}, = _s", "_hh = 0.5 * _h"]
+def _rk4_run(f: Callable, stage: Callable, dim: int, drift: bool) -> Callable:
+    """The fixed-step RK4 run ``run(state, dt, steps, bound, g, g0, append)``
+    on ``dim`` components: one loop, the state in locals, each right-hand
+    side written by ``stage`` around one call of ``f``, the float operations
+    of ``s + (0.5*h)*k`` and ``s + (h/6.0)*(a + 2.0*b + 2.0*c + d)`` in that
+    order.  A component past ``bound``, inf or nan raises :class:`BlowUp`;
+    else the row ``(t, *state, drift)`` is appended, with drift
+    ``g(state)[0] - g0``, or ``0.0`` unless ``drift``."""
+    s = [f"_s{i}" for i in range(dim)]
+    state = ", ".join(s)
+    lines = []
 
     def call(args: List[str], prefix: str) -> List[str]:
         code, values = stage(args, prefix)
         lines.extend(code)
         return [_src(v) for v in values]
 
-    a = call([f"_s{i}" for i in range(dim)], "_a")
-    b = call([f"_s{i} + _hh * {a[i]}" for i in range(dim)], "_b")
-    c = call([f"_s{i} + _hh * {b[i]}" for i in range(dim)], "_c")
-    d = call([f"_s{i} + _h * {c[i]}" for i in range(dim)], "_d")
-    lines.append("_h6 = _h / 6.0")
-    lines.append("return [" + ", ".join(f"_s{i} + _h6 * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]}"
-                                        f" + {d[i]})" for i in range(dim)) + "]")
-    return _function(["def _step(_s, _h):", "    try:", *(f"        {line}" for line in lines),
-                      *_RAISE_ON_ZERO_PIVOT], "_step", f)
+    a = call(s, "_a")
+    b = call([f"{s[i]} + _hh * {a[i]}" for i in range(dim)], "_b")
+    c = call([f"{s[i]} + _hh * {b[i]}" for i in range(dim)], "_c")
+    d = call([f"{s[i]} + _dt * {c[i]}" for i in range(dim)], "_d")
+    lines += [f"{state}, = " + ", ".join(f"{s[i]} + _h6 * ({a[i]} + 2.0 * {b[i]} + 2.0 * {c[i]}"
+                                         f" + {d[i]})" for i in range(dim)) + ",",
+              "_t += _dt",
+              f"if not ({' and '.join(f'abs({v}) <= _bound' for v in s)}):",
+              f"    raise _BlowUp(_t, _sup_norm([{state}]))",
+              f"_append((_t, {state}, {f'_g([{state}])[0] - _g0' if drift else '0.0'}))"]
+    return _function(["def _run(_state, _dt, _steps, _bound, _g, _g0, _append):",
+                      f"    {state}, = _state",
+                      "    _t = 0.0",
+                      "    _hh = 0.5 * _dt",
+                      "    _h6 = _dt / 6.0",
+                      "    try:",
+                      "        for _ in range(_steps):",
+                      *(f"            {line}" for line in lines),
+                      *_RAISE_ON_ZERO_PIVOT], "_run", f)
 
 
 def _rhs_function(f: Callable, stage: Callable, dim: int) -> Callable:
@@ -426,31 +451,19 @@ def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoin
     f, stage = _compiled(field_on_a, bind)
     g = ex.compile_evaluator([bind(invariant)], names) if invariant is not None else None
 
-    n = chart.n
     state = list(p0.x) + list(p0.y)
     if len(state) != len(names):
         raise ValueError("initial point does not match the chart dimensions")
     g0 = g(state)[0] if g else 0.0
 
-    traj = Trajectory(chart.coords, chart.fibers)
+    def row(t: float, state: List[float]) -> tuple:
+        return (t, *state, (g(state)[0] - g0) if g else 0.0)
 
-    def record(t, state):
-        traj.times.append(t)
-        traj.states.append(ex.ChartPoint(tuple(state[:n]), tuple(state[n:])))
-        traj.invariant_drift.append((g(state)[0] - g0) if g else 0.0)
-
-    record(0.0, state)
+    traj = Trajectory(chart.coords, chart.fibers, [row(0.0, state)])
     if method == "rk4":
         steps = max(1, round(T / h))
-        dt = T / steps
-        t = 0.0
-        step = _rk4_stepper(f, stage, len(state))
-        for _ in range(steps):
-            state = step(state, dt)
-            t += dt
-            if _sup_norm(state) > blowup_bound:
-                raise BlowUp(t, _sup_norm(state))
-            record(t, state)
+        run = _rk4_run(f, stage, len(state), g is not None)
+        run(state, T / steps, steps, blowup_bound, g, g0, traj.rows.append)
         return traj
 
     # Dormand-Prince with standard step-size control.
@@ -484,7 +497,7 @@ def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoin
             k1 = ks[6]  # first-same-as-last
             if _sup_norm(state) > blowup_bound:
                 raise BlowUp(t, _sup_norm(state))
-            record(t, state)
+            traj.rows.append(row(t, state))
         factor = 0.9 * (err ** -0.2) if err > 0 else 5.0
         dt *= min(5.0, max(0.2, factor))
         if dt < 1e-14:

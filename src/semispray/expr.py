@@ -795,60 +795,91 @@ def free_symbols(e: Expr) -> frozenset:
 # Printing
 
 
-def _needs_parens_in_mul(e: Expr) -> bool:
-    return isinstance(e, (Add, Div)) or (isinstance(e, Const) and _float_key(e.value) < 0)
-
-
 def to_text(e: Expr) -> str:
-    """Canonical printer; emits the same grammar :func:`parse` accepts."""
+    """Canonical printer; emits the same grammar :func:`parse` accepts.
+
+    Walks an explicit stack and prints each distinct subtree once, after
+    its children; a leaf is printed here, an inner node by :func:`_to_text`."""
     if isinstance(e, Const):
         return str(e.value)
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Func):
-        return f"{e.name}({to_text(e.arg)})"
+    if not isinstance(e, Expr):
+        raise TypeError(f"not an expression: {e!r}")
+    memo: dict = {}
+    text = memo.__getitem__
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the children of the node below are printed
+            node = stack.pop()
+            memo[node] = _to_text(node, text)
+        elif node not in memo:
+            stack += (node, None)
+            for child in node._fields():
+                if child in memo:
+                    continue
+                kind = type(child)
+                if kind is Const:
+                    memo[child] = str(child.value)
+                elif kind is Var:
+                    memo[child] = child.name
+                elif kind in _INNER:  # not a name or exponent
+                    stack.append(child)
+            if stack[-1] is None:  # no child left to print
+                del stack[-2:]
+                memo[node] = _to_text(node, text)
+    return memo[e]
+
+
+def _to_text(e: Expr, text) -> str:
+    """The text of the inner node ``e`` from ``text``, the texts of its
+    children."""
+    if isinstance(e, Add):
+        out = text(e.terms[0])
+        for t in e.terms[1:]:
+            txt = text(t)
+            if txt.startswith("-"):
+                out += f" - {txt[1:]}"
+            else:
+                out += f" + {txt}"
+        return out
+    if isinstance(e, Mul):
+        factors = e.factors
+        sign = ""
+        parts = []
+        if isinstance(factors[0], Const):
+            c = factors[0].value
+            if c == -1:
+                sign = "-"
+                factors = factors[1:]
+            elif not isinstance(c, float) and c < 0:
+                sign = "-"
+                parts.append(str(-c))
+                factors = factors[1:]
+        for f in factors:
+            txt = text(f)
+            if isinstance(f, (Add, Div)) or (isinstance(f, Const) and _float_key(f.value) < 0):
+                txt = f"({txt})"
+            parts.append(txt)
+        return sign + "*".join(parts)
     if isinstance(e, Pow):
-        base = to_text(e.base)
+        base = text(e.base)
         if not isinstance(e.base, (Var, Func)):
             base = f"({base})"
         if e.exponent.denominator == 1 and e.exponent >= 0:
             return f"{base}^{e.exponent}"
         return f"{base}^({e.exponent})"
     if isinstance(e, Div):
-        num = to_text(e.num)
+        num = text(e.num)
         if isinstance(e.num, Add):
             num = f"({num})"
-        den = to_text(e.den)
+        den = text(e.den)
         if not isinstance(e.den, (Var, Func)):
             den = f"({den})"
         return f"{num}/{den}"
-    if isinstance(e, Mul):
-        factors = list(e.factors)
-        sign = ""
-        if isinstance(factors[0], Const):
-            c = factors[0]
-            if c.value == -1:
-                sign = "-"
-                factors = factors[1:]
-            elif not isinstance(c.value, float) and c.value < 0:
-                sign = "-"
-                factors[0] = Const(-c.value)
-        parts = []
-        for f in factors:
-            txt = to_text(f)
-            if _needs_parens_in_mul(f):
-                txt = f"({txt})"
-            parts.append(txt)
-        return sign + "*".join(parts)
-    if isinstance(e, Add):
-        out = to_text(e.terms[0])
-        for t in e.terms[1:]:
-            txt = to_text(t)
-            if txt.startswith("-"):
-                out += f" - {txt[1:]}"
-            else:
-                out += f" + {txt}"
-        return out
+    if isinstance(e, Func):
+        return f"{e.name}({text(e.arg)})"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -859,8 +890,8 @@ _BIN_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PRECEDENCE = 25
 
 #: Levels of nesting (parentheses, unary minus, function arguments, right
-#: operands of ``^``) :func:`parse` accepts: it keeps the parser, printer and
-#: sort keys, each recursing per level, well inside the recursion limit.
+#: operands of ``^``) :func:`parse` accepts: it keeps the parser and the sort
+#: keys, each recursing per level, well inside the recursion limit.
 MAX_NESTING = 200
 
 

@@ -273,7 +273,7 @@ def test_criterion_09_spray_criteria(curved, built):
     for lam in (2.0, 4.0):
         scaled_start = ex.ChartPoint(p0.x, tuple(lam * v for v in p0.y))
         scaled = dynamics.integrate(field, scaled_start, T=1.0 / lam, h=1e-3)
-        for a, b in zip(reference.final_state().x, scaled.final_state().x):
+        for a, b in zip(reference.states[-1].x, scaled.states[-1].x):
             if abs(a - b) > 1e-6:
                 ok = False
                 details.append(f"flow homogeneity broken at lambda={lam}")

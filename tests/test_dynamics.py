@@ -25,12 +25,12 @@ class TestIntegrate:
     def test_linear_flow_is_exact_for_rk4(self, tangent1):
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-3)
-        assert traj.final_state().x[0] == pytest.approx(1.0, abs=1e-12)
+        assert traj.states[-1].x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_force_parabola(self, tangent1):
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.MINUS_ONE])
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (0.0,)), T=1.0, h=1e-3)
-        assert traj.final_state().x[0] == pytest.approx(-0.5, abs=1e-9)
+        assert traj.states[-1].x[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_cotangent_flow_conserves_energy(self, cotangent):
         g, field = hamiltonian_flow(cotangent, theta=cotangent.theta)
@@ -73,7 +73,7 @@ class TestIntegrate:
         fixed = dynamics.integrate(field, p0, T=1.0, h=1e-3, invariant=g)
         adaptive = dynamics.integrate(field, p0, T=1.0, h=1e-2, method="rk45", invariant=g)
         assert adaptive.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert adaptive.final_state().x[0] == pytest.approx(fixed.final_state().x[0], abs=1e-7)
+        assert adaptive.states[-1].x[0] == pytest.approx(fixed.states[-1].x[0], abs=1e-7)
         assert len(adaptive.times) < len(fixed.times)
 
     def test_times_strictly_increase(self, curved_metric):
@@ -292,17 +292,21 @@ class TestOrderAndHomogeneity:
         reference = dynamics.integrate(field, p0, T=1.0, h=1e-3)
         scaled_start = ex.ChartPoint(p0.x, tuple(lam * v for v in p0.y))
         scaled = dynamics.integrate(field, scaled_start, T=1.0 / lam, h=1e-3)
-        for a, b in zip(reference.final_state().x, scaled.final_state().x):
+        for a, b in zip(reference.states[-1].x, scaled.states[-1].x):
             assert a == pytest.approx(b, abs=1e-6)
 
 
 class TestExport:
     def test_csv_layout(self, tangent1):
+        # With no invariant, every row's drift column is 0.0, for both methods.
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
-        traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=0.01, h=1e-3)
-        lines = traj.to_csv().strip().splitlines()
-        assert lines[0] == "t,x1,y1,drift"
-        assert len(lines) == len(traj.times) + 1
+        for method in ("rk4", "rk45"):
+            traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=0.01, h=1e-3,
+                                      method=method)
+            lines = traj.to_csv().strip().splitlines()
+            assert lines[0] == "t,x1,y1,drift"
+            assert len(lines) == len(traj.times) + 1
+            assert all(line.endswith(",0.0") for line in lines[1:])
 
     def test_json_roundtrip(self, tangent1):
         field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])

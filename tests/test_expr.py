@@ -688,6 +688,10 @@ class TestMemoizedWalkers:
             e = ex.efunc("sin", ex.eadd(e, ex.Var("x2")))
         program = ex.Program([e, ex.simplify(e)])
         assert program.outputs[0] == program.outputs[1]
+        # The printer walks an explicit stack, so the chain prints.
+        text = ex.to_text(e)
+        assert text.startswith("sin(x2 + sin(x2 + ") and text.endswith("x1 + x2" + ")" * 3000)
+        assert text.count("sin(") == 3000
 
     def test_free_symbols_visits_shared_subtrees_once(self):
         # Each level uses the one below twice, so a walk that does not skip
