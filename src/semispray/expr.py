@@ -1068,13 +1068,6 @@ class ChartPoint:
     x: tuple
     y: tuple
 
-    def env(self, coords: Sequence[str], fibers: Sequence[str]) -> dict:
-        if len(self.x) != len(coords) or len(self.y) != len(fibers):
-            raise ValueError("point dimensions do not match the chart")
-        env = dict(zip(coords, self.x))
-        env.update(zip(fibers, self.y))
-        return env
-
 
 @dataclass(frozen=True)
 class Box:

@@ -20,7 +20,7 @@ zero.  Integrands polynomial in the scaling parameter integrate exactly.
 Any other integrand ``e`` is stored as itself and stands for
 ``int_0^1 e d_t``: a coefficient is a fiber integral exactly when the
 reserved scaling parameter ``TVAR`` is free in it, and :func:`fiber_value`
-evaluates it by adaptive Simpson quadrature.
+evaluates it by adaptive Gauss–Kronrod (7/15) quadrature.
 
 Applied with the frame legs of a coefficient treated as labels (and the
 sign ``(-1)^p``), the same integral furnishes the constructive primitive for
@@ -42,8 +42,16 @@ from .report import ValidationReport, ZeroResult, ZeroStatus
 #: Reserved name of the scaling parameter inside fiber integrals.
 TVAR = "_t"
 
-#: Halvings of the unit interval before adaptive Simpson quadrature gives up.
-SIMPSON_MAX_DEPTH = 24
+#: Halvings of the unit interval before adaptive quadrature gives up.
+QUADRATURE_MAX_DEPTH = 24
+
+#: QUADPACK ``qk15`` (Piessens et al. 1983) on ``[-1, 1]``: abscissae ``±_XGK[j]``, their
+#: Kronrod weights, and the Gauss weights of ``_XGK[1]``, ``[3]``, ``[5]`` and ``[7] = 0``.
+_XGK = (0.9914553711208126, 0.9491079123427585, 0.8648644233597691, 0.7415311855993945,
+        0.5860872354676911, 0.4058451513773972, 0.20778495500789848, 0.0)
+_WGK = (0.022935322010529224, 0.06309209262997856, 0.10479001032225019, 0.14065325971552592,
+        0.1690047266392679, 0.19035057806478542, 0.20443294007529889, 0.20948214108472782)
+_WG = (0.1294849661688697, 0.27970539148927664, 0.3818300505051189, 0.4179591836734694)
 
 
 # ---------------------------------------------------------------------------
@@ -55,9 +63,8 @@ def is_fiber_integral(e: ex.Expr) -> bool:
 
 
 def fiber_value(e: ex.Expr) -> Callable[[dict], float]:
-    """``env -> float`` for the coefficient ``e``: adaptive Simpson
-    quadrature over the scaling parameter for a fiber integral, else one run
-    of the compiled tree.  The tree is compiled once, here."""
+    """``env -> float`` for the coefficient ``e``, compiled once, here: one run
+    of the tree, or for a fiber integral adaptive Gauss–Kronrod (7/15) over ``_t``."""
     value = ex.Program([e]).value
     if not is_fiber_integral(e):
         return value
@@ -69,29 +76,29 @@ def fiber_value(e: ex.Expr) -> Callable[[dict], float]:
             local[TVAR] = t
             return value(local)
 
-        return _adaptive_simpson(f, 0.0, 1.0, 1e-10)
+        return _adaptive_quadrature(f, 0.0, 1.0, 1e-10)
 
     return integral
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_refine(f, a, b, fa, fm, fb, whole, tol, 0)
-
-
-def _simpson_refine(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    if depth >= SIMPSON_MAX_DEPTH:
+def _adaptive_quadrature(f, a: float, b: float, tol: float, depth: int = 0) -> float:
+    """``int_a^b f`` by adaptive Gauss–Kronrod (7/15): the 15-point Kronrod
+    value once the 7-point Gauss value is within ``tol`` of it, else the sum
+    over the two halves, each to ``tol / 2``.  No endpoint is evaluated."""
+    centre, half = 0.5 * (a + b), 0.5 * (b - a)
+    f0 = f(centre)
+    kronrod, gauss = _WGK[7] * f0, _WG[3] * f0
+    for j in range(7):
+        pair = f(centre - half * _XGK[j]) + f(centre + half * _XGK[j])
+        kronrod += _WGK[j] * pair
+        if j % 2:
+            gauss += _WG[j // 2] * pair
+    if abs(kronrod - gauss) * half <= tol:
+        return kronrod * half
+    if depth >= QUADRATURE_MAX_DEPTH:
         raise QuadratureFailure(f"maximum refinement depth reached on [{a}, {b}]")
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return (_simpson_refine(f, a, m, fa, flm, fm, left, tol / 2.0, depth + 1)
-            + _simpson_refine(f, m, b, fm, frm, fb, right, tol / 2.0, depth + 1))
+    return (_adaptive_quadrature(f, a, centre, tol / 2.0, depth + 1)
+            + _adaptive_quadrature(f, centre, b, tol / 2.0, depth + 1))
 
 
 def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
@@ -224,15 +231,15 @@ def radial_homotopy(form: AForm) -> AForm:
 
 def _zero_test(values: Sequence[ex.Expr], chart: AlgebroidChart, box: Optional[ex.Box],
                trials: int, tol: float, seed: int) -> ZeroResult:
-    """Zero test of the sum of ``values``: symbolic when none is a fiber
-    integral (so exact cancellation is proven), else sampled on the box over
-    the chart's coordinates and parameters, with each integral evaluated by
-    quadrature."""
-    if not any(is_fiber_integral(v) for v in values):
-        return ex.is_zero(ex.eadd(*values), box=box, trials=trials, tol=tol, seed=seed)
-    terms = [fiber_value(v) for v in values]
-    return ex.sample_zero(lambda env: sum(term(env) for term in terms),
-                          sorted(set(chart.coords) | set(chart.params)),
+    """Zero test of ``total``, the sum of ``values``; it stands for the sum of
+    their integrals.  Symbolic when the scaling parameter is not free in
+    ``total``, so cancellation, of integrands too, is proven; else ``total`` is
+    compiled once and sampled on the box over the chart's coordinates and
+    parameters, with one quadrature per point."""
+    total = ex.eadd(*values)
+    if not is_fiber_integral(total):
+        return ex.is_zero(total, box=box, trials=trials, tol=tol, seed=seed)
+    return ex.sample_zero(fiber_value(total), sorted(set(chart.coords) | set(chart.params)),
                           box=box, trials=trials, tol=tol, seed=seed)
 
 

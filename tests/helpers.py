@@ -182,6 +182,12 @@ def constant_types(e):
     return [t for c in e._fields() if isinstance(c, ex.Expr) for t in constant_types(c)]
 
 
+def point_env(point, chart):
+    """The evaluation environment of a ``ChartPoint`` on ``chart``."""
+    return {**dict(zip(chart.coords, point.x, strict=True)),
+            **dict(zip(chart.fibers, point.y, strict=True))}
+
+
 def central_difference(e, name, env, step=1e-6):
     lo = dict(env)
     hi = dict(env)

@@ -1331,13 +1331,6 @@ def nested_value(e, env):
     return reference_value(ex.Func(e.name, ex.Const(nested_value(e.arg, env))), {})
 
 
-def test_point_env_mismatch():
-    p = ex.ChartPoint((1.0,), (2.0,))
-    with pytest.raises(ValueError):
-        p.env(("x1", "x2"), ("y1",))
-    assert p.env(("x1",), ("y1",)) == {"x1": 1.0, "y1": 2.0}
-
-
 def test_box_rejects_empty_interval():
     box = ex.Box(ranges={"x1": (1.0, 1.0)})
     with pytest.raises(ValueError):

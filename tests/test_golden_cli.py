@@ -147,6 +147,16 @@ def test_cli_bytes_match_golden(model, command, tmp_path):
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("model", [m for m, c in CASES if c == "check_homotopy"])
+def test_homotopy_quadrature_leaves_only_roundoff(model, tmp_path):
+    # Every fiber integral of the suite is smooth in the scaling parameter,
+    # so its residual is roundoff, far inside the suite's 1e-8 bound.
+    stdout, _ = run_case(model, "check_homotopy", tmp_path)
+    items = [item for item in json.loads(stdout)["items"]
+             if item["label"].endswith(",nonpolynomial")]
+    assert items and all(item["residual_max"] <= 1e-14 for item in items)
+
+
 def test_commands_run_no_simplify_pass(tmp_path, monkeypatch):
     # The constructors return canonical trees, so no command rebuilds one
     # through ``simplify``.

@@ -8,7 +8,7 @@ import pytest
 from semispray import expr as ex
 from semispray import homotopy as ho
 from semispray.algebroid import AForm, AlgebroidChart, prolong_chart, tangent
-from semispray.errors import NotClosed
+from semispray.errors import NotClosed, QuadratureFailure
 from semispray.report import ZeroStatus
 
 from helpers import assert_proven_zero, random_polynomial, reference_value
@@ -88,11 +88,56 @@ class TestSkewStore:
         def no_quadrature(*args):
             raise AssertionError("a t-free coefficient went through quadrature")
 
-        monkeypatch.setattr(ho, "_adaptive_simpson", no_quadrature)
+        monkeypatch.setattr(ho, "_adaptive_quadrature", no_quadrature)
         value = ex.parse("x1*exp(y1) + y2^2/3", rank2.alphabet)
         env = {"x1": 0.3, "x2": -0.4, "y1": 0.7, "y2": -1.1}
         assert not ho.is_fiber_integral(value)
         assert ho.fiber_value(value)(env) == ex.evaluate(value, env)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("y", [-1.0, -0.73, -1e-9, 0.0, 1e-12, 0.31, 0.5, 1.0])
+    def test_one_panel_integrates_an_exponential_to_roundoff(self, y):
+        # int_0^1 y * exp(t*y) dt = expm1(y), accepted on the first panel.
+        calls = []
+
+        def f(t):
+            calls.append(t)
+            return y * math.exp(t * y)
+
+        assert ho._adaptive_quadrature(f, 0.0, 1.0, 1e-10) == pytest.approx(math.expm1(y),
+                                                                              rel=1e-15)
+        assert len(calls) == 15
+        assert 0.0 not in calls and 1.0 not in calls
+
+    def test_polynomial_of_degree_twelve(self):
+        value = ho.fiber_value(ex.parse("_t^12*y1", ("_t", "y1")))
+        for y in (-2.5, -0.3, 0.7, 3.0):
+            assert value({"y1": y}) == pytest.approx(y / 13, rel=1e-15)
+
+    def test_endpoint_singularity_exhausts_the_depth(self):
+        value = ho.fiber_value(ex.parse("x1/_t", ("_t", "x1")))
+        with pytest.raises(QuadratureFailure, match="maximum refinement depth"):
+            value({"x1": 0.5})
+
+    def test_zero_test_compiles_the_summed_integrand_once(self, rank1, monkeypatch):
+        built = []
+        build = ex.Program.__init__
+        monkeypatch.setattr(ex.Program, "__init__",
+                            lambda self, exprs: built.append(exprs) or build(self, exprs))
+        alphabet = ("_t",) + rank1.alphabet
+        values = [ex.parse(text, alphabet) for text in
+                  ("exp(_t*y1)*y1", "-exp(y1) + 1", "_t*x1*sin(y1)", "-x1*sin(y1)/2")]
+        result = ho._zero_test(values, prolong_chart(rank1), None, 16, 1e-9, 0)
+        assert result.status is ZeroStatus.LIKELY_ZERO
+        assert result.max_residual < 1e-14
+        assert len(built) == 1
+
+    def test_cancelling_integrands_are_proven_zero(self, rank1):
+        integral = ex.parse("exp(_t*y1)*y1", ("_t",) + rank1.alphabet)
+        result = ho._zero_test([integral, ex.eneg(integral)], prolong_chart(rank1),
+                               None, 16, 1e-9, 0)
+        assert result.status is ZeroStatus.PROVEN_ZERO
 
 
 class TestPsiStar:

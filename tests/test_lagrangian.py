@@ -6,7 +6,7 @@ from semispray import expr as ex
 from semispray import lagrangian, linalg
 from semispray.errors import SingularHessian
 
-from helpers import assert_proven_zero, generated_inverse, reference_value
+from helpers import assert_proven_zero, generated_inverse, point_env, reference_value
 
 
 class TestBuild:
@@ -86,7 +86,7 @@ class TestLegendre:
         for _ in range(10):
             point = ex.ChartPoint((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                                   (rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            env = point.env(curved_metric.chart.coords, curved_metric.chart.fibers)
+            env = point_env(point, curved_metric.chart)
             covector = [reference_value(v, env) for v in data.thetaL]
             hessian = [[reference_value(v, env) for v in row] for row in data.M]
             expected = [sum(hessian[i][j] * point.y[j] for j in range(2)) for i in range(2)]
@@ -114,7 +114,7 @@ class TestInvariants:
         for _ in range(10):
             point = ex.ChartPoint((rng.uniform(-1, 1), rng.uniform(-1, 1)),
                                   (rng.uniform(-1, 1), rng.uniform(-1, 1)))
-            env = point.env(chart.coords, chart.fibers)
+            env = point_env(point, chart)
             covector = [reference_value(v, env) for v in data.thetaL]
             inverse = [[reference_value(v, env) for v in row] for row in data.Minv]
             recovered = [sum(inverse[i][j] * covector[j] for j in range(2)) for i in range(2)]

@@ -8,7 +8,7 @@ from semispray import homotopy as ho
 from semispray import lagrangian, poisson, prolongation as pr, twoform
 from semispray.errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
 
-from helpers import (assert_certified_zero, assert_proven_zero, generated_inverse,
+from helpers import (assert_certified_zero, assert_proven_zero, generated_inverse, point_env,
                      random_polynomial, reference_value)
 
 
@@ -405,8 +405,7 @@ class TestDecomposition:
         data = lagrangian_data(so3)
         _, omega = pr.cartan_sections(data)
         _, exact_part = pr.decompose_symplectic(omega)
-        env = ex.ChartPoint((0.3, -0.2, 0.5), (0.7, 0.4, -0.6)).env(so3.chart.coords,
-                                                                    so3.chart.fibers)
+        env = point_env(ex.ChartPoint((0.3, -0.2, 0.5), (0.7, 0.4, -0.6)), so3.chart)
         size = 2 * so3.chart.r
         exact = d(exact_part)
         a = [[reference_value(exact.get((p, q)), env) for q in range(size)]

@@ -14,7 +14,10 @@ Prints every request whose stdout, stderr or exit code differs between the
 trees, then one summary line with the sha256 of each tree's stream of
 responses.  A differing CSV trajectory of the same shape is reported with
 its largest absolute and relative |Δ| over the state columns, and the
-largest |Δ| of its drift column.  Exits 1 on any difference (or when a subprocess fails), else 0.
+largest |Δ| of its drift column.  A differing pair of JSON objects is
+reported by the paths of its differing leaves, as
+``items[8].residual_max: old vs new``.  Any other difference is reported at
+its first differing line.  Exits 1 on any difference (or when a subprocess fails), else 0.
 """
 
 from __future__ import annotations
@@ -77,6 +80,39 @@ def _first_difference(a: str, b: str) -> str:
     return f"{len(a.splitlines())} vs {len(b.splitlines())} lines"
 
 
+def _leaves(value, path: str = ""):
+    """``(path, value)`` for every leaf of parsed JSON, an empty list or
+    object counting as a leaf; paths read as ``items[8].residual_max``."""
+    if isinstance(value, dict) and value:
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value:
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _json_difference(a: str, b: str) -> Optional[str]:
+    """The leaves that differ between two JSON objects, as ``path: old vs
+    new``: the first 5 of them, then how many more.  None when either text is
+    not a JSON object or no leaf differs."""
+    try:
+        docs = json.loads(a), json.loads(b)
+    except ValueError:
+        return None
+    if not all(isinstance(doc, dict) for doc in docs):
+        return None
+    # Leaves compare as JSON text, so 0 and 0.0 differ and NaN equals NaN.
+    old, new = ({path: json.dumps(leaf) for path, leaf in _leaves(doc)} for doc in docs)
+    changes = [f"{path}: {old.get(path, '(absent)')} vs {new.get(path, '(absent)')}"
+               for path in {**old, **new} if old.get(path) != new.get(path)]
+    if not changes:
+        return None
+    more = f", +{len(changes) - 5} more" if len(changes) > 5 else ""
+    return ", ".join(changes[:5]) + more
+
+
 def _drift(a: str, b: str) -> Optional[str]:
     """The largest |Δ| between two CSV trajectories with one header and
     rows of numbers of the same shape: absolute and relative (to the
@@ -136,8 +172,12 @@ def compare(old_src: str, new_src: str) -> int:
                 notes.append(f"exit code {old_code!r} vs {new_code!r}")
             if old_out != new_out:
                 drift = _drift(old_out, new_out) if request.kind == "integrate" else None
-                notes.append(f"stdout differs: {drift}" if drift else
-                             f"stdout differs at {_first_difference(old_out, new_out)}")
+                if drift:
+                    notes.append(f"stdout differs: {drift}")
+                else:
+                    where = (_json_difference(old_out, new_out)
+                             or _first_difference(old_out, new_out))
+                    notes.append(f"stdout differs at {where}")
             if old_err != new_err:
                 notes.append(f"stderr differs at {_first_difference(old_err, new_err)}")
             if notes:
