@@ -56,8 +56,8 @@ def _emit(payload: dict) -> None:
 
 def _lagrangian_data(model: ModelDocument, box, trials, tol, seed, inverse: bool = True):
     """Lagrangian data of the model.  A command that builds the bracket
-    (``inverse``) needs the exact Hessian inverse, which ``build`` makes up
-    to rank ``SYMBOLIC_INVERSE_MAX_RANK``."""
+    (``inverse``) needs the exact Hessian inverse, which the data build on
+    first use, up to rank ``SYMBOLIC_INVERSE_MAX_RANK``."""
     if model.lagrangian is None:
         raise ModelError("L", "this command needs a Lagrangian in the model")
     if inverse and model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:

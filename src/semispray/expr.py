@@ -774,21 +774,23 @@ def _subs(e: Expr, mapping: Mapping[str, Expr], result) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def free_symbols(e: Expr) -> frozenset:
-    """Names of the variables in ``e``; each distinct subtree is visited once."""
-    out = set()
+def distinct_nodes(*exprs: Expr) -> Iterable[Expr]:
+    """Every distinct node of ``exprs``, each once, parents before children."""
     seen = set()
-    stack = [e]
+    stack = list(exprs)
     while stack:
         node = stack.pop()
         if node in seen:
             continue
         seen.add(node)
-        if isinstance(node, Var):
-            out.add(node.name)
-        elif not isinstance(node, Const):
+        yield node
+        if not isinstance(node, (Const, Var)):
             stack.extend(c for c in node._fields() if isinstance(c, Expr))
-    return frozenset(out)
+
+
+def free_symbols(e: Expr) -> frozenset:
+    """Names of the variables in ``e``; each distinct subtree is visited once."""
+    return frozenset(node.name for node in distinct_nodes(e) if isinstance(node, Var))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,10 +1095,12 @@ class Box:
         return out
 
 
-def _require_tol(tol: float) -> None:
-    """The rule :func:`semispray.model.positive` applies to ``tol`` at the
-    command line, for library callers: a nan or inf tolerance passes every
-    residual."""
+def require_settings(trials: int, tol: float) -> None:
+    """The rules :mod:`semispray.model` applies to ``trials`` and ``tol`` at
+    the command line, for library callers: a nan or inf tolerance passes
+    every residual."""
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
@@ -1110,9 +1114,7 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     sampled by :func:`sample_zero` over its free symbols; ``params`` are
     bound to fixed values instead of being sampled.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    _require_tol(tol)
+    require_settings(trials, tol)
     if is_zero_literal(e):
         return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
     params = dict(params or {})
@@ -1143,7 +1145,7 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
     ``|value|`` seen.  Points where evaluation leaves the real domain are
     skipped; if every point is singular a :class:`DomainError` propagates.
     """
-    _require_tol(tol)
+    require_settings(trials, tol)
     box = box or Box()
     params = params or {}
     rng = random.Random(seed)
@@ -1240,14 +1242,16 @@ class Program:
 
     ``reads`` are ``(slot, name)``, ``ops`` are ``(slot, op, operands)`` and
     ``outputs`` are operands; an operand ``a >= 0`` is a slot and ``a < 0``
-    is the constant ``consts[a]``.  Building converts every constant to a
-    float, so an out-of-range one raises :class:`DomainError` here.
+    is the constant ``consts[a]``, whose exact value is ``exact[a]``.
+    ``nodes[k]`` is the node ``ops[k]`` computes.  Building converts every
+    constant to a float, so an out-of-range one raises :class:`DomainError`
+    here.
     """
 
-    __slots__ = ("size", "reads", "ops", "consts", "outputs")
+    __slots__ = ("size", "reads", "ops", "consts", "exact", "nodes", "outputs")
 
     def __init__(self, exprs: Sequence[Expr]):
-        reads, ops, consts = [], [], []
+        reads, ops, consts, exact, nodes = [], [], [], [], []
         local: dict = {}  # distinct node -> its operand
         stack = [(e, None) for e in reversed(exprs)]
         while stack:
@@ -1256,16 +1260,19 @@ class Program:
                 args = tuple([local[c] for c in children])
                 if type(node) is Pow:
                     consts.append(_to_float(node.exponent))
+                    exact.append(node.exponent)
                     args += (-len(consts),)
                     op = _GUARDS["_pow" if node.exponent.denominator == 1 else "_root"]
                 else:
                     op = _OPS.get(type(node)) or _GUARDS[f"_{node.name}"]
                 local[node] = slot = len(reads) + len(ops)
                 ops.append((slot, op, args))
+                nodes.append(node)
             elif node in local:
                 continue
             elif isinstance(node, Const):
                 consts.append(_to_float(node.value))
+                exact.append(node.value)
                 local[node] = -len(consts)
             elif isinstance(node, Var):
                 local[node] = slot = len(reads) + len(ops)
@@ -1275,8 +1282,9 @@ class Program:
                 stack.append((node, children))
                 stack.extend([(c, None) for c in reversed(children)])
         consts.reverse()  # the n-th constant found is consts[-n]
+        exact.reverse()
         self.size = len(reads) + len(ops)
-        self.reads, self.ops, self.consts = reads, ops, consts
+        self.reads, self.ops, self.consts, self.exact, self.nodes = reads, ops, consts, exact, nodes
         self.outputs = [local[e] for e in exprs]
 
     def run(self, env: Mapping[str, float]) -> list:
@@ -1309,12 +1317,189 @@ class Program:
         """The first output at ``env``."""
         return self.run(env)[0]
 
+    def jets(self, env: Mapping[str, Number], along: Sequence[str], field) -> list:
+        """``(value, gradient)`` of every output at ``env``, in forward mode:
+        the gradient holds the partials along the names in ``along``.  The
+        arithmetic is ``field``'s, :data:`FLOAT` or a :class:`Modular`
+        field.  Raises :class:`DomainError` where a value or partial leaves
+        the field's domain (a zero denominator, say)."""
+        zero = (field.zero,) * len(along)
+        vals = [None] * self.size + [field.number(c) for c in self.exact]
+        grads = [zero] * len(vals)
+        position = {name: i for i, name in enumerate(along)}
+        try:
+            for slot, name in self.reads:
+                vals[slot] = field.number(env[name])
+                if name in position:
+                    unit = list(zero)
+                    unit[position[name]] = field.one
+                    grads[slot] = unit
+        except KeyError as err:
+            raise UnknownSymbol(err.args[0], "evaluation environment") from None
+        norm, total, divide = field.norm, field.sum, field.divide
+        for (slot, op, args), node in zip(self.ops, self.nodes):
+            if op is math.fsum:
+                vals[slot] = total([vals[a] for a in args])
+                grads[slot] = [total(column) for column in zip(*[grads[a] for a in args])]
+            elif op is math.prod:
+                v, g = vals[args[0]], grads[args[0]]
+                for a in args[1:]:
+                    w, h = vals[a], grads[a]
+                    g = [norm(v * hi + w * gi) for gi, hi in zip(g, h)]
+                    v = norm(v * w)
+                vals[slot], grads[slot] = v, g
+            elif type(node) is Div:
+                num, den = args
+                vals[slot] = v = divide(vals[num], vals[den])
+                r = divide(field.one, vals[den])
+                grads[slot] = [norm((gn - v * gd) * r) for gn, gd in zip(grads[num], grads[den])]
+            else:  # a Pow or a Func of one argument
+                vals[slot], slope = field.unary(node, vals[args[0]])
+                grads[slot] = [norm(slope * g) for g in grads[args[0]]]
+        return [(vals[a], grads[a]) for a in self.outputs]
+
 
 def evaluate(e: Expr, env: Mapping[str, float]) -> float:
     """IEEE-754 value of ``e`` at ``env``; raises :class:`DomainError` on
     leaving the reals.  One-shot: to evaluate at many points, build the
     :class:`Program` once and call its ``value``."""
     return Program([e]).value(env)
+
+
+class _Float:
+    """The arithmetic of :meth:`Program.jets` in floats, with the guards of
+    :meth:`Program.run`; sums are ``math.fsum``."""
+
+    zero, one = 0.0, 1.0
+    norm = float
+    number = staticmethod(_to_float)
+
+    @staticmethod
+    def sum(values) -> float:
+        try:
+            return math.fsum(values)
+        except (ValueError, OverflowError) as err:  # fsum of infinities
+            raise DomainError(f"overflow in sum: {err}") from None
+
+    divide = staticmethod(_GUARDS["_div"])
+
+    @staticmethod
+    def unary(node: Expr, v: float):
+        """The value of ``node`` and its derivative in its argument ``v``."""
+        if type(node) is Pow:
+            q = node.exponent
+            power = _GUARDS["_pow" if q.denominator == 1 else "_root"]
+            return power(v, float(q)), float(q) * power(v, float(q - 1))
+        if node.name == "sin":
+            return math.sin(v), math.cos(v)
+        if node.name == "cos":
+            return math.cos(v), -math.sin(v)
+        if node.name == "exp":
+            own = _GUARDS["_exp"](v)
+            return own, own
+        if node.name == "log":
+            return _GUARDS["_log"](v), _GUARDS["_div"](1.0, v)
+        own = _GUARDS["_sqrt"](v)
+        return own, _GUARDS["_div"](0.5, own)
+
+
+FLOAT = _Float()
+
+#: The prime of :class:`Modular`, 2^61 - 1.
+MODULUS = (1 << 61) - 1
+
+
+class Modular:
+    """The arithmetic of :meth:`Program.jets` in the prime field F_p,
+    p = :data:`MODULUS`, exact.
+
+    Each distinct ``Func`` node stands for a residue of its own, drawn from
+    ``rng`` when first needed and kept, and the derivative rules read the
+    same residues: ``sin(u)``'s slope is the residue of ``cos(u)``,
+    ``exp(u)``'s its own, ``sqrt(u)``'s ``1/(2 own)``.  Values are then those
+    of a lift of the expressions in which every function node is a new
+    indeterminate, and the expressions are a specialization of that lift.
+    So a lift that is identically zero proves them zero, and a lift of
+    degree ``deg`` that is not vanishes at a uniform random point with
+    probability at most ``deg/p`` (Schwartz 1980, Zippel 1979).  A lift can
+    be nonzero where the expression is zero (``sin(u)^2 + cos(u)^2 - 1``).
+
+    ``b^(n/d)`` is the n-th power of the d-th root of ``b`` in the subgroup
+    of order ``m``, the largest divisor of p - 1 prime to d, where that root
+    is unique; the roots of one base then multiply as its exponents add, as
+    the canonical constructors assume.  A base with no such root, like a
+    zero denominator, raises :class:`DomainError`.
+    """
+
+    zero, one = 0, 1
+    norm = staticmethod(MODULUS.__rmod__)  # x -> x mod p
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+        self.residues: dict = {}  # Func node -> its residue
+
+    def point(self, names: Iterable[str]) -> dict:
+        """A uniform random point of F_p over ``names``."""
+        return {n: self.rng.randrange(MODULUS) for n in sorted(names)}
+
+    @staticmethod
+    def sum(values) -> int:
+        return sum(values) % MODULUS
+
+    def number(self, c: Number) -> int:
+        if isinstance(c, float):
+            if not math.isfinite(c):
+                raise DomainError(f"{c} has no residue mod p")
+            c = Fraction(c)
+        if type(c) is int:
+            return c % MODULUS
+        return c.numerator * self.inverse(c.denominator) % MODULUS
+
+    @staticmethod
+    def inverse(x: int) -> int:
+        if x % MODULUS == 0:
+            raise DomainError("division by zero mod p")
+        return pow(x, -1, MODULUS)
+
+    def divide(self, a: int, b: int) -> int:
+        return a * self.inverse(b) % MODULUS
+
+    @staticmethod
+    def root(v: int, d: int) -> int:
+        """The d-th root of ``v`` in the subgroup of order m (see above)."""
+        m = MODULUS - 1
+        g = math.gcd(m, d)
+        while g > 1:
+            m //= g
+            g = math.gcd(m, g)
+        if pow(v, m, MODULUS) != 1:
+            raise DomainError(f"no root of degree {d} mod p in the subgroup of order {m}")
+        return pow(v, pow(d, -1, m), MODULUS)
+
+    def residue(self, node: Expr) -> int:
+        r = self.residues.get(node)
+        if r is None:
+            r = self.residues[node] = self.rng.randrange(MODULUS)
+        return r
+
+    def unary(self, node: Expr, v: int):
+        """The value of ``node`` and its derivative in its argument ``v``."""
+        if type(node) is Pow:
+            n, d = node.exponent.numerator, node.exponent.denominator
+            s = v if d == 1 else self.root(v, d)  # a root is never 0
+            if s == 0 and n < d:
+                raise DomainError("0 raised to a negative power mod p")
+            return pow(s, n, MODULUS), n * self.inverse(d) * pow(s, n - d, MODULUS) % MODULUS
+        own = self.residue(node)
+        if node.name == "sin":
+            return own, self.residue(Func("cos", node.arg))
+        if node.name == "cos":
+            return own, -self.residue(Func("sin", node.arg)) % MODULUS
+        if node.name == "exp":
+            return own, own
+        if node.name == "log":
+            return own, self.inverse(v)
+        return own, self.inverse(2 * own)
 
 
 def float_source(value: float) -> str:

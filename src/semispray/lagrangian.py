@@ -1,9 +1,11 @@
 """Derived data of a regular Lagrangian on an algebroid chart.
 
-``build`` computes the fiber Hessian ``M``, its exact inverse (adjugate over
-determinant, ranks up to 4; above that ``Minv`` is None, and ``integrate``
-needs none, since it solves with ``M`` pointwise), the fiber derivative
-coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.
+``build`` computes the fiber Hessian ``M``, the fiber derivative
+coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.  The exact
+inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None,
+and ``integrate`` needs none, since it solves with ``M`` pointwise) is built
+on first use: only the bracket and the prolongation's vertical correction
+read it.
 A singular Hessian is always an error.  Regularity is certified on a sample
 box, never globally: the probe set is the uniform sample plus the box center
 and the fiber origin, so Hessians degenerating on the zero section are
@@ -12,6 +14,7 @@ caught deterministically.
 
 from __future__ import annotations
 
+import functools
 import random
 from typing import List, Optional
 
@@ -25,16 +28,21 @@ SYMBOLIC_INVERSE_MAX_RANK = 4
 
 class LagrangianData:
     def __init__(self, chart: AlgebroidChart, lagrangian: ex.Expr,
-                 hessian: linalg.Matrix, hessian_inv: Optional[linalg.Matrix],
-                 fiber_derivative: List[ex.Expr], energy: ex.Expr,
+                 hessian: linalg.Matrix, fiber_derivative: List[ex.Expr], energy: ex.Expr,
                  hessian_det: ex.Expr):
         self.chart = chart
         self.L = lagrangian
         self.M = hessian
-        self.Minv = hessian_inv
         self.thetaL = fiber_derivative
         self.EL = energy
         self.detM = hessian_det
+
+    @functools.cached_property
+    def Minv(self) -> Optional[linalg.Matrix]:
+        """The exact Hessian inverse, or None above ``SYMBOLIC_INVERSE_MAX_RANK``."""
+        if self.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
+            return None
+        return linalg.inverse(self.M, self.detM)
 
     def __repr__(self):
         return f"<LagrangianData {self.chart.name or 'chart'} r={self.chart.r}>"
@@ -75,15 +83,15 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
 
 def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 64,
           tol: float = 1e-9, seed: int = 0, params: dict = None) -> LagrangianData:
-    """Derive Hessian, inverse, fiber derivative, and energy from ``L``.
+    """Derive Hessian, fiber derivative, and energy from ``L``.
 
     ``lagrangian`` is source text or a canonical tree (:func:`expr.simplify`
     is for a raw-node one).
 
     The Hessian determinant must stay away from zero on the probe set of
     :func:`probe_determinant`, else :class:`SingularHessian` carries the
-    witness point.  The Hessian inverse is exact for ranks up to
-    ``SYMBOLIC_INVERSE_MAX_RANK`` and None above it.
+    witness point.  The Hessian inverse ``Minv`` is built on first use,
+    exact for ranks up to ``SYMBOLIC_INVERSE_MAX_RANK`` and None above it.
     """
     if isinstance(lagrangian, str):
         lagrangian = chart.parse(lagrangian)
@@ -103,7 +111,4 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
     if witness is not None:
         raise SingularHessian(witness)
 
-    inverse = None
-    if chart.r <= SYMBOLIC_INVERSE_MAX_RANK:
-        inverse = linalg.inverse(hessian, det)
-    return LagrangianData(chart, lagrangian, hessian, inverse, theta, energy, det)
+    return LagrangianData(chart, lagrangian, hessian, theta, energy, det)

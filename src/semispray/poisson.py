@@ -9,13 +9,25 @@ The bracket coefficients are, in adapted coordinates,
 and the Hamiltonian vector field convention is ``X_G(h) = {G, h}``, which is
 the convention reproducing the known semispray displays on the tangent
 fixtures (pinned by the acceptance suite).
+
+:func:`check_jacobi` reaches a verdict per coordinate triple in one of two
+ways, fixed by the bracket.  With no quotient in any entry it samples or
+proves the residual trees of :func:`jacobi_residuals`.  With one, it builds
+no tree: a triple is ``proven-zero`` when every term of the Jacobiator is 0
+by structure, ``likely-zero`` with ``method`` ``modular`` when the
+Jacobiator is 0 mod p = 2^61 - 1 at a random point (a false zero has
+probability at most deg/p), and otherwise sampled from float jets with
+``method`` ``float``.
 """
 
 from __future__ import annotations
 
 import collections
+import dataclasses
 import functools
 import itertools
+import math
+import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
@@ -23,7 +35,7 @@ from . import expr as ex
 from . import linalg
 from .algebroid import AlgebroidChart
 from .lagrangian import LagrangianData
-from .report import ValidationReport
+from .report import ValidationReport, ZeroResult, ZeroStatus
 
 
 @dataclass
@@ -167,8 +179,104 @@ def jacobi_residuals(p: PoissonBivector) -> Iterator[Tuple[str, ex.Expr]]:
 
 def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """Tag the Jacobiator of every coordinate triple."""
-    return ex.certify("jacobi", jacobi_residuals(p), box, trials, tol, seed)
+    """Tag the Jacobiator of every coordinate triple, in the order of
+    :func:`itertools.combinations`.
+
+    A bracket with no quotient in it is checked on :func:`jacobi_residuals`,
+    where the canonical form cancels the identity to the literal 0
+    (``proven-zero``) or the residual is sampled.  A bracket with a quotient
+    is checked from the jets of its upper-triangle entries, with no residual
+    tree: ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``.  A triple is then
+
+    * ``proven-zero`` when every term is 0 by structure: ``P^{ad}`` is the
+      literal 0 or ``P^{bc}`` is free of ``x_d``;
+    * ``likely-zero`` with ``method`` ``modular`` when J is 0 in F_p at one
+      random point of :class:`~semispray.expr.Modular` (a point where an
+      entry is singular mod p draws another): a false zero has probability
+      at most ``deg/p``;
+    * else sampled by :func:`~semispray.expr.sample_zero` from float jets,
+      with ``method`` ``float``; the jets of a point are computed once for
+      every triple that samples it.
+    """
+    names = p.coordinate_names()
+    pairs = list(itertools.combinations(range(len(names)), 2))
+    entries = [p.coefficient(a, b) for a, b in pairs]
+    if not any(isinstance(node, ex.Div) for node in ex.distinct_nodes(*entries)):
+        return ex.certify("jacobi", jacobi_residuals(p), box, trials, tol, seed)
+    return _jacobi_from_jets(names, pairs, entries, box, trials, tol, seed)
+
+
+def _jacobi_from_jets(names: List[str], pairs: List[Tuple[int, int]], entries: List[ex.Expr],
+                      box: ex.Box, trials: int, tol: float, seed: int) -> ValidationReport:
+    """The verdicts of :func:`check_jacobi` for a bracket with quotients,
+    from the jets of its upper-triangle ``entries`` at ``pairs``."""
+    ex.require_settings(trials, tol)
+    program = ex.Program(entries)
+    reads = sorted({name for _, name in program.reads})
+    field = ex.Modular(random.Random(seed))
+    drawn, exact = 0, None
+    while exact is None and drawn < trials:
+        drawn += 1
+        try:
+            exact = program.jets(field.point(reads), names, field)
+        except ex.DomainError:
+            continue
+    sampled: dict = {}  # point -> its float jets, or None where singular
+
+    def float_jets(env: dict) -> list:
+        point = tuple(env[name] for name in reads)
+        if point not in sampled:
+            try:
+                sampled[point] = program.jets(env, names, ex.FLOAT)
+            except ex.DomainError:
+                sampled[point] = None
+        if sampled[point] is None:
+            raise ex.DomainError("a bracket entry or partial is singular here")
+        return sampled[point]
+
+    report = ValidationReport(check="jacobi", seed=seed)
+    for label, terms in _jacobi_terms(names, pairs, entries):
+        if not terms:
+            result = ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
+        elif exact is not None and _jacobiator(terms, exact, ex.Modular.sum) == 0:
+            result = ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
+                                method="modular")
+        else:
+            result = ex.sample_zero(lambda env: _jacobiator(terms, float_jets(env), math.fsum),
+                                    reads, box=box, trials=trials, tol=tol, seed=seed)
+            result = dataclasses.replace(result, method="float")
+        report.add(label, result)
+    return report
+
+
+def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], entries: List[ex.Expr]):
+    """``(label, terms)`` of every coordinate triple ``a < b < c``, where
+    the terms ``(sign, k, l, d)`` stand for ``sign * P_k * d_d P_l`` over
+    the upper-triangle entries ``P_k``, and a term that is 0 by structure is
+    left out."""
+    column = {pair: k for k, pair in enumerate(pairs)}
+    free = [ex.free_symbols(e) for e in entries]
+
+    def oriented(a: int, b: int) -> Tuple[int, int]:
+        return (1, column[a, b]) if a < b else (-1, column[b, a])
+
+    for a, b, c in itertools.combinations(range(len(names)), 3):
+        terms = []
+        for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
+            sign_jk, jk = oriented(j, k)
+            for d in range(len(names)):
+                if d == i or names[d] not in free[jk]:
+                    continue
+                sign_id, id_ = oriented(i, d)
+                if not ex.is_zero_literal(entries[id_]):
+                    terms.append((sign_id * sign_jk, id_, jk, d))
+        yield f"({names[a]},{names[b]},{names[c]})", terms
+
+
+def _jacobiator(terms, jets, total):
+    """The sum by ``total`` of the terms of :func:`_jacobi_terms` over the
+    ``(value, gradient)`` jets of the upper-triangle entries."""
+    return total([sign * jets[k][0] * jets[l][1][d] for sign, k, l, d in terms])
 
 
 def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:

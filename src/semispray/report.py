@@ -25,6 +25,7 @@ class ZeroResult:
     trials: int
     witness: Optional[dict] = None
     witness_value: Optional[float] = None
+    method: Optional[str] = None  # how a sampled verdict was reached, when named
 
     @property
     def is_zero(self) -> bool:
@@ -40,6 +41,8 @@ class ZeroResult:
         if self.witness is not None:
             out["witness"] = self.witness
             out["witness_value"] = self.witness_value
+        if self.method is not None:
+            out["method"] = self.method
         return out
 
 

@@ -336,6 +336,107 @@ class TestHypothesisProperties:
         assert ex.diff(d1, "x1") == ex.diff(ex.simplify(d1), "x1")
 
 
+JET_NAMES = ("x1", "x2")
+
+
+def _built(make, *args):
+    """``make(*args)``, or 1 where a constructor refuses (0 to a negative
+    power, a literal zero denominator, the root of a negative constant)."""
+    try:
+        return make(*args)
+    except DomainError:
+        return ex.ONE
+
+
+def _jet_trees():
+    """Canonical trees over ``JET_NAMES``: rational constants, sums,
+    products, quotients, integer and fractional powers and all five
+    functions."""
+    leaves = st.one_of(st.sampled_from([ex.Var(nm) for nm in JET_NAMES]),
+                       st.sampled_from([-2, Fraction(-1, 2), Fraction(1, 3), 1, 3]).map(ex.Const))
+    exponents = st.sampled_from([-2, -1, 2, 3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                                 Fraction(1, 3), Fraction(-2, 3)])
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda ts: ex.eadd(*ts)),
+            st.lists(children, min_size=2, max_size=3).map(lambda fs: ex.emul(*fs)),
+            st.tuples(children, children).map(lambda nd: _built(ex.ediv, *nd)),
+            st.tuples(children, exponents).map(lambda be: _built(ex.epow, *be)),
+            st.tuples(st.sampled_from(ex.FUNCTIONS), children).map(
+                lambda fa: _built(ex.efunc, *fa)))
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+class TestJets:
+    @settings(max_examples=300, deadline=None)
+    @given(_jet_trees(), st.integers(min_value=0, max_value=2 ** 32))
+    def test_modular_jet_is_the_residue_of_the_derivative(self, e, seed):
+        # With the same residues, the forward-mode partial mod p is the value
+        # mod p of the canonical derivative: the rules read the residues the
+        # derivative's own nodes get, and fractional powers are true roots,
+        # so the canonical merges (x^(1/2) * x^(1/2) = x) hold mod p too.
+        field = ex.Modular(random.Random(seed))
+        derivative = ex.diff(e, "x1")
+        for _ in range(100):  # points where a base has no root are skipped
+            env = field.point(JET_NAMES)
+            try:
+                (_, gradient), = ex.Program([e]).jets(env, ["x1"], field)
+                (value, _), = ex.Program([derivative]).jets(env, [], field)
+            except DomainError:
+                continue
+            assert value == gradient[0]
+            return
+        assume(False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_jet_trees(), st.floats(min_value=0.3, max_value=1.7),
+           st.floats(min_value=0.3, max_value=1.7))
+    def test_float_jet_matches_the_derivative(self, e, a, b):
+        env = {"x1": a, "x2": b}
+        try:
+            want = ex.evaluate(ex.diff(e, "x1"), env)
+            (value, gradient), = ex.Program([e]).jets(env, ["x1", "x2"], ex.FLOAT)
+        except DomainError:  # a singular point
+            assume(False)
+        assert value == ex.evaluate(e, env)
+        assert gradient[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_roots_are_unique_in_their_subgroup(self, d):
+        rng = random.Random(d)
+        field = ex.Modular(rng)
+        found = 0
+        while found < 5:
+            v = rng.randrange(1, ex.MODULUS)
+            try:
+                s = field.root(v, d)
+            except DomainError:
+                continue
+            assert pow(s, d, ex.MODULUS) == v
+            # Roots of one value multiply as exponents add, where both exist.
+            if d % 2 == 0 and d > 2:
+                assert pow(field.root(v, d), d // 2, ex.MODULUS) == field.root(v, 2)
+            found += 1
+
+    def test_functions_are_independent_residues(self):
+        # sin(u)^2 + cos(u)^2 - 1 is zero, but its lift is not: a modular
+        # nonzero proves nothing, and the Jacobi check then samples floats.
+        e = ex.parse("sin(x1)^2 + cos(x1)^2 - 1", JET_NAMES)
+        field = ex.Modular(random.Random(0))
+        (value, _), = ex.Program([e]).jets(field.point(JET_NAMES), [], field)
+        assert value != 0
+        assert ex.evaluate(e, {"x1": 0.3, "x2": 0.0}) == pytest.approx(0.0, abs=1e-15)
+
+    def test_zero_denominator_is_a_domain_error(self):
+        field = ex.Modular(random.Random(0))
+        e = ex.parse("1/(x1 - x2)", JET_NAMES)
+        with pytest.raises(DomainError):
+            ex.Program([e]).jets({"x1": 5, "x2": 5}, ["x1"], field)
+        with pytest.raises(DomainError):
+            ex.Program([e]).jets({"x1": 0.5, "x2": 0.5}, ["x1"], ex.FLOAT)
+
+
 class TestCompile:
     def test_matches_tree_walker(self):
         rng = random.Random(9)

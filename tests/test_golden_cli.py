@@ -67,12 +67,13 @@ MODELS.update(NEGATIVE_MODELS)
 #: Hamiltonian field is the largest tree ``hamiltonian`` prints, its Hessian
 #: the one the flows solve with a runtime row swap, and its sampled
 #: residuals are the largest and most roundoff-prone the checks evaluate.
-#: The ``check_jacobi`` and ``check_prolongation`` files pin ROADMAP defect
-#: (a): the Jacobi NONZERO verdicts are false, float roundoff over ``tol``,
-#: and the prolongation residuals carry the same roundoff (at this seed it
-#: stays under ``tol``; at about 8% of seeds it does not).  Exact verdicts
-#: (ROADMAP item 1) will change those two files on purpose.  ``check_spray``
-#: fails truly: the magnetic term of ``Theta`` is linear in the fibers.
+#: The ``check_prolongation`` file pins ROADMAP defect (a): its residuals
+#: carry float roundoff near the curve det M = 0 (at this seed it stays under
+#: ``tol``; at about 8% of seeds it does not), and exact verdicts will change
+#: it on purpose.  ``check_jacobi`` passes: the bracket has quotients, so its
+#: verdicts come from jets, exact mod p, with no residual tree to round off.
+#: ``check_spray`` fails truly: the magnetic term of ``Theta`` is linear in
+#: the fibers.
 STRESS_MODELS = {
     "stress": {**MODELS["action_so3"],
                "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2", "seed": 13},
@@ -80,7 +81,8 @@ STRESS_MODELS = {
 MODELS.update(STRESS_MODELS)
 
 #: The stress model with the ``so3_perturbed`` anchor: its ``check_jacobi``
-#: builds the largest residual trees of any command.
+#: finds the five triples the 1e-6 anchor perturbation breaks, each nonzero
+#: mod p and then at a float witness.
 NEGATIVE_MODELS["stress_perturbed"] = {**STRESS_MODELS["stress"],
                                        "rho": NEGATIVE_MODELS["so3_perturbed"]["rho"]}
 MODELS.update(NEGATIVE_MODELS)

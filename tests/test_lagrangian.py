@@ -1,8 +1,11 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
-from semispray import expr as ex
+from semispray import cli, expr as ex
 from semispray import lagrangian, linalg
 from semispray.errors import SingularHessian
 
@@ -32,6 +35,33 @@ class TestBuild:
         with pytest.raises(SingularHessian) as err:
             lagrangian.build("1/2*y1^2", tangent2.chart)
         assert err.value.witness == {"detM": 0.0}  # no y2 dependence: det M = 0 everywhere
+
+    def test_inverse_is_built_on_first_use(self, curved_metric, monkeypatch, tmp_path):
+        # Only the bracket and the vertical correction read the inverse, so
+        # neither ``build`` nor the commands that never build the bracket
+        # pay for the adjugate.
+        calls = []
+        inverse = linalg.inverse
+
+        def counting(m, det):
+            calls.append(m)
+            return inverse(m, det)
+
+        monkeypatch.setattr(lagrangian.linalg, "inverse", counting)
+        data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
+        assert calls == []
+        assert data.Minv == inverse(data.M, data.detM)
+        assert data.Minv is data.Minv and len(calls) == 1
+
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]],
+                                    "L": "1/2*(y1^2 + (1 + x1^2)*y2^2)"}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["validate", str(path)]) == 0
+            assert cli.main(["integrate", str(path), "--p0", "0.1,0.2,0.3,0.4", "--T", "0.01"]) == 0
+            assert len(calls) == 1
+            assert cli.main(["bracket", str(path)]) == 0
+        assert len(calls) == 2
 
     def test_energy_formula(self, curved_metric):
         data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)

@@ -4,6 +4,7 @@ import inspect
 import io
 import itertools
 import json
+import math
 import random
 import types
 from fractions import Fraction
@@ -229,6 +230,9 @@ def reference_jacobi_residuals(p):
 
 
 STRESS_L = "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2"
+STRESS_DOC = {"n": 3, "r": 3, "rho": [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]],
+              "C": {"3,1,2": "1", "2,1,3": "-1", "1,2,3": "1"}, "L": STRESS_L,
+              "Theta": {"1,2": "x3", "1,3": "-x2", "2,3": "x1"}}
 
 
 @pytest.fixture(scope="module")
@@ -275,11 +279,8 @@ def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
     # Everything a kernel call allocates is freed by reference counting, so
     # the cyclic collector never has to trace the trees a check builds.
     # What remains is the CLI's argparse parser, which is not the kernel's.
-    doc = {"n": 3, "r": 3, "rho": [["0", "-x3", "x2"], ["x3", "0", "-x1"], ["-x2", "x1", "0"]],
-           "C": {"3,1,2": "1", "2,1,3": "-1", "1,2,3": "1"}, "L": STRESS_L,
-           "Theta": {"1,2": "x3", "1,3": "-x2", "2,3": "x1"}}
     path = tmp_path / "stress.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(STRESS_DOC))
     x1, y1 = ex.Var("x1"), ex.Var("y1")
     integrand = ex.efunc("exp", ex.emul(ex.Var(homotopy.TVAR), x1))
     with cyclic_garbage() as found:
@@ -296,6 +297,112 @@ def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
         if isinstance(o, (ex.Expr, Fraction))
         or isinstance(o, types.FunctionType) and o.__module__.startswith("semispray"))
     assert kernel == {}
+
+
+@pytest.fixture(scope="module")
+def stress_perturbed(so3):
+    """The stress model with the anchor entry ``rho[0][1]`` moved by 1e-6:
+    the structure equations fail, so the bracket is not Poisson."""
+    rho = [row[:] for row in so3.chart.rho]
+    rho[0][1] = ex.eadd(rho[0][1], ex.Const(Fraction(1, 10 ** 6)))
+    chart = algebroid.AlgebroidChart(so3.chart.coords, so3.chart.fibers, rho,
+                                     so3.chart.structure)
+    theta = algebroid.AForm(chart, 2, {(0, 1): ex.Var("x3"), (0, 2): ex.eneg(ex.Var("x2")),
+                                       (1, 2): ex.Var("x1")})
+    return algebroid.Fixture("stress_perturbed", chart, ex.parse(STRESS_L, chart.alphabet),
+                             theta)
+
+
+@pytest.fixture()
+def no_residual_trees(monkeypatch):
+    """``check_jacobi`` must not build the residual trees."""
+    def refuse(p):
+        raise AssertionError("jacobi_residuals was entered")
+
+    monkeypatch.setattr(poisson, "jacobi_residuals", refuse)
+
+
+class TestJacobiFromJets:
+    """Brackets with a quotient are checked from jets of their entries."""
+
+    def test_stress_passes_at_every_seed(self, tmp_path, no_residual_trees):
+        # The bracket is Poisson (Theta is closed), so no seed may report a
+        # NONZERO; the residual trees gave false ones from roundoff near the
+        # curve det M = 0.
+        path = tmp_path / "stress.json"
+        path.write_text(json.dumps(STRESS_DOC))
+        for seed in range(40):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["check", "jacobi", str(path), "--seed", str(seed)])
+            report = json.loads(out.getvalue())
+            assert (code, report["status"]) == (0, "pass"), seed
+            assert {item.get("method") for item in report["items"]} == {None, "modular"}
+
+    def test_corrupted_entry_rejected_with_witness(self, stress, no_residual_trees):
+        _, p = bracket_bundle(stress, theta=stress.theta)
+        p.pyy[0][1] = ex.eadd(p.pyy[0][1], ex.Var("x1"))
+        p.pyy[1][0] = ex.eneg(p.pyy[0][1])
+        report = poisson.check_jacobi(p, trials=64, tol=1e-8)
+        failure = report.first_failure
+        assert not report.passed and failure.result.witness is not None
+        assert failure.result.method == "float"
+        assert abs(failure.result.witness_value) > 1e-8
+
+    def test_perturbed_anchor_rejected_with_witness(self, stress_perturbed, no_residual_trees):
+        _, p = bracket_bundle(stress_perturbed, theta=stress_perturbed.theta)
+        report = poisson.check_jacobi(p, seed=13)
+        nonzero = [i.label for i in report.items if i.result.status is ZeroStatus.NONZERO]
+        assert nonzero == ["(x1,y1,y3)", "(x1,y2,y3)", "(x2,y1,y3)", "(x2,y2,y3)", "(y1,y2,y3)"]
+        assert report.first_failure.result.witness is not None
+
+    @pytest.mark.parametrize("name", ["stress", "stress_perturbed"])
+    def test_float_jacobiator_matches_residual_tree(self, name, request):
+        # Away from the curve det M = 0 (x1 >= 0.25 keeps e^x1 above |x2|),
+        # the Jacobiator summed from float jets is the residual tree's value,
+        # to 1e-9 of the Jacobiator's own scale, the sum of its terms' sizes.
+        fixture = request.getfixturevalue(name)
+        _, p = bracket_bundle(fixture, theta=fixture.theta)
+        names = p.coordinate_names()
+        pairs = list(itertools.combinations(range(len(names)), 2))
+        entries = [p.coefficient(a, b) for a, b in pairs]
+        program = ex.Program(entries)
+        trees = [ex.Program([r]) for _, r in poisson.jacobi_residuals(p)]
+        box = ex.Box(ranges={"x1": (0.25, 1.0)})
+        rng = random.Random(2024)
+        for _ in range(20):
+            env = box.sample(names, rng)
+            jets = program.jets(env, names, ex.FLOAT)
+            for tree, (_, terms) in zip(trees, poisson._jacobi_terms(names, pairs, entries)):
+                want = tree.value(env)
+                got = poisson._jacobiator(terms, jets, math.fsum)
+                scale = poisson._jacobiator([(1, k, l, d) for _, k, l, d in terms],
+                                            [(abs(v), [abs(g) for g in grad]) for v, grad in jets],
+                                            math.fsum)
+                assert abs(got - want) <= 1e-9 * scale
+
+    def test_structural_zeros_are_the_literal_zeros_of_the_trees(self, stress, stress_perturbed,
+                                                                 curved_metric, tangent2):
+        # On the quotient brackets of the golden models the structural rule
+        # proves exactly the triples whose residual trees cancel to the
+        # literal 0.
+        exp_metric = algebroid.Fixture(
+            "exp_metric", tangent2.chart,
+            ex.parse("1/2*(exp(x1)*y1^2 + y2^2) + sin(x2)*y1", tangent2.chart.alphabet),
+            algebroid.AForm(tangent2.chart, 2, {(0, 1): ex.Var("x1")}))
+        for fixture in (stress, stress_perturbed, curved_metric, exp_metric):
+            _, p = bracket_bundle(fixture, theta=fixture.theta)
+            report = poisson.check_jacobi(p)
+            proven = [item.result.proven for item in report.items]
+            assert proven == [ex.is_zero_literal(r) for _, r in poisson.jacobi_residuals(p)]
+
+    def test_jets_leave_no_cyclic_garbage(self, stress_perturbed):
+        # The float path caches jets per point in a closure; all of it is
+        # freed by reference counting.
+        _, p = bracket_bundle(stress_perturbed, theta=stress_perturbed.theta)
+        with cyclic_garbage() as found:
+            assert not poisson.check_jacobi(p, seed=3).passed
+        assert [o for o in found if isinstance(o, (ex.Expr, Fraction, types.FunctionType))] == []
 
 
 @pytest.fixture(scope="module", params=[("so3", True), ("cotangent", True),
