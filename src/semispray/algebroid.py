@@ -310,10 +310,6 @@ _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
          (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
 
 
-def epsilon3(i: int, j: int, k: int) -> int:
-    return _EPS3.get((i, j, k), 0)
-
-
 def action_so3() -> Fixture:
     """Action algebroid of the rotation algebra on R^3.
 
@@ -324,78 +320,28 @@ def action_so3() -> Fixture:
     coords = ["x1", "x2", "x3"]
     fibers = ["y1", "y2", "y3"]
     x = [ex.Var(nm) for nm in coords]
-    rho = [[ex.eadd(*(ex.emul(ex.Const(epsilon3(i, j, k)), x[j]) for j in range(3)))
+    rho = [[ex.eadd(*(ex.emul(ex.Const(_EPS3.get((i, j, k), 0)), x[j]) for j in range(3)))
             for k in range(3)] for i in range(3)]
     structure = {}
     for i in range(3):
         for j in range(i + 1, 3):
             for k in range(3):
-                sign = epsilon3(i, j, k)
+                sign = _EPS3.get((i, j, k), 0)
                 if sign:
                     structure[(k, i, j)] = ex.Const(sign)
     chart = AlgebroidChart(coords, fibers, rho, structure, name="action_so3")
     lagrangian = _quadratic_l(chart, [[ex.ONE if i == j else ex.ZERO for j in range(3)] for i in range(3)])
     # Theta_{ij} = eps_{ijk} x^k is closed for this anchor (checked in tests).
-    theta = AForm(chart, 2, {(i, j): ex.eadd(*(ex.emul(ex.Const(epsilon3(i, j, k)), x[k])
+    theta = AForm(chart, 2, {(i, j): ex.eadd(*(ex.emul(ex.Const(_EPS3.get((i, j, k), 0)), x[k])
                                                for k in range(3)))
                              for i in range(3) for j in range(i + 1, 3)})
     return Fixture("action_so3", chart, lagrangian, theta)
 
 
-def cotangent_poisson(pi: Sequence[Sequence[ex.Expr]],
-                      metric: Sequence[Sequence[ex.Expr]]) -> Fixture:
-    """Cotangent algebroid of a Poisson structure with a kinetic Lagrangian.
-
-    ``pi`` is the skew coefficient matrix of the bivector, ``metric`` the
-    symmetric coefficient matrix of the fiberwise-quadratic Lagrangian
-    ``L = 1/2 metric^{ij} y_i y_j``.  The anchor is ``rho^i_j = -pi^{ij}``,
-    the bracket coefficients are ``C^k_{ij} = d(pi^{ij})/dx^k``, and the
-    companion closed 2-section has coefficients ``pi^{ij}`` themselves.
-    """
-    n = len(pi)
-    coords = [f"x{i + 1}" for i in range(n)]
-    fibers = [f"p{i + 1}" for i in range(n)]
-    pi = [[ex.as_expr(v) for v in row] for row in pi]
-    metric = [[ex.as_expr(v) for v in row] for row in metric]
-    if len(metric) != n or any(len(row) != n for row in pi + metric):
-        raise InvalidFixtureParam("pi and metric must be square of equal size")
-    for i in range(n):
-        for j in range(n):
-            if ex.eadd(pi[i][j], pi[j][i]) != ex.ZERO:
-                raise InvalidFixtureParam(f"pi is not skew at ({i + 1},{j + 1})")
-            if ex.eadd(metric[i][j], ex.eneg(metric[j][i])) != ex.ZERO:
-                raise InvalidFixtureParam(f"metric is not symmetric at ({i + 1},{j + 1})")
-    rho = [[ex.eneg(pi[i][j]) for j in range(n)] for i in range(n)]
-    structure = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                value = ex.diff(pi[i][j], coords[k])
-                if not ex.is_zero_literal(value):
-                    structure[(k, i, j)] = value
-    chart = AlgebroidChart(coords, fibers, rho, structure, name="cotangent_poisson")
-    lagrangian = _quadratic_l(chart, metric)
-    theta = AForm(chart, 2, {(i, j): pi[i][j] for i in range(n) for j in range(i + 1, n)})
-    return Fixture("cotangent_poisson", chart, lagrangian, theta)
-
-
 def catalog(name: str, **kwargs) -> Fixture:
-    """Look up a named fixture: ``tangent`` (kwarg ``n``), ``action_so3``,
-    or ``cotangent_poisson`` (kwargs ``pi``, ``metric``)."""
+    """Look up a named fixture: ``tangent`` (kwarg ``n``) or ``action_so3``."""
     if name == "tangent":
         return tangent(kwargs.pop("n", 1))
     if name == "action_so3":
         return action_so3()
-    if name == "cotangent_poisson":
-        n = kwargs.pop("n", 2)
-        pi = kwargs.pop("pi", None)
-        metric = kwargs.pop("metric", None)
-        if pi is None:
-            pi = [[ex.ZERO] * n for _ in range(n)]
-            pi[0][1] = ex.ONE
-            pi[1][0] = ex.MINUS_ONE
-        if metric is None:
-            metric = [[ex.ONE if i == j else ex.ZERO for j in range(len(pi))]
-                      for i in range(len(pi))]
-        return cotangent_poisson(pi, metric)
     raise InvalidFixtureParam(f"unknown fixture {name!r}")

@@ -32,7 +32,9 @@ re-canonicalizes; :func:`simplify` is for trees built from raw nodes.
 
 No trigonometric rewriting, factorization, or root denesting is attempted;
 identities outside the polynomial fragment are certified probabilistically by
-:func:`is_zero`.
+:func:`is_zero`: first exactly at one random point of the prime field F_p
+(:class:`Modular`), and by float sampling only where that point is not 0.
+Every report item reached either way names it in its ``method``.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from __future__ import annotations
 import math
 import random
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -1110,9 +1112,17 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     """Decide whether the canonical tree ``e`` vanishes identically (a tree
     built from raw nodes goes through :func:`simplify` first).
 
-    ``ProvenZero`` iff ``e`` is the literal 0.  Otherwise the expression is
-    sampled by :func:`sample_zero` over its free symbols; ``params`` are
-    bound to fixed values instead of being sampled.
+    ``ProvenZero`` iff ``e`` is the literal 0.  A polynomial, with no
+    ``Div``, ``Func`` or ``Pow`` other than a natural power, is otherwise
+    sampled by :func:`sample_zero` over its free symbols; the canonical form
+    already cancels polynomial identities.  Any other ``e`` is first
+    evaluated exactly at one random point of F_p (:func:`modular_jets`,
+    with up to ``trials`` draws past points singular mod p): a zero there is
+    ``LikelyZero`` with ``method`` ``modular`` and ``trials`` the points
+    drawn, wrong with probability at most ``deg/p``.  A nonzero there, or no
+    regular point, falls back to :func:`sample_zero`, tagged ``method``
+    ``float``, so ``NonZero`` always has a float witness.  ``params`` are
+    bound to fixed values instead of being sampled, exactly mod p.
     """
     require_settings(trials, tol)
     if is_zero_literal(e):
@@ -1120,8 +1130,18 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     params = dict(params or {})
     program = Program([e])
     names = sorted({name for _, name in program.reads} - set(params))
-    return sample_zero(program.value, names, box=box, trials=trials,
-                       tol=tol, seed=seed, params=params)
+    polynomial = all(type(node) is Add or type(node) is Mul
+                     or (type(node) is Pow and type(node.exponent) is int and node.exponent > 0)
+                     for node in program.nodes)
+    if not polynomial:
+        exact, drawn = modular_jets(program, names, (), trials=trials, seed=seed,
+                                    params=params) or (None, 0)
+        if exact is not None and exact[0][0] == 0:  # the value of the one output
+            return ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
+                              method="modular")
+    result = sample_zero(program.value, names, box=box, trials=trials,
+                         tol=tol, seed=seed, params=params)
+    return result if polynomial else replace(result, method="float")
 
 
 def certify(check: str, residuals, box: Optional[Box], trials: int, tol: float,
@@ -1336,7 +1356,7 @@ class Program:
                     grads[slot] = unit
         except KeyError as err:
             raise UnknownSymbol(err.args[0], "evaluation environment") from None
-        norm, total, divide = field.norm, field.sum, field.divide
+        norm, total = field.norm, field.sum
         for (slot, op, args), node in zip(self.ops, self.nodes):
             if op is math.fsum:
                 vals[slot] = total([vals[a] for a in args])
@@ -1350,8 +1370,8 @@ class Program:
                 vals[slot], grads[slot] = v, g
             elif type(node) is Div:
                 num, den = args
-                vals[slot] = v = divide(vals[num], vals[den])
-                r = divide(field.one, vals[den])
+                v, r = field.quotient(vals[num], vals[den])
+                vals[slot] = v
                 grads[slot] = [norm((gn - v * gd) * r) for gn, gd in zip(grads[num], grads[den])]
             else:  # a Pow or a Func of one argument
                 vals[slot], slope = field.unary(node, vals[args[0]])
@@ -1381,7 +1401,10 @@ class _Float:
         except (ValueError, OverflowError) as err:  # fsum of infinities
             raise DomainError(f"overflow in sum: {err}") from None
 
-    divide = staticmethod(_GUARDS["_div"])
+    @staticmethod
+    def quotient(a: float, b: float):
+        """``a / b`` and ``1 / b``, each rounded once."""
+        return _GUARDS["_div"](a, b), _GUARDS["_div"](1.0, b)
 
     @staticmethod
     def unary(node: Expr, v: float):
@@ -1461,8 +1484,10 @@ class Modular:
             raise DomainError("division by zero mod p")
         return pow(x, -1, MODULUS)
 
-    def divide(self, a: int, b: int) -> int:
-        return a * self.inverse(b) % MODULUS
+    def quotient(self, a: int, b: int):
+        """``a / b`` and ``1 / b``, from one inverse."""
+        r = self.inverse(b)
+        return a * r % MODULUS, r
 
     @staticmethod
     def root(v: int, d: int) -> int:
@@ -1500,6 +1525,24 @@ class Modular:
         if node.name == "log":
             return own, self.inverse(v)
         return own, self.inverse(2 * own)
+
+
+def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *,
+                 trials: int, seed: int, params: Mapping[str, Number] = None):
+    """``(jets, drawn)``: the :meth:`Program.jets` of ``program`` along
+    ``along`` in :class:`Modular` arithmetic with ``random.Random(seed)``, at
+    the first of up to ``trials`` uniform random points of F_p over
+    ``names`` (``params`` bound exactly) where nothing is singular mod p,
+    and the number of points drawn; None when every point was singular."""
+    field = Modular(random.Random(seed))
+    for drawn in range(1, trials + 1):
+        env = field.point(names)
+        env.update(params or {})
+        try:
+            return program.jets(env, along, field), drawn
+        except DomainError:
+            continue
+    return None
 
 
 def float_source(value: float) -> str:

@@ -27,7 +27,6 @@ import dataclasses
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
@@ -213,14 +212,7 @@ def _jacobi_from_jets(names: List[str], pairs: List[Tuple[int, int]], entries: L
     ex.require_settings(trials, tol)
     program = ex.Program(entries)
     reads = sorted({name for _, name in program.reads})
-    field = ex.Modular(random.Random(seed))
-    drawn, exact = 0, None
-    while exact is None and drawn < trials:
-        drawn += 1
-        try:
-            exact = program.jets(field.point(reads), names, field)
-        except ex.DomainError:
-            continue
+    exact, drawn = ex.modular_jets(program, reads, names, trials=trials, seed=seed) or (None, 0)
     sampled: dict = {}  # point -> its float jets, or None where singular
 
     def float_jets(env: dict) -> list:

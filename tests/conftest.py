@@ -1,6 +1,62 @@
+from fractions import Fraction
+
 import pytest
 
 from semispray import algebroid, catalog, expr as ex, lagrangian
+from semispray.errors import InvalidFixtureParam
+
+_EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+         (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
+
+
+def epsilon3(i: int, j: int, k: int) -> int:
+    """The alternating symbol on ``{0, 1, 2}``."""
+    return _EPS3.get((i, j, k), 0)
+
+
+def cotangent_poisson(pi=None, metric=None) -> algebroid.Fixture:
+    """Cotangent algebroid of a Poisson structure with a kinetic Lagrangian.
+
+    ``pi`` is the skew coefficient matrix of the bivector (by default the
+    constant plane bivector ``d1 ^ d2``), ``metric`` the symmetric
+    coefficient matrix of the fiberwise-quadratic Lagrangian
+    ``L = 1/2 metric^{ij} y_i y_j`` (by default the identity).  The anchor
+    is ``rho^i_j = -pi^{ij}``, the bracket coefficients are
+    ``C^k_{ij} = d(pi^{ij})/dx^k``, and the companion closed 2-section has
+    coefficients ``pi^{ij}`` themselves.
+    """
+    if pi is None:
+        pi = [[ex.ZERO, ex.ONE], [ex.MINUS_ONE, ex.ZERO]]
+    n = len(pi)
+    if metric is None:
+        metric = [[ex.ONE if i == j else ex.ZERO for j in range(n)] for i in range(n)]
+    coords = [f"x{i + 1}" for i in range(n)]
+    fibers = [f"p{i + 1}" for i in range(n)]
+    pi = [[ex.as_expr(v) for v in row] for row in pi]
+    metric = [[ex.as_expr(v) for v in row] for row in metric]
+    if len(metric) != n or any(len(row) != n for row in pi + metric):
+        raise InvalidFixtureParam("pi and metric must be square of equal size")
+    for i in range(n):
+        for j in range(n):
+            if ex.eadd(pi[i][j], pi[j][i]) != ex.ZERO:
+                raise InvalidFixtureParam(f"pi is not skew at ({i + 1},{j + 1})")
+            if ex.eadd(metric[i][j], ex.eneg(metric[j][i])) != ex.ZERO:
+                raise InvalidFixtureParam(f"metric is not symmetric at ({i + 1},{j + 1})")
+    rho = [[ex.eneg(pi[i][j]) for j in range(n)] for i in range(n)]
+    structure = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(n):
+                value = ex.diff(pi[i][j], coords[k])
+                if not ex.is_zero_literal(value):
+                    structure[(k, i, j)] = value
+    chart = algebroid.AlgebroidChart(coords, fibers, rho, structure, name="cotangent_poisson")
+    p = [ex.Var(nm) for nm in fibers]
+    half = ex.Const(Fraction(1, 2))
+    lagrangian = ex.eadd(*(ex.emul(half, metric[i][j], p[i], p[j])
+                           for i in range(n) for j in range(n)))
+    theta = algebroid.AForm(chart, 2, {(i, j): pi[i][j] for i in range(n) for j in range(i + 1, n)})
+    return algebroid.Fixture("cotangent_poisson", chart, lagrangian, theta)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +81,7 @@ def so3():
 
 @pytest.fixture(scope="session")
 def cotangent():
-    return catalog("cotangent_poisson")
+    return cotangent_poisson()
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +100,7 @@ def curved_cotangent():
     x1 = ex.Var("x1")
     entry = ex.eadd(ex.ONE, ex.emul(x1, x1))
     pi = [[ex.ZERO, entry], [ex.eneg(entry), ex.ZERO]]
-    return algebroid.cotangent_poisson(pi, [[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]])
+    return cotangent_poisson(pi)
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,8 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
+
 from semispray import dynamics, expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
@@ -104,6 +106,39 @@ def reference_value(e, env):
             raise DomainError("square root of a negative value")
         return getattr(math, e.name)(x)
     raise TypeError(f"not an expression: {e!r}")
+
+
+def precise_value(e, env, digits=60):
+    """The value of ``e`` at the float point ``env`` in mpmath at ``digits``
+    significant digits, for a reference free of float roundoff; the caller
+    has checked that ``e`` is defined there."""
+    memo = {}
+
+    def value(node):
+        if node in memo:
+            return memo[node]
+        if isinstance(node, ex.Const):
+            c = Fraction(node.value)
+            v = mpmath.mpf(c.numerator) / c.denominator
+        elif isinstance(node, ex.Var):
+            v = mpmath.mpf(env[node.name])
+        elif isinstance(node, ex.Add):
+            v = mpmath.fsum(value(t) for t in node.terms)
+        elif isinstance(node, ex.Mul):
+            v = mpmath.fprod(value(f) for f in node.factors)
+        elif isinstance(node, ex.Pow):
+            q = node.exponent
+            v = value(node.base) ** (q if q.denominator == 1
+                                     else mpmath.mpf(q.numerator) / q.denominator)
+        elif isinstance(node, ex.Div):
+            v = value(node.num) / value(node.den)
+        else:
+            v = getattr(mpmath, node.name)(value(node.arg))
+        memo[node] = v
+        return v
+
+    with mpmath.workdps(digits):
+        return float(value(e))
 
 
 def reference_subs(e, mapping):

@@ -17,6 +17,7 @@ from semispray import homotopy as ho
 from semispray import lagrangian, poisson, prolongation as pr, twoform
 from semispray.report import ZeroStatus
 
+from conftest import cotangent_poisson
 from helpers import random_polynomial
 
 
@@ -30,7 +31,7 @@ def _report_line(name, ok, detail=""):
 def fixtures():
     return [alg.catalog("tangent", n=1), alg.catalog("tangent", n=2),
             alg.catalog("tangent", n=3), alg.catalog("action_so3"),
-            alg.catalog("cotangent_poisson")]
+            cotangent_poisson()]
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import pytest
 from semispray import algebroid as alg
 from semispray import expr as ex
 from semispray.errors import DegreeError, InvalidFixtureParam
+from conftest import cotangent_poisson, epsilon3
 from helpers import (assert_certified_zero, assert_proven_zero, random_polynomial,
                      reference_value)
 
@@ -93,7 +94,7 @@ class TestValidateStructure:
         x1 = ex.Var("x1")
         entry = ex.eadd(ex.ONE, ex.emul(x1, x1))
         pi = [[ex.ZERO, entry], [ex.eneg(entry), ex.ZERO]]
-        fixture = alg.cotangent_poisson(pi, [[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]])
+        fixture = cotangent_poisson(pi)
         assert fixture.chart.validate_structure().passed
 
 
@@ -196,7 +197,7 @@ class TestCatalog:
         for i in range(3):
             for j in range(3):
                 for k in range(3):
-                    assert chart.c(k, i, j) == ex.Const(alg.epsilon3(i, j, k))
+                    assert chart.c(k, i, j) == ex.Const(epsilon3(i, j, k))
 
     def test_so3_skew_reconstruction(self, so3):
         chart = so3.chart
@@ -207,12 +208,12 @@ class TestCatalog:
 
     def test_cotangent_rejects_non_skew(self):
         with pytest.raises(InvalidFixtureParam):
-            alg.cotangent_poisson([[ex.ZERO, ex.ONE], [ex.ONE, ex.ZERO]],
+            cotangent_poisson([[ex.ZERO, ex.ONE], [ex.ONE, ex.ZERO]],
                                   [[ex.ONE, ex.ZERO], [ex.ZERO, ex.ONE]])
 
     def test_cotangent_rejects_asymmetric_metric(self):
         with pytest.raises(InvalidFixtureParam):
-            alg.cotangent_poisson([[ex.ZERO, ex.ONE], [ex.MINUS_ONE, ex.ZERO]],
+            cotangent_poisson([[ex.ZERO, ex.ONE], [ex.MINUS_ONE, ex.ZERO]],
                                   [[ex.ONE, ex.ONE], [ex.ZERO, ex.ONE]])
 
     def test_unknown_name(self):

@@ -17,7 +17,8 @@ from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
 from helpers import (COEFFS, assert_certified_zero, central_difference, constant_types,
-                     random_raw_tree, reference_diff, reference_subs, reference_value)
+                     precise_value, random_raw_tree, reference_diff, reference_subs,
+                     reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
 
@@ -393,14 +394,18 @@ class TestJets:
     @given(_jet_trees(), st.floats(min_value=0.3, max_value=1.7),
            st.floats(min_value=0.3, max_value=1.7))
     def test_float_jet_matches_the_derivative(self, e, a, b):
+        # The derivative tree is evaluated in mpmath: in floats its expanded
+        # powers of sums round off near a pole (4 - 8 x1 + 4 x1^2 at x1 near
+        # 1) by more than the jet does.
         env = {"x1": a, "x2": b}
+        derivative = ex.diff(e, "x1")
         try:
-            want = ex.evaluate(ex.diff(e, "x1"), env)
+            ex.evaluate(derivative, env)
             (value, gradient), = ex.Program([e]).jets(env, ["x1", "x2"], ex.FLOAT)
         except DomainError:  # a singular point
             assume(False)
         assert value == ex.evaluate(e, env)
-        assert gradient[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert gradient[0] == pytest.approx(precise_value(derivative, env), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_roots_are_unique_in_their_subgroup(self, d):
@@ -435,6 +440,91 @@ class TestJets:
             ex.Program([e]).jets({"x1": 5, "x2": 5}, ["x1"], field)
         with pytest.raises(DomainError):
             ex.Program([e]).jets({"x1": 0.5, "x2": 0.5}, ["x1"], ex.FLOAT)
+
+
+class TestModularFirst:
+    """``is_zero`` decides a residual that is not a polynomial at one point
+    of F_p first, and samples floats only where the lift is not 0."""
+
+    NAMES = ("x1", "x2", "x3")
+    # (E^2 - X^2)/(E - X) - E - X with E = exp(x1), X = x2: zero, but the
+    # canonical form does not factor the numerator.  The denominator is the
+    # stress model's factor e^x1 - x2 of det M, and the box hugs the curve
+    # where it vanishes, so float roundoff in the numerator is magnified.
+    QUOTIENT = "(exp(x1)^2 - x2^2)/(exp(x1) - x2) - exp(x1) - x2"
+    NEAR_CURVE = ex.Box(ranges={"x1": (0.5, 0.5 + 1e-12),
+                                "x2": (math.exp(0.5), math.exp(0.5) + 1e-12),
+                                "x3": (-1.0, 1.0)})
+    # Zero, with a quotient and a negative power of the same denominator.
+    RECIPROCALS = "x1/x2 - x1*x2^(-1)"
+
+    def test_zero_quotient_near_the_singular_curve_is_modular(self):
+        e = ex.parse(self.QUOTIENT, self.NAMES)
+        names = sorted(ex.free_symbols(e))
+        floats = ex.sample_zero(ex.Program([e]).value, names, box=self.NEAR_CURVE,
+                                trials=64, tol=1e-9, seed=0)
+        # Floats alone give a false witness here: its true value is roundoff.
+        assert floats.status is ZeroStatus.NONZERO
+        assert abs(precise_value(e, floats.witness)) < 1e-9
+        result = ex.is_zero(e, box=self.NEAR_CURVE, seed=0)
+        assert (result.status, result.method, result.max_residual, result.trials) == \
+            (ZeroStatus.LIKELY_ZERO, "modular", 0.0, 1)
+
+    def test_perturbed_quotient_is_nonzero_at_a_float_witness(self):
+        # A true 1e-6 term, the size of the stress_perturbed anchor's, is
+        # not hidden by the modular point: the lift is not 0, so floats decide.
+        e = ex.parse(f"{self.QUOTIENT} + x3/1000000", self.NAMES)
+        result = ex.is_zero(e, seed=0)
+        assert (result.status, result.method) == (ZeroStatus.NONZERO, "float")
+        assert abs(result.witness_value) > 1e-9
+        assert result.witness_value == pytest.approx(result.witness["x3"] / 1e6, rel=1e-6)
+
+    def test_lifted_nonzero_falls_back_to_floats(self):
+        e = ex.parse("sin(x1)^2 + cos(x1)^2 - 1", self.NAMES)
+        result = ex.is_zero(e)
+        assert (result.status, result.method, result.trials) == \
+            (ZeroStatus.LIKELY_ZERO, "float", 64)
+        assert result.max_residual <= 1e-15
+
+    def test_singular_points_mod_p_are_redrawn(self, monkeypatch):
+        # A point where a denominator is 0 mod p is skipped, and ``trials``
+        # counts every point drawn.
+        e = ex.parse(self.RECIPROCALS, self.NAMES)
+        draws = iter([{"x1": 3, "x2": 0}, {"x1": 3, "x2": 0}, {"x1": 3, "x2": 5}])
+        monkeypatch.setattr(ex.Modular, "point", lambda self, names: dict(next(draws)))
+        result = ex.is_zero(e, seed=0)
+        assert (result.status, result.method, result.trials) == \
+            (ZeroStatus.LIKELY_ZERO, "modular", 3)
+
+    def test_every_point_singular_falls_back_to_floats(self, monkeypatch):
+        e = ex.parse(self.RECIPROCALS, self.NAMES)
+        monkeypatch.setattr(ex.Modular, "point", lambda self, names: {"x1": 3, "x2": 0})
+        result = ex.is_zero(e, trials=8, seed=0)
+        assert (result.status, result.method, result.trials) == (ZeroStatus.LIKELY_ZERO, "float", 8)
+
+    def test_params_are_bound_exactly_mod_p(self):
+        # With a = 2 bound, x1/(a - x2) - x1/(2 - x2) is zero; a modular point
+        # reads the parameter's exact value, not a draw.
+        names = self.NAMES + ("a",)
+        e = ex.parse("x1/(a - x2) - x1/(2 - x2)", names)
+        result = ex.is_zero(e, params={"a": 2.0})
+        assert (result.status, result.method) == (ZeroStatus.LIKELY_ZERO, "modular")
+        assert ex.is_zero(e, params={"a": 3.0}).status is ZeroStatus.NONZERO
+
+    @pytest.mark.parametrize("text", ["x1^2 - x2^2 + 1/3*x1*x3", "(x1 + x2)^3 - x1^3"])
+    def test_polynomials_draw_no_modular_point(self, text, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a polynomial residual drew a modular point")
+
+        monkeypatch.setattr(ex, "Modular", refuse)
+        result = ex.is_zero(ex.parse(text, self.NAMES), seed=3)
+        assert result.method is None and result.trials == 64
+
+    def test_same_result_as_floats_alone_on_polynomials(self):
+        e = ex.parse("x1^2 - x2^2 + 1/3*x1*x3", self.NAMES)
+        program = ex.Program([e])
+        assert ex.is_zero(e, seed=3) == ex.sample_zero(program.value, ["x1", "x2", "x3"],
+                                                       box=None, trials=64, tol=1e-9, seed=3)
 
 
 class TestCompile:

@@ -67,13 +67,14 @@ MODELS.update(NEGATIVE_MODELS)
 #: Hamiltonian field is the largest tree ``hamiltonian`` prints, its Hessian
 #: the one the flows solve with a runtime row swap, and its sampled
 #: residuals are the largest and most roundoff-prone the checks evaluate.
-#: The ``check_prolongation`` file pins ROADMAP defect (a): its residuals
-#: carry float roundoff near the curve det M = 0 (at this seed it stays under
-#: ``tol``; at about 8% of seeds it does not), and exact verdicts will change
-#: it on purpose.  ``check_jacobi`` passes: the bracket has quotients, so its
-#: verdicts come from jets, exact mod p, with no residual tree to round off.
-#: ``check_spray`` fails truly: the magnetic term of ``Theta`` is linear in
-#: the fibers.
+#: In floats they round off near the curve det M = 0 by more than ``tol``
+#: at some seeds.  None of them is a polynomial, so every one that is not
+#: the literal 0 is decided exactly mod p first: ``check_jacobi`` from the
+#: jets of the bracket entries, ``check_semispray`` and
+#: ``check_prolongation`` item by item, each ``method: modular``, so both
+#: pass at every seed.  ``check_spray`` fails truly: the magnetic term of
+#: ``Theta`` is linear in the fibers, so its fiber items are nonzero mod p
+#: and then at a float witness (``method: float``).
 STRESS_MODELS = {
     "stress": {**MODELS["action_so3"],
                "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2", "seed": 13},
@@ -157,6 +158,27 @@ def test_homotopy_quadrature_leaves_only_roundoff(model, tmp_path):
     items = [item for item in json.loads(stdout)["items"]
              if item["label"].endswith(",nonpolynomial")]
     assert items and all(item["residual_max"] <= 1e-14 for item in items)
+
+
+def test_stress_prolongation_passes_at_every_seed(tmp_path):
+    # The prolongation identities hold for every closed Theta, so no seed
+    # may report a NONZERO; float sampling alone gave false ones from
+    # roundoff near the curve det M = 0.  Every sampled item is decided mod p.
+    for seed in range(40):
+        stdout, code = run_cli("stress", STRESS_MODELS["stress"],
+                               ["check", "prolongation", "--seed", str(seed)], tmp_path)
+        report = json.loads(stdout)
+        assert (code, report["status"]) == (0, "pass"), seed
+        assert {item.get("method") for item in report["items"]} <= {None, "modular"}
+
+
+@pytest.mark.parametrize("model", ["so3_nonclosed", "stress_perturbed"])
+@pytest.mark.parametrize("command", ["validate", "check_jacobi"])
+def test_negative_controls_fail_with_a_witness(model, command, tmp_path):
+    stdout, code = run_case(model, command, tmp_path)
+    report = json.loads(stdout)
+    assert (code, report["status"]) == (1, "fail")
+    assert report["witness"] is not None  # {} where the residual is a constant
 
 
 def test_commands_run_no_simplify_pass(tmp_path, monkeypatch):
