@@ -33,7 +33,8 @@ re-canonicalizes; :func:`simplify` is for trees built from raw nodes.
 No trigonometric rewriting, factorization, or root denesting is attempted;
 identities outside the polynomial fragment are certified probabilistically by
 :func:`is_zero`: first exactly at one random point of the prime field F_p
-(:class:`Modular`), and by float sampling only where that point is not 0.
+(:class:`Modular`), and by float sampling only where that point is not 0 or,
+for a residual with a root, is not drawn.
 Every report item reached either way names it in its ``method``.
 """
 
@@ -1115,14 +1116,16 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
     ``ProvenZero`` iff ``e`` is the literal 0.  A polynomial, with no
     ``Div``, ``Func`` or ``Pow`` other than a natural power, is otherwise
     sampled by :func:`sample_zero` over its free symbols; the canonical form
-    already cancels polynomial identities.  Any other ``e`` is first
-    evaluated exactly at one random point of F_p (:func:`modular_jets`,
-    with up to ``trials`` draws past points singular mod p): a zero there is
-    ``LikelyZero`` with ``method`` ``modular`` and ``trials`` the points
-    drawn, wrong with probability at most ``deg/p``.  A nonzero there, or no
-    regular point, falls back to :func:`sample_zero`, tagged ``method``
-    ``float``, so ``NonZero`` always has a float witness.  ``params`` are
-    bound to fixed values instead of being sampled, exactly mod p.
+    already cancels polynomial identities.  Any other ``e`` with no root
+    (no ``Pow`` with a fractional exponent) is first evaluated exactly at
+    one random point of F_p (:func:`modular_jets`, with up to ``trials``
+    draws past points singular mod p): a zero there is ``LikelyZero`` with
+    ``method`` ``modular`` and ``trials`` the points drawn, wrong with
+    probability at most ``deg/p`` for the degree ``deg`` of the lift
+    :class:`Modular` describes.  A nonzero there, no regular point, or a
+    root falls back to :func:`sample_zero`, tagged ``method`` ``float``, so
+    ``NonZero`` always has a float witness.  ``params`` are bound to fixed
+    values instead of being sampled, exactly mod p.
     """
     require_settings(trials, tol)
     if is_zero_literal(e):
@@ -1135,7 +1138,7 @@ def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
                      for node in program.nodes)
     if not polynomial:
         exact, drawn = modular_jets(program, names, (), trials=trials, seed=seed,
-                                    params=params) or (None, 0)
+                                    params=params)
         if exact is not None and exact[0][0] == 0:  # the value of the one output
             return ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
                               method="modular")
@@ -1442,16 +1445,23 @@ class Modular:
     ``exp(u)``'s its own, ``sqrt(u)``'s ``1/(2 own)``.  Values are then those
     of a lift of the expressions in which every function node is a new
     indeterminate, and the expressions are a specialization of that lift.
-    So a lift that is identically zero proves them zero, and a lift of
-    degree ``deg`` that is not vanishes at a uniform random point with
-    probability at most ``deg/p`` (Schwartz 1980, Zippel 1979).  A lift can
-    be nonzero where the expression is zero (``sin(u)^2 + cos(u)^2 - 1``).
+    So a lift that is identically zero proves them zero, and a lift that is
+    not, a quotient of polynomials whose numerator has degree ``deg``,
+    vanishes at a uniform random point with probability at most ``deg/p``
+    (Schwartz 1980, Zippel 1979).  A lift can be nonzero where the
+    expression is zero (``sin(u)^2 + cos(u)^2 - 1``).
 
     ``b^(n/d)`` is the n-th power of the d-th root of ``b`` in the subgroup
     of order ``m``, the largest divisor of p - 1 prime to d, where that root
     is unique; the roots of one base then multiply as its exponents add, as
     the canonical constructors assume.  A base with no such root, like a
-    zero denominator, raises :class:`DomainError`.
+    zero denominator, raises :class:`DomainError`.  That root is not the
+    value of a lift, and the bound above does not hold through it: it need
+    not be the real root's branch (mod p the root of ``x1^2`` is ``-x1`` at
+    half the points, where the real one is ``|x1|``, and a cube root can
+    differ from the real one by a cube root of unity), so a program with a
+    root can be 0 mod p where it is not 0.  :func:`modular_jets` therefore
+    evaluates no program with a root.
     """
 
     zero, one = 0, 1
@@ -1533,7 +1543,11 @@ def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *
     ``along`` in :class:`Modular` arithmetic with ``random.Random(seed)``, at
     the first of up to ``trials`` uniform random points of F_p over
     ``names`` (``params`` bound exactly) where nothing is singular mod p,
-    and the number of points drawn; None when every point was singular."""
+    and the number of points drawn.  ``jets`` is None when every point was
+    singular, and, with no point drawn, when ``program`` holds a root (see
+    :class:`Modular`)."""
+    if any(type(node) is Pow and type(node.exponent) is not int for node in program.nodes):
+        return None, 0
     field = Modular(random.Random(seed))
     for drawn in range(1, trials + 1):
         env = field.point(names)
@@ -1542,7 +1556,7 @@ def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *
             return program.jets(env, along, field), drawn
         except DomainError:
             continue
-    return None
+    return None, trials
 
 
 def float_source(value: float) -> str:

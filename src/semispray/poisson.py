@@ -191,8 +191,8 @@ def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
       literal 0 or ``P^{bc}`` is free of ``x_d``;
     * ``likely-zero`` with ``method`` ``modular`` when J is 0 in F_p at one
       random point of :class:`~semispray.expr.Modular` (a point where an
-      entry is singular mod p draws another): a false zero has probability
-      at most ``deg/p``;
+      entry is singular mod p draws another, and a bracket with a root
+      draws none): a false zero has probability at most ``deg/p``;
     * else sampled by :func:`~semispray.expr.sample_zero` from float jets,
       with ``method`` ``float``; the jets of a point are computed once for
       every triple that samples it.
@@ -212,7 +212,7 @@ def _jacobi_from_jets(names: List[str], pairs: List[Tuple[int, int]], entries: L
     ex.require_settings(trials, tol)
     program = ex.Program(entries)
     reads = sorted({name for _, name in program.reads})
-    exact, drawn = ex.modular_jets(program, reads, names, trials=trials, seed=seed) or (None, 0)
+    exact, drawn = ex.modular_jets(program, reads, names, trials=trials, seed=seed)
     sampled: dict = {}  # point -> its float jets, or None where singular
 
     def float_jets(env: dict) -> list:

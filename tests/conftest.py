@@ -1,10 +1,11 @@
-from fractions import Fraction
-
 import pytest
 
 from semispray import algebroid, catalog, expr as ex, lagrangian
 from semispray.errors import InvalidFixtureParam
 
+# The alternating symbol, kept apart from ``algebroid``'s own table so that
+# the ``action_so3`` structure constants are checked against an independent
+# reference.
 _EPS3 = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
          (1, 0, 2): -1, (2, 1, 0): -1, (0, 2, 1): -1}
 
@@ -51,10 +52,7 @@ def cotangent_poisson(pi=None, metric=None) -> algebroid.Fixture:
                 if not ex.is_zero_literal(value):
                     structure[(k, i, j)] = value
     chart = algebroid.AlgebroidChart(coords, fibers, rho, structure, name="cotangent_poisson")
-    p = [ex.Var(nm) for nm in fibers]
-    half = ex.Const(Fraction(1, 2))
-    lagrangian = ex.eadd(*(ex.emul(half, metric[i][j], p[i], p[j])
-                           for i in range(n) for j in range(n)))
+    lagrangian = algebroid._quadratic_l(chart, metric)
     theta = algebroid.AForm(chart, 2, {(i, j): pi[i][j] for i in range(n) for j in range(i + 1, n)})
     return algebroid.Fixture("cotangent_poisson", chart, lagrangian, theta)
 

@@ -396,16 +396,23 @@ class TestJets:
     def test_float_jet_matches_the_derivative(self, e, a, b):
         # The derivative tree is evaluated in mpmath: in floats its expanded
         # powers of sums round off near a pole (4 - 8 x1 + 4 x1^2 at x1 near
-        # 1) by more than the jet does.
+        # 1) by more than the jet does.  The jet's own roundoff is allowed as
+        # far as the exact derivative moves between neighbouring floats of
+        # the point: sin(log(x1)^(-2)) at x1 = 0.984375 has a derivative of
+        # -78167.8 that moves by 3.0e-5 per ulp of x1, and a jet 3.4e-7 off.
         env = {"x1": a, "x2": b}
         derivative = ex.diff(e, "x1")
         try:
             ex.evaluate(derivative, env)
             (value, gradient), = ex.Program([e]).jets(env, ["x1", "x2"], ex.FLOAT)
-        except DomainError:  # a singular point
+            want = precise_value(derivative, env)
+            moved = sum(max(abs(precise_value(derivative, {**env, name: step}) - want)
+                            for step in (math.nextafter(x, 0.0), math.nextafter(x, 2.0)))
+                        for name, x in env.items())
+        except (DomainError, TypeError, ZeroDivisionError):  # a singular point or neighbour
             assume(False)
         assert value == ex.evaluate(e, env)
-        assert gradient[0] == pytest.approx(precise_value(derivative, env), rel=1e-12, abs=1e-12)
+        assert abs(gradient[0] - want) <= max(1e-12 * abs(want), 1e-12) + moved
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_roots_are_unique_in_their_subgroup(self, d):
@@ -499,8 +506,30 @@ class TestModularFirst:
     def test_every_point_singular_falls_back_to_floats(self, monkeypatch):
         e = ex.parse(self.RECIPROCALS, self.NAMES)
         monkeypatch.setattr(ex.Modular, "point", lambda self, names: {"x1": 3, "x2": 0})
+        assert ex.modular_jets(ex.Program([e]), ["x1", "x2"], (), trials=8, seed=0) == (None, 8)
         result = ex.is_zero(e, trials=8, seed=0)
         assert (result.status, result.method, result.trials) == (ZeroStatus.LIKELY_ZERO, "float", 8)
+
+    # Nonzero on the default box, but 0 mod p wherever the root mod p is on
+    # the wrong branch: the square root of x1^2 mod p is -x1 at half the
+    # points, and a cube root of x1^3 can be x1 times a cube root of unity w,
+    # where 1 + w + w^2 = 0.
+    ROOTS = ["(x1^2)^(1/2) - x1",
+             "x1^2 + x1*(x1^3)^(1/3) + (x1^3)^(2/3)",
+             "(x1^2*x2)^(1/2) - x1*x2^(1/2)"]
+
+    @pytest.mark.parametrize("text", ROOTS)
+    def test_roots_draw_no_modular_point(self, text, monkeypatch):
+        e = ex.parse(text, self.NAMES)
+        names = sorted(ex.free_symbols(e))
+        results = [ex.is_zero(e, seed=seed) for seed in range(40)]
+        assert {(r.status, r.method) for r in results} == {(ZeroStatus.NONZERO, "float")}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a residual with a root drew a modular point")
+
+        monkeypatch.setattr(ex, "Modular", refuse)
+        assert ex.modular_jets(ex.Program([e]), names, (), trials=8, seed=0) == (None, 0)
 
     def test_params_are_bound_exactly_mod_p(self):
         # With a = 2 bound, x1/(a - x2) - x1/(2 - x2) is zero; a modular point

@@ -349,6 +349,22 @@ class TestJacobiFromJets:
         assert failure.result.method == "float"
         assert abs(failure.result.witness_value) > 1e-8
 
+    def test_root_in_an_entry_is_sampled_in_floats(self, stress, no_residual_trees, monkeypatch):
+        # |x1| - x1, written with a root, is 0 mod p at half the points, where
+        # the root of x1^2 mod p is x1; so a bracket with a root gets no
+        # modular point, and the entry's true -2 x1 for x1 < 0 is found.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bracket with a root drew a modular point")
+
+        monkeypatch.setattr(ex, "Modular", refuse)
+        _, p = bracket_bundle(stress, theta=stress.theta)
+        p.pyy[0][1] = ex.eadd(p.pyy[0][1], ex.parse("(x1^2)^(1/2) - x1", ("x1",)))
+        p.pyy[1][0] = ex.eneg(p.pyy[0][1])
+        report = poisson.check_jacobi(p, seed=0)
+        failure = report.first_failure
+        assert not report.passed and failure.result.method == "float"
+        assert failure.result.witness["x1"] < 0
+
     def test_perturbed_anchor_rejected_with_witness(self, stress_perturbed, no_residual_trees):
         _, p = bracket_bundle(stress_perturbed, theta=stress_perturbed.theta)
         report = poisson.check_jacobi(p, seed=13)
