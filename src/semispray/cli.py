@@ -3,14 +3,19 @@ fields, reports, and trajectories.  ``integrate`` builds no bracket: it
 integrates the factored field ``X = P(x)·∇G`` from the Hessian, the twist
 and the anchor (:class:`~semispray.poisson.FactoredField`).
 
+``check semispray`` and ``check spray`` build no bracket either: they
+decide their residuals from the same factored field, so all three run at
+any rank.
+
 Exit codes: 0 when every check passes; 1 when any residual is certified
 nonzero or the model cannot be processed; 2 on input errors: a malformed
 model, a sampling setting that breaks the rules of :mod:`semispray.model`,
 bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands that
-build the bracket, and a chart or 2-section that ``--strict`` refuses.  Every
-error class has its code in :data:`semispray.errors.EXIT_CODES`.
-Every randomized report embeds the seed it ran with, so identical model +
-seed gives byte-identical output.
+need the exact Hessian inverse (``bracket``, ``hamiltonian``,
+``check jacobi``, ``check prolongation``), and a chart or 2-section that
+``--strict`` refuses.  Every error class has its code in
+:data:`semispray.errors.EXIT_CODES`.  Every randomized report embeds the
+seed it ran with, so identical model + seed gives byte-identical output.
 """
 
 from __future__ import annotations
@@ -144,6 +149,14 @@ def _hamiltonian_target(model: ModelDocument, data, args) -> ex.Expr:
     return ex.eadd(data.EL, model.potential)
 
 
+def _factored(model: ModelDocument, args, box, trials, tol, seed):
+    """``(G, field)``: the Hamiltonian target and its factored field, built
+    with no Hessian inverse, so at any rank."""
+    data, n_matrix = _twisted(model, box, trials, tol, seed, args.strict, inverse=False)
+    g = _hamiltonian_target(model, data, args)
+    return g, poisson.FactoredField(model.chart, data.M, n_matrix, g)
+
+
 def cmd_hamiltonian(model: ModelDocument, args) -> int:
     box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
@@ -169,14 +182,9 @@ def cmd_check(model: ModelDocument, args) -> int:
         _, bivector = _bivector(model, box, trials, tol, seed, args.strict)
         report = poisson.check_jacobi(bivector, box=box, trials=trials, tol=tol, seed=seed)
     elif which in ("semispray", "spray"):
-        data, bivector = _bivector(model, box, trials, tol, seed, args.strict)
-        g = _hamiltonian_target(model, data, args)
-        field = poisson.hamiltonian_field(bivector, g)
-        if which == "semispray":
-            report = poisson.is_semispray(model.chart, field, box=box, trials=trials,
-                                          tol=tol, seed=seed)
-        else:
-            report = poisson.is_spray(field, box=box, trials=trials, tol=tol, seed=seed)
+        _, field = _factored(model, args, box, trials, tol, seed)
+        check = poisson.is_semispray if which == "semispray" else poisson.is_spray
+        report = check(field, box=box, trials=trials, tol=tol, seed=seed)
     elif which == "homotopy":
         ranks = tuple(range(1, min(model.chart.r, 3) + 1))
         report = homotopy.identity_suite(ranks=ranks, forms_per_case=args.forms,
@@ -199,9 +207,7 @@ def cmd_integrate(model: ModelDocument, args) -> int:
     T, h = positive(args.T, "--T"), positive(args.h, "--h")
     if args.method == "rk4" and not math.isfinite(T / h):
         raise ModelError("--h", f"the step count T/h = {T:g}/{h:g} is not finite")
-    data, n_matrix = _twisted(model, box, trials, tol, seed, args.strict, inverse=False)
-    g = _hamiltonian_target(model, data, args)
-    field = poisson.FactoredField(chart, data.M, n_matrix, g)
+    g, field = _factored(model, args, box, trials, tol, seed)
     traj = dynamics.integrate(field, p0, T=T, h=h, method=args.method,
                               invariant=g, params=model.params)
     if args.format == "csv":

@@ -264,8 +264,9 @@ def _factored_stage(field_on_a: FactoredField, bind: Callable[[ex.Expr], ex.Expr
     (i < j), ``rho^i_k`` and the partials of ``G``.  A constant entry has no
     core.  The stage solves ``M u = dG/dy`` by :class:`_Elimination`, forms
     ``X_x = rho u`` and solves ``M X_y = N u - rho^T dG/dx`` on the same
-    elimination.  Where ``dG/dy`` is ``M y`` term for term, as for ``E_L``
-    plus a function of ``x``, ``u`` is ``y`` with no solve."""
+    elimination.  Where :meth:`~semispray.poisson.FactoredField.gradient`
+    finds ``dG/dy`` to be ``M y`` term for term, ``u`` is ``y`` with no
+    solve."""
     chart = field_on_a.chart
     n, r = chart.n, chart.r
     coordinates = {name: i for i, name in enumerate([*chart.coords, *chart.fibers])}
@@ -291,16 +292,12 @@ def _factored_stage(field_on_a: FactoredField, bind: Callable[[ex.Expr], ex.Expr
             exprs.append(e)
         return coeff, ("slot", slots[e])
 
-    hessian = [[bind(field_on_a.M[min(i, j)][max(i, j)]) for j in range(r)] for i in range(r)]
+    hessian, dgx, dgy, solved = field_on_a.gradient(bind)
     m = [[entry(e) for e in row] for row in hessian]
     twist = [[entry(bind(field_on_a.N[i][j])) if i < j else None for j in range(r)]
              for i in range(r)]
     rho = [[entry(bind(v)) for v in row] for row in chart.rho]
-    g = bind(field_on_a.G)
-    gx = [entry(ex.diff(g, name)) for name in chart.coords]
-    dgy = [ex.diff(g, name) for name in chart.fibers]
-    fibers = [ex.Var(name) for name in chart.fibers]
-    solved = dgy == [ex.eadd(*(ex.emul(e, y) for e, y in zip(row, fibers))) for row in hessian]
+    gx = [entry(e) for e in dgx]
     if solved:  # dG/dy = M y, so u = y
         first = [(1.0, ("state", n + k)) for k in range(r)]
     else:

@@ -1538,14 +1538,17 @@ class Modular:
 
 
 def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *,
-                 trials: int, seed: int, params: Mapping[str, Number] = None):
+                 trials: int, seed: int, params: Mapping[str, Number] = None,
+                 finish: Callable = None):
     """``(jets, drawn)``: the :meth:`Program.jets` of ``program`` along
     ``along`` in :class:`Modular` arithmetic with ``random.Random(seed)``, at
     the first of up to ``trials`` uniform random points of F_p over
     ``names`` (``params`` bound exactly) where nothing is singular mod p,
-    and the number of points drawn.  ``jets`` is None when every point was
-    singular, and, with no point drawn, when ``program`` holds a root (see
-    :class:`Modular`)."""
+    and the number of points drawn.  With ``finish``, ``jets`` is
+    ``finish(jets, field)``, and a point where it raises
+    :class:`DomainError` (a zero pivot, say) is singular too.  ``jets`` is
+    None when every point was singular, and, with no point drawn, when
+    ``program`` holds a root (see :class:`Modular`)."""
     if any(type(node) is Pow and type(node.exponent) is not int for node in program.nodes):
         return None, 0
     field = Modular(random.Random(seed))
@@ -1553,7 +1556,8 @@ def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *
         env = field.point(names)
         env.update(params or {})
         try:
-            return program.jets(env, along, field), drawn
+            jets = program.jets(env, along, field)
+            return (jets if finish is None else finish(jets, field)), drawn
         except DomainError:
             continue
     return None, trials

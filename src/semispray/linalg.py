@@ -1,10 +1,12 @@
 """Dense symbolic matrices small enough for cofactor expansion: products,
-determinant, adjugate and the exact inverse.  Numeric solves are the flow's
-own (:mod:`semispray.dynamics`)."""
+determinant, adjugate and the exact inverse; and :func:`solver`, Gaussian
+elimination at a point over the field of :meth:`expr.Program.jets`, in
+floats or mod p, which the semispray and spray checks solve with.  The
+flow's numeric solve is its own generated code (:mod:`semispray.dynamics`)."""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 from . import expr as ex
 
@@ -63,3 +65,42 @@ def inverse(m: Matrix, det: ex.Expr) -> Matrix:
     """Exact inverse: the adjugate over ``det``, the (nonzero) determinant
     of ``m``."""
     return [[ex.ediv(entry, det) for entry in row] for row in adjugate(m)]
+
+
+def solver(a: list, field) -> Callable[[list], list]:
+    """``b -> x`` with ``a x = b``, for a square matrix ``a`` of values of
+    ``field`` (:data:`~semispray.expr.FLOAT` or a
+    :class:`~semispray.expr.Modular`), eliminated once.  The pivot is the
+    entry of largest absolute value: partial pivoting in floats, and mod p
+    some nonzero residue.  A zero pivot, where ``a`` is singular in that
+    field, raises :class:`~semispray.expr.DomainError`."""
+    size = len(a)
+    a = [list(row) for row in a]
+    norm, total = field.norm, field.sum
+    swaps = []
+    for k in range(size):
+        pivot = max(range(k, size), key=lambda i: abs(a[i][k]))
+        if not a[pivot][k]:
+            raise ex.DomainError("singular matrix")
+        swaps.append(pivot)
+        # Only the columns from k on move: each multiplier stays in the row
+        # position it eliminated, where the solve replays it.
+        a[k][k:], a[pivot][k:] = a[pivot][k:], a[k][k:]
+        for i in range(k + 1, size):
+            factor = a[i][k] = field.quotient(a[i][k], a[k][k])[0]
+            for j in range(k + 1, size):
+                a[i][j] = norm(a[i][j] - factor * a[k][j])
+
+    def solve(b: list) -> list:
+        b = list(b)
+        for k, pivot in enumerate(swaps):
+            b[k], b[pivot] = b[pivot], b[k]
+            for i in range(k + 1, size):
+                b[i] = norm(b[i] - a[i][k] * b[k])
+        x = [field.zero] * size
+        for k in reversed(range(size)):
+            rest = total([b[k]] + [-a[k][j] * x[j] for j in range(k + 1, size)])
+            x[k] = field.quotient(rest, a[k][k])[0]
+        return x
+
+    return solve

@@ -10,14 +10,15 @@ and the Hamiltonian vector field convention is ``X_G(h) = {G, h}``, which is
 the convention reproducing the known semispray displays on the tangent
 fixtures (pinned by the acceptance suite).
 
-:func:`check_jacobi` reaches a verdict per coordinate triple in one of two
-ways, fixed by the bracket.  With no quotient in any entry it samples or
-proves the residual trees of :func:`jacobi_residuals`.  With one, it builds
-no tree: a triple is ``proven-zero`` when every term of the Jacobiator is 0
-by structure, ``likely-zero`` with ``method`` ``modular`` when the
-Jacobiator is 0 mod p = 2^61 - 1 at a random point (a false zero has
-probability at most deg/p), and otherwise sampled from float jets with
-``method`` ``float``.
+Checks that build no residual tree decide their items by one loop,
+:func:`_decide`: an item is ``proven-zero`` by structure, ``likely-zero``
+with ``method`` ``modular`` when it is 0 mod p = 2^61 - 1 at one random
+point (a false zero has probability at most deg/p), and otherwise sampled
+in floats with ``method`` ``float``.  :func:`check_jacobi` goes through it
+for a bracket with a quotient (a bracket without one zero-tests the residual
+trees of :func:`jacobi_residuals`).  :func:`is_semispray` and
+:func:`is_spray` always do, on the :class:`FactoredField`: with no Hessian
+inverse, no bracket and no field tree, at any rank.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import collections
 import dataclasses
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Tuple
 
@@ -65,6 +65,23 @@ class FactoredField:
         self.M = M
         self.N = N
         self.G = G
+
+    def gradient(self, bind: Callable[[ex.Expr], ex.Expr] = lambda e: e):
+        """``(hessian, dG/dx, dG/dy, solved)``, with ``bind`` applied to the
+        entries of ``M`` and to ``G``: ``hessian`` is ``M`` read from its
+        upper triangle, and ``solved`` whether ``dG/dy`` is ``hessian · y``
+        term for term, as for ``E_L`` plus a function of ``x``.  Then ``u``
+        is ``y`` with no solve, and ``X_x - rho y = rho (u - y)`` is 0: the
+        paper's semispray identity."""
+        r = self.chart.r
+        hessian = [[bind(self.M[min(i, j)][max(i, j)]) for j in range(r)] for i in range(r)]
+        g = bind(self.G)
+        dgx = [ex.diff(g, name) for name in self.chart.coords]
+        dgy = [ex.diff(g, name) for name in self.chart.fibers]
+        fibers = [ex.Var(name) for name in self.chart.fibers]
+        solved = dgy == [ex.eadd(*(ex.emul(e, y) for e, y in zip(row, fibers)))
+                         for row in hessian]
+        return hessian, dgx, dgy, solved
 
 
 class PoissonBivector:
@@ -184,58 +201,71 @@ def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
     A bracket with no quotient in it is checked on :func:`jacobi_residuals`,
     where the canonical form cancels the identity to the literal 0
     (``proven-zero``) or the residual is sampled.  A bracket with a quotient
-    is checked from the jets of its upper-triangle entries, with no residual
-    tree: ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``.  A triple is then
-
-    * ``proven-zero`` when every term is 0 by structure: ``P^{ad}`` is the
-      literal 0 or ``P^{bc}`` is free of ``x_d``;
-    * ``likely-zero`` with ``method`` ``modular`` when J is 0 in F_p at one
-      random point of :class:`~semispray.expr.Modular` (a point where an
-      entry is singular mod p draws another, and a bracket with a root
-      draws none): a false zero has probability at most ``deg/p``;
-    * else sampled by :func:`~semispray.expr.sample_zero` from float jets,
-      with ``method`` ``float``; the jets of a point are computed once for
-      every triple that samples it.
+    is checked by :func:`_decide` from the jets of its upper-triangle
+    entries, with no residual tree:
+    ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``.  A triple is
+    ``proven-zero`` when every term is 0 by structure: ``P^{ad}`` is the
+    literal 0 or ``P^{bc}`` is free of ``x_d``.
     """
     names = p.coordinate_names()
     pairs = list(itertools.combinations(range(len(names)), 2))
     entries = [p.coefficient(a, b) for a, b in pairs]
     if not any(isinstance(node, ex.Div) for node in ex.distinct_nodes(*entries)):
         return ex.certify("jacobi", jacobi_residuals(p), box, trials, tol, seed)
-    return _jacobi_from_jets(names, pairs, entries, box, trials, tol, seed)
+    labels, triples = zip(*_jacobi_terms(names, pairs, entries))
+
+    def values(jets, field) -> list:
+        return [_jacobiator(terms, jets, field.sum) for terms in triples]
+
+    return _decide("jacobi", labels, [not terms for terms in triples], ex.Program(entries),
+                   names, values, box, trials, tol, seed)
 
 
-def _jacobi_from_jets(names: List[str], pairs: List[Tuple[int, int]], entries: List[ex.Expr],
-                      box: ex.Box, trials: int, tol: float, seed: int) -> ValidationReport:
-    """The verdicts of :func:`check_jacobi` for a bracket with quotients,
-    from the jets of its upper-triangle ``entries`` at ``pairs``."""
+def _decide(check: str, labels, proven, program: ex.Program, along, values,
+            box: ex.Box, trials: int, tol: float, seed: int) -> ValidationReport:
+    """The report of ``check`` on the items ``labels``, from the jets of
+    ``program`` along ``along``: ``values(jets, field)`` gives every item's
+    value from them, in the field's arithmetic, and raises
+    :class:`~semispray.expr.DomainError` where the point is singular.  An
+    item is
+
+    * ``proven-zero`` where ``proven`` says so;
+    * ``likely-zero`` with ``method`` ``modular`` when its value is 0 in F_p
+      at one random point of :class:`~semispray.expr.Modular` (a singular
+      point draws another, and a program with a root draws none): a false
+      zero has probability at most ``deg/p``;
+    * else sampled by :func:`~semispray.expr.sample_zero` over the names the
+      program reads, with ``method`` ``float``; the values at a point are
+      computed once for every item that samples it, and a singular point is
+      skipped.
+    """
     ex.require_settings(trials, tol)
-    program = ex.Program(entries)
     reads = sorted({name for _, name in program.reads})
-    exact, drawn = ex.modular_jets(program, reads, names, trials=trials, seed=seed)
-    sampled: dict = {}  # point -> its float jets, or None where singular
+    exact, drawn = ex.modular_jets(program, reads, along, trials=trials, seed=seed,
+                                   finish=values)
+    sampled: dict = {}  # point -> its float values, or None where singular
 
-    def float_jets(env: dict) -> list:
+    def at(env: dict) -> list:
         point = tuple(env[name] for name in reads)
         if point not in sampled:
             try:
-                sampled[point] = program.jets(env, names, ex.FLOAT)
+                sampled[point] = values(program.jets(env, along, ex.FLOAT), ex.FLOAT)
             except ex.DomainError:
                 sampled[point] = None
         if sampled[point] is None:
-            raise ex.DomainError("a bracket entry or partial is singular here")
+            raise ex.DomainError("the check is singular here")
         return sampled[point]
 
-    report = ValidationReport(check="jacobi", seed=seed)
-    for label, terms in _jacobi_terms(names, pairs, entries):
-        if not terms:
+    report = ValidationReport(check=check, seed=seed)
+    for k, label in enumerate(labels):
+        if proven[k]:
             result = ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
-        elif exact is not None and _jacobiator(terms, exact, ex.Modular.sum) == 0:
+        elif exact is not None and exact[k] == 0:
             result = ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
                                 method="modular")
         else:
-            result = ex.sample_zero(lambda env: _jacobiator(terms, float_jets(env), math.fsum),
-                                    reads, box=box, trials=trials, tol=tol, seed=seed)
+            result = ex.sample_zero(lambda env, k=k: at(env)[k], reads, box=box,
+                                    trials=trials, tol=tol, seed=seed)
             result = dataclasses.replace(result, method="float")
         report.add(label, result)
     return report
@@ -282,29 +312,115 @@ def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
     return VectorFieldOnA(p.chart, components[:n], components[n:])
 
 
-def is_semispray(chart: AlgebroidChart, field: VectorFieldOnA, box: ex.Box = None,
-                 trials: int = 64, tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """Residuals ``Vx^i - y^j rho^i_j`` of the base-projection condition."""
-    expected = linalg.mat_vec(chart.rho, [ex.Var(nm) for nm in chart.fibers])
-    return ex.certify("semispray", ((f"d/d{chart.coords[i]}",
-                                     ex.eadd(field.vx[i], ex.eneg(expected[i])))
-                                    for i in range(chart.n)),
-                      box, trials, tol, seed)
+class _FactoredResiduals:
+    """The residuals of :func:`is_semispray` (base items) or
+    :func:`is_spray` (base items, then fiber items) of a factored field, as
+    one :class:`~semispray.expr.Program` of its data and the solves that
+    turn the program's jets into them.
+
+    The program computes the upper triangles of ``M`` and ``N``, ``rho``,
+    ``dG/dx``, ``dG/dy`` and ``y``.  With ``M u = dG/dy`` (``u = y`` where
+    :meth:`FactoredField.gradient` says ``solved``), ``R = N u - rho^T dG/dx``
+    and ``E = y^k d/dy^k``, so that ``X_x = rho u`` and ``X_y = M^-1 R``:
+
+    * the semispray residual is ``X_x - rho y = rho (u - y)``;
+    * the spray base residual is ``E X_x - X_x = rho (E u - u)``, with
+      ``E u = M^-1 (E dG/dy - (E M) u)``;
+    * the spray fiber residual is
+      ``E X_y - 2 X_y = M^-1 (E R - (E M) X_y - 2 R)``.
+
+    The jets run along the fibers for the spray, where ``E f`` is
+    ``y · grad f``, and along nothing for the semispray.  The base items
+    are proven when ``solved``."""
+
+    def __init__(self, field: FactoredField, spray: bool):
+        chart = field.chart
+        n, r = chart.n, chart.r
+        hessian, dgx, dgy, self.solved = field.gradient()
+        self.spray, self.n, self.r = spray, n, r
+        self.upper = list(itertools.combinations_with_replacement(range(r), 2))
+        self.strict = list(itertools.combinations(range(r), 2))
+        self.labels = [f"d/d{name}" for name in chart.coords]
+        self.proven = [self.solved] * n
+        if spray:
+            self.labels += [f"d/d{name}" for name in chart.fibers]
+            self.proven += [False] * r
+        self.along = list(chart.fibers) if spray else []
+        self.outputs = ([hessian[i][j] for i, j in self.upper]
+                        + [field.N[i][j] for i, j in self.strict]
+                        + [v for row in chart.rho for v in row]
+                        + dgx + dgy + [ex.Var(name) for name in chart.fibers])
+
+    def values(self, jets: list, field) -> list:
+        """Every residual from the jets of ``Program(self.outputs)``, in the
+        arithmetic of ``field``; a zero pivot raises
+        :class:`~semispray.expr.DomainError`."""
+        n, r, total = self.n, self.r, field.sum
+        jets = iter(jets)
+        m = [[None] * r for _ in range(r)]
+        for i, j in self.upper:
+            m[i][j] = m[j][i] = next(jets)
+        twist = [[] for _ in range(r)]  # row k: (l, sign, jet) for l != k
+        for i, j in self.strict:
+            jet = next(jets)
+            twist[i].append((j, 1, jet))
+            twist[j].append((i, -1, jet))
+        rho = [[next(jets)[0] for _ in range(r)] for _ in range(n)]
+        gx = [next(jets) for _ in range(n)]
+        gy = [next(jets) for _ in range(r)]
+        y = [next(jets)[0] for _ in range(r)]
+
+        def euler(jet):
+            return total([yk * dk for yk, dk in zip(y, jet[1])])
+
+        solve = linalg.solver([[v for v, _ in row] for row in m], field)
+        u = y if self.solved else solve([v for v, _ in gy])
+        if not self.spray:
+            return [total([rho[i][k] * (u[k] - y[k]) for k in range(r)]) for i in range(n)]
+        em = [[euler(jet) for jet in row] for row in m]
+        eu = y if self.solved else solve([total([euler(gy[k])] + [-em[k][j] * u[j]
+                                                                  for j in range(r)])
+                                          for k in range(r)])
+        base = [total([rho[i][k] * (eu[k] - u[k]) for k in range(r)]) for i in range(n)]
+        rhs = [total([sign * jet[0] * u[l] for l, sign, jet in twist[k]]
+                     + [-rho[i][k] * gx[i][0] for i in range(n)]) for k in range(r)]
+        e_rhs = [total([sign * (euler(jet) * u[l] + jet[0] * eu[l])
+                        for l, sign, jet in twist[k]]
+                       + [-rho[i][k] * euler(gx[i]) for i in range(n)]) for k in range(r)]
+        xy = solve(rhs)
+        fiber = solve([total([e_rhs[k], -2 * rhs[k]] + [-em[k][j] * xy[j] for j in range(r)])
+                       for k in range(r)])
+        return base + fiber
 
 
-def is_spray(field: VectorFieldOnA, box: ex.Box = None, trials: int = 64,
+def _factored_check(check: str, field: FactoredField, spray: bool, box: ex.Box,
+                    trials: int, tol: float, seed: int) -> ValidationReport:
+    ex.require_settings(trials, tol)
+    residuals = _FactoredResiduals(field, spray)
+    if all(residuals.proven):
+        report = ValidationReport(check=check, seed=seed)
+        for label in residuals.labels:
+            report.add(label, ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0))
+        return report
+    return _decide(check, residuals.labels, residuals.proven, ex.Program(residuals.outputs),
+                   residuals.along, residuals.values, box, trials, tol, seed)
+
+
+def is_semispray(field: FactoredField, box: ex.Box = None, trials: int = 64,
+                 tol: float = 1e-9, seed: int = 0) -> ValidationReport:
+    """Residuals ``X_x^i - rho^i_k y^k`` of the base-projection condition,
+    one per base coordinate, decided from the factored field (see
+    :class:`_FactoredResiduals`): every item is ``proven-zero`` when
+    ``dG/dy`` is ``M y`` term for term, else decided by :func:`_decide`."""
+    return _factored_check("semispray", field, False, box, trials, tol, seed)
+
+
+def is_spray(field: FactoredField, box: ex.Box = None, trials: int = 64,
              tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """Residuals of ``[E, V] - V`` against the fiber dilation field
+    """Residuals of ``[E, X] - X`` against the fiber dilation field
     ``E = y^k d/dy^k``: base components must be fiberwise homogeneous of
-    degree 1 and fiber components of degree 2."""
-    chart = field.chart
-
-    def euler_degree(component: ex.Expr, degree: int) -> ex.Expr:
-        radial = ex.eadd(*(ex.emul(ex.Var(nm), ex.diff(component, nm)) for nm in chart.fibers))
-        return ex.eadd(radial, ex.emul(ex.Const(-degree), component))
-
-    legs = [(name, component, 1) for name, component in zip(chart.coords, field.vx)]
-    legs += [(name, component, 2) for name, component in zip(chart.fibers, field.vy)]
-    return ex.certify("spray", ((f"d/d{name}", euler_degree(component, degree))
-                                for name, component, degree in legs),
-                      box, trials, tol, seed)
+    degree 1 and fiber components of degree 2.  Decided from the factored
+    field (see :class:`_FactoredResiduals`): the base items are
+    ``proven-zero`` when ``dG/dy`` is ``M y`` term for term, and every other
+    item is decided by :func:`_decide` from jets along the fibers."""
+    return _factored_check("spray", field, True, box, trials, tol, seed)

@@ -49,10 +49,17 @@ def built(fixtures, curved):
     return out
 
 
-def _bivector(fixture, data, theta):
+def _twist(fixture, data, theta):
     section = twoform.ThetaSection(theta) if theta is not None else None
-    n = twoform.assemble_N(data, fixture.chart, section)
-    return poisson.build_bracket(fixture.chart, data, n)
+    return twoform.assemble_N(data, fixture.chart, section)
+
+
+def _bivector(fixture, data, theta):
+    return poisson.build_bracket(fixture.chart, data, _twist(fixture, data, theta))
+
+
+def _factored(fixture, data, theta, g):
+    return poisson.FactoredField(fixture.chart, data.M, _twist(fixture, data, theta), g)
 
 
 def _potentials(chart):
@@ -95,11 +102,9 @@ def test_criterion_02_semispray_family(fixtures, built):
         data = built[fixture.label]
         twists = [None] + ([fixture.theta] if fixture.theta is not None else [])
         for theta in twists:
-            bivector = _bivector(fixture, data, theta)
             for potential in _potentials(fixture.chart):
                 g = data.EL if potential is None else ex.eadd(data.EL, potential)
-                field = poisson.hamiltonian_field(bivector, g)
-                report = poisson.is_semispray(fixture.chart, field,
+                report = poisson.is_semispray(_factored(fixture, data, theta, g),
                                               trials=64, tol=1e-10)
                 if not report.passed:
                     ok = False
@@ -264,8 +269,7 @@ def test_criterion_09_spray_criteria(curved, built):
     ok = True
     details = []
     data = built[curved.label]
-    bivector = _bivector(curved, data, None)
-    field = poisson.hamiltonian_field(bivector, data.EL)
+    field = _factored(curved, data, None, data.EL)
     if not poisson.is_spray(field).passed:
         ok = False
         details.append("metric flow failed the homogeneity residuals")
@@ -278,7 +282,7 @@ def test_criterion_09_spray_criteria(curved, built):
             if abs(a - b) > 1e-6:
                 ok = False
                 details.append(f"flow homogeneity broken at lambda={lam}")
-    forced = poisson.hamiltonian_field(bivector, ex.eadd(data.EL, ex.Var("x1")))
+    forced = _factored(curved, data, None, ex.eadd(data.EL, ex.Var("x1")))
     if poisson.is_spray(forced).passed:
         ok = False
         details.append("potential-forced flow must fail the spray check")

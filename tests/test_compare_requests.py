@@ -2,6 +2,7 @@
 bad arguments.  A full comparison runs 540 requests twice, so it is left to
 the command line."""
 
+import collections
 import importlib.util
 import json
 import pathlib
@@ -70,3 +71,15 @@ def test_json_objects_are_compared_leaf_by_leaf():
     assert tool._json_difference('{"a": 1}', '{"a": 1}\n') is None
     assert tool._json_difference("[1]", "[2]") is None
     assert tool._json_difference("t,x1\r\n0,1\r\n", '{"a": 1}') is None
+
+
+def test_differing_requests_are_counted_per_workload_and_command():
+    tool = _load_tool()
+    counts = collections.Counter({("certify_sampled", "check spray"): 9,
+                                  ("certify_exact", "check spray"): 3,
+                                  ("certify_sampled", "check semispray"): 9,
+                                  ("flow", "integrate"): 0})
+    assert tool.tally(counts) == ["certify_exact check spray: 3",
+                                  "certify_sampled check semispray: 9",
+                                  "certify_sampled check spray: 9"]
+    assert tool.tally(collections.Counter()) == []

@@ -287,7 +287,9 @@ class TestOrderAndHomogeneity:
         # Scaling the fiber by lambda and the time by 1/lambda reaches the
         # same base point; asserted only because the field passed is_spray.
         g, field = hamiltonian_flow(curved_metric)
-        assert poisson.is_spray(field).passed
+        data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
+        n = twoform.assemble_N(data, curved_metric.chart)
+        assert poisson.is_spray(poisson.FactoredField(curved_metric.chart, data.M, n, g)).passed
         p0 = ex.ChartPoint((0.3, 0.4), (1.0, 1.2))
         reference = dynamics.integrate(field, p0, T=1.0, h=1e-3)
         scaled_start = ex.ChartPoint(p0.x, tuple(lam * v for v in p0.y))

@@ -510,6 +510,23 @@ class TestModularFirst:
         result = ex.is_zero(e, trials=8, seed=0)
         assert (result.status, result.method, result.trials) == (ZeroStatus.LIKELY_ZERO, "float", 8)
 
+    def test_a_point_the_finish_finds_singular_is_drawn_past(self):
+        # The finish runs inside the same guard as the jets: a DomainError
+        # from it (a zero pivot, say) draws the next point.
+        program = ex.Program([ex.parse("x1 + x2", self.NAMES)])
+        calls = []
+
+        def finish(jets, field):
+            calls.append(jets[0][0])
+            if len(calls) == 1:
+                raise ex.DomainError("singular")
+            return [jets[0][0] * 2 % ex.MODULUS]
+
+        got, drawn = ex.modular_jets(program, ["x1", "x2"], (), trials=8, seed=0,
+                                     finish=finish)
+        assert drawn == 2 and got == [calls[1] * 2 % ex.MODULUS]
+        assert calls[0] != calls[1]
+
     # Nonzero on the default box, but 0 mod p wherever the root mod p is on
     # the wrong branch: the square root of x1^2 mod p is -x1 at half the
     # points, and a cube root of x1^3 can be x1 times a cube root of unity w,

@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from semispray import cli, expr as ex
+from semispray import cli, expr as ex, lagrangian, poisson
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,11 +70,12 @@ MODELS.update(NEGATIVE_MODELS)
 #: In floats they round off near the curve det M = 0 by more than ``tol``
 #: at some seeds.  None of them is a polynomial, so every one that is not
 #: the literal 0 is decided exactly mod p first: ``check_jacobi`` from the
-#: jets of the bracket entries, ``check_semispray`` and
-#: ``check_prolongation`` item by item, each ``method: modular``, so both
-#: pass at every seed.  ``check_spray`` fails truly: the magnetic term of
-#: ``Theta`` is linear in the fibers, so its fiber items are nonzero mod p
-#: and then at a float witness (``method: float``).
+#: jets of the bracket entries and ``check_prolongation`` item by item,
+#: each ``method: modular``, so both pass at every seed.
+#: ``check_semispray`` is proven by the identity ``dG/dy = M y``, as are
+#: the base items of ``check_spray``, which fails truly: the magnetic term
+#: of ``Theta`` is linear in the fibers, so its fiber items are nonzero mod
+#: p and then at a float witness (``method: float``).
 STRESS_MODELS = {
     "stress": {**MODELS["action_so3"],
                "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2", "seed": 13},
@@ -179,6 +180,24 @@ def test_negative_controls_fail_with_a_witness(model, command, tmp_path):
     report = json.loads(stdout)
     assert (code, report["status"]) == (1, "fail")
     assert report["witness"] is not None  # {} where the residual is a constant
+
+
+@pytest.mark.parametrize("model", ["stress", "curved_metric", "exp_metric"])
+@pytest.mark.parametrize("command", ["check_semispray", "check_spray"])
+def test_semispray_and_spray_build_no_tree(model, command, tmp_path, monkeypatch):
+    # Both checks decide their residuals from the factored field: with the
+    # bracket, the field trees and the Hessian inverse refused, they still
+    # print their golden bytes.
+    def refuse(*args):
+        raise AssertionError("a tree path was entered")
+
+    monkeypatch.setattr(poisson, "build_bracket", refuse)
+    monkeypatch.setattr(poisson, "hamiltonian_field", refuse)
+    monkeypatch.setattr(lagrangian.LagrangianData, "Minv", property(refuse))
+    stdout, code = run_case(model, command, tmp_path)
+    name = f"{model}__{command}"
+    assert code == _expected_codes()[name]
+    assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 
 
 def test_commands_run_no_simplify_pass(tmp_path, monkeypatch):

@@ -286,7 +286,9 @@ class TestCliCommands:
         (["bracket"], 2), (["hamiltonian"], 2),
         # The flow solves with the Hessian pointwise and needs no inverse.
         (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1", "--T", "0.01", "--h", "1e-3"], 0),
-        (["check", "jacobi"], 2), (["check", "semispray"], 2), (["check", "spray"], 2),
+        (["check", "jacobi"], 2),
+        # Both decide their residuals from the factored field, with no inverse.
+        (["check", "semispray"], 0), (["check", "spray"], 0),
         (["check", "prolongation"], 2),
         # These two never build the bracket, so the rank check leaves them alone.
         (["validate"], 0), (["check", "homotopy", "--forms", "1"], 0),
@@ -300,6 +302,24 @@ class TestCliCommands:
         if expected_code == 2:
             assert out == ""
             assert capsys.readouterr().err.startswith("input error: r: ")
+
+    def test_rank_five_curved_metric_is_a_semispray_and_a_spray(self, tmp_path):
+        # Above the rank of the symbolic inverse: dG/dy = M y proves every
+        # base item, and the fiber items of the spray are 0 mod p.
+        doc = {**TANGENT5_DOC,
+               "L": "1/2*(" + " + ".join(f"(1 + x{i}^2)*y{i}^2" for i in range(1, 6)) + ")"}
+        path = tmp_path / "curved5.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_cli(["check", "semispray", str(path)])
+        payload = json.loads(out)
+        assert code == 0 and len(payload["items"]) == 5
+        assert {item["status"] for item in payload["items"]} == {"proven-zero"}
+        code, out = run_cli(["check", "spray", str(path)])
+        items = json.loads(out)["items"]
+        assert code == 0 and len(items) == 10
+        assert [item["status"] for item in items[:5]] == ["proven-zero"] * 5
+        assert {(item["status"], item.get("method")) for item in items[5:]} == {
+            ("likely-zero", "modular")}
 
     def test_rank_five_flow_is_free_motion(self, tmp_path):
         path = tmp_path / "tangent5.json"

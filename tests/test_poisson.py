@@ -12,10 +12,12 @@ from fractions import Fraction
 import pytest
 
 from semispray import algebroid, cli, expr as ex
-from semispray import homotopy, lagrangian, poisson, twoform
+from semispray import homotopy, lagrangian, linalg, poisson, twoform
+from semispray.model import load_model
 from semispray.report import ZeroStatus
 
 from helpers import assert_proven_zero, cyclic_garbage, random_polynomial
+from test_golden_cli import MODELS as GOLDEN_MODELS
 
 
 def bracket_bundle(fixture, theta=None, data=None):
@@ -23,6 +25,14 @@ def bracket_bundle(fixture, theta=None, data=None):
     section = twoform.ThetaSection(theta) if theta is not None else None
     n = twoform.assemble_N(data, fixture.chart, section)
     return data, poisson.build_bracket(fixture.chart, data, n)
+
+
+def factored_field(fixture, theta=None, data=None, g=None):
+    """The factored Hamiltonian field of ``g`` (default ``E_L``)."""
+    data = data or lagrangian.build(fixture.lagrangian, fixture.chart)
+    section = twoform.ThetaSection(theta) if theta is not None else None
+    n = twoform.assemble_N(data, fixture.chart, section)
+    return poisson.FactoredField(fixture.chart, data.M, n, data.EL if g is None else g)
 
 
 class TestBuildBracket:
@@ -108,8 +118,8 @@ class TestJacobi:
         _, p = bracket_bundle(fixture, theta=fixture.theta, data=data)
         report = poisson.check_jacobi(p)
         assert report.passed and report.all_proven
-        field = poisson.hamiltonian_field(p, data.EL)
-        assert poisson.is_semispray(fixture.chart, field, tol=1e-10).passed
+        field = factored_field(fixture, theta=fixture.theta, data=data)
+        assert poisson.is_semispray(field, tol=1e-10).passed
 
     def test_non_closed_twist_detected(self, so3, lagrangian_data):
         # The Jacobi checker doubles as a detector for invalid twists: a
@@ -163,27 +173,31 @@ class TestSemisprayPredicate:
         for fixture in catalog_fixtures:
             data = lagrangian_data(fixture)
             for theta in (None, fixture.theta):
-                _, p = bracket_bundle(fixture, theta=theta, data=data)
-                field = poisson.hamiltonian_field(p, data.EL)
-                report = poisson.is_semispray(fixture.chart, field, tol=1e-10)
-                assert report.passed, f"{fixture.label} theta={theta is not None}"
+                field = factored_field(fixture, theta=theta, data=data)
+                report = poisson.is_semispray(field, tol=1e-10)
+                assert report.passed and report.all_proven, \
+                    f"{fixture.label} theta={theta is not None}"
 
-    def test_wrong_base_component(self, tangent1):
-        bad = poisson.VectorFieldOnA(tangent1.chart, [ex.parse("y1^2", ("y1",))], [ex.ZERO])
-        report = poisson.is_semispray(tangent1.chart, bad)
+    def test_wrong_base_component(self, tangent1, lagrangian_data):
+        # G = E_L + y1^3 breaks dG/dy = M y: X_x - y1 = 3 y1^2 is nonzero
+        # mod p and then at a float witness.
+        data = lagrangian_data(tangent1)
+        g = ex.eadd(data.EL, ex.parse("y1^3", ("y1",)))
+        report = poisson.is_semispray(factored_field(tangent1, data=data, g=g))
         assert not report.passed
+        result = report.items[0].result
+        assert result.status is ZeroStatus.NONZERO and result.method == "float"
+        assert result.witness_value == pytest.approx(3 * result.witness["y1"] ** 2)
 
 
 class TestSprayPredicate:
     def test_metric_flow_is_spray(self, so3, curved_metric):
         for fixture in (so3, curved_metric):
-            data, p = bracket_bundle(fixture)
-            field = poisson.hamiltonian_field(p, data.EL)
-            assert poisson.is_spray(field).passed
+            assert poisson.is_spray(factored_field(fixture)).passed
 
-    def test_potential_breaks_homogeneity(self, tangent1):
-        data, p = bracket_bundle(tangent1)
-        field = poisson.hamiltonian_field(p, ex.eadd(data.EL, ex.Var("x1")))
+    def test_potential_breaks_homogeneity(self, tangent1, lagrangian_data):
+        data = lagrangian_data(tangent1)
+        field = factored_field(tangent1, data=data, g=ex.eadd(data.EL, ex.Var("x1")))
         report = poisson.is_spray(field)
         assert not report.passed
         # The fiber residual of the dilation bracket is the constant 2.
@@ -192,9 +206,95 @@ class TestSprayPredicate:
         assert fiber_item.result.max_residual == pytest.approx(2.0)
 
     def test_quadratic_fiber_coefficient(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")],
-                                       [ex.parse("y1^2", ("y1",))])
+        # G = y1^2/2 - x1*y1^2 with M = 1 gives X = ((1 - 2 x1) y1, y1^2):
+        # degree 1 on the base and 2 on the fiber, though no semispray.
+        g = ex.parse("1/2*y1^2 - x1*y1^2", tangent1.chart.alphabet)
+        field = factored_field(tangent1, g=g)
         assert poisson.is_spray(field).passed
+        assert not poisson.is_semispray(field).passed
+
+
+def tree_residuals(chart, field, spray):
+    """The residuals of the bracket-built field ``field``: ``X_x - rho y``,
+    or ``E(X) - deg X`` with ``E = y^k d/dy^k``, degree 1 on the base and 2
+    on the fiber."""
+    fibers = [ex.Var(name) for name in chart.fibers]
+    if not spray:
+        expected = linalg.mat_vec(chart.rho, fibers)
+        return [ex.eadd(v, ex.eneg(e)) for v, e in zip(field.vx, expected)]
+
+    def euler(component, degree):
+        radial = ex.eadd(*(ex.emul(y, ex.diff(component, y.name)) for y in fibers))
+        return ex.eadd(radial, ex.emul(ex.Const(-degree), component))
+
+    return [euler(c, 1) for c in field.vx] + [euler(c, 2) for c in field.vy]
+
+
+def factored_residuals(field, spray):
+    """``env -> residuals``: the residuals :func:`poisson.is_semispray` or
+    :func:`poisson.is_spray` decide, at a float point."""
+    residuals = poisson._FactoredResiduals(field, spray)
+    program = ex.Program(residuals.outputs)
+    return lambda env: residuals.values(program.jets(env, residuals.along, ex.FLOAT), ex.FLOAT)
+
+
+def optional(value):
+    return [None] if value is None else [None, value]
+
+
+def assert_tree_path_is_honest(chart, data, thetas, potentials, seed):
+    """The tree residuals of the bracket's field equal the factored ones at
+    20 float points, for every 2-section in ``thetas`` and ``G`` = ``E_L``
+    plus each potential, and plus ``y1^3``, which takes the solves."""
+    y1 = ex.Var(chart.fibers[0])
+    rng = random.Random(seed)
+    for theta in thetas:
+        n = twoform.assemble_N(data, chart,
+                               None if theta is None else twoform.ThetaSection(theta))
+        bivector = poisson.build_bracket(chart, data, n)
+        for extra in [*potentials, ex.epow(y1, 3)]:
+            g = data.EL if extra is None else ex.eadd(data.EL, extra)
+            tree = poisson.hamiltonian_field(bivector, g)
+            field = poisson.FactoredField(chart, data.M, n, g)
+            for spray in (False, True):
+                programs = [ex.Program([r]) for r in tree_residuals(chart, tree, spray)]
+                factored = factored_residuals(field, spray)
+                for _ in range(20):
+                    env = {name: rng.uniform(-0.5, 0.5) for name in chart.alphabet}
+                    got = factored(env)
+                    want = [program.value(env) for program in programs]
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (g, spray, env)
+
+
+class TestTreePathHonesty:
+    """The semispray and spray checks decide the factored residuals; the
+    bracket-built field, which ``hamiltonian`` prints, must have the same
+    ones.  Within [-0.5, 0.5] the stress Hessian stays regular."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_golden_models(self, name):
+        model = load_model(GOLDEN_MODELS[name])
+        data = lagrangian.build(model.lagrangian, model.chart)
+        assert_tree_path_is_honest(model.chart, data, optional(model.theta),
+                                   optional(model.potential), seed=len(name))
+
+    def test_a_hessian_that_depends_on_the_fibers(self, tangent2):
+        # Every model above has a quadratic L, so E M = 0 there.  Here
+        # M = [[1 + y1^2 + 2 x1 y2, 2 x1 y1], [2 x1 y1, 1]], regular on the box.
+        chart = tangent2.chart
+        lag = ex.parse("1/2*(y1^2 + y2^2) + y1^4/12 + x1*y1^2*y2", chart.alphabet)
+        theta = algebroid.AForm(chart, 2, {(0, 1): ex.Var("x2")})
+        assert_tree_path_is_honest(chart, lagrangian.build(lag, chart), [None, theta],
+                                   [None, ex.Var("x1")], seed=2)
+
+    def test_acceptance_fixtures(self, catalog_fixtures, curved_metric, lagrangian_data):
+        for fixture in [*catalog_fixtures, curved_metric]:
+            chart = fixture.chart
+            potentials = [None, ex.Var(chart.coords[0])]
+            if chart.n >= 2:
+                potentials.append(ex.emul(ex.Var(chart.coords[0]), ex.Var(chart.coords[1])))
+            assert_tree_path_is_honest(chart, lagrangian_data(fixture), optional(fixture.theta),
+                                       potentials, seed=chart.n)
 
 
 def reference_bracket(p, f, g):
@@ -291,6 +391,7 @@ def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
         homotopy.fiber_value(integrand)({"x1": 0.5})
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["check", "semispray", str(path), "--seed", "1"]) == 0
+            assert cli.main(["check", "spray", str(path), "--seed", "1"]) == 1
     kernel = collections.Counter(
         o.__qualname__ if isinstance(o, types.FunctionType) else type(o).__name__
         for o in found

@@ -11,8 +11,9 @@ in.  Each tree runs every request in its own subprocess, which drives
 ``semispray.cli.main`` in-process and in order, as the bench does.
 
 Prints every request whose stdout, stderr or exit code differs between the
-trees, then one summary line with the sha256 of each tree's stream of
-responses.  A differing CSV trajectory of the same shape is reported with
+trees, then the count of differing requests per workload and command (as
+``certify_sampled check spray: 9``), then one summary line with the sha256
+of each tree's stream of responses.  A differing CSV trajectory of the same shape is reported with
 its largest absolute and relative |Δ| over the state columns, and the
 largest |Δ| of its drift column.  A differing pair of JSON objects is
 reported by the paths of its differing leaves, as
@@ -22,6 +23,7 @@ its first differing line.  Exits 1 on any difference (or when a subprocess fails
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import io
 import json
@@ -140,6 +142,13 @@ def _drift(a: str, b: str) -> Optional[str]:
             f"{drift:.3g} in the drift")
 
 
+def tally(counts: collections.Counter) -> list:
+    """``workload command: count`` for every ``(workload, command)`` in
+    ``counts`` with a differing request, in sorted order."""
+    return [f"{workload} {command}: {count}"
+            for (workload, command), count in sorted(counts.items()) if count]
+
+
 def compare(old_src: str, new_src: str) -> int:
     for src in (old_src, new_src):
         if not (Path(src) / "src" / "semispray" / "cli.py").is_file():
@@ -156,6 +165,7 @@ def compare(old_src: str, new_src: str) -> int:
                    for src in (old_src, new_src)]
         digests = [hashlib.sha256(), hashlib.sha256()]
         total = differing = 0
+        counts = collections.Counter()  # (workload, command) -> differing requests
         for request_id, request in plan(workloads):
             lines = [w.stdout.readline() for w in workers]
             if not all(lines):
@@ -182,12 +192,15 @@ def compare(old_src: str, new_src: str) -> int:
                 notes.append(f"stderr differs at {_first_difference(old_err, new_err)}")
             if notes:
                 differing += 1
+                counts[request_id.split()[0], " ".join(request.command)] += 1
                 print(f"{request_id}: {'; '.join(notes)}")
         for w in workers:
             w.stdout.close()
             if w.wait() != 0:
                 print(f"a subprocess exited with code {w.returncode}")
                 differing += 1
+    for line in tally(counts):
+        print(line)
     old_hex, new_hex = (d.hexdigest() for d in digests)
     print(f"{total} requests, {differing} differing; sha256 old {old_hex[:16]}, "
           f"new {new_hex[:16]}")
