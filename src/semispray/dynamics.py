@@ -1,10 +1,9 @@
 """Numeric flows of vector fields on the total space.
 
-A field is compiled once per integration: a
-:class:`~semispray.poisson.VectorFieldOnA` from its components, a
-:class:`~semispray.poisson.FactoredField` from the entries of ``M``, ``N``,
-``rho`` and the partials of ``G``, followed by generated straight-line code
-that solves with ``M`` by elimination with partial pivoting.  ``rk4`` is the
+A :class:`~semispray.poisson.FactoredField` is compiled once per
+integration from the entries of ``M``, ``N``, ``rho`` and the partials of
+``G``, followed by generated straight-line code that solves with ``M`` by
+elimination with partial pivoting.  ``rk4`` is the
 classical fixed-step scheme: the whole run is one generated loop that keeps
 the state in locals, runs the step unrolled into the same straight-line
 code, checks the norm bound inline and appends one flat row per step.
@@ -21,11 +20,11 @@ import io
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from . import expr as ex
 from .errors import BlowUp, DomainError, StepCollapse
-from .poisson import FactoredField, VectorFieldOnA
+from .poisson import FactoredField
 
 
 @dataclass
@@ -247,14 +246,6 @@ class _Elimination:
         return x
 
 
-def _direct_stage(size: int):
-    """The stage of a field whose program outputs are its components."""
-    def stage(args: List[str], prefix: str):
-        outputs = [f"{prefix}{i}" for i in range(size)]
-        return [f"[{', '.join(outputs)}] = _f([{', '.join(args)}])"], outputs
-    return stage
-
-
 def _factored_stage(field_on_a: FactoredField, bind: Callable[[ex.Expr], ex.Expr]):
     """The entry program of a factored field and its stage.
 
@@ -340,15 +331,10 @@ def _factored_stage(field_on_a: FactoredField, bind: Callable[[ex.Expr], ex.Expr
     return exprs, stage
 
 
-def _compiled(field_on_a: Union[VectorFieldOnA, FactoredField],
-              bind: Callable[[ex.Expr], ex.Expr]):
+def _compiled(field_on_a: FactoredField, bind: Callable[[ex.Expr], ex.Expr]):
     """The compiled program of a field, with parameters bound by ``bind``,
     and the stage that writes a right-hand side around it."""
-    if isinstance(field_on_a, FactoredField):
-        exprs, stage = _factored_stage(field_on_a, bind)
-    else:
-        exprs = [bind(c) for c in field_on_a.components()]
-        stage = _direct_stage(len(exprs))
+    exprs, stage = _factored_stage(field_on_a, bind)
     chart = field_on_a.chart
     return ex.compile_evaluator(exprs, list(chart.coords) + list(chart.fibers)), stage
 
@@ -412,15 +398,14 @@ def _rhs_function(f: Callable, stage: Callable, dim: int) -> Callable:
                       *_RAISE_ON_ZERO_PIVOT], "_rhs", f)
 
 
-def integrate(field_on_a: Union[VectorFieldOnA, FactoredField], p0: ex.ChartPoint, T: float,
-              h: float, method: str = "rk4", invariant: Optional[ex.Expr] = None,
+def integrate(field_on_a: FactoredField, p0: ex.ChartPoint, T: float, h: float,
+              method: str = "rk4", invariant: Optional[ex.Expr] = None,
               params: Optional[dict] = None, blowup_bound: float = 1e6) -> Trajectory:
     """Integrate the flow from ``p0`` for time ``T``.
 
-    A :class:`~semispray.poisson.VectorFieldOnA` is compiled from its
-    components; a :class:`~semispray.poisson.FactoredField` from its entries,
-    with the solves for its components written out as straight-line code
-    with partial pivoting (a zero pivot, where ``M`` is singular, raises
+    The field is compiled from its entries, with the solves for its
+    components written out as straight-line code with partial pivoting (a
+    zero pivot, where ``M`` is singular, raises
     :class:`~semispray.errors.DomainError`).  Parameters are substituted
     first.  ``rk4`` uses the fixed step ``h``; ``rk45`` treats ``h`` as the
     initial step and adapts to the relative local tolerance

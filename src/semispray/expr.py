@@ -1451,17 +1451,11 @@ class Modular:
     (Schwartz 1980, Zippel 1979).  A lift can be nonzero where the
     expression is zero (``sin(u)^2 + cos(u)^2 - 1``).
 
-    ``b^(n/d)`` is the n-th power of the d-th root of ``b`` in the subgroup
-    of order ``m``, the largest divisor of p - 1 prime to d, where that root
-    is unique; the roots of one base then multiply as its exponents add, as
-    the canonical constructors assume.  A base with no such root, like a
-    zero denominator, raises :class:`DomainError`.  That root is not the
-    value of a lift, and the bound above does not hold through it: it need
-    not be the real root's branch (mod p the root of ``x1^2`` is ``-x1`` at
-    half the points, where the real one is ``|x1|``, and a cube root can
-    differ from the real one by a cube root of unity), so a program with a
-    root can be 0 mod p where it is not 0.  :func:`modular_jets` therefore
-    evaluates no program with a root.
+    A zero denominator, or 0 to a negative power, raises
+    :class:`DomainError`, and so does a root (a ``Pow`` with a fractional
+    exponent): a d-th root mod p need not be on the real root's branch (the
+    root of ``x1^2`` would be ``-x1`` at half the points), so
+    :func:`modular_jets` evaluates no program with a root.
     """
 
     zero, one = 0, 1
@@ -1499,18 +1493,6 @@ class Modular:
         r = self.inverse(b)
         return a * r % MODULUS, r
 
-    @staticmethod
-    def root(v: int, d: int) -> int:
-        """The d-th root of ``v`` in the subgroup of order m (see above)."""
-        m = MODULUS - 1
-        g = math.gcd(m, d)
-        while g > 1:
-            m //= g
-            g = math.gcd(m, g)
-        if pow(v, m, MODULUS) != 1:
-            raise DomainError(f"no root of degree {d} mod p in the subgroup of order {m}")
-        return pow(v, pow(d, -1, m), MODULUS)
-
     def residue(self, node: Expr) -> int:
         r = self.residues.get(node)
         if r is None:
@@ -1520,11 +1502,12 @@ class Modular:
     def unary(self, node: Expr, v: int):
         """The value of ``node`` and its derivative in its argument ``v``."""
         if type(node) is Pow:
-            n, d = node.exponent.numerator, node.exponent.denominator
-            s = v if d == 1 else self.root(v, d)  # a root is never 0
-            if s == 0 and n < d:
+            n = node.exponent
+            if type(n) is not int:
+                raise DomainError("a root has no value mod p")
+            if v == 0 and n < 1:
                 raise DomainError("0 raised to a negative power mod p")
-            return pow(s, n, MODULUS), n * self.inverse(d) * pow(s, n - d, MODULUS) % MODULUS
+            return pow(v, n, MODULUS), n * pow(v, n - 1, MODULUS) % MODULUS
         own = self.residue(node)
         if node.name == "sin":
             return own, self.residue(Func("cos", node.arg))

@@ -10,25 +10,24 @@ and the Hamiltonian vector field convention is ``X_G(h) = {G, h}``, which is
 the convention reproducing the known semispray displays on the tangent
 fixtures (pinned by the acceptance suite).
 
-Checks that build no residual tree decide their items by one loop,
-:func:`_decide`: an item is ``proven-zero`` by structure, ``likely-zero``
-with ``method`` ``modular`` when it is 0 mod p = 2^61 - 1 at one random
-point (a false zero has probability at most deg/p), and otherwise sampled
-in floats with ``method`` ``float``.  :func:`check_jacobi` goes through it
-for a bracket with a quotient (a bracket without one zero-tests the residual
-trees of :func:`jacobi_residuals`).  :func:`is_semispray` and
-:func:`is_spray` always do, on the :class:`FactoredField`: with no Hessian
-inverse, no bracket and no field tree, at any rank.
+Every check here decides its items by one loop, :func:`_decide`: an item is
+``proven-zero`` by a rule of its check, ``likely-zero`` with ``method``
+``modular`` when it is 0 mod p = 2^61 - 1 at one random point (a false zero
+has probability at most deg/p), and otherwise sampled in floats with
+``method`` ``float``.  :func:`check_jacobi` reads the jets of the bracket's
+entries, and proves a triple that has no terms or whose terms read no
+quotient and sum symbolically to the literal 0.  :func:`is_semispray` and
+:func:`is_spray` read the :class:`FactoredField`: with no Hessian inverse,
+no bracket and no field tree, at any rank.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Tuple
+from typing import Callable, List, Tuple
 
 from . import expr as ex
 from . import linalg
@@ -132,28 +131,30 @@ def _skew_rows(p: PoissonBivector) -> List[List[Tuple[int, ex.Expr]]]:
             for a in range(size)]
 
 
-def _partials(e: ex.Expr, names: List[str]) -> Callable[[int], ex.Expr]:
+class _Partials(dict):
     """``a -> d e / d names[a]``, each partial taken at most once, on first use."""
-    return functools.lru_cache(maxsize=None)(lambda a: ex.diff(e, names[a]))
 
+    def __init__(self, e: ex.Expr, names: List[str]):
+        super().__init__()
+        self.e, self.names = e, names
 
-def _unit(a: int) -> Callable[[int], ex.Expr]:
-    """The partials of the a-th coordinate."""
-    return lambda b: ex.ONE if b == a else ex.ZERO
+    def __missing__(self, a: int) -> ex.Expr:
+        self[a] = value = ex.diff(self.e, self.names[a])
+        return value
 
 
 def _contract(rows, df, dg) -> ex.Expr:
-    """``sum P^{ab} df(a) dg(b)``, with the pieces in (a, b) order.  A partial
+    """``sum P^{ab} df[a] dg[b]``, with the pieces in (a, b) order.  A partial
     is asked for only where a nonzero coefficient needs it."""
     pieces = []
     for a, row in enumerate(rows):
         if not row:
             continue
-        da = df(a)
+        da = df[a]
         if ex.is_zero_literal(da):
             continue
         for b, coeff in row:
-            db = dg(b)
+            db = dg[b]
             if not ex.is_zero_literal(db):
                 pieces.append(ex.emul(coeff, da, db))
     return ex.eadd(*pieces)
@@ -164,72 +165,53 @@ def bracket(p: PoissonBivector, f: ex.Expr, g: ex.Expr) -> ex.Expr:
     coordinate pairs.  Partials of F and G are taken lazily, each at most
     once, and only along coordinates where some ``P^{ab}`` is not 0."""
     names = p.coordinate_names()
-    return _contract(_skew_rows(p), _partials(f, names), _partials(g, names))
-
-
-def jacobi_residuals(p: PoissonBivector) -> Iterator[Tuple[str, ex.Expr]]:
-    """``(label, Jacobiator)`` of every coordinate triple, in the order of
-    :func:`itertools.combinations`.  Each inner bracket ``{x_b, x_c}`` and
-    each of its partials is built once and shared by the triples using it."""
-    names = p.coordinate_names()
-    rows = _skew_rows(p)
-    triples = list(itertools.combinations(range(len(names)), 3))
-    uses = collections.Counter(pair for a, b, c in triples for pair in ((b, c), (c, a), (a, b)))
-    inner = {}
-
-    def nested(a: int, b: int, c: int) -> ex.Expr:
-        """``{x_a, {x_b, x_c}}``; the partials of ``{x_b, x_c}`` are dropped
-        after their last use."""
-        if (b, c) not in inner:
-            inner[b, c] = _partials(_contract(rows, _unit(b), _unit(c)), names)
-        value = _contract(rows, _unit(a), inner[b, c])
-        uses[b, c] -= 1
-        if not uses[b, c]:
-            del inner[b, c]
-        return value
-
-    for a, b, c in triples:
-        yield (f"({names[a]},{names[b]},{names[c]})",
-               ex.eadd(nested(a, b, c), nested(b, c, a), nested(c, a, b)))
+    return _contract(_skew_rows(p), _Partials(f, names), _Partials(g, names))
 
 
 def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Tag the Jacobiator of every coordinate triple, in the order of
-    :func:`itertools.combinations`.
-
-    A bracket with no quotient in it is checked on :func:`jacobi_residuals`,
-    where the canonical form cancels the identity to the literal 0
-    (``proven-zero``) or the residual is sampled.  A bracket with a quotient
-    is checked by :func:`_decide` from the jets of its upper-triangle
-    entries, with no residual tree:
-    ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``.  A triple is
-    ``proven-zero`` when every term is 0 by structure: ``P^{ad}`` is the
-    literal 0 or ``P^{bc}`` is free of ``x_d``.
+    :func:`itertools.combinations`, with :func:`_decide` from the jets of the
+    upper-triangle entries ``P_k``:
+    ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``, summed from the terms of
+    :func:`_jacobi_terms`.  A triple is ``proven-zero`` when it has no terms,
+    or when none of its terms reads an entry holding a quotient and the
+    symbolic sum of its terms, each partial taken once, is the literal 0.
+    A chart with fewer than three coordinates has no triple and passes.
     """
     names = p.coordinate_names()
     pairs = list(itertools.combinations(range(len(names)), 2))
     entries = [p.coefficient(a, b) for a, b in pairs]
-    if not any(isinstance(node, ex.Div) for node in ex.distinct_nodes(*entries)):
-        return ex.certify("jacobi", jacobi_residuals(p), box, trials, tol, seed)
-    labels, triples = zip(*_jacobi_terms(names, pairs, entries))
+    triples = list(_jacobi_terms(names, pairs, entries))
+    quotient = [any(isinstance(node, ex.Div) for node in ex.distinct_nodes(e)) for e in entries]
+    symbolic = [(e, _Partials(e, names)) for e in entries]
+
+    def product(factors) -> ex.Expr:
+        return ex.emul(*map(ex.as_expr, factors))
+
+    def proven(terms) -> bool:
+        if any(quotient[k] or quotient[l] for _, k, l, _ in terms):
+            return False
+        return ex.is_zero_literal(_jacobiator(terms, symbolic, lambda ts: ex.eadd(*ts), product))
 
     def values(jets, field) -> list:
-        return [_jacobiator(terms, jets, field.sum) for terms in triples]
+        return [_jacobiator(terms, jets, field.sum) for _, terms in triples]
 
-    return _decide("jacobi", labels, [not terms for terms in triples], ex.Program(entries),
-                   names, values, box, trials, tol, seed)
+    return _decide("jacobi", [label for label, _ in triples],
+                   [proven(terms) for _, terms in triples], entries, names, values,
+                   box, trials, tol, seed)
 
 
-def _decide(check: str, labels, proven, program: ex.Program, along, values,
+def _decide(check: str, labels, proven, outputs: List[ex.Expr], along, values,
             box: ex.Box, trials: int, tol: float, seed: int) -> ValidationReport:
     """The report of ``check`` on the items ``labels``, from the jets of
-    ``program`` along ``along``: ``values(jets, field)`` gives every item's
-    value from them, in the field's arithmetic, and raises
+    ``Program(outputs)`` along ``along``: ``values(jets, field)`` gives every
+    item's value from them, in the field's arithmetic, and raises
     :class:`~semispray.expr.DomainError` where the point is singular.  An
     item is
 
-    * ``proven-zero`` where ``proven`` says so;
+    * ``proven-zero`` where ``proven`` says so (with every item proven, no
+      program is built);
     * ``likely-zero`` with ``method`` ``modular`` when its value is 0 in F_p
       at one random point of :class:`~semispray.expr.Modular` (a singular
       point draws another, and a program with a root draws none): a false
@@ -240,6 +222,12 @@ def _decide(check: str, labels, proven, program: ex.Program, along, values,
       skipped.
     """
     ex.require_settings(trials, tol)
+    report = ValidationReport(check=check, seed=seed)
+    if all(proven):
+        for label in labels:
+            report.add(label, ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0))
+        return report
+    program = ex.Program(outputs)
     reads = sorted({name for _, name in program.reads})
     exact, drawn = ex.modular_jets(program, reads, along, trials=trials, seed=seed,
                                    finish=values)
@@ -256,7 +244,6 @@ def _decide(check: str, labels, proven, program: ex.Program, along, values,
             raise ex.DomainError("the check is singular here")
         return sampled[point]
 
-    report = ValidationReport(check=check, seed=seed)
     for k, label in enumerate(labels):
         if proven[k]:
             result = ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
@@ -295,10 +282,11 @@ def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], entries: List[
         yield f"({names[a]},{names[b]},{names[c]})", terms
 
 
-def _jacobiator(terms, jets, total):
-    """The sum by ``total`` of the terms of :func:`_jacobi_terms` over the
+def _jacobiator(terms, jets, total, product=math.prod):
+    """The sum by ``total`` of the terms of :func:`_jacobi_terms`, each the
+    ``product`` of its sign, ``P_k`` and ``d_d P_l``, over the
     ``(value, gradient)`` jets of the upper-triangle entries."""
-    return total([sign * jets[k][0] * jets[l][1][d] for sign, k, l, d in terms])
+    return total([product((sign, jets[k][0], jets[l][1][d])) for sign, k, l, d in terms])
 
 
 def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
@@ -306,8 +294,10 @@ def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
     The partials of ``g`` are shared by all components."""
     names = p.coordinate_names()
     rows = _skew_rows(p)
-    dg = _partials(g, names)
-    components = [_contract(rows, dg, _unit(a)) for a in range(len(names))]
+    dg = _Partials(g, names)
+    units = [[ex.ONE if b == a else ex.ZERO for b in range(len(names))]
+             for a in range(len(names))]
+    components = [_contract(rows, dg, unit) for unit in units]
     n = p.chart.n
     return VectorFieldOnA(p.chart, components[:n], components[n:])
 
@@ -395,14 +385,8 @@ class _FactoredResiduals:
 
 def _factored_check(check: str, field: FactoredField, spray: bool, box: ex.Box,
                     trials: int, tol: float, seed: int) -> ValidationReport:
-    ex.require_settings(trials, tol)
     residuals = _FactoredResiduals(field, spray)
-    if all(residuals.proven):
-        report = ValidationReport(check=check, seed=seed)
-        for label in residuals.labels:
-            report.add(label, ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0))
-        return report
-    return _decide(check, residuals.labels, residuals.proven, ex.Program(residuals.outputs),
+    return _decide(check, residuals.labels, residuals.proven, residuals.outputs,
                    residuals.along, residuals.values, box, trials, tol, seed)
 
 

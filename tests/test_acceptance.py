@@ -295,11 +295,10 @@ def test_criterion_10_conservation_and_order(fixtures, built, curved):
     rng = random.Random(99)
     for fixture in fixtures + [curved]:
         data = built[fixture.label]
-        bivector = _bivector(fixture, data, fixture.theta)
         potential = ex.Var(fixture.chart.coords[0])
         for use_potential in (False, True):
             g = ex.eadd(data.EL, potential) if use_potential else data.EL
-            field = poisson.hamiltonian_field(bivector, g)
+            field = _factored(fixture, data, fixture.theta, g)
             dims = fixture.chart.n + fixture.chart.r
             values = [rng.uniform(-0.8, 0.8) for _ in range(dims)]
             p0 = ex.ChartPoint(tuple(values[:fixture.chart.n]),
@@ -309,7 +308,7 @@ def test_criterion_10_conservation_and_order(fixtures, built, curved):
                 ok = False
                 details.append(f"{fixture.label} drift {traj.max_drift:.2e}")
     data = built[curved.label]
-    field = poisson.hamiltonian_field(_bivector(curved, data, None), data.EL)
+    field = _factored(curved, data, None, data.EL)
     p0 = ex.ChartPoint((0.3, 0.4), (1.0, 1.2))
     coarse = dynamics.integrate(field, p0, T=1.0, h=0.05, invariant=data.EL).max_drift
     fine = dynamics.integrate(field, p0, T=1.0, h=0.025, invariant=data.EL).max_drift

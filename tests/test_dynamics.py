@@ -13,22 +13,29 @@ from test_golden_cli import FLOW_MODELS, MODELS
 
 
 def hamiltonian_flow(fixture, theta=None, potential=None, data=None):
+    """``G`` (``E_L`` plus the potential) and its factored field."""
     data = data or lagrangian.build(fixture.lagrangian, fixture.chart)
     section = twoform.ThetaSection(theta) if theta is not None else None
     n = twoform.assemble_N(data, fixture.chart, section)
-    bivector = poisson.build_bracket(fixture.chart, data, n)
     g = data.EL if potential is None else ex.eadd(data.EL, potential)
-    return g, poisson.hamiltonian_field(bivector, g)
+    return g, poisson.FactoredField(fixture.chart, data.M, n, g)
+
+
+def line_field(chart, potential="0"):
+    """The factored field of ``G = 1/2 y1^2 + V(x1)`` on the tangent line,
+    ``M = [[1]]`` and ``N = [[0]]``: ``x1' = y1``, ``y1' = -V'(x1)``."""
+    g = ex.parse(f"1/2*y1^2 + {potential}", chart.alphabet)
+    return poisson.FactoredField(chart, [[ex.ONE]], [[ex.ZERO]], g)
 
 
 class TestIntegrate:
     def test_linear_flow_is_exact_for_rk4(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-3)
         assert traj.states[-1].x[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_force_parabola(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.MINUS_ONE])
+        field = line_field(tangent1.chart, "x1")
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (0.0,)), T=1.0, h=1e-3)
         assert traj.states[-1].x[0] == pytest.approx(-0.5, abs=1e-9)
 
@@ -41,29 +48,28 @@ class TestIntegrate:
         assert traj.max_drift < 1e-8
 
     def test_blowup_detected(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")],
-                                       [ex.parse("y1^2", ("y1",))])
+        # x'' = 4 x^3 from (1, 1) blows up near t = 0.75.
+        field = line_field(tangent1.chart, "-x1^4")
         with pytest.raises(BlowUp):
-            dynamics.integrate(field, ex.ChartPoint((0.0,), (2.0,)), T=1.0, h=1e-3)
+            dynamics.integrate(field, ex.ChartPoint((1.0,), (1.0,)), T=1.0, h=1e-3)
 
     def test_adaptive_step_collapse(self, tangent1):
         # x'' = 4 x^3 blows up near t = 0.75; with the norm bound out of the
         # way the adaptive step shrinks with the time left and collapses.
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")],
-                                       [ex.parse("4*x1^3", ("x1",))])
+        field = line_field(tangent1.chart, "-x1^4")
         with pytest.raises(StepCollapse) as err:
             dynamics.integrate(field, ex.ChartPoint((1.0,), (1.0,)), T=10.0, h=1e-2,
                                method="rk45", blowup_bound=1e300)
         assert err.value.dt < 1e-14 and 0.7 < err.value.t < 0.8
 
     def test_rejects_bad_steps(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         with pytest.raises(ValueError):
             dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=-0.1)
 
     def test_rejects_infinite_step_count(self, tangent1):
         # T and h are finite and positive, but T/h overflows to inf.
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         with pytest.raises(ValueError, match="step count"):
             dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1e308, h=1e-3)
 
@@ -131,11 +137,33 @@ class TestFieldCalls:
     def test_dormand_prince_calls_the_field_once_then_six_times_per_try(self, tangent1,
                                                                         field_calls):
         # The free line is exact at every order, so every try is accepted.
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=1.0, h=1e-2,
                                   method="rk45")
         assert len(traj.times) > 2
         assert len(field_calls) == 1 + 6 * (len(traj.times) - 1)
+
+
+def tree_flow(tree, p0, T, h, params=None):
+    """The states of fixed-step RK4 on the compiled components of the
+    bracket-built field ``tree``, with the float operations of the
+    generated loop of :func:`dynamics.integrate`."""
+    values = {k: ex.Const(v) for k, v in (params or {}).items()}
+    f = ex.compile_evaluator([ex.subs(c, values) for c in tree.components()],
+                             [*tree.chart.coords, *tree.chart.fibers])
+    steps = max(1, round(T / h))
+    dt = T / steps
+    hh, h6 = 0.5 * dt, dt / 6.0
+    s = list(p0.x) + list(p0.y)
+    states = [s]
+    for _ in range(steps):
+        a = f(s)
+        b = f([v + hh * k for v, k in zip(s, a)])
+        c = f([v + hh * k for v, k in zip(s, b)])
+        d = f([v + dt * k for v, k in zip(s, c)])
+        s = [v + h6 * (ka + 2.0 * kb + 2.0 * kc + kd) for v, ka, kb, kc, kd in zip(s, a, b, c, d)]
+        states.append(s)
+    return states
 
 
 def model_fields(doc):
@@ -216,10 +244,11 @@ class TestFactoredField:
         for state in ([0.3, 0.0, 0.5, -0.2], [0.1, 1e-300, 1.0, 2.0], [-0.4, 0.7, 0.2, 0.1]):
             assert rhs(state) == pytest.approx(components(state), rel=1e-12, abs=1e-15)
         p0 = ex.ChartPoint((0.3, 0.0), (0.5, -0.2))
-        flows = [dynamics.integrate(field, p0, T=0.5, h=1e-2, invariant=factored.G)
-                 for field in (factored, tree)]
-        for a, b in zip(*(flow.states for flow in flows)):
-            assert list(a.x + a.y) == pytest.approx(list(b.x + b.y), rel=1e-12, abs=1e-14)
+        flow = dynamics.integrate(factored, p0, T=0.5, h=1e-2, invariant=factored.G)
+        reference = tree_flow(tree, p0, T=0.5, h=1e-2)
+        assert len(flow.states) == len(reference)
+        for a, b in zip(flow.states, reference):
+            assert list(a.x + a.y) == pytest.approx(b, rel=1e-12, abs=1e-14)
 
     def test_singular_hessian_raises_domain_error(self):
         # M = diag(x1, 1) is singular on x1 = 0, and only there.
@@ -247,12 +276,14 @@ class TestFactoredField:
                "params": {"a": 2.0, "b": -0.5}}
         factored, tree = model_fields(doc)
         p0 = ex.ChartPoint((0.3, 0.1), (0.5, -0.2))
-        flows = [dynamics.integrate(field, p0, T=0.2, h=1e-2, invariant=factored.G,
-                                    params={"a": 2.0, "b": -0.5})
-                 for field in (factored, tree)]
-        assert flows[0].max_drift < 1e-9
-        for a, b in zip(*(flow.states for flow in flows)):
-            assert list(a.x + a.y) == pytest.approx(list(b.x + b.y), rel=1e-12, abs=1e-14)
+        params = {"a": 2.0, "b": -0.5}
+        flow = dynamics.integrate(factored, p0, T=0.2, h=1e-2, invariant=factored.G,
+                                  params=params)
+        reference = tree_flow(tree, p0, T=0.2, h=1e-2, params=params)
+        assert flow.max_drift < 1e-9
+        assert len(flow.states) == len(reference)
+        for a, b in zip(flow.states, reference):
+            assert list(a.x + a.y) == pytest.approx(b, rel=1e-12, abs=1e-14)
 
 
 @pytest.mark.parametrize("literal", [False, True])
@@ -286,10 +317,8 @@ class TestOrderAndHomogeneity:
     def test_flow_level_homogeneity(self, curved_metric, lam):
         # Scaling the fiber by lambda and the time by 1/lambda reaches the
         # same base point; asserted only because the field passed is_spray.
-        g, field = hamiltonian_flow(curved_metric)
-        data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
-        n = twoform.assemble_N(data, curved_metric.chart)
-        assert poisson.is_spray(poisson.FactoredField(curved_metric.chart, data.M, n, g)).passed
+        _, field = hamiltonian_flow(curved_metric)
+        assert poisson.is_spray(field).passed
         p0 = ex.ChartPoint((0.3, 0.4), (1.0, 1.2))
         reference = dynamics.integrate(field, p0, T=1.0, h=1e-3)
         scaled_start = ex.ChartPoint(p0.x, tuple(lam * v for v in p0.y))
@@ -301,7 +330,7 @@ class TestOrderAndHomogeneity:
 class TestExport:
     def test_csv_layout(self, tangent1):
         # With no invariant, every row's drift column is 0.0, for both methods.
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         for method in ("rk4", "rk45"):
             traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=0.01, h=1e-3,
                                       method=method)
@@ -311,7 +340,7 @@ class TestExport:
             assert all(line.endswith(",0.0") for line in lines[1:])
 
     def test_json_roundtrip(self, tangent1):
-        field = poisson.VectorFieldOnA(tangent1.chart, [ex.Var("y1")], [ex.ZERO])
+        field = line_field(tangent1.chart)
         traj = dynamics.integrate(field, ex.ChartPoint((0.0,), (1.0,)), T=0.01, h=1e-3)
         payload = json.loads(json.dumps(traj.to_dict()))
         assert payload["coords"] == ["x1"]

@@ -321,6 +321,16 @@ class TestCliCommands:
         assert {(item["status"], item.get("method")) for item in items[5:]} == {
             ("likely-zero", "modular")}
 
+    def test_jacobi_with_no_triple_passes(self, tmp_path, capsys):
+        # Two coordinates have no triple, also when the bracket holds a
+        # quotient: the report is empty and passes.
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"n": 1, "r": 1, "rho": [["1"]],
+                                    "L": "1/2*(1+x1^2)*y1^2"}))
+        code, out = run_cli(["check", "jacobi", str(path)])
+        assert (code, json.loads(out)["items"], json.loads(out)["status"]) == (0, [], "pass")
+        assert capsys.readouterr().err == ""
+
     def test_rank_five_flow_is_free_motion(self, tmp_path):
         path = tmp_path / "tangent5.json"
         path.write_text(json.dumps(TANGENT5_DOC))

@@ -17,7 +17,7 @@ from semispray.model import load_model
 from semispray.report import ZeroStatus
 
 from helpers import assert_proven_zero, cyclic_garbage, random_polynomial
-from test_golden_cli import MODELS as GOLDEN_MODELS
+from test_golden_cli import GOLDEN, MODELS as GOLDEN_MODELS, run_case
 
 
 def bracket_bundle(fixture, theta=None, data=None):
@@ -347,7 +347,7 @@ def test_expression_kernel_keeps_no_cache(stress):
     # ``subs``, ``simplify`` and ``diff`` memoize within one call only: a
     # cache kept across calls would grow with every residual a check builds.
     _, p = bracket_bundle(stress, theta=stress.theta)
-    residual = max((r for _, r in poisson.jacobi_residuals(p)),
+    residual = max((r for _, r in reference_jacobi_residuals(p)),
                    key=lambda r: len(ex.to_text(r)))
 
     def container_sizes():
@@ -369,7 +369,7 @@ def test_intern_table_holds_only_live_nodes(stress):
     # The table holds its nodes weakly: once the residuals of a check are
     # dropped, so are their entries.
     before = len(ex._INTERNED)
-    residuals = [r for _, r in poisson.jacobi_residuals(bracket_bundle(stress, stress.theta)[1])]
+    residuals = [r for _, r in reference_jacobi_residuals(bracket_bundle(stress, stress.theta)[1])]
     assert len(ex._INTERNED) > before + 1000
     del residuals
     assert len(ex._INTERNED) == before
@@ -416,15 +416,46 @@ def stress_perturbed(so3):
 
 @pytest.fixture()
 def no_residual_trees(monkeypatch):
-    """``check_jacobi`` must not build the residual trees."""
-    def refuse(p):
-        raise AssertionError("jacobi_residuals was entered")
+    """``check_jacobi`` must build no nested bracket and certify no tree."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a residual tree was built or certified")
 
-    monkeypatch.setattr(poisson, "jacobi_residuals", refuse)
+    monkeypatch.setattr(poisson, "_contract", refuse)
+    monkeypatch.setattr(ex, "certify", refuse)
+
+
+def symbolic_term_sums(p):
+    """``(label, sum)`` of every triple none of whose terms reads an entry
+    holding a quotient: the symbolic sum of its terms that
+    :func:`poisson.check_jacobi` proves a triple from."""
+    names = p.coordinate_names()
+    pairs = list(itertools.combinations(range(len(names)), 2))
+    entries = [p.coefficient(a, b) for a, b in pairs]
+    symbolic = [(e, poisson._Partials(e, names)) for e in entries]
+    for label, terms in poisson._jacobi_terms(names, pairs, entries):
+        if not any(isinstance(node, ex.Div)
+                   for _, k, l, _ in terms for node in ex.distinct_nodes(entries[k], entries[l])):
+            yield label, poisson._jacobiator(terms, symbolic, lambda ts: ex.eadd(*ts),
+                                             lambda fs: ex.emul(*map(ex.as_expr, fs)))
+
+
+def golden_bracket(name):
+    model = load_model(GOLDEN_MODELS[name])
+    data = lagrangian.build(model.lagrangian, model.chart)
+    theta = twoform.ThetaSection(model.theta) if model.theta is not None else None
+    return poisson.build_bracket(model.chart, data, twoform.assemble_N(data, model.chart, theta))
 
 
 class TestJacobiFromJets:
-    """Brackets with a quotient are checked from jets of their entries."""
+    """Every bracket is checked from jets of its entries."""
+
+    @pytest.mark.parametrize("name", ["action_so3", "stress"])
+    def test_one_path_builds_no_residual_tree(self, name, no_residual_trees, tmp_path):
+        # A bracket without a quotient (action_so3) and one with (stress)
+        # print their golden bytes with no nested bracket and no certify.
+        stdout, code = run_case(name, "check_jacobi", tmp_path)
+        assert code == 0
+        assert stdout.encode() == (GOLDEN / f"{name}__check_jacobi.out").read_bytes()
 
     def test_stress_passes_at_every_seed(self, tmp_path, no_residual_trees):
         # The bracket is Poisson (Theta is closed), so no seed may report a
@@ -484,7 +515,7 @@ class TestJacobiFromJets:
         pairs = list(itertools.combinations(range(len(names)), 2))
         entries = [p.coefficient(a, b) for a, b in pairs]
         program = ex.Program(entries)
-        trees = [ex.Program([r]) for _, r in poisson.jacobi_residuals(p)]
+        trees = [ex.Program([r]) for _, r in reference_jacobi_residuals(p)]
         box = ex.Box(ranges={"x1": (0.25, 1.0)})
         rng = random.Random(2024)
         for _ in range(20):
@@ -498,20 +529,18 @@ class TestJacobiFromJets:
                                             math.fsum)
                 assert abs(got - want) <= 1e-9 * scale
 
-    def test_structural_zeros_are_the_literal_zeros_of_the_trees(self, stress, stress_perturbed,
-                                                                 curved_metric, tangent2):
-        # On the quotient brackets of the golden models the structural rule
-        # proves exactly the triples whose residual trees cancel to the
-        # literal 0.
-        exp_metric = algebroid.Fixture(
-            "exp_metric", tangent2.chart,
-            ex.parse("1/2*(exp(x1)*y1^2 + y2^2) + sin(x2)*y1", tangent2.chart.alphabet),
-            algebroid.AForm(tangent2.chart, 2, {(0, 1): ex.Var("x1")}))
-        for fixture in (stress, stress_perturbed, curved_metric, exp_metric):
-            _, p = bracket_bundle(fixture, theta=fixture.theta)
+    def test_structural_zeros_are_the_literal_zeros_of_the_trees(self, request):
+        # On every golden model and every bracket of the ``bundle`` fixture,
+        # with and without a quotient, the Jacobi check proves exactly the
+        # triples whose all-pairs residual trees cancel to the literal 0.
+        brackets = [golden_bracket(name) for name in sorted(GOLDEN_MODELS)]
+        for name, with_theta in BUNDLES:
+            fixture = request.getfixturevalue(name)
+            brackets.append(bracket_bundle(fixture, fixture.theta if with_theta else None)[1])
+        for p in brackets:
             report = poisson.check_jacobi(p)
             proven = [item.result.proven for item in report.items]
-            assert proven == [ex.is_zero_literal(r) for _, r in poisson.jacobi_residuals(p)]
+            assert proven == [ex.is_zero_literal(r) for _, r in reference_jacobi_residuals(p)]
 
     def test_jets_leave_no_cyclic_garbage(self, stress_perturbed):
         # The float path caches jets per point in a closure; all of it is
@@ -522,8 +551,10 @@ class TestJacobiFromJets:
         assert [o for o in found if isinstance(o, (ex.Expr, Fraction, types.FunctionType))] == []
 
 
-@pytest.fixture(scope="module", params=[("so3", True), ("cotangent", True),
-                                        ("curved_metric", False), ("stress", True)],
+BUNDLES = [("so3", True), ("cotangent", True), ("curved_metric", False), ("stress", True)]
+
+
+@pytest.fixture(scope="module", params=BUNDLES,
                 ids=["so3-theta", "cotangent-theta", "curved_metric", "stress-theta"])
 def bundle(request):
     name, with_theta = request.param
@@ -551,8 +582,11 @@ class TestLazyPartialsAreExact:
                                       for nm in p.coordinate_names()]
 
     def test_jacobi_residuals(self, bundle):
+        # The term sum of a triple without a quotient is its all-pairs tree.
         _, _, p = bundle
-        assert list(poisson.jacobi_residuals(p)) == list(reference_jacobi_residuals(p))
+        trees = dict(reference_jacobi_residuals(p))
+        sums = list(symbolic_term_sums(p))
+        assert sums and sums == [(label, trees[label]) for label, _ in sums]
 
     @pytest.mark.parametrize("block", ["pxy", "pyy"])
     def test_edits_after_build_are_seen(self, so3, block):
@@ -590,9 +624,13 @@ class TestDerivativeCounts:
 
     def test_jacobi_differentiates_where_a_coefficient_needs_it(self, so3, differentiated):
         _, p = bracket_bundle(so3, theta=so3.theta)
+        names = p.coordinate_names()
+        pairs = list(itertools.combinations(range(len(names)), 2))
+        entries = [p.coefficient(a, b) for a, b in pairs]
+        needed = {(l, d) for _, terms in poisson._jacobi_terms(names, pairs, entries)
+                  for _, _, l, d in terms if not isinstance(entries[l], ex.Var)}
         differentiated.clear()
         poisson.check_jacobi(p)
-        # Each inner bracket differentiated once along each coordinate that
-        # has a nonzero coefficient in the outer row; along every coordinate
-        # in every nested bracket it is 288.
-        assert len(differentiated) == 87
+        # Each entry differentiated once along each coordinate that a term
+        # needs; the nested brackets of the residual trees took 87.
+        assert len(differentiated) == len(needed) == 6

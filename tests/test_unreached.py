@@ -27,4 +27,4 @@ def test_functions_are_named_by_module_and_qualname():
     names = [name for name, _ in _load_tool().functions()]
     assert len(names) == len(set(names))
     assert "dynamics.Trajectory.to_csv" in names
-    assert "poisson.jacobi_residuals.<locals>.nested" in names
+    assert "poisson._jacobi_terms.<locals>.oriented" in names
