@@ -124,9 +124,10 @@ class AlgebroidChart:
         return ex.eneg(self.structure.get((k, j, i), ex.ZERO))
 
     def anchor_derivative(self, j: int, f: ex.Expr) -> ex.Expr:
-        """Directional derivative of ``f`` along the anchor of frame section j."""
+        """Derivative of ``f`` along the anchor of frame section j (where ``rho^i_j`` is not 0)."""
         return ex.eadd(*(ex.emul(self.rho[i][j], ex.diff(f, name))
-                         for i, name in enumerate(self.coords)))
+                         for i, name in enumerate(self.coords)
+                         if not ex.is_zero_literal(self.rho[i][j])))
 
     # -- exterior calculus --------------------------------------------------
 

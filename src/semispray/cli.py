@@ -3,16 +3,16 @@ fields, reports, and trajectories.  ``integrate`` builds no bracket: it
 integrates the factored field ``X = P(x)·∇G`` from the Hessian, the twist
 and the anchor (:class:`~semispray.poisson.FactoredField`).
 
-``check semispray`` and ``check spray`` build no bracket either: they
-decide their residuals from the same factored field, so all three run at
-any rank.
+``check semispray``, ``check spray`` and ``check prolongation`` build no
+bracket either: they decide their residuals from the same factored field
+at points, so all four run at any rank.
 
 Exit codes: 0 when every check passes; 1 when any residual is certified
 nonzero or the model cannot be processed; 2 on input errors: a malformed
 model, a sampling setting that breaks the rules of :mod:`semispray.model`,
 bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands that
 need the exact Hessian inverse (``bracket``, ``hamiltonian``,
-``check jacobi``, ``check prolongation``), and a chart or 2-section that
+``check jacobi``), and a chart or 2-section that
 ``--strict`` refuses.  Every error class has its code in
 :data:`semispray.errors.EXIT_CODES`.  Every randomized report embeds the
 seed it ran with, so identical model + seed gives byte-identical output.
@@ -190,7 +190,7 @@ def cmd_check(model: ModelDocument, args) -> int:
         report = homotopy.identity_suite(ranks=ranks, forms_per_case=args.forms,
                                          seed=seed, tol=tol, box=box)
     elif which == "prolongation":
-        data = _lagrangian_data(model, box, trials, tol, seed)
+        data = _lagrangian_data(model, box, trials, tol, seed, inverse=False)
         report = prolongation.consistency_suite(data, model.theta, model.potential,
                                                 box=box, trials=trials, tol=tol, seed=seed)
     _emit(report.to_dict())

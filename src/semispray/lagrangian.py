@@ -2,10 +2,10 @@
 
 ``build`` computes the fiber Hessian ``M``, the fiber derivative
 coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.  The exact
-inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None,
-and ``integrate`` needs none, since it solves with ``M`` pointwise) is built
-on first use: only the bracket and the prolongation's vertical correction
-read it.
+inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None)
+is built on first use: only the symbolic bracket reads it.  ``integrate``
+and the semispray, spray and prolongation checks solve with ``M``
+pointwise.
 A singular Hessian is always an error.  Regularity is certified on a sample
 box, never globally: the probe set is the uniform sample plus the box center
 and the fiber origin, so Hessians degenerating on the zero section are

@@ -1,7 +1,7 @@
 """Dense symbolic matrices small enough for cofactor expansion: products,
 determinant, adjugate and the exact inverse; and :func:`solver`, Gaussian
 elimination at a point over the field of :meth:`expr.Program.jets`, in
-floats or mod p, which the semispray and spray checks solve with.  The
+floats or mod p, for the semispray, spray and prolongation checks.  The
 flow's numeric solve is its own generated code (:mod:`semispray.dynamics`)."""
 
 from __future__ import annotations

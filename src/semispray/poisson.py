@@ -18,7 +18,8 @@ has probability at most deg/p), and otherwise sampled in floats with
 entries, and proves a triple that has no terms or whose terms read no
 quotient and sum symbolically to the literal 0.  :func:`is_semispray` and
 :func:`is_spray` read the :class:`FactoredField`: with no Hessian inverse,
-no bracket and no field tree, at any rank.
+no bracket and no field tree, at any rank, and so does
+:func:`~semispray.prolongation.consistency_suite`.
 """
 
 from __future__ import annotations
@@ -77,9 +78,7 @@ class FactoredField:
         g = bind(self.G)
         dgx = [ex.diff(g, name) for name in self.chart.coords]
         dgy = [ex.diff(g, name) for name in self.chart.fibers]
-        fibers = [ex.Var(name) for name in self.chart.fibers]
-        solved = dgy == [ex.eadd(*(ex.emul(e, y) for e, y in zip(row, fibers)))
-                         for row in hessian]
+        solved = dgy == linalg.mat_vec(hessian, [ex.Var(name) for name in self.chart.fibers])
         return hessian, dgx, dgy, solved
 
 

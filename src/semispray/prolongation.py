@@ -16,11 +16,10 @@ prolonged chart's Koszul differential.  Indices ``0..r-1`` of the
 prolongation frame are the ``E`` sections, ``r..2r-1`` the vertical ``U``
 sections: a 2-form's frame-frame, (vertical, frame) and vertical-vertical
 blocks are read with ``get`` at ``(i, j)``, ``(r+i, j)`` and ``(r+i, r+j)``,
-and a coefficient's bidegree is read off its key.  On top of it: sections
-and their anchor, the interior product, the vertical endomorphism, Cartan
-sections, exact Hamiltonian sections, the decomposition of 2-sections
-vanishing on vertical pairs, and the consistency suite behind
-``check prolongation``.
+and a coefficient's bidegree is read off its key.  On top of it: sections,
+the interior product, the vertical endomorphism, Cartan sections, exact
+Hamiltonian sections, the decomposition of 2-sections vanishing on vertical
+pairs, and the consistency suite behind ``check prolongation``.
 """
 
 from __future__ import annotations
@@ -29,12 +28,11 @@ import itertools
 from typing import List, Optional, Sequence, Tuple
 
 from . import expr as ex
-from . import linalg
+from . import linalg, poisson, twoform
 from .algebroid import AForm, AlgebroidChart, prolong_chart
 from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
 from .homotopy import bigrade, dprime_primitive, is_fiber_integral
 from .lagrangian import LagrangianData, probe_determinant
-from .poisson import VectorFieldOnA
 from .report import ValidationReport
 
 
@@ -52,11 +50,6 @@ class ProlongSection:
     def coefficients(self) -> List[ex.Expr]:
         return list(self.a) + list(self.b)
 
-    def __add__(self, other: "ProlongSection") -> "ProlongSection":
-        return ProlongSection(self.chart,
-                              [ex.eadd(p, q) for p, q in zip(self.a, other.a)],
-                              [ex.eadd(p, q) for p, q in zip(self.b, other.b)])
-
     def __repr__(self):
         a = ", ".join(ex.to_text(v) for v in self.a)
         b = ", ".join(ex.to_text(v) for v in self.b)
@@ -68,13 +61,6 @@ def liouville(chart: AlgebroidChart) -> ProlongSection:
     dilation field."""
     return ProlongSection(chart, [ex.ZERO] * chart.r,
                           [ex.Var(nm) for nm in chart.fibers])
-
-
-def anchor(section: ProlongSection) -> VectorFieldOnA:
-    """Project to the vector field on the total space:
-    ``Vx^i = a^j rho^i_j``, ``Vy^k = b^k``."""
-    chart = section.chart
-    return VectorFieldOnA(chart, linalg.mat_vec(chart.rho, section.a), list(section.b))
 
 
 def insert_section(form: AForm, section: ProlongSection) -> AForm:
@@ -118,16 +104,12 @@ def j_dual(form: AForm) -> AForm:
     return AForm(form.chart, form.degree, coeffs)
 
 
-def sode_residuals(section: ProlongSection):
-    """Yield ``(label, residual)`` for the second-order condition ``a^j = y^j``."""
-    for j, name in enumerate(section.chart.fibers):
-        yield f"E-component {j + 1}", ex.eadd(section.a[j], ex.eneg(ex.Var(name)))
-
-
 def is_sode(section: ProlongSection, box: ex.Box = None, trials: int = 64,
             tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Residuals ``a^j - y^j`` of the second-order condition."""
-    return ex.certify("sode", sode_residuals(section), box, trials, tol, seed)
+    residuals = ((f"E-component {j + 1}", ex.eadd(section.a[j], ex.eneg(ex.Var(name))))
+                 for j, name in enumerate(section.chart.fibers))
+    return ex.certify("sode", residuals, box, trials, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +192,6 @@ def d_split(form: AForm) -> Tuple[AForm, AForm, AForm]:
 # Structure of 2-sections vanishing on vertical pairs
 
 
-def pullback_horizontal(theta: AForm) -> AForm:
-    """Pull a form on the base algebroid back through the frame projection:
-    same coefficients, frame legs only."""
-    return AForm(prolong_chart(theta.chart), theta.degree, theta.coeffs)
-
-
 def decompose_symplectic(omega: AForm, box: ex.Box = None, trials: int = 32,
                          tol: float = 1e-9, seed: int = 0) -> Tuple[AForm, AForm]:
     """Split a closed 2-section vanishing on vertical pairs as a closed
@@ -259,79 +235,130 @@ def decompose_symplectic(omega: AForm, box: ex.Box = None, trials: int = 32,
     return theta, zeta
 
 
-def vertical_correction(data: LagrangianData, horizontal: Optional[AForm],
-                        base_potential: Optional[ex.Expr]) -> ProlongSection:
-    """The vertical section correcting the energy Hamiltonian section when
-    the 2-section is twisted by a closed horizontal part and the Hamiltonian
-    by a basic potential.
-
-    Solves ``i_Z omega_L = -d(potential) - i_{sigma} Theta`` for vertical
-    ``Z``; with ``sigma`` the energy Hamiltonian section, ``Z + sigma`` is a
-    second-order section and a Hamiltonian section of the twisted 2-section:
-    ``i_{sigma+Z}(omega_L + Theta) + d(E_L + potential) = 0``.  The result is
-    not checked; ``check prolongation`` compares its anchor with the
-    bracket-side Hamiltonian field.
-    """
-    chart = data.chart
-    if data.Minv is None:
-        raise ValueError("the vertical correction needs the exact Hessian inverse")
-    r = chart.r
-    f = ex.ZERO if base_potential is None else ex.as_expr(base_potential)
-    y = [ex.Var(nm) for nm in chart.fibers]
-    rhs = []
-    for j in range(r):
-        pieces = [ex.eneg(chart.anchor_derivative(j, f))]
-        if horizontal is not None:
-            for a in range(r):
-                pieces.append(ex.eneg(ex.emul(y[a], horizontal.get((a, j)))))
-        rhs.append(ex.eadd(*pieces))
-    return ProlongSection(chart, [ex.ZERO] * r, linalg.mat_vec(data.Minv, rhs))
-
-
 # ---------------------------------------------------------------------------
 # Cross-module consistency suite (CLI `check prolongation`)
+
+
+def _coupled(m: linalg.Matrix) -> List[set]:
+    """``blocks[j]``: the indices that entries of ``m`` other than the literal
+    0 join to ``j``, so that ``m`` and its inverse are block diagonal by them."""
+    blocks = [{j} for j in range(len(m))]
+    for i, j in itertools.combinations(range(len(m)), 2):
+        if not (ex.is_zero_literal(m[i][j]) and ex.is_zero_literal(m[j][i])):
+            merged = blocks[i] | blocks[j]
+            for k in merged:
+                blocks[k] = merged
+    return blocks
+
+
+class _SectionResiduals:
+    """The items of :func:`consistency_suite`: their labels, which are
+    proven, and their values from one :class:`~semispray.expr.Program`."""
+
+    def __init__(self, data: LagrangianData, theta: Optional[AForm],
+                 base_potential: Optional[ex.Expr]):
+        chart = data.chart
+        n, r = self.n, self.r = chart.n, chart.r
+        _, omega = cartan_sections(data)
+        m_w = [[omega.get((r + i, j)) for j in range(r)] for i in range(r)]
+        w = [[omega.get((i, j)) for j in range(r)] for i in range(r)]
+        twist = twoform.assemble_N(data, chart, None if theta is None
+                                   else twoform.ThetaSection(theta))
+        horizontal = [[ex.ZERO if theta is None else theta.get((i, j)) for j in range(r)]
+                      for i in range(r)]
+        f = ex.ZERO if base_potential is None else ex.as_expr(base_potential)
+        field = poisson.FactoredField(chart, data.M, twist, ex.eadd(data.EL, f))
+        _, dgx, dgy, self.solved = field.gradient()
+        fibers = [ex.Var(name) for name in chart.fibers]
+        dey = [ex.diff(data.EL, name) for name in chart.fibers]
+
+        linear = [d == v for d, v in zip(dey, linalg.mat_vec(m_w, fibers))]
+        second_order = [all(linear[k] for k in block) for block in _coupled(m_w)]
+        self.sode = all(second_order)
+        pairs = list(itertools.product(range(r), repeat=2))
+        blocks = [(m_w[i][j] == data.M[i][j], ex.eadd(w[i][j], horizontal[i][j]) == twist[i][j])
+                  for i, j in pairs]
+        anchored = all(pair[0] for pair in blocks) and dgy == dey
+        vertical = (anchored and all(pair[1] for pair in blocks)
+                    and all(data.M[i][j] == data.M[j][i] for i, j in pairs)
+                    and (theta is None or not theta.coeffs or (self.sode and self.solved)))
+        label = "energy-section" if theta is None and base_potential is None \
+            else "corrected-section"
+        self.labels = ([f"E-component {j + 1}" for j in range(r)]
+                       + [f"fundamental-block {b}[{i + 1},{j + 1}]"
+                          for i, j in pairs for b in "MN"]
+                       + [f"{label} anchor d/d{name}" for name in chart.coords + chart.fibers])
+        self.proven = (second_order + [p for pair in blocks for p in pair]
+                       + [anchored] * n + [vertical] * r)
+        self.outputs = ([v for block in (m_w, data.M, w, twist, horizontal, chart.rho)
+                         for row in block for v in row]
+                        + dgx + dgy + dey + [ex.diff(f, name) for name in chart.coords]
+                        + fibers)
+
+    def values(self, jets: list, field) -> list:
+        """Every item's value from the jets of ``Program(self.outputs)``, in
+        ``field``; a zero pivot raises :class:`~semispray.expr.DomainError`."""
+        n, r, total = self.n, self.r, field.sum
+        values = iter([v for v, _ in jets])
+
+        def take(count: int) -> list:
+            return [next(values) for _ in range(count)]
+
+        m_w, m, w, twist, theta = [[take(r) for _ in range(r)] for _ in range(5)]
+        rho = [take(r) for _ in range(n)]
+        dgx, dgy, dey, dfx, y = take(n), take(r), take(r), take(n), take(r)
+
+        a = y if self.sode else linalg.solver(m_w, field)(dey)
+        b = linalg.solver(linalg.transpose(m_w), field)(  # dE_L/dx = dG/dx - df/dx
+            [total([rho[i][j] * (dfx[i] - dgx[i]) for i in range(n)]
+                   + [-a[i] * w[i][j] for i in range(r)]) for j in range(r)])
+        solve = linalg.solver(m, field)
+        z = solve([total([-rho[i][j] * dfx[i] for i in range(n)]
+                         + [-y[i] * theta[i][j] for i in range(r)]) for j in range(r)])
+        u = y if self.solved else solve(dgy)
+        xy = solve([total([twist[k][l] * u[l] for l in range(r)]
+                          + [-rho[i][k] * dgx[i] for i in range(n)]) for k in range(r)])
+        return ([total([a[j], -y[j]]) for j in range(r)]
+                + [total(terms) for i, j in itertools.product(range(r), repeat=2)
+                   for terms in ([m_w[i][j], -m[i][j]], [w[i][j], -twist[i][j], theta[i][j]])]
+                + [total([rho[i][k] * (a[k] - u[k]) for k in range(r)]) for i in range(n)]
+                + [total([b[k], z[k], -xy[k]]) for k in range(r)])
 
 
 def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
                       base_potential: Optional[ex.Expr] = None, box: ex.Box = None,
                       trials: int = 32, tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """End-to-end checks tying the prolongation picture to the bracket:
-    the energy Hamiltonian section is second order, its anchor equals the
-    bracket-side Hamiltonian field, and the twisted correction matches the
-    twisted field."""
-    from . import poisson, twoform
+    """End-to-end checks tying the prolongation picture to the bracket,
+    decided by :func:`~semispray.poisson._decide` with no inverse, bracket
+    or field tree, at any rank.  Two blocks are read off the symbolic
+    ``omega_L = d(theta_L)`` on the prolonged chart: ``M_w`` at
+    ``(r+i, j)`` and ``W`` at ``(i, j)``.  At a point, the energy
+    Hamiltonian section ``a^j E_j + b^k U_k`` of ``omega_L``, the vertical
+    correction ``z^k U_k`` for the twist ``Theta`` and the potential ``f``,
+    and the factored field of ``G = E_L + f`` solve ``M_w a = dE_L/dy``,
+    ``M_w^T b = -rho^T dE_L/dx - W^T a``, ``M z = -rho^T df/dx - Theta^T y``,
+    ``M u = dG/dy`` and ``M X_y = N u - rho^T dG/dx``, with ``M`` the fiber
+    Hessian and ``N = d(theta_L) + Theta``.  The items are ``a - y``,
+    ``M_w - M``, ``W - (N - Theta)``, and the anchor of ``sigma + Z``
+    against the field: ``rho (a - u)`` and ``b + z - X_y``.  Proven:
 
-    chart = data.chart
-
-    def residuals():
-        _, omega_l = cartan_sections(data)
-        sigma = hamiltonian_section(omega_l, data.EL, box=box, trials=trials, tol=tol,
-                                    seed=seed, check=False)
-        yield from sode_residuals(sigma)
-
-        n_plain = twoform.assemble_N(data, chart, None)
-        for i in range(chart.r):
-            for j in range(chart.r):
-                yield (f"fundamental-block M[{i + 1},{j + 1}]",
-                       ex.eadd(omega_l.get((chart.r + i, j)), ex.eneg(data.M[i][j])))
-                yield (f"fundamental-block N[{i + 1},{j + 1}]",
-                       ex.eadd(omega_l.get((i, j)), ex.eneg(n_plain[i][j])))
-
-        theta_section = twoform.ThetaSection(theta) if theta is not None else None
-        n_matrix = twoform.assemble_N(data, chart, theta_section)
-        bivector = poisson.build_bracket(chart, data, n_matrix)
-        g = data.EL if base_potential is None else ex.eadd(data.EL, base_potential)
-        field = poisson.hamiltonian_field(bivector, g)
-
-        if theta is None and base_potential is None:
-            label, oracle = "energy-section", anchor(sigma)
-        else:
-            horizontal = pullback_horizontal(theta) if theta is not None else None
-            correction = vertical_correction(data, horizontal, base_potential)
-            label, oracle = "corrected-section", anchor(sigma + correction)
-
-        for name, lhs, rhs in zip(chart.coords + chart.fibers,
-                                  oracle.components(), field.components()):
-            yield f"{label} anchor d/d{name}", ex.eadd(lhs, ex.eneg(rhs))
-
-    return ex.certify("prolongation", residuals(), box, trials, tol, seed)
+    * ``E-component j`` when ``dE_L/dy^k`` is ``(M_w y)_k`` term for term
+      for every ``k`` that ``M_w`` couples to ``j`` (:func:`_coupled`):
+      then ``a_j - y_j = (M_w^-1 (dE_L/dy - M_w y))_j = 0``;
+    * a block entry when ``M_w`` and ``M``, or ``W + Theta`` and ``N``,
+      are the same expression there;
+    * the base anchor items when every ``M`` entry is, and ``dG/dy`` is
+      ``dE_L/dy``: then ``a = u``;
+    * the fiber anchor items when also every ``N`` entry is and ``M`` is
+      literally symmetric.  Then ``M_w^T = M`` and ``W^T = Theta - N``
+      give ``M b = -rho^T dE_L/dx + (N - Theta) u``, and as
+      ``dG/dx = dE_L/dx + df/dx``,
+      ``M (b + z - X_y) = -Theta u - Theta^T y = Theta (y - u)``.  So
+      ``b + z - X_y = M^-1 Theta (y - u)``, which is 0 when ``Theta`` is
+      absent, or when the E-components are proven and ``dG/dy`` is
+      ``M y`` term for term (``solved`` of
+      :meth:`~semispray.poisson.FactoredField.gradient`): then ``u = y``.
+    """
+    residuals = _SectionResiduals(data, theta, base_potential)
+    return poisson._decide("prolongation", residuals.labels, residuals.proven,
+                           residuals.outputs, [], residuals.values, box, trials, tol, seed)

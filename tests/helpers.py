@@ -1,6 +1,7 @@
 """Shared test utilities: random raw expression trees, reference evaluator,
-substitution and derivative walkers, finite differences, and
-zero-assertion helpers."""
+substitution and derivative walkers, finite differences, zero-assertion
+helpers, and the symbolic prolongation sections that ``check prolongation``
+is compared with."""
 
 import contextlib
 import gc
@@ -10,7 +11,10 @@ from fractions import Fraction
 
 import mpmath
 
-from semispray import dynamics, expr as ex
+from semispray import dynamics, expr as ex, linalg
+from semispray.algebroid import AForm, prolong_chart
+from semispray.poisson import VectorFieldOnA
+from semispray.prolongation import ProlongSection
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
@@ -294,3 +298,39 @@ def generated_inverse(a, literal=False):
     columns = [generated_solve(a, [1.0 if i == j else 0.0 for i in range(size)], literal)
                for j in range(size)]
     return [[columns[j][i] for j in range(size)] for i in range(size)]
+
+
+def anchor(section):
+    """The vector field of a prolongation section ``a^j E_j + b^k U_k``:
+    ``Vx^i = rho^i_j a^j``, ``Vy^k = b^k``."""
+    chart = section.chart
+    return VectorFieldOnA(chart, linalg.mat_vec(chart.rho, section.a), list(section.b))
+
+
+def add_sections(s, t):
+    """The sum of two prolongation sections, coefficient by coefficient."""
+    return ProlongSection(s.chart, [ex.eadd(p, q) for p, q in zip(s.a, t.a)],
+                          [ex.eadd(p, q) for p, q in zip(s.b, t.b)])
+
+
+def pullback_horizontal(theta):
+    """A form on the base algebroid pulled back through the frame
+    projection: same coefficients, frame legs only."""
+    return AForm(prolong_chart(theta.chart), theta.degree, theta.coeffs)
+
+
+def vertical_correction(data, horizontal, base_potential):
+    """The vertical section ``Z`` with ``i_Z omega_L = -d(potential) -
+    i_sigma Theta``, from the exact Hessian inverse: with ``sigma`` the
+    energy Hamiltonian section, ``sigma + Z`` is a Hamiltonian section of
+    the twisted 2-section for ``E_L`` plus the potential."""
+    chart = data.chart
+    f = ex.ZERO if base_potential is None else ex.as_expr(base_potential)
+    y = [ex.Var(nm) for nm in chart.fibers]
+    rhs = []
+    for j in range(chart.r):
+        pieces = [ex.eneg(chart.anchor_derivative(j, f))]
+        if horizontal is not None:
+            pieces += [ex.eneg(ex.emul(y[a], horizontal.get((a, j)))) for a in range(chart.r)]
+        rhs.append(ex.eadd(*pieces))
+    return ProlongSection(chart, [ex.ZERO] * chart.r, linalg.mat_vec(data.Minv, rhs))

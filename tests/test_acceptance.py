@@ -18,7 +18,8 @@ from semispray import lagrangian, poisson, prolongation as pr, twoform
 from semispray.report import ZeroStatus
 
 from conftest import cotangent_poisson
-from helpers import random_polynomial
+from helpers import (add_sections, anchor, pullback_horizontal, random_polynomial,
+                     vertical_correction)
 
 
 def _report_line(name, ok, detail=""):
@@ -155,7 +156,7 @@ def test_criterion_04_prolongation_oracle_equivalence(fixtures, built):
         _, omega = pr.cartan_sections(data)
         sigma = pr.hamiltonian_section(omega, data.EL, check=False)
         plain_field = poisson.hamiltonian_field(_bivector(fixture, data, None), data.EL)
-        anchored = pr.anchor(sigma)
+        anchored = anchor(sigma)
         for lhs, rhs in zip(anchored.components(), plain_field.components()):
             result = ex.is_zero(ex.eadd(lhs, ex.eneg(rhs)), trials=64, tol=1e-10)
             if result.status is ZeroStatus.NONZERO:
@@ -164,9 +165,9 @@ def test_criterion_04_prolongation_oracle_equivalence(fixtures, built):
         if fixture.theta is None:
             continue
         potential = ex.Var(chart.coords[0])
-        horizontal = pr.pullback_horizontal(fixture.theta)
-        correction = pr.vertical_correction(data, horizontal, potential)
-        twisted = pr.anchor(sigma + correction)
+        horizontal = pullback_horizontal(fixture.theta)
+        correction = vertical_correction(data, horizontal, potential)
+        twisted = anchor(add_sections(sigma, correction))
         g = ex.eadd(data.EL, potential)
         field = poisson.hamiltonian_field(_bivector(fixture, data, fixture.theta), g)
         for lhs, rhs in zip(twisted.components(), field.components()):
@@ -328,7 +329,7 @@ def test_criterion_11_decomposition_roundtrip(fixtures, built):
             continue
         data = built[fixture.label]
         _, omega_l = pr.cartan_sections(data)
-        total = omega_l + pr.pullback_horizontal(fixture.theta)
+        total = omega_l + pullback_horizontal(fixture.theta)
         if not pr.j_dual(total).is_structurally_zero():
             ok = False
             details.append(f"{fixture.label} dual endomorphism image not zero")

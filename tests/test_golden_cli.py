@@ -16,7 +16,7 @@ import sys
 
 import pytest
 
-from semispray import cli, expr as ex, lagrangian, poisson
+from semispray import cli, expr as ex, lagrangian, linalg, poisson, prolongation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -70,8 +70,10 @@ MODELS.update(NEGATIVE_MODELS)
 #: In floats they round off near the curve det M = 0 by more than ``tol``
 #: at some seeds.  None of them is a polynomial, so every one that is not
 #: the literal 0 is decided exactly mod p first: ``check_jacobi`` from the
-#: jets of the bracket entries and ``check_prolongation`` item by item,
-#: each ``method: modular``, so both pass at every seed.
+#: jets of the bracket entries, each ``method: modular``, so it passes at
+#: every seed.  ``check_prolongation`` is proven item by item from the
+#: construction (``dE_L/dy = M y`` and ``omega_L``'s blocks are ``M`` and
+#: ``N``), with no sample.
 #: ``check_semispray`` is proven by the identity ``dG/dy = M y``, as are
 #: the base items of ``check_spray``, which fails truly: the magnetic term
 #: of ``Theta`` is linear in the fibers, so its fiber items are nonzero mod
@@ -81,6 +83,17 @@ STRESS_MODELS = {
                "L": "1/2*exp(x1)*(y1^2+y2^2+y3^2) + x2*y1*y2", "seed": 13},
 }
 MODELS.update(STRESS_MODELS)
+
+#: A quotient in the Hessian ``M = diag(1/(1 + x1^2), 1)``: ``dE_L/dy1`` is
+#: not ``M y1`` term for term, so with the twist ``check_prolongation``
+#: proves all but three items, and those are decided from its solves at one
+#: point mod p (``method: modular``).  Every other golden model is proven.
+QUOTIENT_MODELS = {
+    "quotient_metric": {"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]],
+                        "L": "1/2*y1^2/(1 + x1^2) + 1/2*y2^2 + x2*y1",
+                        "Theta": {"1,2": "x2"}, "seed": 17},
+}
+MODELS.update(QUOTIENT_MODELS)
 
 #: The stress model with the ``so3_perturbed`` anchor: its ``check_jacobi``
 #: finds the five triples the 1e-6 anchor perturbation breaks, each nonzero
@@ -107,7 +120,7 @@ COMMANDS = {
 }
 
 CASES = [(model, command) for model in MODELS
-         if model not in NEGATIVE_MODELS and model not in STRESS_MODELS
+         if model not in {**NEGATIVE_MODELS, **STRESS_MODELS, **QUOTIENT_MODELS}
          for command in COMMANDS]
 CASES += [(model, command) for model in NEGATIVE_MODELS
           for command in ("validate", "check_jacobi")]
@@ -116,6 +129,7 @@ CASES += [(model, command) for model in STRESS_MODELS
                           "check_semispray", "check_spray", "check_prolongation",
                           "check_homotopy", "integrate_rk4", "integrate_rk45",
                           "integrate_json")]
+CASES += [(model, "check_prolongation") for model in QUOTIENT_MODELS]
 
 
 def run_cli(name: str, doc: dict, argv, directory: pathlib.Path):
@@ -164,7 +178,7 @@ def test_homotopy_quadrature_leaves_only_roundoff(model, tmp_path):
 def test_stress_prolongation_passes_at_every_seed(tmp_path):
     # The prolongation identities hold for every closed Theta, so no seed
     # may report a NONZERO; float sampling alone gave false ones from
-    # roundoff near the curve det M = 0.  Every sampled item is decided mod p.
+    # roundoff near the curve det M = 0.  Every item is proven or decided mod p.
     for seed in range(40):
         stdout, code = run_cli("stress", STRESS_MODELS["stress"],
                                ["check", "prolongation", "--seed", str(seed)], tmp_path)
@@ -196,6 +210,24 @@ def test_semispray_and_spray_build_no_tree(model, command, tmp_path, monkeypatch
     monkeypatch.setattr(lagrangian.LagrangianData, "Minv", property(refuse))
     stdout, code = run_case(model, command, tmp_path)
     name = f"{model}__{command}"
+    assert code == _expected_codes()[name]
+    assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("model", [m for m, c in CASES if c == "check_prolongation"])
+def test_prolongation_builds_no_tree(model, tmp_path, monkeypatch):
+    # The check solves for the sections and the field at points: with the
+    # bracket, the field trees, the symbolic sections and every exact
+    # inverse refused, it still prints its golden bytes.
+    def refuse(*args):
+        raise AssertionError("a tree path was entered")
+
+    for owner, name in [(poisson, "build_bracket"), (poisson, "hamiltonian_field"),
+                        (prolongation, "hamiltonian_section"), (linalg, "inverse")]:
+        monkeypatch.setattr(owner, name, refuse)
+    monkeypatch.setattr(lagrangian.LagrangianData, "Minv", property(refuse))
+    stdout, code = run_case(model, "check_prolongation", tmp_path)
+    name = f"{model}__check_prolongation"
     assert code == _expected_codes()[name]
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -41,6 +42,10 @@ TANGENT5_DOC = {
     "rho": [["1" if i == j else "0" for j in range(5)] for i in range(5)],
     "L": "1/2*(y1^2 + y2^2 + y3^2 + y4^2 + y5^2)",
 }
+
+#: A curved metric of rank 5, above the rank of the symbolic inverse.
+CURVED5_DOC = {**TANGENT5_DOC,
+               "L": "1/2*(" + " + ".join(f"(1 + x{i}^2)*y{i}^2" for i in range(1, 6)) + ")"}
 
 #: The identity anchor on the plane: no expression names a variable.
 PLANE_DOC = {"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]]}
@@ -287,9 +292,9 @@ class TestCliCommands:
         # The flow solves with the Hessian pointwise and needs no inverse.
         (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1", "--T", "0.01", "--h", "1e-3"], 0),
         (["check", "jacobi"], 2),
-        # Both decide their residuals from the factored field, with no inverse.
+        # These decide their residuals from the factored field, with no inverse.
         (["check", "semispray"], 0), (["check", "spray"], 0),
-        (["check", "prolongation"], 2),
+        (["check", "prolongation"], 0),
         # These two never build the bracket, so the rank check leaves them alone.
         (["validate"], 0), (["check", "homotopy", "--forms", "1"], 0),
     ])
@@ -306,10 +311,8 @@ class TestCliCommands:
     def test_rank_five_curved_metric_is_a_semispray_and_a_spray(self, tmp_path):
         # Above the rank of the symbolic inverse: dG/dy = M y proves every
         # base item, and the fiber items of the spray are 0 mod p.
-        doc = {**TANGENT5_DOC,
-               "L": "1/2*(" + " + ".join(f"(1 + x{i}^2)*y{i}^2" for i in range(1, 6)) + ")"}
         path = tmp_path / "curved5.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(CURVED5_DOC))
         code, out = run_cli(["check", "semispray", str(path)])
         payload = json.loads(out)
         assert code == 0 and len(payload["items"]) == 5
@@ -320,6 +323,16 @@ class TestCliCommands:
         assert [item["status"] for item in items[:5]] == ["proven-zero"] * 5
         assert {(item["status"], item.get("method")) for item in items[5:]} == {
             ("likely-zero", "modular")}
+
+    def test_rank_five_curved_metric_passes_prolongation(self, tmp_path):
+        # Above the rank of the symbolic inverse: every item is proven from
+        # the construction, with no solve and no sample.
+        path = tmp_path / "curved5.json"
+        path.write_text(json.dumps(CURVED5_DOC))
+        code, out = run_cli(["check", "prolongation", str(path)])
+        items = json.loads(out)["items"]
+        assert code == 0 and len(items) == 5 + 2 * 25 + 10
+        assert {(item["status"], item["trials"]) for item in items} == {("proven-zero", 0)}
 
     def test_jacobi_with_no_triple_passes(self, tmp_path, capsys):
         # Two coordinates have no triple, also when the bracket holds a
@@ -646,12 +659,19 @@ def _nested_model(tmp_path, form, depth):
     return str(path)
 
 
-@pytest.mark.parametrize("command", ["validate", "hamiltonian"])
+@pytest.mark.parametrize("command", ["validate", "hamiltonian", "check prolongation"])
 @pytest.mark.parametrize("form", NESTED)
 def test_nesting_at_the_limit_runs(tmp_path, capsys, form, command):
-    code, out = run_cli([command, _nested_model(tmp_path, form, ex.MAX_NESTING)])
+    # Each runs in under a second.  ``check prolongation`` differentiates
+    # only along the nonzero entries of the prolonged anchor, so the deep
+    # coefficient of y1 is never differentiated along a fiber and sorted.
+    path = _nested_model(tmp_path, form, ex.MAX_NESTING)
+    start = time.perf_counter()
+    code, out = run_cli([*command.split(), path])
+    elapsed = time.perf_counter() - start
     assert code == 0 and json.loads(out)["status"] == "pass"
     assert capsys.readouterr().err == ""
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("form", NESTED)

@@ -7,9 +7,14 @@ from semispray import expr as ex
 from semispray import homotopy as ho
 from semispray import lagrangian, poisson, prolongation as pr, twoform
 from semispray.errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
+from semispray.model import load_model
+from semispray.report import ZeroStatus
 
-from helpers import (assert_certified_zero, assert_proven_zero, generated_inverse, point_env,
-                     random_polynomial, reference_value)
+from helpers import (add_sections, anchor, assert_certified_zero, assert_proven_zero,
+                     generated_inverse, point_env, pullback_horizontal, random_polynomial,
+                     reference_value, vertical_correction)
+from test_golden_cli import MODELS as GOLDEN_MODELS
+from test_poisson import optional
 
 
 def zero_section(chart):
@@ -30,21 +35,21 @@ def assert_sections_equal(s1, s2):
 
 class TestAnchor:
     def test_liouville_projects_to_dilation(self, so3):
-        field = pr.anchor(pr.liouville(so3.chart))
+        field = anchor(pr.liouville(so3.chart))
         assert field.vx == [ex.ZERO] * 3
         assert field.vy == [ex.Var(nm) for nm in so3.chart.fibers]
 
     def test_fiber_weighted_frame_sections(self, tangent1):
         chart = tangent1.chart
         section = pr.ProlongSection(chart, [ex.Var("y1")], [ex.ZERO])
-        field = pr.anchor(section)
+        field = anchor(section)
         assert field.vx == [ex.Var("y1")] and field.vy == [ex.ZERO]
 
     def test_energy_section_on_line(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
         _, omega = pr.cartan_sections(data)
         sigma = pr.hamiltonian_section(omega, data.EL)
-        field = pr.anchor(sigma)
+        field = anchor(sigma)
         assert field.vx == [ex.Var("y1")] and field.vy == [ex.ZERO]
 
 
@@ -359,7 +364,7 @@ class TestDecomposition:
     def test_twisted_section_recovers_horizontal_part(self, so3, lagrangian_data):
         data = lagrangian_data(so3)
         _, omega = pr.cartan_sections(data)
-        pulled = pr.pullback_horizontal(so3.theta)
+        pulled = pullback_horizontal(so3.theta)
         total = omega + pulled
         horizontal, exact_part = pr.decompose_symplectic(total)
         for i in range(3):
@@ -372,7 +377,7 @@ class TestDecomposition:
     def test_curved_chart_roundtrip(self, curved_cotangent, lagrangian_data):
         data = lagrangian_data(curved_cotangent)
         _, omega = pr.cartan_sections(data)
-        total = omega + pr.pullback_horizontal(curved_cotangent.theta)
+        total = omega + pullback_horizontal(curved_cotangent.theta)
         horizontal, exact_part = pr.decompose_symplectic(total)
         residual = horizontal + d(exact_part) - total
         assert residual.is_structurally_zero()
@@ -389,7 +394,7 @@ class TestDecomposition:
         _, omega = pr.cartan_sections(lagrangian_data(so3))
         twist = alg.AForm(so3.chart, 2, {(1, 2): ex.Var("x2")})
         with pytest.raises(NotClosed):
-            pr.decompose_symplectic(omega + pr.pullback_horizontal(twist))
+            pr.decompose_symplectic(omega + pullback_horizontal(twist))
 
     def test_non_polynomial_mixed_block_rejected(self, tangent2):
         # The mixed block holds exp(y1), so the primitive zeta is a fiber
@@ -397,7 +402,7 @@ class TestDecomposition:
         chart = tangent2.chart
         data = lagrangian.build("1/2*(y1^2 + y2^2) + exp(y1)/8", chart)
         _, omega = pr.cartan_sections(data)
-        total = omega + pr.pullback_horizontal(alg.AForm(chart, 2, {(0, 1): ex.ONE}))
+        total = omega + pullback_horizontal(alg.AForm(chart, 2, {(0, 1): ex.ONE}))
         with pytest.raises(ValueError, match="^cannot rebuild a form from quadrature coefficients$"):
             pr.decompose_symplectic(total)
 
@@ -418,10 +423,10 @@ class TestDecomposition:
 
 class TestPullback:
     def test_zero(self, so3):
-        assert pr.pullback_horizontal(alg.AForm(so3.chart, 2, {})).is_structurally_zero()
+        assert pullback_horizontal(alg.AForm(so3.chart, 2, {})).is_structurally_zero()
 
     def test_cotangent_bivector_coefficients(self, cotangent):
-        pulled = pr.pullback_horizontal(cotangent.theta)
+        pulled = pullback_horizontal(cotangent.theta)
         assert pulled.get((0, 1)) == ex.ONE
         for i in range(2):
             for j in range(2):
@@ -429,7 +434,7 @@ class TestPullback:
                 assert uu(pulled, i, j) == ex.ZERO
 
     def test_commutes_with_differentials_on_closed_sections(self, so3):
-        pulled = pr.pullback_horizontal(so3.theta)
+        pulled = pullback_horizontal(so3.theta)
         for value in d(pulled).coeffs.values():
             assert_certified_zero(value)
 
@@ -437,21 +442,21 @@ class TestPullback:
 class TestVerticalCorrection:
     def test_trivial_inputs_give_zero(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
-        z = pr.vertical_correction(data, None, None)
+        z = vertical_correction(data, None, None)
         assert_sections_equal(z, zero_section(tangent1.chart))
 
     def test_line_with_potential(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
-        z = pr.vertical_correction(data, None, ex.Var("x1"))
+        z = vertical_correction(data, None, ex.Var("x1"))
         assert z.a == [ex.ZERO] and z.b == [ex.MINUS_ONE]
 
     def test_matches_bracket_side_field(self, cotangent, lagrangian_data):
         data = lagrangian_data(cotangent)
-        pulled = pr.pullback_horizontal(cotangent.theta)
-        z = pr.vertical_correction(data, pulled, None)
+        pulled = pullback_horizontal(cotangent.theta)
+        z = vertical_correction(data, pulled, None)
         _, omega = pr.cartan_sections(data)
         sigma = pr.hamiltonian_section(omega, data.EL)
-        via_sections = pr.anchor(sigma + z)
+        via_sections = anchor(add_sections(sigma, z))
         n = twoform.assemble_N(data, cotangent.chart, twoform.ThetaSection(cotangent.theta))
         bivector = poisson.build_bracket(cotangent.chart, data, n)
         via_bracket = poisson.hamiltonian_field(bivector, data.EL)
@@ -466,13 +471,13 @@ class TestVerticalCorrection:
         fixture = request.getfixturevalue(fixture_name)
         data = lagrangian_data(fixture)
         f = None if potential is None else ex.Var(potential)
-        horizontal = None if fixture.theta is None else pr.pullback_horizontal(fixture.theta)
-        z = pr.vertical_correction(data, horizontal, f)
+        horizontal = None if fixture.theta is None else pullback_horizontal(fixture.theta)
+        z = vertical_correction(data, horizontal, f)
         _, omega = pr.cartan_sections(data)
         sigma = pr.hamiltonian_section(omega, data.EL)
         total = omega if horizontal is None else omega + horizontal
         energy = alg.AForm(omega.chart, 0, {(): ex.eadd(data.EL, f or ex.ZERO)})
-        residual = pr.insert_section(total, sigma + z) + d(energy)
+        residual = pr.insert_section(total, add_sections(sigma, z)) + d(energy)
         for value in residual.coeffs.values():
             assert_certified_zero(value)
 
@@ -487,7 +492,7 @@ class TestInducedBracket:
         data = lagrangian_data(fixture)
         chart = fixture.chart
         _, omega_l = pr.cartan_sections(data)
-        omega = omega_l + pr.pullback_horizontal(fixture.theta)
+        omega = omega_l + pullback_horizontal(fixture.theta)
         n = twoform.assemble_N(data, chart, twoform.ThetaSection(fixture.theta))
         bivector = poisson.build_bracket(chart, data, n)
         names = list(chart.coords) + list(chart.fibers)
@@ -500,3 +505,119 @@ class TestInducedBracket:
                 expected = bivector.coefficient(a, b)
                 assert_certified_zero(
                     ex.eadd(paired.get(()), ex.eneg(expected)), tol=1e-9)
+
+
+def reference_items(data, theta, potential):
+    """``(label, residual tree)`` of every ``check prolongation`` item, built
+    the symbolic way: the energy Hamiltonian section through the exact
+    inverse of ``omega_L``'s (vertical, frame) block, the vertical
+    correction through the Hessian inverse, and the bracket-built field."""
+    chart = data.chart
+    r = chart.r
+    _, omega = pr.cartan_sections(data)
+    sigma = pr.hamiltonian_section(omega, data.EL, check=False)
+    items = [(f"E-component {j + 1}", ex.eadd(sigma.a[j], ex.eneg(ex.Var(name))))
+             for j, name in enumerate(chart.fibers)]
+    n_plain = twoform.assemble_N(data, chart, None)
+    for i in range(r):
+        for j in range(r):
+            items += [(f"fundamental-block M[{i + 1},{j + 1}]",
+                       ex.eadd(ue(omega, i, j), ex.eneg(data.M[i][j]))),
+                      (f"fundamental-block N[{i + 1},{j + 1}]",
+                       ex.eadd(omega.get((i, j)), ex.eneg(n_plain[i][j])))]
+    n = twoform.assemble_N(data, chart, None if theta is None else twoform.ThetaSection(theta))
+    g = data.EL if potential is None else ex.eadd(data.EL, potential)
+    field = poisson.hamiltonian_field(poisson.build_bracket(chart, data, n), g)
+    if theta is None and potential is None:
+        label, oracle = "energy-section", anchor(sigma)
+    else:
+        horizontal = None if theta is None else pullback_horizontal(theta)
+        correction = vertical_correction(data, horizontal, potential)
+        label, oracle = "corrected-section", anchor(add_sections(sigma, correction))
+    for name, lhs, rhs in zip(chart.coords + chart.fibers, oracle.components(),
+                              field.components()):
+        items.append((f"{label} anchor d/d{name}", ex.eadd(lhs, ex.eneg(rhs))))
+    return items
+
+
+def assert_items_are_honest(chart, data, thetas, potentials, seed):
+    """For every 2-section in ``thetas`` and potential in ``potentials``,
+    the items ``check prolongation`` decides have the labels and, at 20
+    float points, the values of :func:`reference_items`, and every item
+    whose reference tree is the literal 0 is proven."""
+    rng = random.Random(seed)
+    for theta in thetas:
+        for potential in potentials:
+            reference = reference_items(data, theta, potential)
+            residuals = pr._SectionResiduals(data, theta, potential)
+            assert residuals.labels == [label for label, _ in reference]
+            for (label, tree), proven in zip(reference, residuals.proven):
+                assert proven or not ex.is_zero_literal(tree), label
+            program = ex.Program(residuals.outputs)
+            trees = [ex.Program([tree]) for _, tree in reference]
+            for _ in range(20):
+                env = {name: rng.uniform(-0.5, 0.5) for name in chart.alphabet}
+                got = residuals.values(program.jets(env, [], ex.FLOAT), ex.FLOAT)
+                want = [tree.value(env) for tree in trees]
+                assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (theta, potential, env)
+
+
+class TestSectionResidualsHonesty:
+    """``check prolongation`` solves for the sections and the field at
+    points and proves items from the construction; the symbolic tree path
+    must agree with it.  Within [-0.5, 0.5] every Hessian below stays
+    regular."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_MODELS))
+    def test_golden_models(self, name):
+        model = load_model(GOLDEN_MODELS[name])
+        data = lagrangian.build(model.lagrangian, model.chart)
+        assert_items_are_honest(model.chart, data, optional(model.theta),
+                                optional(model.potential), seed=len(name))
+
+    def test_acceptance_fixtures(self, catalog_fixtures, curved_metric, lagrangian_data):
+        for fixture in [*catalog_fixtures, curved_metric]:
+            chart = fixture.chart
+            potentials = [None, ex.Var(chart.coords[0])]
+            if chart.n >= 2:
+                potentials.append(ex.emul(ex.Var(chart.coords[0]), ex.Var(chart.coords[1])))
+            assert_items_are_honest(chart, lagrangian_data(fixture), optional(fixture.theta),
+                                    potentials, seed=chart.n)
+
+    @pytest.mark.parametrize("rank, text, theta", [
+        # Not quadratic in the fibers; its fiber anchor item is proven.
+        (1, "sqrt(1+y1^2) + x1*y1", None),
+        # A Hessian that depends on the fibers, with a twist.
+        (2, "1/2*(y1^2+y2^2) + exp(y1)/8 + y1^4/12", {(0, 1): "x1"}),
+        # A quotient in the Hessian: dE_L/dy1 is not M y1 term for term.
+        (2, "1/2*y1^2/(1+x1^2) + 1/2*y2^2 + x2*y1", {(0, 1): "x2"}),
+    ])
+    def test_lagrangians_beyond_the_fixtures(self, rank, text, theta):
+        chart = alg.tangent(rank).chart
+        data = lagrangian.build(text, chart)
+        form = None if theta is None else alg.AForm(
+            chart, 2, {key: chart.parse(value) for key, value in theta.items()})
+        assert_items_are_honest(chart, data, optional(form), [None, ex.Var("x1")], seed=3)
+
+    def test_unproven_items_are_decided_mod_p(self, tangent2):
+        # With the quotient Hessian above, E-component 1 is not proven, and
+        # with a twist neither are the fiber anchor items.
+        chart = tangent2.chart
+        data = lagrangian.build("1/2*y1^2/(1+x1^2) + 1/2*y2^2 + x2*y1", chart)
+        theta = alg.AForm(chart, 2, {(0, 1): ex.Var("x2")})
+        report = pr.consistency_suite(data, theta)
+        unproven = [(item.label, item.result.status, item.result.method)
+                    for item in report.items if item.result.status is not ZeroStatus.PROVEN_ZERO]
+        assert report.passed
+        assert unproven == [(label, ZeroStatus.LIKELY_ZERO, "modular") for label in (
+            "E-component 1", "corrected-section anchor d/dy1", "corrected-section anchor d/dy2")]
+
+    def test_a_potential_on_the_fibers_is_caught(self, tangent2):
+        # dG/dy is no longer dE_L/dy, so no anchor item is proven, and the
+        # base items are nonzero: the section solves with dE_L/dy alone.
+        data = lagrangian.build(tangent2.lagrangian, tangent2.chart)
+        report = pr.consistency_suite(data, None, ex.parse("y1^3", tangent2.chart.alphabet))
+        statuses = {item.label: item.result.status for item in report.items}
+        assert not report.passed
+        assert statuses["corrected-section anchor d/dx1"] is ZeroStatus.NONZERO
+        assert statuses["E-component 1"] is ZeroStatus.PROVEN_ZERO
