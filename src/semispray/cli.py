@@ -191,7 +191,8 @@ def cmd_check(model: ModelDocument, args) -> int:
                                          seed=seed, tol=tol, box=box)
     elif which == "prolongation":
         data = _lagrangian_data(model, box, trials, tol, seed, inverse=False)
-        report = prolongation.consistency_suite(data, model.theta, model.potential,
+        potential = None if args.energy_only else model.potential
+        report = prolongation.consistency_suite(data, model.theta, potential,
                                                 box=box, trials=trials, tol=tol, seed=seed)
     _emit(report.to_dict())
     return EXIT_PASS if report.passed else EXIT_FAIL

@@ -30,12 +30,12 @@ Their outputs, and those of ``diff``, ``subs`` and ``parse``, are fixed points
 of :func:`simplify`.  Only this module builds the raw node classes, so no other
 re-canonicalizes; :func:`simplify` is for trees built from raw nodes.
 
-No trigonometric rewriting, factorization, or root denesting is attempted;
-identities outside the polynomial fragment are certified probabilistically by
-:func:`is_zero`: first exactly at one random point of the prime field F_p
-(:class:`Modular`), and by float sampling only where that point is not 0 or,
-for a residual with a root, is not drawn.
-Every report item reached either way names it in its ``method``.
+No trigonometric rewriting, factorization, or root denesting is attempted.
+A residual that is not the literal 0 is certified probabilistically by
+:func:`decide`, the one verdict loop of every check (:func:`is_zero` and
+:func:`certify` call it): first exactly at one random point of the prime
+field F_p (:class:`Modular`), then by float sampling where that point is not
+0 or is not drawn.  Every item reached either way names it in its ``method``.
 """
 
 from __future__ import annotations
@@ -804,9 +804,11 @@ def to_text(e: Expr) -> str:
     """Canonical printer; emits the same grammar :func:`parse` accepts.
 
     Walks an explicit stack and prints each distinct subtree once, after
-    its children; a leaf is printed here, an inner node by :func:`_to_text`."""
+    its children; a leaf is printed here, an inner node by :func:`_to_text`.
+    A non-finite constant, which :func:`parse` has no literal for, raises
+    :class:`DomainError`."""
     if isinstance(e, Const):
-        return str(e.value)
+        return _const_text(e.value)
     if isinstance(e, Var):
         return e.name
     if not isinstance(e, Expr):
@@ -826,7 +828,7 @@ def to_text(e: Expr) -> str:
                     continue
                 kind = type(child)
                 if kind is Const:
-                    memo[child] = str(child.value)
+                    memo[child] = _const_text(child.value)
                 elif kind is Var:
                     memo[child] = child.name
                 elif kind in _INNER:  # not a name or exponent
@@ -835,6 +837,12 @@ def to_text(e: Expr) -> str:
                 del stack[-2:]
                 memo[node] = _to_text(node, text)
     return memo[e]
+
+
+def _const_text(value: Number) -> str:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"the constant {value} has no text that parse reads")
+    return str(value)
 
 
 def _to_text(e: Expr, text) -> str:
@@ -1111,63 +1119,86 @@ def require_settings(trials: int, tol: float) -> None:
 def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
             seed: int = 0, params: Mapping[str, float] = None) -> ZeroResult:
     """Decide whether the canonical tree ``e`` vanishes identically (a tree
-    built from raw nodes goes through :func:`simplify` first).
-
-    ``ProvenZero`` iff ``e`` is the literal 0.  A polynomial, with no
-    ``Div``, ``Func`` or ``Pow`` other than a natural power, is otherwise
-    sampled by :func:`sample_zero` over its free symbols; the canonical form
-    already cancels polynomial identities.  Any other ``e`` with no root
-    (no ``Pow`` with a fractional exponent) is first evaluated exactly at
-    one random point of F_p (:func:`modular_jets`, with up to ``trials``
-    draws past points singular mod p): a zero there is ``LikelyZero`` with
-    ``method`` ``modular`` and ``trials`` the points drawn, wrong with
-    probability at most ``deg/p`` for the degree ``deg`` of the lift
-    :class:`Modular` describes.  A nonzero there, no regular point, or a
-    root falls back to :func:`sample_zero`, tagged ``method`` ``float``, so
-    ``NonZero`` always has a float witness.  ``params`` are bound to fixed
-    values instead of being sampled, exactly mod p.
-    """
-    require_settings(trials, tol)
-    if is_zero_literal(e):
-        return ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
-    params = dict(params or {})
-    program = Program([e])
-    names = sorted({name for _, name in program.reads} - set(params))
-    polynomial = all(type(node) is Add or type(node) is Mul
-                     or (type(node) is Pow and type(node.exponent) is int and node.exponent > 0)
-                     for node in program.nodes)
-    if not polynomial:
-        exact, drawn = modular_jets(program, names, (), trials=trials, seed=seed,
-                                    params=params)
-        if exact is not None and exact[0][0] == 0:  # the value of the one output
-            return ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
-                              method="modular")
-    result = sample_zero(program.value, names, box=box, trials=trials,
-                         tol=tol, seed=seed, params=params)
-    return result if polynomial else replace(result, method="float")
+    built from raw nodes goes through :func:`simplify` first): the one item
+    of :func:`certify`, with ``params`` bound to fixed values."""
+    return certify("is-zero", [("", e)], box, trials, tol, seed, params).items[0].result
 
 
 def certify(check: str, residuals, box: Optional[Box], trials: int, tol: float,
-            seed: int) -> ValidationReport:
-    """Zero-test every ``(label, residual)`` pair, in order, into one report."""
+            seed: int, params: Mapping[str, float] = None) -> ValidationReport:
+    """Zero-test every ``(label, residual)`` pair, in order, into one report
+    by :func:`decide`; only the literal 0 is ``proven-zero``."""
+    residuals = list(residuals)
+    outputs = [e for _, e in residuals]
+    return decide(check, [label for label, _ in residuals], list(map(is_zero_literal, outputs)),
+                  outputs, [], lambda jets, field: [v for v, _ in jets], box, trials, tol,
+                  seed, params)
+
+
+def decide(check: str, labels: Sequence[str], proven: Sequence[bool], outputs: Sequence[Expr],
+           along: Sequence[str], values: Callable, box: Optional[Box], trials: int, tol: float,
+           seed: int, params: Mapping[str, Number] = None) -> ValidationReport:
+    """The verdict loop of every check: the report of ``check`` on the items
+    ``labels`` from the jets of ``Program(outputs)`` along ``along``, of which
+    ``values(jets, field)`` gives every item's value in the field's
+    arithmetic, raising :class:`DomainError` where the point is singular.
+    The names the program reads are sampled, and ``params`` bound, exactly
+    mod p.  An item is ``proven-zero`` where ``proven`` says so (with every
+    item proven, no program is built); else ``likely-zero`` with ``method``
+    ``modular`` when its value is 0 at the point of :func:`modular_jets`
+    (false with probability at most ``deg/p``; ``trials`` counts the points
+    drawn); else sampled by :func:`sample_zero`, with ``method`` ``float``.
+    The values at a float point are computed once for all items, so a point
+    singular for one item is skipped for all of them."""
+    require_settings(trials, tol)
     report = ValidationReport(check=check, seed=seed)
-    for label, residual in residuals:
-        report.add(label, is_zero(residual, box=box, trials=trials, tol=tol, seed=seed))
+    if all(proven):
+        for label in labels:
+            report.add(label, ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0))
+        return report
+    program = Program(outputs)
+    names = sorted({name for _, name in program.reads} - set(params or ()))
+    exact, drawn = modular_jets(program, names, along, trials=trials, seed=seed,
+                                params=params, finish=values)
+    sampled: dict = {}  # point -> its float values, or None where singular
+
+    def at(env: dict) -> list:
+        point = tuple(env[name] for name in names)
+        if point not in sampled:
+            try:  # with no jets to take, ``run`` gives the values alone
+                jets = (program.jets(env, along, FLOAT) if along
+                        else [(v, ()) for v in program.run(env)])
+                sampled[point] = values(jets, FLOAT)
+            except DomainError:
+                sampled[point] = None
+        if sampled[point] is None:
+            raise DomainError("the check is singular here")
+        return sampled[point]
+
+    for k, label in enumerate(labels):
+        if proven[k]:
+            result = ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
+        elif exact is not None and exact[k] == 0:
+            result = ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed, drawn, method="modular")
+        else:
+            result = replace(sample_zero(lambda env, k=k: at(env)[k], names, box=box,
+                                         trials=trials, tol=tol, seed=seed, params=params),
+                             method="float")
+        report.add(label, result)
     return report
 
 
 def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Optional[Box],
                 trials: int, tol: float, seed: int,
                 params: Mapping[str, float] = None) -> ZeroResult:
-    """The sample-and-verdict loop behind every numeric zero test.
-
+    """The float sampler of :func:`decide` and of the quadrature zero test:
     ``value`` is called on ``trials`` environments drawn uniformly from
     ``box`` over ``names`` with ``random.Random(seed)``, each extended by
     ``params``.  The first point with ``|value| > tol`` is returned as a
     ``NonZero`` witness, else the result is ``LikelyZero`` with the largest
-    ``|value|`` seen.  Points where evaluation leaves the real domain are
-    skipped; if every point is singular a :class:`DomainError` propagates.
-    """
+    ``|value|`` seen and the count of points ``evaluated``.  Points where
+    evaluation leaves the real domain are skipped; if every point is
+    singular a :class:`DomainError` propagates."""
     require_settings(trials, tol)
     box = box or Box()
     params = params or {}
@@ -1189,7 +1220,8 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
         max_abs = max(max_abs, abs(v))
     if evaluated == 0:
         raise DomainError("every sampled point was singular")
-    return ZeroResult(ZeroStatus.LIKELY_ZERO, max_abs, seed=seed, trials=trials)
+    return ZeroResult(ZeroStatus.LIKELY_ZERO, max_abs, seed=seed, trials=trials,
+                      evaluated=evaluated)
 
 
 # ---------------------------------------------------------------------------
@@ -1524,14 +1556,12 @@ def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *
                  trials: int, seed: int, params: Mapping[str, Number] = None,
                  finish: Callable = None):
     """``(jets, drawn)``: the :meth:`Program.jets` of ``program`` along
-    ``along`` in :class:`Modular` arithmetic with ``random.Random(seed)``, at
-    the first of up to ``trials`` uniform random points of F_p over
-    ``names`` (``params`` bound exactly) where nothing is singular mod p,
-    and the number of points drawn.  With ``finish``, ``jets`` is
-    ``finish(jets, field)``, and a point where it raises
-    :class:`DomainError` (a zero pivot, say) is singular too.  ``jets`` is
-    None when every point was singular, and, with no point drawn, when
-    ``program`` holds a root (see :class:`Modular`)."""
+    ``along`` in :class:`Modular` arithmetic with ``random.Random(seed)``,
+    passed through ``finish(jets, field)`` if given, at the first of up to
+    ``trials`` uniform random points of F_p over ``names`` (``params`` bound
+    exactly) where neither raises :class:`DomainError`, and the points
+    drawn.  ``jets`` is None when every point was singular, and, with no
+    point drawn, when ``program`` holds a root (see :class:`Modular`)."""
     if any(type(node) is Pow and type(node.exponent) is not int for node in program.nodes):
         return None, 0
     field = Modular(random.Random(seed))

@@ -10,21 +10,18 @@ and the Hamiltonian vector field convention is ``X_G(h) = {G, h}``, which is
 the convention reproducing the known semispray displays on the tangent
 fixtures (pinned by the acceptance suite).
 
-Every check here decides its items by one loop, :func:`_decide`: an item is
-``proven-zero`` by a rule of its check, ``likely-zero`` with ``method``
-``modular`` when it is 0 mod p = 2^61 - 1 at one random point (a false zero
-has probability at most deg/p), and otherwise sampled in floats with
-``method`` ``float``.  :func:`check_jacobi` reads the jets of the bracket's
-entries, and proves a triple that has no terms or whose terms read no
-quotient and sum symbolically to the literal 0.  :func:`is_semispray` and
-:func:`is_spray` read the :class:`FactoredField`: with no Hessian inverse,
-no bracket and no field tree, at any rank, and so does
+Every check here decides its items by :func:`~semispray.expr.decide`, the
+one verdict loop of every check, with the ``proven-zero`` rule of its own.
+:func:`check_jacobi` reads the jets of the bracket's entries, and proves a
+triple that has no terms or whose terms read no quotient and sum
+symbolically to the literal 0.  :func:`is_semispray` and :func:`is_spray`
+read the :class:`FactoredField`: with no Hessian inverse, no bracket and no
+field tree, at any rank, and so does
 :func:`~semispray.prolongation.consistency_suite`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +31,7 @@ from . import expr as ex
 from . import linalg
 from .algebroid import AlgebroidChart
 from .lagrangian import LagrangianData
-from .report import ValidationReport, ZeroResult, ZeroStatus
+from .report import ValidationReport
 
 
 @dataclass
@@ -170,8 +167,8 @@ def bracket(p: PoissonBivector, f: ex.Expr, g: ex.Expr) -> ex.Expr:
 def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Tag the Jacobiator of every coordinate triple, in the order of
-    :func:`itertools.combinations`, with :func:`_decide` from the jets of the
-    upper-triangle entries ``P_k``:
+    :func:`itertools.combinations`, with :func:`~semispray.expr.decide` from
+    the jets of the upper-triangle entries ``P_k``:
     ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``, summed from the terms of
     :func:`_jacobi_terms`.  A triple is ``proven-zero`` when it has no terms,
     or when none of its terms reads an entry holding a quotient and the
@@ -196,65 +193,9 @@ def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
     def values(jets, field) -> list:
         return [_jacobiator(terms, jets, field.sum) for _, terms in triples]
 
-    return _decide("jacobi", [label for label, _ in triples],
-                   [proven(terms) for _, terms in triples], entries, names, values,
-                   box, trials, tol, seed)
-
-
-def _decide(check: str, labels, proven, outputs: List[ex.Expr], along, values,
-            box: ex.Box, trials: int, tol: float, seed: int) -> ValidationReport:
-    """The report of ``check`` on the items ``labels``, from the jets of
-    ``Program(outputs)`` along ``along``: ``values(jets, field)`` gives every
-    item's value from them, in the field's arithmetic, and raises
-    :class:`~semispray.expr.DomainError` where the point is singular.  An
-    item is
-
-    * ``proven-zero`` where ``proven`` says so (with every item proven, no
-      program is built);
-    * ``likely-zero`` with ``method`` ``modular`` when its value is 0 in F_p
-      at one random point of :class:`~semispray.expr.Modular` (a singular
-      point draws another, and a program with a root draws none): a false
-      zero has probability at most ``deg/p``;
-    * else sampled by :func:`~semispray.expr.sample_zero` over the names the
-      program reads, with ``method`` ``float``; the values at a point are
-      computed once for every item that samples it, and a singular point is
-      skipped.
-    """
-    ex.require_settings(trials, tol)
-    report = ValidationReport(check=check, seed=seed)
-    if all(proven):
-        for label in labels:
-            report.add(label, ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0))
-        return report
-    program = ex.Program(outputs)
-    reads = sorted({name for _, name in program.reads})
-    exact, drawn = ex.modular_jets(program, reads, along, trials=trials, seed=seed,
-                                   finish=values)
-    sampled: dict = {}  # point -> its float values, or None where singular
-
-    def at(env: dict) -> list:
-        point = tuple(env[name] for name in reads)
-        if point not in sampled:
-            try:
-                sampled[point] = values(program.jets(env, along, ex.FLOAT), ex.FLOAT)
-            except ex.DomainError:
-                sampled[point] = None
-        if sampled[point] is None:
-            raise ex.DomainError("the check is singular here")
-        return sampled[point]
-
-    for k, label in enumerate(labels):
-        if proven[k]:
-            result = ZeroResult(ZeroStatus.PROVEN_ZERO, 0.0, seed=seed, trials=0)
-        elif exact is not None and exact[k] == 0:
-            result = ZeroResult(ZeroStatus.LIKELY_ZERO, 0.0, seed=seed, trials=drawn,
-                                method="modular")
-        else:
-            result = ex.sample_zero(lambda env, k=k: at(env)[k], reads, box=box,
-                                    trials=trials, tol=tol, seed=seed)
-            result = dataclasses.replace(result, method="float")
-        report.add(label, result)
-    return report
+    return ex.decide("jacobi", [label for label, _ in triples],
+                     [proven(terms) for _, terms in triples], entries, names, values,
+                     box, trials, tol, seed)
 
 
 def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], entries: List[ex.Expr]):
@@ -385,8 +326,8 @@ class _FactoredResiduals:
 def _factored_check(check: str, field: FactoredField, spray: bool, box: ex.Box,
                     trials: int, tol: float, seed: int) -> ValidationReport:
     residuals = _FactoredResiduals(field, spray)
-    return _decide(check, residuals.labels, residuals.proven, residuals.outputs,
-                   residuals.along, residuals.values, box, trials, tol, seed)
+    return ex.decide(check, residuals.labels, residuals.proven, residuals.outputs,
+                     residuals.along, residuals.values, box, trials, tol, seed)
 
 
 def is_semispray(field: FactoredField, box: ex.Box = None, trials: int = 64,
@@ -394,7 +335,7 @@ def is_semispray(field: FactoredField, box: ex.Box = None, trials: int = 64,
     """Residuals ``X_x^i - rho^i_k y^k`` of the base-projection condition,
     one per base coordinate, decided from the factored field (see
     :class:`_FactoredResiduals`): every item is ``proven-zero`` when
-    ``dG/dy`` is ``M y`` term for term, else decided by :func:`_decide`."""
+    ``dG/dy`` is ``M y`` term for term."""
     return _factored_check("semispray", field, False, box, trials, tol, seed)
 
 
@@ -404,6 +345,6 @@ def is_spray(field: FactoredField, box: ex.Box = None, trials: int = 64,
     ``E = y^k d/dy^k``: base components must be fiberwise homogeneous of
     degree 1 and fiber components of degree 2.  Decided from the factored
     field (see :class:`_FactoredResiduals`): the base items are
-    ``proven-zero`` when ``dG/dy`` is ``M y`` term for term, and every other
-    item is decided by :func:`_decide` from jets along the fibers."""
+    ``proven-zero`` when ``dG/dy`` is ``M y`` term for term, and the jets
+    run along the fibers."""
     return _factored_check("spray", field, True, box, trials, tol, seed)

@@ -329,7 +329,7 @@ def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
                       base_potential: Optional[ex.Expr] = None, box: ex.Box = None,
                       trials: int = 32, tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """End-to-end checks tying the prolongation picture to the bracket,
-    decided by :func:`~semispray.poisson._decide` with no inverse, bracket
+    decided by :func:`~semispray.expr.decide` with no inverse, bracket
     or field tree, at any rank.  Two blocks are read off the symbolic
     ``omega_L = d(theta_L)`` on the prolonged chart: ``M_w`` at
     ``(r+i, j)`` and ``W`` at ``(i, j)``.  At a point, the energy
@@ -360,5 +360,5 @@ def consistency_suite(data: LagrangianData, theta: Optional[AForm] = None,
       :meth:`~semispray.poisson.FactoredField.gradient`): then ``u = y``.
     """
     residuals = _SectionResiduals(data, theta, base_potential)
-    return poisson._decide("prolongation", residuals.labels, residuals.proven,
-                           residuals.outputs, [], residuals.values, box, trials, tol, seed)
+    return ex.decide("prolongation", residuals.labels, residuals.proven,
+                     residuals.outputs, [], residuals.values, box, trials, tol, seed)

@@ -26,6 +26,7 @@ class ZeroResult:
     witness: Optional[dict] = None
     witness_value: Optional[float] = None
     method: Optional[str] = None  # how a sampled verdict was reached, when named
+    evaluated: Optional[int] = None  # points of a float likely-zero not skipped as singular
 
     @property
     def is_zero(self) -> bool:
@@ -38,6 +39,8 @@ class ZeroResult:
     def to_dict(self) -> dict:
         out = {"status": self.status.value, "residual_max": self.max_residual,
                "seed": self.seed, "trials": self.trials}
+        if self.evaluated is not None and self.evaluated < self.trials:
+            out["evaluated"] = self.evaluated
         if self.witness is not None:
             out["witness"] = self.witness
             out["witness_value"] = self.witness_value

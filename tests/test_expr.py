@@ -70,6 +70,17 @@ class TestParse:
         back = ex.parse(ex.to_text(e), ("x1",))
         assert reference_value(back, {"x1": 1.0}) == value
 
+    @pytest.mark.parametrize("build", [
+        lambda: ex.emul(ex.Const(math.inf), ex.Var("x1")),
+        lambda: ex.eadd(ex.Const(math.inf), ex.Const(-math.inf)),
+        lambda: ex.Const(-math.inf),
+    ], ids=["inf*x1", "nan", "-inf"])
+    def test_non_finite_constants_have_no_text(self, build):
+        # ``parse`` has no literal for them, so printing ``inf*x1`` or ``nan``
+        # would write text it rejects.
+        with pytest.raises(DomainError, match="no text"):
+            ex.to_text(build())
+
     def test_power_right_associative(self):
         assert ex.parse("x1^2^3", ("x1",)) == ex.epow(ex.Var("x1"), 8)
 
@@ -440,8 +451,8 @@ class TestJets:
 
 
 class TestModularFirst:
-    """``is_zero`` decides a residual that is not a polynomial at one point
-    of F_p first, and samples floats only where the lift is not 0."""
+    """``is_zero`` decides a residual with no root at one point of F_p
+    first, and samples floats only where the lift is not 0."""
 
     NAMES = ("x1", "x2", "x3")
     # (E^2 - X^2)/(E - X) - E - X with E = exp(x1), X = x2: zero, but the
@@ -547,20 +558,80 @@ class TestModularFirst:
         assert (result.status, result.method) == (ZeroStatus.LIKELY_ZERO, "modular")
         assert ex.is_zero(e, params={"a": 3.0}).status is ZeroStatus.NONZERO
 
-    @pytest.mark.parametrize("text", ["x1^2 - x2^2 + 1/3*x1*x3", "(x1 + x2)^3 - x1^3"])
-    def test_polynomials_draw_no_modular_point(self, text, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a polynomial residual drew a modular point")
+    POLYNOMIALS = ["x1^2 - x2^2 + 1/3*x1*x3", "(x1 + x2)^3 - x1^3"]
 
-        monkeypatch.setattr(ex, "Modular", refuse)
-        result = ex.is_zero(ex.parse(text, self.NAMES), seed=3)
-        assert result.method is None and result.trials == 64
+    @pytest.mark.parametrize("text", POLYNOMIALS)
+    def test_polynomials_draw_one_modular_point(self, text):
+        # A polynomial that is not the literal 0 is nonzero at its one
+        # modular point, and falls to the float samples.
+        e = ex.parse(text, self.NAMES)
+        names = sorted(ex.free_symbols(e))
+        exact, drawn = ex.modular_jets(ex.Program([e]), names, (), trials=64, seed=3)
+        assert drawn == 1 and exact[0][0] != 0
+        result = ex.is_zero(e, seed=3)
+        assert (result.status, result.method, result.trials) == (ZeroStatus.NONZERO, "float", 64)
 
     def test_same_result_as_floats_alone_on_polynomials(self):
-        e = ex.parse("x1^2 - x2^2 + 1/3*x1*x3", self.NAMES)
-        program = ex.Program([e])
-        assert ex.is_zero(e, seed=3) == ex.sample_zero(program.value, ["x1", "x2", "x3"],
-                                                       box=None, trials=64, tol=1e-9, seed=3)
+        for text in self.POLYNOMIALS:
+            e = ex.parse(text, self.NAMES)
+            floats = ex.sample_zero(ex.Program([e]).value, sorted(ex.free_symbols(e)),
+                                    box=None, trials=64, tol=1e-9, seed=3)
+            result = ex.is_zero(e, seed=3)
+            assert (result.status, result.witness, result.witness_value, result.trials) == \
+                (floats.status, floats.witness, floats.witness_value, floats.trials)
+            assert result.method == "float"
+
+
+class TestOneVerdictLoop:
+    """``is_zero`` is the one item of ``certify``, and ``certify`` one call of
+    ``decide`` over all its residuals."""
+
+    NAMES = ("x1", "x2", "x3", "a")
+
+    @pytest.mark.parametrize("text,params", [
+        ("0", None),
+        ("x1^2 - x2^2 + 1/3*x1*x3", None),
+        (TestModularFirst.QUOTIENT, None),
+        ("(x1^2)^(1/2) - x1", None),
+        ("x1/(a - x2) - x1/(2 - x2)", {"a": 2.0}),
+    ])
+    def test_is_zero_is_the_one_item_of_certify(self, text, params):
+        e = ex.parse(text, self.NAMES)
+        for seed in (0, 5):
+            report = ex.certify("one", [("item", e)], None, 64, 1e-9, seed, params=params)
+            assert [item.label for item in report.items] == ["item"]
+            assert ex.is_zero(e, seed=seed, params=params) == report.items[0].result
+
+    def test_a_point_singular_for_one_item_is_skipped_for_all(self):
+        # sin^2 + cos^2 - 1 is regular everywhere, log(x1^2) - 2*log(x1) only
+        # where x1 > 0; both are sampled in floats (their lifts are not 0).
+        regular = ex.parse("sin(x1)^2 + cos(x1)^2 - 1", self.NAMES)
+        singular = ex.parse("log(x1^2) - 2*log(x1)", self.NAMES)
+        rng = random.Random(0)
+        positive = sum(ex.Box().sample(["x1"], rng)["x1"] > 0 for _ in range(64))
+        assert 0 < positive < 64
+        alone = ex.is_zero(regular, seed=0)
+        assert (alone.status, alone.evaluated) == (ZeroStatus.LIKELY_ZERO, 64)
+        assert "evaluated" not in alone.to_dict()  # printed only below trials
+        report = ex.certify("both", [("regular", regular), ("singular", singular)],
+                            None, 64, 1e-9, 0)
+        for item in report.items:
+            assert (item.result.status, item.result.method, item.result.evaluated) == \
+                (ZeroStatus.LIKELY_ZERO, "float", positive)
+            assert item.result.to_dict()["evaluated"] == positive
+
+    def test_evaluated_counts_the_points_not_skipped(self):
+        # Only the points with x1 >= 4/5 are regular: trials stays the points
+        # asked for, and evaluated says how few there were.
+        e = ex.parse("sqrt(x1 - 0.8)^2 - x1 + 0.8", ("x1",))
+        rng = random.Random(0)
+        regular = sum(ex.Box().sample(["x1"], rng)["x1"] >= 0.8 for _ in range(64))
+        result = ex.is_zero(e, seed=0)
+        assert (result.status, result.trials, result.evaluated) == \
+            (ZeroStatus.LIKELY_ZERO, 64, regular)
+        assert regular == 9
+        payload = result.to_dict()
+        assert (payload["trials"], payload["evaluated"]) == (64, 9)
 
 
 class TestCompile:

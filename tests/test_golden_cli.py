@@ -68,8 +68,8 @@ MODELS.update(NEGATIVE_MODELS)
 #: the one the flows solve with a runtime row swap, and its sampled
 #: residuals are the largest and most roundoff-prone the checks evaluate.
 #: In floats they round off near the curve det M = 0 by more than ``tol``
-#: at some seeds.  None of them is a polynomial, so every one that is not
-#: the literal 0 is decided exactly mod p first: ``check_jacobi`` from the
+#: at some seeds.  None of them has a root, so every one that is not the
+#: literal 0 is decided exactly mod p first: ``check_jacobi`` from the
 #: jets of the bracket entries, each ``method: modular``, so it passes at
 #: every seed.  ``check_prolongation`` is proven item by item from the
 #: construction (``dE_L/dy = M y`` and ``omega_L``'s blocks are ``M`` and

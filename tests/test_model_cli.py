@@ -423,6 +423,19 @@ class TestCliCommands:
         code, _ = run_cli(["check", "spray", str(path)])
         assert code == 0
 
+    def test_prolongation_energy_only_drops_the_potential(self, tmp_path):
+        path = tmp_path / "tangent_potential.json"
+        path.write_text(json.dumps({**TANGENT_DOC, "f": "x1^2"}))
+        labels = {}
+        for flags in ([], ["--energy-only"]):
+            code, out = run_cli(["check", "prolongation", str(path), *flags])
+            assert code == 0
+            labels[bool(flags)] = [item["label"] for item in json.loads(out)["items"]]
+        assert labels[False][-2:] == ["corrected-section anchor d/dx1",
+                                      "corrected-section anchor d/dy1"]
+        assert labels[True][-2:] == ["energy-section anchor d/dx1",
+                                     "energy-section anchor d/dy1"]
+
     def test_homotopy_suite(self, tangent_path):
         code, out = run_cli(["check", "homotopy", tangent_path, "--forms", "3"])
         payload = json.loads(out)
