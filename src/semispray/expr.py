@@ -1119,20 +1119,20 @@ def require_settings(trials: int, tol: float) -> None:
 def is_zero(e: Expr, box: Box = None, trials: int = 64, tol: float = 1e-9,
             seed: int = 0, params: Mapping[str, float] = None) -> ZeroResult:
     """Decide whether the canonical tree ``e`` vanishes identically (a tree
-    built from raw nodes goes through :func:`simplify` first): the one item
-    of :func:`certify`, with ``params`` bound to fixed values."""
-    return certify("is-zero", [("", e)], box, trials, tol, seed, params).items[0].result
+    built from raw nodes goes through :func:`simplify` first), with
+    ``params`` bound: the one item of a :func:`decide` call."""
+    return decide("is-zero", [""], [is_zero_literal(e)], [e], [], lambda jets, field: [jets[0][0]],
+                  box, trials, tol, seed, params).items[0].result
 
 
 def certify(check: str, residuals, box: Optional[Box], trials: int, tol: float,
             seed: int, params: Mapping[str, float] = None) -> ValidationReport:
-    """Zero-test every ``(label, residual)`` pair, in order, into one report
-    by :func:`decide`; only the literal 0 is ``proven-zero``."""
-    residuals = list(residuals)
-    outputs = [e for _, e in residuals]
-    return decide(check, [label for label, _ in residuals], list(map(is_zero_literal, outputs)),
-                  outputs, [], lambda jets, field: [v for v, _ in jets], box, trials, tol,
-                  seed, params)
+    """Zero-test every ``(label, residual)`` pair, in order, into one report,
+    each on its own by :func:`is_zero`."""
+    report = ValidationReport(check=check, seed=seed)
+    for label, residual in residuals:
+        report.add(label, is_zero(residual, box, trials, tol, seed, params))
+    return report
 
 
 def decide(check: str, labels: Sequence[str], proven: Sequence[bool], outputs: Sequence[Expr],
@@ -1148,8 +1148,8 @@ def decide(check: str, labels: Sequence[str], proven: Sequence[bool], outputs: S
     ``modular`` when its value is 0 at the point of :func:`modular_jets`
     (false with probability at most ``deg/p``; ``trials`` counts the points
     drawn); else sampled by :func:`sample_zero`, with ``method`` ``float``.
-    The values at a float point are computed once for all items, so a point
-    singular for one item is skipped for all of them."""
+    The items share one program, so a float point singular for one item is
+    skipped for all of them."""
     require_settings(trials, tol)
     report = ValidationReport(check=check, seed=seed)
     if all(proven):
@@ -1165,7 +1165,7 @@ def decide(check: str, labels: Sequence[str], proven: Sequence[bool], outputs: S
     def at(env: dict) -> list:
         point = tuple(env[name] for name in names)
         if point not in sampled:
-            try:  # with no jets to take, ``run`` gives the values alone
+            try:  # ``run`` takes no slopes, singular where a value is not (``sqrt`` at 0)
                 jets = (program.jets(env, along, FLOAT) if along
                         else [(v, ()) for v in program.run(env)])
                 sampled[point] = values(jets, FLOAT)

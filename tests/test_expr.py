@@ -583,8 +583,8 @@ class TestModularFirst:
 
 
 class TestOneVerdictLoop:
-    """``is_zero`` is the one item of ``certify``, and ``certify`` one call of
-    ``decide`` over all its residuals."""
+    """``is_zero`` is the one item of a ``decide`` call, and ``certify`` calls
+    it on each of its residuals."""
 
     NAMES = ("x1", "x2", "x3", "a")
 
@@ -602,9 +602,29 @@ class TestOneVerdictLoop:
             assert [item.label for item in report.items] == ["item"]
             assert ex.is_zero(e, seed=seed, params=params) == report.items[0].result
 
-    def test_a_point_singular_for_one_item_is_skipped_for_all(self):
-        # sin^2 + cos^2 - 1 is regular everywhere, log(x1^2) - 2*log(x1) only
-        # where x1 > 0; both are sampled in floats (their lifts are not 0).
+    def test_certify_decides_each_residual_on_its_own(self):
+        # ``(x1^2)^(1/2) - x1`` is nonzero only where ``sqrt(x1)`` is
+        # singular: had the points singular for the first residual been
+        # skipped for the second, it would pass.
+        rooted = ex.parse("sqrt(x1)^2 - x1", self.NAMES)
+        absolute = ex.parse("(x1^2)^(1/2) - x1", self.NAMES)
+        report = ex.certify("both", [("rooted", rooted), ("absolute", absolute)],
+                            None, 64, 1e-9, 0)
+        assert [item.result for item in report.items] == \
+            [ex.is_zero(rooted, seed=0), ex.is_zero(absolute, seed=0)]
+        assert report.items[1].result.status is ZeroStatus.NONZERO
+        assert report.items[1].result.witness["x1"] < 0
+        # A root in one residual costs the other none of its modular verdict.
+        quotient = ex.parse(TestModularFirst.QUOTIENT, self.NAMES)
+        report = ex.certify("both", [("rooted", rooted), ("quotient", quotient)],
+                            None, 64, 1e-9, 0)
+        assert [item.result.method for item in report.items] == ["float", "modular"]
+
+    def test_a_point_singular_for_one_item_of_decide_is_skipped_for_all(self):
+        # The items of one ``decide`` call share one program, so a float
+        # point is evaluated once for all of them. sin^2 + cos^2 - 1 is
+        # regular everywhere, log(x1^2) - 2*log(x1) only where x1 > 0; both
+        # are sampled in floats (their lifts are not 0).
         regular = ex.parse("sin(x1)^2 + cos(x1)^2 - 1", self.NAMES)
         singular = ex.parse("log(x1^2) - 2*log(x1)", self.NAMES)
         rng = random.Random(0)
@@ -613,12 +633,24 @@ class TestOneVerdictLoop:
         alone = ex.is_zero(regular, seed=0)
         assert (alone.status, alone.evaluated) == (ZeroStatus.LIKELY_ZERO, 64)
         assert "evaluated" not in alone.to_dict()  # printed only below trials
-        report = ex.certify("both", [("regular", regular), ("singular", singular)],
-                            None, 64, 1e-9, 0)
+        assert ex.certify("both", [("regular", regular)], None, 64, 1e-9, 0) \
+            .items[0].result == alone
+        report = ex.decide("both", ["regular", "singular"], [False, False],
+                           [regular, singular], [], lambda jets, field: [v for v, _ in jets],
+                           None, 64, 1e-9, 0)
         for item in report.items:
             assert (item.result.status, item.result.method, item.result.evaluated) == \
                 (ZeroStatus.LIKELY_ZERO, "float", positive)
             assert item.result.to_dict()["evaluated"] == positive
+
+    def test_values_are_regular_where_only_a_slope_is_singular(self):
+        # With a = 0 bound, sqrt(a) is 0 at every point, while its slope
+        # 1/(2*sqrt(a)) is singular there: no jet is needed for a verdict,
+        # so no point is skipped for it.
+        e = ex.parse("sqrt(a)*x1 - a*x1", self.NAMES)
+        result = ex.is_zero(e, params={"a": 0})
+        assert (result.status, result.method, result.evaluated) == \
+            (ZeroStatus.LIKELY_ZERO, "float", 64)
 
     def test_evaluated_counts_the_points_not_skipped(self):
         # Only the points with x1 >= 4/5 are regular: trials stays the points
