@@ -3,17 +3,16 @@ fields, reports, and trajectories.  ``integrate`` builds no bracket: it
 integrates the factored field ``X = P(x)·∇G`` from the Hessian, the twist
 and the anchor (:class:`~semispray.poisson.FactoredField`).
 
-``check semispray``, ``check spray`` and ``check prolongation`` build no
-bracket either: they decide their residuals from the same factored field
-at points, so all four run at any rank.
+The checks build no bracket either: ``check jacobi``, ``check semispray``,
+``check spray`` and ``check prolongation`` decide their residuals from the
+same factored field at points, so all five run at any rank.
 
 Exit codes: 0 when every check passes; 1 when any residual is certified
 nonzero or the model cannot be processed; 2 on input errors: a malformed
 model, a sampling setting that breaks the rules of :mod:`semispray.model`,
 bad ``--p0``/``--T``/``--h`` values, a rank above 4 for the commands that
-need the exact Hessian inverse (``bracket``, ``hamiltonian``,
-``check jacobi``), and a chart or 2-section that
-``--strict`` refuses.  Every error class has its code in
+need the exact Hessian inverse (``bracket`` and ``hamiltonian``), and a
+chart or 2-section that ``--strict`` refuses.  Every error class has its code in
 :data:`semispray.errors.EXIT_CODES`.  Every randomized report embeds the
 seed it ran with, so identical model + seed gives byte-identical output.
 """
@@ -59,15 +58,11 @@ def _emit(payload: dict) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _lagrangian_data(model: ModelDocument, box, trials, tol, seed, inverse: bool = True):
-    """Lagrangian data of the model.  A command that builds the bracket
-    (``inverse``) needs the exact Hessian inverse, which the data build on
-    first use, up to rank ``SYMBOLIC_INVERSE_MAX_RANK``."""
+def _lagrangian_data(model: ModelDocument, box, trials, tol, seed):
+    """Lagrangian data of the model, with no Hessian inverse: only
+    :func:`_bivector` asks for it, and the data build it on first use."""
     if model.lagrangian is None:
         raise ModelError("L", "this command needs a Lagrangian in the model")
-    if inverse and model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
-        raise ModelError("r", "this command builds the bracket from the exact Hessian "
-                              f"inverse, available up to rank {SYMBOLIC_INVERSE_MAX_RANK}")
     return build_lagrangian(model.lagrangian, model.chart, box=box, trials=trials,
                             tol=tol, seed=seed, params=model.params)
 
@@ -101,7 +96,7 @@ def cmd_validate(model: ModelDocument, args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
-def _twisted(model: ModelDocument, box, trials, tol, seed, strict, inverse: bool):
+def _twisted(model: ModelDocument, box, trials, tol, seed, strict):
     """The Lagrangian data and the twist ``N``; with ``strict``, a chart
     that fails the structure equations or a 2-section that is not closed is
     refused first."""
@@ -110,7 +105,7 @@ def _twisted(model: ModelDocument, box, trials, tol, seed, strict, inverse: bool
         if not structure.passed:
             raise ModelError("rho/C", "structure equations fail "
                                       f"(max residual {structure.max_residual:.3e})")
-    data = _lagrangian_data(model, box, trials, tol, seed, inverse)
+    data = _lagrangian_data(model, box, trials, tol, seed)
     theta = twoform.ThetaSection(model.theta) if model.theta is not None else None
     if strict and theta is not None:
         closed = theta.check_closed(box=box, trials=trials, tol=tol, seed=seed)
@@ -121,7 +116,11 @@ def _twisted(model: ModelDocument, box, trials, tol, seed, strict, inverse: bool
 
 
 def _bivector(model: ModelDocument, box, trials, tol, seed, strict):
-    data, n_matrix = _twisted(model, box, trials, tol, seed, strict, inverse=True)
+    """The data and the symbolic bracket, up to ``SYMBOLIC_INVERSE_MAX_RANK``."""
+    if model.chart.r > SYMBOLIC_INVERSE_MAX_RANK:
+        raise ModelError("r", "this command builds the bracket from the exact Hessian "
+                              f"inverse, available up to rank {SYMBOLIC_INVERSE_MAX_RANK}")
+    data, n_matrix = _twisted(model, box, trials, tol, seed, strict)
     return data, poisson.build_bracket(model.chart, data, n_matrix)
 
 
@@ -152,7 +151,7 @@ def _hamiltonian_target(model: ModelDocument, data, args) -> ex.Expr:
 def _factored(model: ModelDocument, args, box, trials, tol, seed):
     """``(G, field)``: the Hamiltonian target and its factored field, built
     with no Hessian inverse, so at any rank."""
-    data, n_matrix = _twisted(model, box, trials, tol, seed, args.strict, inverse=False)
+    data, n_matrix = _twisted(model, box, trials, tol, seed, args.strict)
     g = _hamiltonian_target(model, data, args)
     return g, poisson.FactoredField(model.chart, data.M, n_matrix, g)
 
@@ -178,19 +177,17 @@ def cmd_check(model: ModelDocument, args) -> int:
     box, trials, tol, seed = model.settings(args.box, args.trials, args.tol, args.seed)
     which = args.which
     report: Optional[ValidationReport] = None
-    if which == "jacobi":
-        _, bivector = _bivector(model, box, trials, tol, seed, args.strict)
-        report = poisson.check_jacobi(bivector, box=box, trials=trials, tol=tol, seed=seed)
-    elif which in ("semispray", "spray"):
+    if which in ("jacobi", "semispray", "spray"):
         _, field = _factored(model, args, box, trials, tol, seed)
-        check = poisson.is_semispray if which == "semispray" else poisson.is_spray
+        check = {"jacobi": poisson.check_jacobi, "semispray": poisson.is_semispray,
+                 "spray": poisson.is_spray}[which]
         report = check(field, box=box, trials=trials, tol=tol, seed=seed)
     elif which == "homotopy":
         ranks = tuple(range(1, min(model.chart.r, 3) + 1))
         report = homotopy.identity_suite(ranks=ranks, forms_per_case=args.forms,
                                          seed=seed, tol=tol, box=box)
     elif which == "prolongation":
-        data = _lagrangian_data(model, box, trials, tol, seed, inverse=False)
+        data = _lagrangian_data(model, box, trials, tol, seed)
         potential = None if args.energy_only else model.potential
         report = prolongation.consistency_suite(data, model.theta, potential,
                                                 box=box, trials=trials, tol=tol, seed=seed)

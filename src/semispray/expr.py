@@ -1576,6 +1576,62 @@ def modular_jets(program: Program, names: Sequence[str], along: Sequence[str], *
     return None, trials
 
 
+class Pattern:
+    """The zero-pattern arithmetic of a check's values code, beside
+    :data:`FLOAT` and :class:`Modular`, and its values: the literal 0
+    (false) or may be nonzero (true).  A sum may be nonzero where a term
+    may, a product where every factor may, a quotient where its numerator
+    may, and a literal-0 pivot raises :class:`DomainError`.  With each input
+    that may be nonzero read as an indeterminate, and each pivot taken not
+    0 as a function of them, a literal 0 is 0 as a rational function, so
+    wherever the exact values are defined.  Not bools: ``True - True == 0``."""
+
+    __slots__ = ("nonzero",)
+
+    def __new__(cls, nonzero):
+        return cls.one if nonzero else cls.zero
+
+    def __bool__(self) -> bool:
+        return self.nonzero
+
+    def __add__(self, other) -> "Pattern":
+        return self if self.nonzero else other if type(other) is Pattern else Pattern(other)
+
+    def __mul__(self, other) -> "Pattern":
+        if self.nonzero:
+            return other if type(other) is Pattern else Pattern(other)
+        return self
+
+    def __neg__(self) -> "Pattern":
+        return self
+
+    __radd__ = __sub__ = __rsub__ = __add__
+    __rmul__ = __mul__
+    __abs__ = __bool__  # ``linalg.solver`` pivots on the first that may be nonzero
+    norm = staticmethod(__neg__)  # the identity
+
+    @staticmethod
+    def sum(values: list) -> "Pattern":
+        return Pattern(values.count(Pattern.zero) < len(values))
+
+    @staticmethod
+    def quotient(a: "Pattern", b: "Pattern"):  # ``linalg.solver`` refuses a literal-0 pivot
+        return a, Pattern.one
+
+    @staticmethod
+    def jets(outputs: Sequence[Expr], along: Sequence[str]) -> list:
+        """Each output's ``(value, gradient)``: it may be nonzero where it is
+        not the literal 0, and its partial along a name where it reads it."""
+        zero, one = Pattern.zero, Pattern.one
+        return [(zero if is_zero_literal(e) else one, [one if name in free else zero
+                                                       for name in along])
+                for e in outputs for free in (free_symbols(e) if along else (),)]
+
+
+Pattern.zero, Pattern.one = object.__new__(Pattern), object.__new__(Pattern)
+Pattern.zero.nonzero, Pattern.one.nonzero = False, True
+
+
 def float_source(value: float) -> str:
     """Python source of a float, for generated code."""
     if not math.isfinite(value):  # repr gives the bare names inf and nan

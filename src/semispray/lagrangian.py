@@ -4,8 +4,7 @@
 coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.  The exact
 inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None)
 is built on first use: only the symbolic bracket reads it.  ``integrate``
-and the semispray, spray and prolongation checks solve with ``M``
-pointwise.
+and every check solve with ``M`` pointwise.
 A singular Hessian is always an error.  Regularity is certified on a sample
 box, never globally: the probe set is the uniform sample plus the box center
 and the fiber origin, so Hessians degenerating on the zero section are

@@ -17,9 +17,11 @@ def transpose(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """``a b``, with no product formed where a factor is the literal 0."""
     rows, inner, cols = len(a), len(b), len(b[0])
     assert len(a[0]) == inner
-    return [[ex.eadd(*(ex.emul(a[i][k], b[k][j]) for k in range(inner)))
+    return [[ex.eadd(*(ex.emul(a[i][k], b[k][j]) for k in range(inner)
+                       if not (ex.is_zero_literal(a[i][k]) or ex.is_zero_literal(b[k][j]))))
              for j in range(cols)] for i in range(rows)]
 
 

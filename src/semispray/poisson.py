@@ -11,19 +11,20 @@ the convention reproducing the known semispray displays on the tangent
 fixtures (pinned by the acceptance suite).
 
 Every check here decides its items by :func:`~semispray.expr.decide`, the
-one verdict loop of every check, with the ``proven-zero`` rule of its own.
-:func:`check_jacobi` reads the jets of the bracket's entries, and proves a
-triple that has no terms or whose terms read no quotient and sum
-symbolically to the literal 0.  :func:`is_semispray` and :func:`is_spray`
-read the :class:`FactoredField`: with no Hessian inverse, no bracket and no
-field tree, at any rank, and so does
-:func:`~semispray.prolongation.consistency_suite`.
+one verdict loop of every check, from the :class:`FactoredField` at points,
+with no field tree and at any rank, as does
+:func:`~semispray.prolongation.consistency_suite`.  :func:`check_jacobi`
+solves for the jets of the bracket's entries, :func:`is_semispray` and
+:func:`is_spray` for the field's residuals.  Each runs the same solves once
+in :class:`~semispray.expr.Pattern` too: a Jacobi term that is the literal
+0 there is left out, and a spray item that is, proven.  A triple is proven
+when no term is left, or, where ``M`` reads no name, when its terms over
+the exact bracket read no quotient and sum symbolically to the literal 0.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
@@ -110,7 +111,10 @@ def build_bracket(chart: AlgebroidChart, data: LagrangianData,
     the twisted skew matrix ``N`` (see :func:`~semispray.twoform.assemble_N`)."""
     if data.Minv is None:
         raise ValueError("building the bracket symbolically needs the exact Hessian inverse")
-    minv = data.Minv
+    return _bracket(chart, data.Minv, n_matrix)
+
+
+def _bracket(chart: AlgebroidChart, minv: linalg.Matrix, n_matrix: linalg.Matrix):
     pxy = [[ex.eneg(v) for v in row] for row in linalg.mat_mul(chart.rho, minv)]
     mnm = linalg.mat_mul(linalg.mat_mul(minv, n_matrix), minv)
     pyy = [[ex.eneg(v) for v in row] for row in mnm]
@@ -164,47 +168,136 @@ def bracket(p: PoissonBivector, f: ex.Expr, g: ex.Expr) -> ex.Expr:
     return _contract(_skew_rows(p), _Partials(f, names), _Partials(g, names))
 
 
-def check_jacobi(p: PoissonBivector, box: ex.Box = None, trials: int = 64,
+def check_jacobi(field: FactoredField, box: ex.Box = None, trials: int = 64,
                  tol: float = 1e-9, seed: int = 0) -> ValidationReport:
     """Tag the Jacobiator of every coordinate triple, in the order of
     :func:`itertools.combinations`, with :func:`~semispray.expr.decide` from
-    the jets of the upper-triangle entries ``P_k``:
+    the jets of the bracket's upper-triangle entries ``P_k``, at any rank:
     ``J^{abc} = sum_d P^{ad} d_d P^{bc} + cyclic``, summed from the terms of
-    :func:`_jacobi_terms`.  A triple is ``proven-zero`` when it has no terms,
-    or when none of its terms reads an entry holding a quotient and the
-    symbolic sum of its terms, each partial taken once, is the literal 0.
-    A chart with fewer than three coordinates has no triple and passes.
-    """
-    names = p.coordinate_names()
-    pairs = list(itertools.combinations(range(len(names)), 2))
-    entries = [p.coefficient(a, b) for a, b in pairs]
-    triples = list(_jacobi_terms(names, pairs, entries))
-    quotient = [any(isinstance(node, ex.Div) for node in ex.distinct_nodes(e)) for e in entries]
-    symbolic = [(e, _Partials(e, names)) for e in entries]
+    :func:`_jacobi_terms`.  Where ``M`` reads a name, the jets are those of
+    :class:`_BracketJets`, and the terms those of the same code's zero
+    pattern.  Where it reads none, the inverse is a constant matrix, so the
+    exact entries cost nothing: the jets and terms are theirs, and a triple
+    none of whose terms reads an entry holding a quotient is proven when
+    the symbolic sum of its terms, each partial taken once, is the literal
+    0.  A triple with no terms is ``proven-zero``.  A chart with fewer than
+    three coordinates passes."""
+    bracket = _BracketJets(field)
+    names, pairs = bracket.names, bracket.pairs
+    constant = not any(ex.free_symbols(e) for row in field.M for e in row)
+    if constant:
+        exact = _bracket(field.chart, linalg.inverse(field.M, linalg.det(field.M)), field.N)
+        outputs = [exact.coefficient(a, b) for a, b in pairs]
+        triples = list(_jacobi_terms(names, pairs, ex.Pattern.jets(outputs, names)))
+        quotient = [any(isinstance(node, ex.Div) for node in ex.distinct_nodes(e))
+                    for e in outputs]
+        symbolic = [(e, _Partials(e, names)) for e in outputs]
+        proven = [not any(quotient[k] or quotient[l] for _, k, l, _ in terms)
+                  and ex.is_zero_literal(ex.eadd(*[ex.emul(ex.as_expr(sign), symbolic[k][0],
+                                                           symbolic[l][1][d])
+                                                   for sign, k, l, d in terms]))
+                  for _, terms in triples]
+    else:
+        outputs = bracket.outputs
+        pattern = bracket(ex.Pattern.jets(outputs, names), ex.Pattern)
+        triples = list(_jacobi_terms(names, pairs, pattern))
+        proven = [not terms for _, terms in triples]
 
-    def product(factors) -> ex.Expr:
-        return ex.emul(*map(ex.as_expr, factors))
+    def values(jets, arithmetic) -> list:
+        jets = jets if constant else bracket(jets, arithmetic)
+        return [_jacobiator(terms, jets, arithmetic.sum) for _, terms in triples]
 
-    def proven(terms) -> bool:
-        if any(quotient[k] or quotient[l] for _, k, l, _ in terms):
-            return False
-        return ex.is_zero_literal(_jacobiator(terms, symbolic, lambda ts: ex.eadd(*ts), product))
-
-    def values(jets, field) -> list:
-        return [_jacobiator(terms, jets, field.sum) for _, terms in triples]
-
-    return ex.decide("jacobi", [label for label, _ in triples],
-                     [proven(terms) for _, terms in triples], entries, names, values,
+    return ex.decide("jacobi", [label for label, _ in triples], proven, outputs, names, values,
                      box, trials, tol, seed)
 
 
-def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], entries: List[ex.Expr]):
+class _FieldJets:
+    """A factored field's data as the first outputs of one
+    :class:`~semispray.expr.Program`: the upper triangles of ``M`` and
+    ``N``, then ``rho``, whose jets :meth:`blocks` reads back."""
+
+    def __init__(self, field: FactoredField):
+        self.n, self.r = n, r = field.chart.n, field.chart.r
+        self.upper = list(itertools.combinations_with_replacement(range(r), 2))
+        self.strict = list(itertools.combinations(range(r), 2))
+        self.outputs = ([field.M[i][j] for i, j in self.upper]
+                        + [field.N[i][j] for i, j in self.strict]
+                        + [v for row in field.chart.rho for v in row])
+
+    def blocks(self, jets, field) -> tuple:
+        """``M``, ``N`` (skew) and ``rho`` as matrices of ``(value,
+        gradient)`` jets, taken from the iterator ``jets``."""
+        n, r, zero = self.n, self.r, field.zero
+        m = [[None] * r for _ in range(r)]
+        for i, j in self.upper:
+            m[i][j] = m[j][i] = next(jets)
+        twist = [[(zero, [zero] * len(m[0][0][1]))] * r for _ in range(r)]
+        for i, j in self.strict:
+            value, grad = twist[i][j] = next(jets)
+            twist[j][i] = (-value, [-g for g in grad])
+        return m, twist, [[next(jets) for _ in range(r)] for _ in range(n)]
+
+
+class _BracketJets(_FieldJets):
+    """The jets of the bracket's upper-triangle entries ``P_k`` over the
+    coordinate pairs, from the jets of ``Program(outputs)`` along every
+    coordinate and solves with ``M`` (:func:`~semispray.linalg.solver`), in
+    any field's arithmetic.  With ``A = M^-1``, ``P^{xy} = -rho A`` and
+    ``P^{yy} = -A N A``; from ``d A = -A (d M) A``, as ``A`` is symmetric
+    and ``P^{yy}`` skew, with ``B = (d M) A``,
+    ``d P^{xy} = -(d rho) A - P^{xy} B`` and
+    ``d P^{yy} = (P^{yy} B)^T - P^{yy} B - A (d N) A``, each piece taken
+    only where its partial is not 0."""
+
+    def __init__(self, field: FactoredField):
+        super().__init__(field)
+        self.names = list(field.chart.coords) + list(field.chart.fibers)
+        self.pairs = list(itertools.combinations(range(len(self.names)), 2))
+
+    def __call__(self, jets: list, field) -> list:
+        n, r, total, zero = self.n, self.r, field.sum, field.zero
+        m, twist, rho = self.blocks(iter(jets), field)
+
+        def part(block, d=None):  # the values of a block of jets, or its partials along d
+            return [[jet[0] if d is None else jet[1][d] for jet in row] for row in block]
+
+        def mul(a, b, sign=1):  # sign * a b
+            out = [[total([u * v for u, v in zip(row, col)]) for col in zip(*b)] for row in a]
+            return out if sign > 0 else [[-v for v in row] for row in out]
+
+        solve = linalg.solver(part(m), field)
+        inv = linalg.transpose([solve([field.one if k == j else zero for k in range(r)])
+                                for j in range(r)])
+        pxy, pyy = mul(part(rho), inv, -1), mul(mul(inv, part(twist)), inv, -1)
+        dxy, dyy = [], []
+        for d in range(n + r):
+            xy, yy = [], []  # the pieces of the two blocks' partials
+            d_rho, d_m, d_twist = part(rho, d), part(m, d), part(twist, d)
+            if any(map(any, d_rho)):
+                xy.append(mul(d_rho, inv, -1))
+            if any(map(any, d_m)):
+                b = mul(d_m, inv)
+                c = mul(pyy, b)
+                xy.append(mul(pxy, b, -1))
+                yy += [linalg.transpose(c), [[-v for v in row] for row in c]]
+            if any(map(any, d_twist)):
+                yy.append(mul(mul(inv, d_twist), inv, -1))
+            dxy.append([[total([p[i][k] for p in xy]) for k in range(r)] for i in range(n)])
+            dyy.append([[total([p[k][l] for p in yy]) for l in range(r)] for k in range(r)])
+        return [(zero, [zero] * (n + r)) if j < n
+                else (pxy[i][j - n], [block[i][j - n] for block in dxy]) if i < n
+                else (pyy[i - n][j - n], [block[i - n][j - n] for block in dyy])
+                for i, j in self.pairs]
+
+
+def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], pattern: list):
     """``(label, terms)`` of every coordinate triple ``a < b < c``, where
     the terms ``(sign, k, l, d)`` stand for ``sign * P_k * d_d P_l`` over
-    the upper-triangle entries ``P_k``, and a term that is 0 by structure is
-    left out."""
+    the upper-triangle entries ``P_k``, kept only where the ``pattern``
+    jets of the entries say that ``P_k`` and ``d_d P_l`` may be nonzero."""
     column = {pair: k for k, pair in enumerate(pairs)}
-    free = [ex.free_symbols(e) for e in entries]
+    nonzero = [bool(value) for value, _ in pattern]
+    slopes = [[d for d, slope in enumerate(grad) if slope] for _, grad in pattern]
 
     def oriented(a: int, b: int) -> Tuple[int, int]:
         return (1, column[a, b]) if a < b else (-1, column[b, a])
@@ -213,20 +306,20 @@ def _jacobi_terms(names: List[str], pairs: List[Tuple[int, int]], entries: List[
         terms = []
         for i, j, k in ((a, b, c), (b, c, a), (c, a, b)):
             sign_jk, jk = oriented(j, k)
-            for d in range(len(names)):
-                if d == i or names[d] not in free[jk]:
+            for d in slopes[jk]:
+                if d == i:
                     continue
                 sign_id, id_ = oriented(i, d)
-                if not ex.is_zero_literal(entries[id_]):
+                if nonzero[id_]:
                     terms.append((sign_id * sign_jk, id_, jk, d))
         yield f"({names[a]},{names[b]},{names[c]})", terms
 
 
-def _jacobiator(terms, jets, total, product=math.prod):
-    """The sum by ``total`` of the terms of :func:`_jacobi_terms`, each the
-    ``product`` of its sign, ``P_k`` and ``d_d P_l``, over the
-    ``(value, gradient)`` jets of the upper-triangle entries."""
-    return total([product((sign, jets[k][0], jets[l][1][d])) for sign, k, l, d in terms])
+def _jacobiator(terms, jets, total):
+    """The sum by ``total`` of the terms of :func:`_jacobi_terms`, each
+    ``sign * P_k * d_d P_l``, over the ``(value, gradient)`` jets of the
+    upper-triangle entries."""
+    return total([sign * jets[k][0] * jets[l][1][d] for sign, k, l, d in terms])
 
 
 def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
@@ -242,7 +335,7 @@ def hamiltonian_field(p: PoissonBivector, g: ex.Expr) -> VectorFieldOnA:
     return VectorFieldOnA(p.chart, components[:n], components[n:])
 
 
-class _FactoredResiduals:
+class _FactoredResiduals(_FieldJets):
     """The residuals of :func:`is_semispray` (base items) or
     :func:`is_spray` (base items, then fiber items) of a factored field, as
     one :class:`~semispray.expr.Program` of its data and the solves that
@@ -264,22 +357,17 @@ class _FactoredResiduals:
     are proven when ``solved``."""
 
     def __init__(self, field: FactoredField, spray: bool):
-        chart = field.chart
-        n, r = chart.n, chart.r
-        hessian, dgx, dgy, self.solved = field.gradient()
-        self.spray, self.n, self.r = spray, n, r
-        self.upper = list(itertools.combinations_with_replacement(range(r), 2))
-        self.strict = list(itertools.combinations(range(r), 2))
+        super().__init__(field)
+        chart, n, r = field.chart, self.n, self.r
+        _, dgx, dgy, self.solved = field.gradient()
+        self.spray = spray
         self.labels = [f"d/d{name}" for name in chart.coords]
         self.proven = [self.solved] * n
         if spray:
             self.labels += [f"d/d{name}" for name in chart.fibers]
             self.proven += [False] * r
         self.along = list(chart.fibers) if spray else []
-        self.outputs = ([hessian[i][j] for i, j in self.upper]
-                        + [field.N[i][j] for i, j in self.strict]
-                        + [v for row in chart.rho for v in row]
-                        + dgx + dgy + [ex.Var(name) for name in chart.fibers])
+        self.outputs += dgx + dgy + [ex.Var(name) for name in chart.fibers]
 
     def values(self, jets: list, field) -> list:
         """Every residual from the jets of ``Program(self.outputs)``, in the
@@ -287,15 +375,8 @@ class _FactoredResiduals:
         :class:`~semispray.expr.DomainError`."""
         n, r, total = self.n, self.r, field.sum
         jets = iter(jets)
-        m = [[None] * r for _ in range(r)]
-        for i, j in self.upper:
-            m[i][j] = m[j][i] = next(jets)
-        twist = [[] for _ in range(r)]  # row k: (l, sign, jet) for l != k
-        for i, j in self.strict:
-            jet = next(jets)
-            twist[i].append((j, 1, jet))
-            twist[j].append((i, -1, jet))
-        rho = [[next(jets)[0] for _ in range(r)] for _ in range(n)]
+        m, twist, rho = self.blocks(jets, field)
+        rho = [[v for v, _ in row] for row in rho]
         gx = [next(jets) for _ in range(n)]
         gy = [next(jets) for _ in range(r)]
         y = [next(jets)[0] for _ in range(r)]
@@ -307,16 +388,21 @@ class _FactoredResiduals:
         u = y if self.solved else solve([v for v, _ in gy])
         if not self.spray:
             return [total([rho[i][k] * (u[k] - y[k]) for k in range(r)]) for i in range(n)]
-        em = [[euler(jet) for jet in row] for row in m]
+        em, etwist = [[None] * r for _ in range(r)], [[None] * r for _ in range(r)]
+        for i, j in self.upper:  # each Euler derivative once: M is symmetric, N skew
+            em[i][j] = em[j][i] = euler(m[i][j])
+            etwist[i][j] = euler(twist[i][j])
+            etwist[j][i] = -etwist[i][j]
+        egx = [euler(jet) for jet in gx]
         eu = y if self.solved else solve([total([euler(gy[k])] + [-em[k][j] * u[j]
                                                                   for j in range(r)])
                                           for k in range(r)])
         base = [total([rho[i][k] * (eu[k] - u[k]) for k in range(r)]) for i in range(n)]
-        rhs = [total([sign * jet[0] * u[l] for l, sign, jet in twist[k]]
+        rhs = [total([twist[k][l][0] * u[l] for l in range(r) if l != k]
                      + [-rho[i][k] * gx[i][0] for i in range(n)]) for k in range(r)]
-        e_rhs = [total([sign * (euler(jet) * u[l] + jet[0] * eu[l])
-                        for l, sign, jet in twist[k]]
-                       + [-rho[i][k] * euler(gx[i]) for i in range(n)]) for k in range(r)]
+        e_rhs = [total([etwist[k][l] * u[l] + twist[k][l][0] * eu[l]
+                        for l in range(r) if l != k]
+                       + [-rho[i][k] * egx[i] for i in range(n)]) for k in range(r)]
         xy = solve(rhs)
         fiber = solve([total([e_rhs[k], -2 * rhs[k]] + [-em[k][j] * xy[j] for j in range(r)])
                        for k in range(r)])
@@ -326,7 +412,12 @@ class _FactoredResiduals:
 def _factored_check(check: str, field: FactoredField, spray: bool, box: ex.Box,
                     trials: int, tol: float, seed: int) -> ValidationReport:
     residuals = _FactoredResiduals(field, spray)
-    return ex.decide(check, residuals.labels, residuals.proven, residuals.outputs,
+    proven = residuals.proven
+    if not all(proven):  # an item that is the literal 0 in the zero pattern is proven too
+        pattern = residuals.values(ex.Pattern.jets(residuals.outputs, residuals.along),
+                                   ex.Pattern)
+        proven = [known or not value for known, value in zip(proven, pattern)]
+    return ex.decide(check, residuals.labels, proven, residuals.outputs,
                      residuals.along, residuals.values, box, trials, tol, seed)
 
 
@@ -345,6 +436,7 @@ def is_spray(field: FactoredField, box: ex.Box = None, trials: int = 64,
     ``E = y^k d/dy^k``: base components must be fiberwise homogeneous of
     degree 1 and fiber components of degree 2.  Decided from the factored
     field (see :class:`_FactoredResiduals`): the base items are
-    ``proven-zero`` when ``dG/dy`` is ``M y`` term for term, and the jets
+    ``proven-zero`` when ``dG/dy`` is ``M y`` term for term, any item is
+    where the zero pattern of the solves gives the literal 0, and the jets
     run along the fibers."""
     return _factored_check("spray", field, True, box, trials, tol, seed)

@@ -125,16 +125,17 @@ def test_criterion_03_jacobi_suite(fixtures, built):
     details = []
     for fixture in fixtures:
         data = built[fixture.label]
-        bivector = _bivector(fixture, data, fixture.theta)
-        report = poisson.check_jacobi(bivector, trials=64, tol=1e-8)
+        field = _factored(fixture, data, fixture.theta, data.EL)
+        report = poisson.check_jacobi(field, trials=64, tol=1e-8)
         if not report.passed or report.max_residual >= 1e-8:
             ok = False
             details.append(f"{fixture.label} jacobi residual {report.max_residual:.2e}")
     so3 = next(f for f in fixtures if f.label == "action_so3")
     data = built[so3.label]
-    corrupted = _bivector(so3, data, so3.theta)
-    corrupted.pyy[0][1] = ex.eadd(corrupted.pyy[0][1], ex.Var("x1"))
-    corrupted.pyy[1][0] = ex.eneg(corrupted.pyy[0][1])
+    # With M = I, P^{yy} = -N: this is the bracket with x1 added to P^{yy}[0][1].
+    corrupted = _factored(so3, data, so3.theta, data.EL)
+    corrupted.N[0][1] = ex.eadd(corrupted.N[0][1], ex.eneg(ex.Var("x1")))
+    corrupted.N[1][0] = ex.eneg(corrupted.N[0][1])
     report = poisson.check_jacobi(corrupted, trials=64, tol=1e-8)
     if report.passed or report.first_failure.result.witness is None:
         ok = False

@@ -70,7 +70,8 @@ MODELS.update(NEGATIVE_MODELS)
 #: In floats they round off near the curve det M = 0 by more than ``tol``
 #: at some seeds.  None of them has a root, so every one that is not the
 #: literal 0 is decided exactly mod p first: ``check_jacobi`` from the
-#: jets of the bracket entries, each ``method: modular``, so it passes at
+#: jets of the bracket entries, solved for at the point from ``M``, ``N``
+#: and ``rho`` with no inverse, each ``method: modular``, so it passes at
 #: every seed.  ``check_prolongation`` is proven item by item from the
 #: construction (``dE_L/dy = M y`` and ``omega_L``'s blocks are ``M`` and
 #: ``N``), with no sample.
@@ -210,6 +211,23 @@ def test_semispray_and_spray_build_no_tree(model, command, tmp_path, monkeypatch
     monkeypatch.setattr(lagrangian.LagrangianData, "Minv", property(refuse))
     stdout, code = run_case(model, command, tmp_path)
     name = f"{model}__{command}"
+    assert code == _expected_codes()[name]
+    assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+@pytest.mark.parametrize("model", ["stress", "stress_perturbed", "curved_metric", "exp_metric"])
+def test_jacobi_builds_no_inverse(model, tmp_path, monkeypatch):
+    # Where M reads a name, the check solves for the bracket's jets at
+    # points: with the symbolic bracket and every exact inverse refused, it
+    # still prints its golden bytes.
+    def refuse(*args):
+        raise AssertionError("a symbolic inverse was built")
+
+    monkeypatch.setattr(poisson, "build_bracket", refuse)
+    monkeypatch.setattr(linalg, "inverse", refuse)
+    monkeypatch.setattr(lagrangian.LagrangianData, "Minv", property(refuse))
+    stdout, code = run_case(model, "check_jacobi", tmp_path)
+    name = f"{model}__check_jacobi"
     assert code == _expected_codes()[name]
     assert stdout.encode() == (GOLDEN / f"{name}.out").read_bytes()
 

@@ -291,9 +291,8 @@ class TestCliCommands:
         (["bracket"], 2), (["hamiltonian"], 2),
         # The flow solves with the Hessian pointwise and needs no inverse.
         (["integrate", "--p0", "0,0,0,0,0,1,1,1,1,1", "--T", "0.01", "--h", "1e-3"], 0),
-        (["check", "jacobi"], 2),
         # These decide their residuals from the factored field, with no inverse.
-        (["check", "semispray"], 0), (["check", "spray"], 0),
+        (["check", "jacobi"], 0), (["check", "semispray"], 0), (["check", "spray"], 0),
         (["check", "prolongation"], 0),
         # These two never build the bracket, so the rank check leaves them alone.
         (["validate"], 0), (["check", "homotopy", "--forms", "1"], 0),
@@ -323,6 +322,16 @@ class TestCliCommands:
         assert [item["status"] for item in items[:5]] == ["proven-zero"] * 5
         assert {(item["status"], item.get("method")) for item in items[5:]} == {
             ("likely-zero", "modular")}
+
+    def test_rank_five_curved_metric_passes_jacobi(self, tmp_path):
+        # Above the rank of the symbolic inverse: the zero pattern of the
+        # solves leaves no term in any of the C(10, 3) triples.
+        path = tmp_path / "curved5.json"
+        path.write_text(json.dumps(CURVED5_DOC))
+        code, out = run_cli(["check", "jacobi", str(path)])
+        items = json.loads(out)["items"]
+        assert code == 0 and len(items) == 120
+        assert {(item["status"], item["trials"]) for item in items} == {("proven-zero", 0)}
 
     def test_rank_five_curved_metric_passes_prolongation(self, tmp_path):
         # Above the rank of the symbolic inverse: every item is proven from

@@ -10,6 +10,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from semispray import algebroid, cli, expr as ex
 from semispray import homotopy, lagrangian, linalg, poisson, twoform
@@ -33,6 +35,14 @@ def factored_field(fixture, theta=None, data=None, g=None):
     section = twoform.ThetaSection(theta) if theta is not None else None
     n = twoform.assemble_N(data, fixture.chart, section)
     return poisson.FactoredField(fixture.chart, data.M, n, data.EL if g is None else g)
+
+
+def corrupt_twist(field, term):
+    """``field`` with ``term`` subtracted from ``N[0][1]`` (and added to
+    ``N[1][0]``): where ``M = I``, ``P^{yy} = -N`` gains ``term`` at [0][1]."""
+    field.N[0][1] = ex.eadd(field.N[0][1], ex.eneg(term))
+    field.N[1][0] = ex.eneg(field.N[0][1])
+    return field
 
 
 class TestBuildBracket:
@@ -101,24 +111,21 @@ class TestBracketOperation:
 
 class TestJacobi:
     def test_tangent_line_proven(self, tangent1):
-        _, p = bracket_bundle(tangent1)
-        report = poisson.check_jacobi(p)
+        report = poisson.check_jacobi(factored_field(tangent1))
         assert report.passed and report.all_proven
 
     def test_cotangent_with_twist(self, cotangent):
-        _, p = bracket_bundle(cotangent, theta=cotangent.theta)
-        report = poisson.check_jacobi(p, tol=1e-9)
+        field = factored_field(cotangent, theta=cotangent.theta)
+        report = poisson.check_jacobi(field, tol=1e-9)
         assert report.passed and report.max_residual < 1e-9
 
     def test_position_dependent_structure_functions(self, curved_cotangent, lagrangian_data):
         # x-dependent anchor AND bracket coefficients at once: the Jacobi
         # identity still cancels exactly, and the field stays a semispray.
         fixture = curved_cotangent
-        data = lagrangian_data(fixture)
-        _, p = bracket_bundle(fixture, theta=fixture.theta, data=data)
-        report = poisson.check_jacobi(p)
+        field = factored_field(fixture, theta=fixture.theta, data=lagrangian_data(fixture))
+        report = poisson.check_jacobi(field)
         assert report.passed and report.all_proven
-        field = factored_field(fixture, theta=fixture.theta, data=data)
         assert poisson.is_semispray(field, tol=1e-10).passed
 
     def test_non_closed_twist_detected(self, so3, lagrangian_data):
@@ -130,14 +137,12 @@ class TestJacobi:
             algebroid.AForm(chart, 2, {(0, 1): ex.parse("x1^2", chart.alphabet)}))
         assert not open_theta.check_closed().passed
         n = twoform.assemble_N(data, chart, open_theta)
-        bivector = poisson.build_bracket(chart, data, n)
-        assert not poisson.check_jacobi(bivector).passed
+        field = poisson.FactoredField(chart, data.M, n, data.EL)
+        assert not poisson.check_jacobi(field).passed
 
     def test_corrupted_bivector_fails_with_witness(self, so3):
-        _, p = bracket_bundle(so3, theta=so3.theta)
-        p.pyy[0][1] = ex.eadd(p.pyy[0][1], ex.Var("x1"))
-        p.pyy[1][0] = ex.eneg(p.pyy[0][1])
-        report = poisson.check_jacobi(p)
+        field = corrupt_twist(factored_field(so3, theta=so3.theta), ex.Var("x1"))
+        report = poisson.check_jacobi(field)
         assert not report.passed
         failure = report.first_failure
         assert failure is not None and failure.result.witness is not None
@@ -212,6 +217,42 @@ class TestSprayPredicate:
         field = factored_field(tangent1, g=g)
         assert poisson.is_spray(field).passed
         assert not poisson.is_semispray(field).passed
+
+
+#: Two models of the bench's ``certify_exact`` workload with a constant
+#: Hessian and a twist, copied here: the spray fiber items that the zero
+#: pattern of the solves proves, by label.
+SPRAY_PATTERN_MODELS = {
+    "tangent4": ({"n": 4, "r": 4, "rho": [["1" if i == j else "0" for j in range(4)]
+                                          for i in range(4)],
+                  "L": "1/2*(y1^2+y2^2+y3^2+y4^2)", "Theta": {"1,2": "1"}},
+                 ["d/dy3", "d/dy4"]),
+    "lie_poisson4": ({"n": 4, "r": 4, "fibers": ["p1", "p2", "p3", "p4"],
+                      "rho": [["0", "-x3", "x2", "0"], ["x3", "0", "-x1", "0"],
+                              ["-x2", "x1", "0", "0"], ["0", "0", "0", "0"]],
+                      "C": {"3,1,2": "1", "2,1,3": "-1", "1,2,3": "1"},
+                      "L": "1/2*(p1^2+p2^2+p3^2+p4^2)",
+                      "Theta": {"1,2": "x3", "1,3": "-x2", "2,3": "x1"}, "f": "x4^2"},
+                     ["d/dp4"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPRAY_PATTERN_MODELS))
+def test_spray_fiber_items_proven_from_the_zero_pattern(name):
+    # The fiber items that no twist or potential term reaches are the literal
+    # 0 in the pattern arithmetic of the solves, and so are the bracket-built
+    # field's residual trees.
+    doc, labels = SPRAY_PATTERN_MODELS[name]
+    model = load_model(doc)
+    data = lagrangian.build(model.lagrangian, model.chart)
+    n = twoform.assemble_N(data, model.chart, twoform.ThetaSection(model.theta))
+    g = ex.eadd(data.EL, model.potential) if model.potential is not None else data.EL
+    report = poisson.is_spray(poisson.FactoredField(model.chart, data.M, n, g))
+    fibers = report.items[model.chart.n:]
+    assert [item.label for item in fibers if item.result.proven] == labels
+    tree = poisson.hamiltonian_field(poisson.build_bracket(model.chart, data, n), g)
+    trees = tree_residuals(model.chart, tree, True)[model.chart.n:]
+    assert [ex.is_zero_literal(r) for r in trees] == [item.result.proven for item in fibers]
 
 
 def tree_residuals(chart, field, spray):
@@ -386,8 +427,7 @@ def test_expression_kernel_leaves_no_cyclic_garbage(stress, tmp_path):
     with cyclic_garbage() as found:
         e = ex.emul(ex.eadd(x1, ex.Const(2.0), y1), ex.ediv(ex.Const(3), ex.eadd(x1, y1)), x1)
         ex.simplify(ex.eadd(e, ex.diff(e, "x1"), stress.lagrangian))
-        _, p = bracket_bundle(stress, theta=stress.theta)
-        poisson.check_jacobi(p, trials=4, seed=1)
+        poisson.check_jacobi(factored_field(stress, theta=stress.theta), trials=4, seed=1)
         homotopy.fiber_value(integrand)({"x1": 0.5})
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["check", "semispray", str(path), "--seed", "1"]) == 0
@@ -432,18 +472,28 @@ def symbolic_term_sums(p):
     pairs = list(itertools.combinations(range(len(names)), 2))
     entries = [p.coefficient(a, b) for a, b in pairs]
     symbolic = [(e, poisson._Partials(e, names)) for e in entries]
-    for label, terms in poisson._jacobi_terms(names, pairs, entries):
+    for label, terms in poisson._jacobi_terms(names, pairs, ex.Pattern.jets(entries, names)):
         if not any(isinstance(node, ex.Div)
                    for _, k, l, _ in terms for node in ex.distinct_nodes(entries[k], entries[l])):
-            yield label, poisson._jacobiator(terms, symbolic, lambda ts: ex.eadd(*ts),
-                                             lambda fs: ex.emul(*map(ex.as_expr, fs)))
+            yield label, ex.eadd(*[ex.emul(ex.as_expr(sign), symbolic[k][0], symbolic[l][1][d])
+                                   for sign, k, l, d in terms])
 
 
-def golden_bracket(name):
+def golden_field(name):
     model = load_model(GOLDEN_MODELS[name])
     data = lagrangian.build(model.lagrangian, model.chart)
     theta = twoform.ThetaSection(model.theta) if model.theta is not None else None
-    return poisson.build_bracket(model.chart, data, twoform.assemble_N(data, model.chart, theta))
+    return poisson.FactoredField(model.chart, data.M,
+                                 twoform.assemble_N(data, model.chart, theta), data.EL)
+
+
+def reference_bivector(field):
+    """The symbolic bracket of ``field``, through the exact Hessian inverse."""
+    minv = linalg.inverse(field.M, linalg.det(field.M))
+    pxy = [[ex.eneg(v) for v in row] for row in linalg.mat_mul(field.chart.rho, minv)]
+    pyy = [[ex.eneg(v) for v in row]
+           for row in linalg.mat_mul(linalg.mat_mul(minv, field.N), minv)]
+    return poisson.PoissonBivector(field.chart, pxy, pyy)
 
 
 class TestJacobiFromJets:
@@ -472,10 +522,8 @@ class TestJacobiFromJets:
             assert {item.get("method") for item in report["items"]} == {None, "modular"}
 
     def test_corrupted_entry_rejected_with_witness(self, stress, no_residual_trees):
-        _, p = bracket_bundle(stress, theta=stress.theta)
-        p.pyy[0][1] = ex.eadd(p.pyy[0][1], ex.Var("x1"))
-        p.pyy[1][0] = ex.eneg(p.pyy[0][1])
-        report = poisson.check_jacobi(p, trials=64, tol=1e-8)
+        field = corrupt_twist(factored_field(stress, theta=stress.theta), ex.Var("x1"))
+        report = poisson.check_jacobi(field, trials=64, tol=1e-8)
         failure = report.first_failure
         assert not report.passed and failure.result.witness is not None
         assert failure.result.method == "float"
@@ -489,17 +537,16 @@ class TestJacobiFromJets:
             raise AssertionError("a bracket with a root drew a modular point")
 
         monkeypatch.setattr(ex, "Modular", refuse)
-        _, p = bracket_bundle(stress, theta=stress.theta)
-        p.pyy[0][1] = ex.eadd(p.pyy[0][1], ex.parse("(x1^2)^(1/2) - x1", ("x1",)))
-        p.pyy[1][0] = ex.eneg(p.pyy[0][1])
-        report = poisson.check_jacobi(p, seed=0)
+        field = corrupt_twist(factored_field(stress, theta=stress.theta),
+                              ex.parse("(x1^2)^(1/2) - x1", ("x1",)))
+        report = poisson.check_jacobi(field, seed=0)
         failure = report.first_failure
         assert not report.passed and failure.result.method == "float"
         assert failure.result.witness["x1"] < 0
 
     def test_perturbed_anchor_rejected_with_witness(self, stress_perturbed, no_residual_trees):
-        _, p = bracket_bundle(stress_perturbed, theta=stress_perturbed.theta)
-        report = poisson.check_jacobi(p, seed=13)
+        field = factored_field(stress_perturbed, theta=stress_perturbed.theta)
+        report = poisson.check_jacobi(field, seed=13)
         nonzero = [i.label for i in report.items if i.result.status is ZeroStatus.NONZERO]
         assert nonzero == ["(x1,y1,y3)", "(x1,y2,y3)", "(x2,y1,y3)", "(x2,y2,y3)", "(y1,y2,y3)"]
         assert report.first_failure.result.witness is not None
@@ -507,21 +554,23 @@ class TestJacobiFromJets:
     @pytest.mark.parametrize("name", ["stress", "stress_perturbed"])
     def test_float_jacobiator_matches_residual_tree(self, name, request):
         # Away from the curve det M = 0 (x1 >= 0.25 keeps e^x1 above |x2|),
-        # the Jacobiator summed from float jets is the residual tree's value,
-        # to 1e-9 of the Jacobiator's own scale, the sum of its terms' sizes.
+        # the Jacobiator summed from the float jets the factored field's
+        # solves give is the residual tree's value, to 1e-9 of the
+        # Jacobiator's own scale, the sum of its terms' sizes.
         fixture = request.getfixturevalue(name)
         _, p = bracket_bundle(fixture, theta=fixture.theta)
-        names = p.coordinate_names()
-        pairs = list(itertools.combinations(range(len(names)), 2))
+        bracket = poisson._BracketJets(factored_field(fixture, theta=fixture.theta))
+        names, pairs = bracket.names, bracket.pairs
         entries = [p.coefficient(a, b) for a, b in pairs]
-        program = ex.Program(entries)
+        triples = list(poisson._jacobi_terms(names, pairs, ex.Pattern.jets(entries, names)))
+        program = ex.Program(bracket.outputs)
         trees = [ex.Program([r]) for _, r in reference_jacobi_residuals(p)]
         box = ex.Box(ranges={"x1": (0.25, 1.0)})
         rng = random.Random(2024)
         for _ in range(20):
             env = box.sample(names, rng)
-            jets = program.jets(env, names, ex.FLOAT)
-            for tree, (_, terms) in zip(trees, poisson._jacobi_terms(names, pairs, entries)):
+            jets = bracket(program.jets(env, names, ex.FLOAT), ex.FLOAT)
+            for tree, (_, terms) in zip(trees, triples):
                 want = tree.value(env)
                 got = poisson._jacobiator(terms, jets, math.fsum)
                 scale = poisson._jacobiator([(1, k, l, d) for _, k, l, d in terms],
@@ -530,25 +579,105 @@ class TestJacobiFromJets:
                 assert abs(got - want) <= 1e-9 * scale
 
     def test_structural_zeros_are_the_literal_zeros_of_the_trees(self, request):
-        # On every golden model and every bracket of the ``bundle`` fixture,
+        # On every golden model and every field of the ``bundle`` fixture,
         # with and without a quotient, the Jacobi check proves exactly the
-        # triples whose all-pairs residual trees cancel to the literal 0.
-        brackets = [golden_bracket(name) for name in sorted(GOLDEN_MODELS)]
+        # triples whose all-pairs residual trees over the symbolic bracket
+        # cancel to the literal 0.
+        fields = [golden_field(name) for name in sorted(GOLDEN_MODELS)]
         for name, with_theta in BUNDLES:
             fixture = request.getfixturevalue(name)
-            brackets.append(bracket_bundle(fixture, fixture.theta if with_theta else None)[1])
-        for p in brackets:
-            report = poisson.check_jacobi(p)
+            fields.append(factored_field(fixture, fixture.theta if with_theta else None))
+        for field in fields:
+            report = poisson.check_jacobi(field)
             proven = [item.result.proven for item in report.items]
-            assert proven == [ex.is_zero_literal(r) for _, r in reference_jacobi_residuals(p)]
+            trees = reference_jacobi_residuals(reference_bivector(field))
+            assert proven == [ex.is_zero_literal(r) for _, r in trees]
 
     def test_jets_leave_no_cyclic_garbage(self, stress_perturbed):
         # The float path caches jets per point in a closure; all of it is
         # freed by reference counting.
-        _, p = bracket_bundle(stress_perturbed, theta=stress_perturbed.theta)
+        field = factored_field(stress_perturbed, theta=stress_perturbed.theta)
         with cyclic_garbage() as found:
-            assert not poisson.check_jacobi(p, seed=3).passed
+            assert not poisson.check_jacobi(field, seed=3).passed
         assert [o for o in found if isinstance(o, (ex.Expr, Fraction, types.FunctionType))] == []
+
+
+PATTERN_ENTRIES = ["0", "0", "0", "1", "-1", "2", "1/3", "x1", "x2", "y1", "y3", "x1*y2",
+                   "x2^2", "x1*x2*y1"]
+BASE_ENTRIES = [e for e in PATTERN_ENTRIES if "y" not in e]
+PATTERN_CHART = algebroid.AlgebroidChart(("x1", "x2"), ("y1", "y2", "y3"),
+                                         [[ex.ZERO] * 3] * 2, {})
+
+
+def pattern_field(m, n, rho):
+    """The factored field on ``PATTERN_CHART`` with the symmetric ``M`` of
+    upper triangle ``m``, the skew ``N`` of strict upper triangle ``n`` and
+    the anchor rows ``rho``, each given as source text."""
+    def entry(text):
+        return ex.parse(text, PATTERN_CHART.alphabet)
+
+    upper = dict(zip(itertools.combinations_with_replacement(range(3), 2), m))
+    strict = dict(zip(itertools.combinations(range(3), 2), n))
+    hessian = [[entry(upper[min(i, j), max(i, j)]) for j in range(3)] for i in range(3)]
+    twist = [[ex.ZERO if i == j else entry(strict[i, j]) if i < j
+              else ex.eneg(entry(strict[j, i])) for j in range(3)] for i in range(3)]
+    chart = algebroid.AlgebroidChart(PATTERN_CHART.coords, PATTERN_CHART.fibers,
+                                     [[entry(v) for v in row] for row in rho], {})
+    return poisson.FactoredField(chart, hessian, twist, ex.ZERO)
+
+
+def assert_pattern_zeros_are_zeros(field, point):
+    """Every value and partial of the bracket's entries that
+    :class:`expr.Pattern` calls the literal 0 is 0 exactly mod p, and within
+    roundoff in floats at ``point``; False, checking nothing, where ``M`` is
+    near singular at ``point``."""
+    bracket = poisson._BracketJets(field)
+    names = bracket.names
+    env = dict(zip(names, point))
+    if abs(ex.Program([linalg.det(field.M)]).value(env)) <= 1e-2:
+        return False
+    pattern = bracket(ex.Pattern.jets(bracket.outputs, names), ex.Pattern)
+    assert all(isinstance(x, ex.Pattern) for value, grad in pattern for x in (value, *grad))
+    program = ex.Program(bracket.outputs)
+    floats = bracket(program.jets(env, names, ex.FLOAT), ex.FLOAT)
+    modular = ex.Modular(random.Random(len(names)))
+    exact = bracket(program.jets(modular.point(names), names, modular), modular)
+    scale = 1.0 + max(abs(v) for value, grad in floats for v in (value, *grad))
+    for (p, p_grad), (f, f_grad), (e, e_grad) in zip(pattern, floats, exact):
+        for maybe, float_value, exact_value in zip((p, *p_grad), (f, *f_grad), (e, *e_grad)):
+            if not maybe:
+                assert exact_value % ex.MODULUS == 0
+                assert abs(float_value) <= 1e-9 * scale
+    return True
+
+
+class TestZeroPattern:
+    """The zero-pattern arithmetic that proves Jacobi triples is sound."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.lists(st.sampled_from(PATTERN_ENTRIES), min_size=6, max_size=6),
+           n=st.lists(st.sampled_from(PATTERN_ENTRIES), min_size=3, max_size=3),
+           rho=st.lists(st.lists(st.sampled_from(BASE_ENTRIES), min_size=3, max_size=3),
+                        min_size=2, max_size=2),
+           point=st.lists(st.floats(-2, 2), min_size=5, max_size=5))
+    def test_literal_zeros_are_zeros(self, m, n, rho, point):
+        assume(assert_pattern_zeros_are_zeros(pattern_field(m, n, rho), point))
+
+    def test_a_pivot_that_cancels_exactly(self):
+        # M = [[1,1,0],[1,1,1],[0,1,1]]: after the first elimination the
+        # second pivot the pattern takes, 1 - 1*1, is 0 in exact arithmetic.
+        field = pattern_field(["1", "1", "0", "1", "1", "1"], ["x1", "0", "y2"],
+                              [["1", "0", "x2"], ["0", "x1", "0"]])
+        for point in ([0.5, -0.25, 1.0, 0.0, -1.5], [1.0, 1.0, 1.0, 1.0, 1.0]):
+            assert assert_pattern_zeros_are_zeros(field, point)
+
+    def test_pattern_values_are_not_bools(self):
+        # With bools, True - True would be a false literal 0.
+        maybe = ex.Pattern.one
+        assert bool(maybe - maybe) and bool(maybe + -maybe)
+        assert not (maybe * ex.Pattern.zero) and not ex.Pattern.sum([ex.Pattern.zero] * 2)
+        with pytest.raises(ex.DomainError):
+            linalg.solver([[ex.Pattern.zero]], ex.Pattern)
 
 
 BUNDLES = [("so3", True), ("cotangent", True), ("curved_metric", False), ("stress", True)]
@@ -590,13 +719,19 @@ class TestLazyPartialsAreExact:
 
     @pytest.mark.parametrize("block", ["pxy", "pyy"])
     def test_edits_after_build_are_seen(self, so3, block):
-        _, p = bracket_bundle(so3, theta=so3.theta)
-        assert poisson.check_jacobi(p).passed
-        matrix = getattr(p, block)
-        matrix[0][1] = ex.eadd(matrix[0][1], ex.Var("x1"))
-        if block == "pyy":
-            matrix[1][0] = ex.eneg(matrix[0][1])
-        report = poisson.check_jacobi(p)
+        # With M = I, P^{xy} = -rho and P^{yy} = -N: the edit of rho or N
+        # is the old edit of the bracket's block.
+        chart = so3.chart
+        chart = algebroid.AlgebroidChart(chart.coords, chart.fibers,
+                                         [row[:] for row in chart.rho], chart.structure)
+        field = factored_field(algebroid.Fixture("so3", chart, so3.lagrangian, so3.theta),
+                               theta=so3.theta)
+        assert poisson.check_jacobi(field).passed
+        if block == "pxy":
+            chart.rho[0][1] = ex.eadd(chart.rho[0][1], ex.eneg(ex.Var("x1")))
+        else:
+            corrupt_twist(field, ex.Var("x1"))
+        report = poisson.check_jacobi(field)
         assert not report.passed and report.first_failure.result.witness is not None
 
 
@@ -624,13 +759,15 @@ class TestDerivativeCounts:
 
     def test_jacobi_differentiates_where_a_coefficient_needs_it(self, so3, differentiated):
         _, p = bracket_bundle(so3, theta=so3.theta)
+        field = factored_field(so3, theta=so3.theta)
         names = p.coordinate_names()
         pairs = list(itertools.combinations(range(len(names)), 2))
         entries = [p.coefficient(a, b) for a, b in pairs]
-        needed = {(l, d) for _, terms in poisson._jacobi_terms(names, pairs, entries)
+        needed = {(l, d) for _, terms in poisson._jacobi_terms(names, pairs,
+                                                               ex.Pattern.jets(entries, names))
                   for _, _, l, d in terms if not isinstance(entries[l], ex.Var)}
         differentiated.clear()
-        poisson.check_jacobi(p)
+        poisson.check_jacobi(field)
         # Each entry differentiated once along each coordinate that a term
         # needs; the nested brackets of the residual trees took 87.
         assert len(differentiated) == len(needed) == 6
