@@ -227,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("model", help="path to the JSON model document")
         p.add_argument("--box", action="append", metavar="LO,HI or NAME=LO,HI",
                        help="sampling box; repeat for per-variable overrides")
-        p.add_argument("--trials", default=None, help="sample count (default 64)")
+        p.add_argument("--trials", default=None,
+                       help="sample count (default 64; check homotopy ignores it)")
         p.add_argument("--tol", default=None, help="zero-test tolerance (default 1e-9)")
         p.add_argument("--seed", type=int, default=None, help="sampling seed (default from model)")
         p.add_argument("--strict", action="store_true",

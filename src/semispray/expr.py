@@ -1292,6 +1292,31 @@ def _to_float(value: Number) -> float:
         raise DomainError("constant out of float range (|c| > 1.8e308)") from None
 
 
+def _run(slots: list, reads, env: Mapping[str, float], ops) -> list:
+    """``slots`` after each ``(slot, name)`` of ``reads`` from ``env``, then each op in turn."""
+    try:
+        for slot, name in reads:
+            slots[slot] = float(env[name])
+    except KeyError as err:
+        raise UnknownSymbol(err.args[0], "evaluation environment") from None
+    get = slots.__getitem__
+    fsum, prod = math.fsum, math.prod
+    # Operands are passed one by one or as an iterator, never unpacked
+    # into a tuple: ``f(*map(...))`` resizes a fresh tuple on every call,
+    # which leaves the interpreter's tuple free lists growing.
+    for slot, op, args in ops:
+        if op is fsum or op is prod:
+            try:
+                slots[slot] = op(map(get, args))
+            except (ValueError, OverflowError) as err:  # fsum of infinities
+                raise DomainError(f"overflow in sum: {err}") from None
+        elif len(args) == 1:
+            slots[slot] = op(get(args[0]))
+        else:
+            slots[slot] = op(get(args[0]), get(args[1]))
+    return slots
+
+
 class Program:
     """The straight-line program computing ``exprs``.
 
@@ -1345,28 +1370,33 @@ class Program:
     def run(self, env: Mapping[str, float]) -> list:
         """Every output at ``env``, a mapping of names to numbers, with
         ``math.fsum`` sums."""
-        slots = [0.0] * self.size + self.consts
-        try:
-            for slot, name in self.reads:
-                slots[slot] = float(env[name])
-        except KeyError as err:
-            raise UnknownSymbol(err.args[0], "evaluation environment") from None
-        get = slots.__getitem__
-        fsum, prod = math.fsum, math.prod
-        # Operands are passed one by one or as an iterator, never unpacked
-        # into a tuple: ``f(*map(...))`` resizes a fresh tuple on every call,
-        # which leaves the interpreter's tuple free lists growing.
-        for slot, op, args in self.ops:
-            if op is fsum or op is prod:
-                try:
-                    slots[slot] = op(map(get, args))
-                except (ValueError, OverflowError) as err:  # fsum of infinities
-                    raise DomainError(f"overflow in sum: {err}") from None
-            elif len(args) == 1:
-                slots[slot] = op(get(args[0]))
-            else:
-                slots[slot] = op(get(args[0]), get(args[1]))
+        slots = _run([0.0] * self.size + self.consts, self.reads, env, self.ops)
         return [slots[a] for a in self.outputs]
+
+    def curry(self, name: str) -> Callable[[Mapping[str, float]], Callable[[float], float]]:
+        """The first output as a function of ``name``: ``curry(name)(env)`` runs the
+        ops that do not read ``name`` once, the other names read from ``env``, and
+        returns ``x ->`` the output at ``name = x``, by the ops of :meth:`run`."""
+        late = {slot for slot, read in self.reads if read == name}
+        for slot, _, args in self.ops:
+            if not late.isdisjoint(args):
+                late.add(slot)
+        reads = [(slot, read) for slot, read in self.reads if read != name]
+        free = [slot for slot, read in self.reads if read == name]
+        fixed = [op for op in self.ops if op[0] not in late]
+        varying = [op for op in self.ops if op[0] in late]
+
+        def bind(env: Mapping[str, float]) -> Callable[[float], float]:
+            slots = _run([0.0] * self.size + self.consts, reads, env, fixed)
+
+            def at(x: float) -> float:
+                for slot in free:
+                    slots[slot] = float(x)
+                return _run(slots, (), env, varying)[self.outputs[0]]
+
+            return at
+
+        return bind
 
     def value(self, env: Mapping[str, float]) -> float:
         """The first output at ``env``."""

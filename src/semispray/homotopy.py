@@ -16,8 +16,10 @@ The three operators:
 
 satisfy ``h(dw) + d(hw) = w - psi_star_0(w)``, with the ``t -> 0`` limit
 vanishing in positive degree and restricting to the fiber origin in degree
-zero.  Integrands polynomial in the scaling parameter integrate exactly.
-Any other integrand ``e`` is stored as itself and stands for
+zero.  Coefficients polynomial in the fibers integrate exactly by fiber
+degree: the part ``w^(d)`` of degree ``d`` of ``w_{jJ}`` gives
+``y^j w^(d) / (q + d)``.  Any other integrand ``e``, where the scaling
+parameter is left non-polynomial, is stored as itself and stands for
 ``int_0^1 e d_t``: a coefficient is a fiber integral exactly when the
 reserved scaling parameter ``TVAR`` is free in it, and :func:`fiber_value`
 evaluates it by adaptive Gauss–Kronrod (7/15) quadrature.
@@ -64,21 +66,14 @@ def is_fiber_integral(e: ex.Expr) -> bool:
 
 def fiber_value(e: ex.Expr) -> Callable[[dict], float]:
     """``env -> float`` for the coefficient ``e``, compiled once, here: one run
-    of the tree, or for a fiber integral adaptive Gauss–Kronrod (7/15) over ``_t``."""
-    value = ex.Program([e]).value
+    of the tree, or for a fiber integral adaptive Gauss–Kronrod (7/15) over
+    ``_t``, which runs the ops that do not read ``_t`` once per ``env`` and
+    the others at each node (:meth:`~semispray.expr.Program.curry`)."""
+    program = ex.Program([e])
     if not is_fiber_integral(e):
-        return value
-
-    def integral(env: dict) -> float:
-        local = dict(env)
-
-        def f(t):
-            local[TVAR] = t
-            return value(local)
-
-        return _adaptive_quadrature(f, 0.0, 1.0, 1e-10)
-
-    return integral
+        return program.value
+    along = program.curry(TVAR)
+    return lambda env: _adaptive_quadrature(along(env), 0.0, 1.0, 1e-10)
 
 
 def _adaptive_quadrature(f, a: float, b: float, tol: float, depth: int = 0) -> float:
@@ -101,38 +96,33 @@ def _adaptive_quadrature(f, a: float, b: float, tol: float, depth: int = 0) -> f
             + _adaptive_quadrature(f, centre, b, tol / 2.0, depth + 1))
 
 
-def _integrate_unit(e: ex.Expr) -> Optional[ex.Expr]:
-    """Exact ``int_0^1 e d_t`` for canonical ``e`` polynomial in the scaling
-    parameter; ``None`` when the parameter appears non-polynomially."""
-
-    def term(t: ex.Expr) -> Optional[ex.Expr]:
-        if isinstance(t, ex.Div):
-            if TVAR in ex.free_symbols(t.den):
-                return None
-            inner = _integrate_unit(t.num)
-            return None if inner is None else ex.ediv(inner, t.den)
-        factors = t.factors if isinstance(t, ex.Mul) else (t,)
-        power = 0
-        rest = []
-        for f in factors:
-            if isinstance(f, ex.Var) and f.name == TVAR:
-                power += 1
-            elif isinstance(f, ex.Pow) and isinstance(f.base, ex.Var) and f.base.name == TVAR:
-                if f.exponent.denominator != 1 or f.exponent < 0:
-                    return None
-                power += int(f.exponent)
-            elif TVAR in ex.free_symbols(f):
-                return None
-            else:
-                rest.append(f)
-        return ex.emul(ex.Const(Fraction(1, power + 1)), *rest)
-
+def _by_degree(e: ex.Expr, names: frozenset, offset: int, keep: bool) -> Optional[ex.Expr]:
+    """``sum_T T / (offset + deg T)`` over the terms ``T`` of canonical ``e``
+    (of a quotient's numerator, over its denominator), ``deg T`` the degree
+    of ``T`` in ``names``, whose powers are dropped from ``T`` unless
+    ``keep``; None where ``T`` is not polynomial in them or the sum is < 1."""
     if isinstance(e, ex.Add):
-        pieces = [term(t) for t in e.terms]
-        if any(p is None for p in pieces):
+        pieces = [_by_degree(t, names, offset, keep) for t in e.terms]
+        return None if any(p is None for p in pieces) else ex.eadd(*pieces)
+    if isinstance(e, ex.Div):
+        if not names.isdisjoint(ex.free_symbols(e.den)):
             return None
-        return ex.eadd(*pieces)
-    return term(e)
+        inner = _by_degree(e.num, names, offset, keep)
+        return None if inner is None else ex.ediv(inner, e.den)
+    degree, rest = offset, []
+    for f in e.factors if isinstance(e, ex.Mul) else (e,):
+        base, power = (f.base, f.exponent) if isinstance(f, ex.Pow) else (f, 1)
+        if isinstance(base, ex.Var) and base.name in names:
+            if power.denominator != 1 or power < 0:
+                return None
+            degree += int(power)
+            if keep:
+                rest.append(f)
+        elif isinstance(base, (ex.Var, ex.Const)) or names.isdisjoint(ex.free_symbols(f)):
+            rest.append(f)
+        else:
+            return None
+    return ex.emul(ex.Const(Fraction(1, degree)), *rest) if degree >= 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -196,36 +186,45 @@ def radial_homotopy(form: AForm) -> AForm:
 
     ``(h w)_{I, j1..j(q-1)}(x, y) = (-1)^p int_0^1 t^(q-1) y^j w_{I, j j1..j(q-1)}(x, ty) dt``
     on each bidegree-(p, q) component, with the frame legs ``I`` as labels;
-    it is the zero map on components with q = 0.  Exact symbolic integration
-    when the scaled coefficient is polynomial in the parameter, else the
-    integrand is kept as a fiber integral.  The input is not checked for
-    closure (see :func:`dprime_primitive`).
+    it is the zero map on components with q = 0.  Where ``(-1)^p y^j w`` is polynomial
+    in the fibers (none under a root or in a denominator), the part ``w^(d)`` of
+    degree ``d`` of ``w`` gives ``(-1)^p y^j w^(d) / (q + d)``, with no substitution.
+    Any other output is built from its integrand (``y -> ty``, times ``t^(q-1)``),
+    integrated term by term where the parameter is left polynomial in it, else
+    kept as a fiber integral.  The input is not checked for closure.
     """
     chart = form.chart.base
     r = chart.r
-    mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
+    fibers = frozenset(chart.fibers)
     coeffs = {}
     for (p, q), block in bigrade(form).items():
         if q == 0:
             continue
-        t_power = ex.epow(ex.Var(TVAR), q - 1) if q > 1 else ex.ONE
+        sign = ex.eneg if p % 2 else (lambda e: e)
         for idx_i in itertools.combinations(range(r), p):
             for rest in itertools.combinations(range(r, 2 * r), q - 1):
-                pieces = []
-                for j in range(r):
-                    value = block.get(idx_i + (r + j,) + rest)
-                    if ex.is_zero_literal(value):
-                        continue
-                    if is_fiber_integral(value):
-                        raise ValueError("radial integral of an unevaluated fiber integral is not supported")
-                    pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
-                if not pieces:
+                values = [(ex.Var(y), v) for j, y in enumerate(chart.fibers)
+                          if not ex.is_zero_literal(v := block.get(idx_i + (r + j,) + rest))]
+                if not values:
                     continue
-                integrand = ex.emul(t_power, ex.eadd(*pieces))
-                if p % 2:
-                    integrand = ex.eneg(integrand)
-                exact = _integrate_unit(integrand)
-                coeffs[idx_i + rest] = exact if exact is not None else integrand
+                # A fiber under a root or in a denominator takes the integrand way:
+                # y*y^(1/2) and y*(2/y) merge in the contraction, not in the integrand.
+                apart = False
+                for node in ex.distinct_nodes(*(v for _, v in values)):
+                    if isinstance(node, ex.Var) and node.name == TVAR:
+                        raise ValueError("radial integral of an unevaluated fiber integral is not supported")
+                    if isinstance(node, ex.Pow) and node.exponent.denominator != 1:
+                        apart = apart or not fibers.isdisjoint(ex.free_symbols(node.base))
+                    elif isinstance(node, ex.Div):
+                        apart = apart or not fibers.isdisjoint(ex.free_symbols(node.den))
+                exact = None if apart else _by_degree(
+                    sign(ex.eadd(*[ex.emul(y, v) for y, v in values])), fibers, q - 1, True)
+                if exact is None:
+                    mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
+                    integrand = sign(ex.emul(ex.epow(ex.Var(TVAR), q - 1), ex.eadd(
+                        *[ex.emul(y, ex.subs(v, mapping)) for y, v in values])))
+                    exact = _by_degree(integrand, frozenset((TVAR,)), 1, False)
+                coeffs[idx_i + rest] = integrand if exact is None else exact
     return AForm(form.chart, form.degree - 1, coeffs)
 
 

@@ -5,6 +5,7 @@ is compared with."""
 
 import contextlib
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from fractions import Fraction
 import mpmath
 
 from semispray import dynamics, expr as ex, linalg
+from semispray.homotopy import TVAR, bigrade, is_fiber_integral
 from semispray.algebroid import AForm, prolong_chart
 from semispray.poisson import VectorFieldOnA
 from semispray.prolongation import ProlongSection
@@ -334,3 +336,69 @@ def vertical_correction(data, horizontal, base_potential):
             pieces += [ex.eneg(ex.emul(y[a], horizontal.get((a, j)))) for a in range(chart.r)]
         rhs.append(ex.eadd(*pieces))
     return ProlongSection(chart, [ex.ZERO] * chart.r, linalg.mat_vec(data.Minv, rhs))
+
+
+def _integrate_unit(e):
+    """Exact ``int_0^1 e d_t`` for canonical ``e`` polynomial in the scaling
+    parameter; ``None`` when the parameter appears non-polynomially."""
+
+    def term(t):
+        if isinstance(t, ex.Div):
+            if TVAR in ex.free_symbols(t.den):
+                return None
+            inner = _integrate_unit(t.num)
+            return None if inner is None else ex.ediv(inner, t.den)
+        factors = t.factors if isinstance(t, ex.Mul) else (t,)
+        power = 0
+        rest = []
+        for f in factors:
+            if isinstance(f, ex.Var) and f.name == TVAR:
+                power += 1
+            elif isinstance(f, ex.Pow) and isinstance(f.base, ex.Var) and f.base.name == TVAR:
+                if f.exponent.denominator != 1 or f.exponent < 0:
+                    return None
+                power += int(f.exponent)
+            elif TVAR in ex.free_symbols(f):
+                return None
+            else:
+                rest.append(f)
+        return ex.emul(ex.Const(Fraction(1, power + 1)), *rest)
+
+    if isinstance(e, ex.Add):
+        pieces = [term(t) for t in e.terms]
+        if any(p is None for p in pieces):
+            return None
+        return ex.eadd(*pieces)
+    return term(e)
+
+
+def reference_radial_homotopy(form):
+    """The radial homotopy by substitution: each coefficient is scaled by
+    ``y -> _t*y`` and ``_t^(q-1)``, and the integrand is integrated term by
+    term where it is polynomial in ``_t``, else kept as a fiber integral."""
+    chart = form.chart.base
+    r = chart.r
+    mapping = {nm: ex.emul(ex.Var(TVAR), ex.Var(nm)) for nm in chart.fibers}
+    coeffs = {}
+    for (p, q), block in bigrade(form).items():
+        if q == 0:
+            continue
+        t_power = ex.epow(ex.Var(TVAR), q - 1) if q > 1 else ex.ONE
+        for idx_i in itertools.combinations(range(r), p):
+            for rest in itertools.combinations(range(r, 2 * r), q - 1):
+                pieces = []
+                for j in range(r):
+                    value = block.get(idx_i + (r + j,) + rest)
+                    if ex.is_zero_literal(value):
+                        continue
+                    if is_fiber_integral(value):
+                        raise ValueError("radial integral of an unevaluated fiber integral is not supported")
+                    pieces.append(ex.emul(ex.Var(chart.fibers[j]), ex.subs(value, mapping)))
+                if not pieces:
+                    continue
+                integrand = ex.emul(t_power, ex.eadd(*pieces))
+                if p % 2:
+                    integrand = ex.eneg(integrand)
+                exact = _integrate_unit(integrand)
+                coeffs[idx_i + rest] = exact if exact is not None else integrand
+    return AForm(form.chart, form.degree - 1, coeffs)

@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semispray import expr as ex
 from semispray import homotopy as ho
 from semispray.algebroid import AForm, AlgebroidChart, prolong_chart, tangent
-from semispray.errors import NotClosed, QuadratureFailure
+from semispray.errors import DomainError, NotClosed, QuadratureFailure
 from semispray.report import ZeroStatus
 
-from helpers import assert_proven_zero, random_polynomial, reference_value
+from helpers import (assert_proven_zero, random_polynomial, reference_radial_homotopy,
+                     reference_value)
 
 
 def prolong_key(chart, idx_i, idx_j):
@@ -375,3 +378,217 @@ class TestIdentitySuite:
         report = ho.identity_suite(ranks=(1,), degrees=(0,), forms_per_case=1, seed=2, trials=3)
         trials = {i.label: i.result.trials for i in report.items}
         assert trials == {"r=1,k=0,form=0": 3, "r=1,nonpolynomial": 8}
+
+
+# ---------------------------------------------------------------------------
+# Radial integral by fiber degree against the substitution operator
+
+
+_COEFFS = (Fraction(1), Fraction(-1), Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1, 3))
+
+
+def _factors(chart):
+    """Every kind of factor a coefficient is drawn from: coordinates, their
+    squares, ``exp``/``sin``, roots and negative powers, of base coordinates
+    and of fibers."""
+    out = []
+    for name in chart.coords + chart.fibers:
+        v = ex.Var(name)
+        out += [v, ex.epow(v, 2), ex.efunc("exp", v), ex.efunc("sin", v),
+                ex.epow(v, Fraction(1, 2)), ex.epow(v, -1)]
+    return out
+
+
+def _denominators(chart):
+    """Base denominators, and fiber ones: a fiber, a fiber monomial, a sum."""
+    out = []
+    for x, y in zip(chart.coords, chart.fibers):
+        out += [ex.parse(text, chart.alphabet) for text in
+                (x, f"1 + {x}^2", f"{x}*{chart.coords[0]} + 2", y, f"{x}*{y}", f"1 + {y}^2")]
+    return out
+
+
+@st.composite
+def coefficients(draw, chart):
+    """A sum of one to three terms, each a monomial or a quotient of a sum
+    of monomials; all coefficients exact, or all their float twins."""
+    twin = draw(st.booleans())
+    factors, dens = _factors(chart), _denominators(chart)
+
+    def monomial():
+        c = draw(st.sampled_from(_COEFFS))
+        return ex.emul(ex.Const(float(c) if twin else c),
+                       *draw(st.lists(st.sampled_from(factors), max_size=3)))
+
+    def term():
+        if draw(st.booleans()):
+            return monomial()
+        num = ex.eadd(*[monomial() for _ in range(draw(st.integers(1, 3)))])
+        return ex.ediv(num, draw(st.sampled_from(dens)))
+
+    return ex.eadd(*[term() for _ in range(draw(st.integers(1, 3)))])
+
+
+@st.composite
+def prolonged_forms(draw):
+    """A form on the prolongation of ``tangent(r)``: any legs, frame ones
+    included, with a coefficient on some keys; now and then one is a fiber
+    integral, which the operator refuses."""
+    r = draw(st.integers(1, 3))
+    chart = tangent(r).chart
+    degree = draw(st.integers(1, min(3, 2 * r)))
+    keys = list(itertools.combinations(range(2 * r), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
+    coeffs = {key: draw(coefficients(chart)) for key in chosen}
+    if draw(st.integers(0, 19)) == 0:
+        scaled = ex.efunc("exp", ex.emul(ex.Var(ho.TVAR), ex.Var(chart.fibers[0])))
+        coeffs[chosen[0]] = ex.emul(coeffs[chosen[0]], scaled)
+    return AForm(prolong_chart(chart), degree, coeffs)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except (ValueError, ArithmeticError) as err:
+        return type(err), str(err)
+
+
+class TestRadialByDegree:
+    @settings(max_examples=300, deadline=None)
+    @given(prolonged_forms())
+    def test_same_node_as_the_substitution_operator(self, form):
+        want = _outcome(lambda: reference_radial_homotopy(form))
+        got = _outcome(lambda: ho.radial_homotopy(form))
+        if isinstance(want, AForm):
+            assert isinstance(got, AForm) and got.coeffs.keys() == want.coeffs.keys()
+            for key, value in want.coeffs.items():
+                assert got.coeffs[key] is value, key
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("text,want", [
+        # The sign applies before the 1/(q + d) scaling: 3.0/3 = 1.0 is a
+        # float factor the product keeps, -(1.0) would not be.
+        ("3.0*y1^2", "-1.0*y1^3"),
+        ("-3.0*y1^2", "y1^3"),
+        ("y1*x1/(1 + x1^2)", "-1/2*x1*y1^2/(1 + x1^2)"),
+    ])
+    def test_frame_leg_sign_before_scaling(self, rank1, text, want):
+        form = AForm(prolong_chart(rank1), 2, {(0, 1): ex.parse(text, rank1.alphabet)})
+        got = ho.radial_homotopy(form).get((0,))
+        assert got is reference_radial_homotopy(form).get((0,))
+        assert ex.to_text(got) == ex.to_text(ex.parse(want, rank1.alphabet))
+
+    @pytest.mark.parametrize("text", ["y2/y1", "y1^-1*y2^2", "x1*y2/(y1*x2)"])
+    def test_parameter_cancelling_fiber_powers_still_integrate_exactly(self, rank2, text):
+        # The scaling parameter cancels out of these quotients and negative
+        # powers, so the substitution operator integrated them exactly.
+        form = vertical_form(rank2, 1, {(0,): ex.parse(text, rank2.alphabet)})
+        got = vget(ho.radial_homotopy(form), ())
+        assert not ho.is_fiber_integral(got)
+        assert got is vget(reference_radial_homotopy(form), ())
+
+    @pytest.mark.parametrize("coeffs", [
+        # y1*y2^(1/2) - y2*y1*y2^(-1/2) cancels, but its scaled form
+        # t*y1*(t*y2)^(1/2) - t^2*y1*y2*(t*y2)^(-1/2) does not.
+        {(0, 2): "y2^(1/2) + y1", (1, 2): "-y1*y2^(-1/2)"},
+        # y1*(1 - 2/y1 + 2/y1) is y1, but -2/t and 2/t are distinct terms.
+        {(0,): "1 - 2/y1 + 2/y1"},
+    ])
+    def test_what_cancels_only_unscaled_stays_an_integral(self, rank3, coeffs):
+        form = vertical_form(rank3, len(next(iter(coeffs))),
+                             {idx: ex.parse(text, rank3.alphabet) for idx, text in coeffs.items()})
+        got, want = ho.radial_homotopy(form).coeffs, reference_radial_homotopy(form).coeffs
+        assert got.keys() == want.keys()
+        assert all(got[key] is value for key, value in want.items())
+        assert any(ho.is_fiber_integral(value) for value in got.values())
+
+    def test_fiber_polynomial_form_builds_no_scaling_parameter(self, rank2, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a fiber-polynomial coefficient went through subs")
+
+        built = []
+        new = ex.Var.__new__
+
+        def spy(cls, name):
+            built.append(name)
+            return new(cls, name)
+
+        mixed = ex.parse("x1*y1^2 + y2/(1 + x2^2) - 1/2*sin(x1)*y1*y2", rank2.alphabet)
+        form = AForm(prolong_chart(rank2), 2, {
+            prolong_key(rank2, (0,), (0,)): ex.emul(ex.Const(3.0), mixed),
+            prolong_key(rank2, (1,), (1,)): mixed,
+            prolong_key(rank2, (), (0, 1)): ex.parse("y1^3 - x1", rank2.alphabet)})
+        want = reference_radial_homotopy(form)
+        monkeypatch.setattr(ex, "subs", refuse)
+        monkeypatch.setattr(ex.Var, "__new__", spy)
+        got = ho.radial_homotopy(form)
+        monkeypatch.undo()
+        assert ho.TVAR not in built
+        assert got.coeffs.keys() == want.coeffs.keys()
+        assert all(got.coeffs[k] is v for k, v in want.coeffs.items())
+
+
+# ---------------------------------------------------------------------------
+# Quadrature: the parameter-free ops run once per point
+
+
+def reference_fiber_value(e):
+    """The quadrature that runs the whole program at every node."""
+    value = ex.Program([e]).value
+    if not ho.is_fiber_integral(e):
+        return value
+
+    def integral(env):
+        local = dict(env)
+
+        def f(t):
+            local[ho.TVAR] = t
+            return value(local)
+
+        return ho._adaptive_quadrature(f, 0.0, 1.0, 1e-10)
+
+    return integral
+
+
+_INTEGRAND_NAMES = ("_t", "x1", "y1")
+_INTEGRAND_FACTORS = tuple(ex.parse(text, _INTEGRAND_NAMES) for text in (
+    "_t", "_t^3", "y1", "x1^2", "exp(x1)", "exp(_t*y1)", "sin(x1*_t + y1)", "cos(y1)",
+    "1/(1 + _t^2*y1^2)", "sqrt(1 + _t*x1^2)", "log(x1)", "sqrt(y1)", "sqrt(_t - 1/2)",
+    "x1/_t", "1/(x1 - y1)", "(x1 + _t)^(1/3)"))
+
+
+@st.composite
+def integrands(draw):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        c = ex.Const(draw(st.sampled_from(_COEFFS + (0.5, -2.25))))
+        terms.append(ex.emul(c, *draw(st.lists(st.sampled_from(_INTEGRAND_FACTORS), max_size=3))))
+    return ex.eadd(*terms)
+
+
+class TestCurriedQuadrature:
+    @settings(max_examples=200, deadline=None)
+    @given(integrands(), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_same_bits_as_running_the_whole_program_at_every_node(self, e, x1, y1):
+        env = {"x1": x1, "y1": y1}
+        errors = (DomainError, QuadratureFailure)
+
+        def run(value):
+            try:
+                return value(env).hex()
+            except errors as err:
+                return type(err)
+
+        assert run(ho.fiber_value(e)) == run(reference_fiber_value(e))
+
+    def test_parameter_free_factor_runs_once_per_point(self, monkeypatch):
+        e = ex.parse("exp(x1)*_t*y1", _INTEGRAND_NAMES)
+        value = ho.fiber_value(e)
+        want = reference_fiber_value(e)({"x1": 0.3, "y1": 0.5})
+        calls = []
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: calls.append(x) or exp(x))
+        assert value({"x1": 0.3, "y1": 0.5}) == want
+        assert calls == [0.3]
