@@ -24,11 +24,14 @@ return canonical trees:
   (a coefficient times ``Var``s, ``Func``s and their powers), the expansion
   runs on exponent maps and builds only the collected terms; any other
   product of sums, one with a quotient term say, goes through ``emul`` pair
-  by pair and ``eadd``.  Both give the same tree.
+  by pair and ``eadd``.  Both give the same tree.  A constant times such a
+  monomial or sum (``eneg`` too) only rescales the coefficients.
 
 Their outputs, and those of ``diff``, ``subs`` and ``parse``, are fixed points
 of :func:`simplify`.  Only this module builds the raw node classes, so no other
-re-canonicalizes; :func:`simplify` is for trees built from raw nodes.
+re-canonicalizes; :func:`simplify` is for trees built from raw nodes.  A node
+holds its free names like its sort key, so ``diff`` skips what does not read
+the variable.
 
 No trigonometric rewriting, factorization, or root denesting is attempted.
 A residual that is not the literal 0 is certified probabilistically by
@@ -67,7 +70,7 @@ class Expr:
     """Base class of expression nodes: immutable and interned, so each
     structure is one live object and equality and hashing are identity's."""
 
-    __slots__ = ("_key", "__weakref__")
+    __slots__ = ("_key", "_free", "__weakref__")  # sort key, free names: filled on first use
 
     def sort_key(self):
         key = self._key
@@ -112,6 +115,7 @@ def _interned(cls, key, *fields) -> Expr:
         for slot, value in zip(cls.__slots__, fields):
             object.__setattr__(node, slot, value)
         object.__setattr__(node, "_key", None)
+        object.__setattr__(node, "_free", None)
         ref = _INTERNED[key] = _Ref(node, _forget)
         ref.key = key
     return node
@@ -257,6 +261,7 @@ MINUS_ONE = Const(-1)
 _INNER = (Add, Mul, Pow, Div, Func)  # the node types with children
 _DEN = object()  # emul's stack marker: the entry below it is a denominator
 _MONOMIAL_BASES = (Var, Func)  # the bases _expand_monomials takes powers of
+_NO_NAMES = frozenset()  # the free names of every constant
 
 
 def as_expr(value) -> Expr:
@@ -339,7 +344,13 @@ def _expansion_size(factors) -> int:
 
 
 def emul(*args) -> Expr:
-    """Canonical product; distributes over sums below the expansion cap."""
+    """Canonical product; distributes over sums below the expansion cap, and
+    rescales a monomial or a sum of them times a constant, in either order."""
+    if len(args) == 2 and (type(args[0]) is Const or type(args[1]) is Const):
+        c, e = args if type(args[0]) is Const else reversed(args)
+        scaled = _rescaled(c.value, e)
+        if scaled is not None:
+            return scaled
     const = 1
     plain: list = []
     dens: list = []
@@ -366,6 +377,45 @@ def emul(*args) -> Expr:
             return ediv(num, dens[0])
         return ediv(num, _mul_plain(1, dens))
     return _mul_plain(const, plain)
+
+
+def _rescaled(c: Number, e: Expr) -> Optional[Expr]:
+    """``emul(Const(c), e)`` with no exponent map, as ``_expand_monomials``
+    builds it (a coefficient 0 drops its term, 1 or ``1.0`` its ``Const``),
+    where ``e`` is a constant, a monomial or a sum of them below the cap, else
+    None: a product of several factors or a quotient may be raw, so it is not."""
+    if type(e) is Const:
+        c = c * e.value
+        return ZERO if c == 0 else Const(c)
+    if c == 1 and type(c) is int and type(e) not in (Mul, Div):
+        return e
+    if type(e) is Add and (c == 0 or len(e.terms) > EXPAND_TERM_CAP):
+        return ZERO if c == 0 else None
+    const, scaled = 0, []
+    for t in e.terms if type(e) is Add else (e,):
+        coeff, core = 1, (t,)
+        if type(t) is Const:
+            const = c * t.value
+            continue
+        if type(t) is Mul:
+            coeff, core = ((t.factors[0].value, t.factors[1:]) if type(t.factors[0]) is Const
+                           else (1, t.factors))
+            if t is e and len(core) > 1:
+                return None
+        for f in core:
+            if type(f.base if type(f) is Pow else f) not in _MONOMIAL_BASES:
+                return None
+        coeff = c * coeff
+        if coeff == 1:
+            scaled.append(core[0] if len(core) == 1 else Mul(core))
+        elif coeff != 0:
+            scaled.append(Mul((Const(coeff),) + core))
+    scaled.sort(key=Expr.sort_key)
+    if const != 0:
+        scaled.insert(0, Const(const))
+    if len(scaled) > 1:
+        return Add(tuple(scaled))
+    return scaled[0] if scaled else ZERO
 
 
 def _mul_plain(const, plain) -> Expr:
@@ -681,15 +731,18 @@ def simplify(e: Expr) -> Expr:
 
 
 def diff(e: Expr, var) -> Expr:
-    """Exact partial derivative with respect to a variable name."""
+    """Exact partial derivative in a variable name; a subtree not reading it is 0."""
     name = var.name if isinstance(var, Var) else var
-    return _memoized(_diff, e, name)
+    if name not in free_symbols(e):  # and so every node of ``e`` holds its names
+        return ZERO
+    return _memoized(_diff, e, name, lambda node, name: None if name in node._free else ZERO)
 
 
-def _memoized(step, e: Expr, arg):
+def _memoized(step, e: Expr, arg, known=None):
     """``step(node, arg, result)`` once per distinct subtree of ``e``, children
     first; returns ``e``'s.  ``result`` is the memo's ``__getitem__``, which
-    the memo does not hold, so the memo is freed when the call returns."""
+    the memo does not hold, so the memo is freed when the call returns.  A
+    ``known(node, arg)`` not None is the node's result, its children unvisited."""
     memo: dict = {}
     result = memo.__getitem__
     stack = [e]
@@ -700,6 +753,8 @@ def _memoized(step, e: Expr, arg):
             memo[node] = step(node, arg, result)
         elif node in memo or not isinstance(node, Expr):  # done, or a name or exponent
             continue
+        elif known is not None and (value := known(node, arg)) is not None:
+            memo[node] = value
         elif isinstance(node, _INNER):
             stack += (node, None)
             stack += reversed(node._fields())
@@ -792,8 +847,20 @@ def distinct_nodes(*exprs: Expr) -> Iterable[Expr]:
 
 
 def free_symbols(e: Expr) -> frozenset:
-    """Names of the variables in ``e``; each distinct subtree is visited once."""
-    return frozenset(node.name for node in distinct_nodes(e) if isinstance(node, Var))
+    """Names of the variables in ``e``, held on each node once computed, like
+    its sort key; a node shares a child's set where it adds no name to it."""
+    if e._free is None:
+        _memoized(_free_names, e, None, lambda node, _: node._free)
+    return e._free
+
+
+def _free_names(e: Expr, _, result) -> frozenset:
+    names = frozenset((e.name,)) if type(e) is Var else _NO_NAMES
+    for more in (result(c) for c in e._fields() if isinstance(c, Expr)):
+        if not more <= names:
+            names = more if names <= more else names | more
+    object.__setattr__(e, "_free", names)
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -948,16 +1015,9 @@ def _tokenize(src: str):
             tokens.append(_Token("name", src[i:j], i))
             i = j
             continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(_Token("rparen", ch, i))
+        if ch in "+-*/^()":
+            kind = "op" if ch in "+-*/^" else "lparen" if ch == "(" else "rparen"
+            tokens.append(_Token(kind, ch, i))
             i += 1
             continue
         raise _syntax_error(src, i, "a number, name, operator, or parenthesis")
@@ -975,7 +1035,7 @@ def _syntax_error(src: str, pos: int, expected: str) -> SyntaxError:
 class _Parser:
     def __init__(self, src: str, alphabet):
         self.src = src
-        self.alphabet = frozenset(alphabet)
+        self.alphabet = frozenset(alphabet)  # a frozenset comes back as itself
         self.tokens = _tokenize(src)
         self.idx = 0
         self.depth = 0
@@ -1033,7 +1093,7 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return Const(Fraction(tok.text))
+            return Const(int(tok.text) if tok.text.isdecimal() else Fraction(tok.text))
         if tok.kind == "op" and tok.text == "-":
             return eneg(self.nested(tok, _UNARY_PRECEDENCE))
         if tok.kind == "lparen":

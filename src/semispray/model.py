@@ -197,8 +197,8 @@ def load_model(source) -> ModelDocument:
     names = list(coords) + list(fibers) + list(params)
     _require(len(set(names)) == len(names), "coords", "variable names must be distinct")
 
-    base_alphabet = tuple(coords) + tuple(params)
-    full_alphabet = tuple(names)
+    base_alphabet = frozenset((*coords, *params))
+    full_alphabet = frozenset(names)
 
     rho_src = doc.get("rho")
     _require(isinstance(rho_src, list) and len(rho_src) == n, "rho", f"must be an {n}-row matrix")

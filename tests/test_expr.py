@@ -1343,6 +1343,144 @@ def test_lone_denominator_is_kept_as_built():
     assert got.sort_key() == ex.Div(ex.emul(ex.Var("x2"), _y2_var), d).sort_key()
 
 
+def _general(build):
+    """``build()`` with no constant times a sum rescaled: every product takes
+    the general path of ``emul``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex, "_rescaled", lambda c, e: None)
+        return build()
+
+
+#: Factors of the rescaled operands: ints, rationals and floats, with both
+#: zeros, 1.0, and magnitudes whose products overflow or underflow.
+RESCALE_FACTORS = [0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), 0.0, -0.0, 1.0, -1.0, 0.5,
+                   0.1, 3.0, 1e200, -1e200, 1e-200]
+
+
+@st.composite
+def rescaled_operands(draw):
+    """A factor and a constant, a monomial or a sum, whose terms are now and
+    then a quotient, a root of a sum, a function of a sum or a product of
+    monomials, with float, rational and int coefficients."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    coeffs = EXPANSION_COEFFS + [0.25, -2.5, 1e200, Fraction(3, 7)]
+
+    def monomial():
+        bases = rng.sample(EXPANSION_BASES, rng.randint(0, 3))
+        return ex.emul(ex.Const(rng.choice(coeffs)),
+                       *(ex.epow(b, rng.choice(EXPANSION_EXPONENTS)) for b in bases))
+
+    def term():
+        pick = rng.random()
+        if pick < 0.1:
+            return ex.ediv(monomial(), ex.eadd(ex.ONE, ex.epow(ex.Var("x2"), 2)))
+        if pick < 0.2:
+            return ex.emul(monomial(), ex.epow(ex.eadd(ex.ONE, _x1_var), Fraction(1, 2)))
+        if pick < 0.3:
+            return ex.emul(monomial(), ex.efunc("exp", ex.eadd(_y1_var, monomial())))
+        return monomial()
+
+    e = monomial() if rng.random() < 0.3 else ex.eadd(*(term() for _ in range(rng.randint(2, 5))))
+    return draw(st.sampled_from(RESCALE_FACTORS)), e
+
+
+@settings(max_examples=400, deadline=None)
+@given(rescaled_operands())
+def test_rescaling_builds_the_node_of_the_general_path(case):
+    c, e = case
+    assert ex.emul(ex.Const(c), e) is _general(lambda: ex.emul(ex.Const(c), e))
+    assert ex.emul(e, ex.Const(c)) is _general(lambda: ex.emul(e, ex.Const(c)))
+    assert ex.eneg(e) is _general(lambda: ex.eneg(e))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ex.emul(ex.Const(-0.0), ex.eadd(_x1_var, ex.Const(float("inf")))),
+    lambda: ex.emul(ex.Const(1e-200), ex.eadd(ex.emul(ex.Const(1e-200), _x1_var), _y1_var)),
+    lambda: ex.emul(ex.Const(2), ex.Mul((_y1_var, _x1_var))),  # a raw product, unsorted
+    lambda: ex.emul(ex.Const(2), ex.Mul((_x1_var, ex.Pow(_x1_var, 2)))),  # one base twice
+    lambda: ex.emul(ex.ONE, ex.Mul((_x1_var, _x1_var))),
+    lambda: ex.emul(ex.ONE, ex.Div(ex.Mul((_x1_var, ex.Const(2))), ex.Const(4))),
+], ids=["zero-times-inf", "underflow", "raw-unsorted", "raw-same-base", "raw-one",
+        "raw-quotient"])
+def test_rescaling_edge_cases_take_the_general_node(build):
+    assert build() is _general(build)
+
+
+def test_zero_products_are_the_int_zero():
+    # The general path maps a zero product to the int 0, so 1 * 0.0 is not 0.0.
+    for zero in (0.0, -0.0):
+        assert ex.emul(ex.ONE, ex.Const(zero)) is ex.ZERO is _general(
+            lambda: ex.emul(ex.ONE, ex.Const(zero)))
+
+
+def test_rescaling_above_the_term_cap_keeps_the_sum_whole(monkeypatch):
+    e = _sum_of_powers("x1", 5)
+    monkeypatch.setattr(ex, "EXPAND_TERM_CAP", 4)
+    assert ex.emul(ex.Const(2), e) is ex.Mul((ex.Const(2), e))
+    assert ex.emul(ex.ONE, e) is e
+
+
+def test_negating_a_monomial_sum_expands_nothing(monkeypatch):
+    e = ex.parse("3 + x1 - 2.5*x1*y1^2 + exp(x2)^(1/2)/4", ALPHABET)
+    calls = []
+    expand = ex._expand_monomials
+    monkeypatch.setattr(ex, "_expand_monomials", lambda *a: calls.append(a) or expand(*a))
+    assert ex.to_text(ex.eneg(e)) == "-3 - x1 - 1/4*exp(x2)^(1/2) + 5/2*x1*y1^2"
+    assert ex.emul(ex.ONE, e) is e
+    assert calls == []
+
+
+def test_diff_by_an_absent_name_visits_no_node(monkeypatch):
+    e = ex.parse("sin(x1*x2)^2/(1 + x2^2) + exp(x1)", ALPHABET)
+    ex.free_symbols(e)
+    steps = []
+    step = ex._diff
+    monkeypatch.setattr(ex, "_diff", lambda *a: steps.append(a[0]) or step(*a))
+    assert ex.diff(e, "y1") is ex.ZERO
+    assert steps == []
+    # Along x1, the subtrees that read only x2 are not visited either.
+    assert ex.diff(e, "x1") is reference_diff(e, "x1")
+    assert ex.parse("1 + x2^2", ALPHABET) not in steps and ex.Var("x2") not in steps
+
+
+def test_free_names_are_held_on_the_node(monkeypatch):
+    e = ex.parse("sin(x1*x2)^2/(1 + x2^2) + exp(y1)", ALPHABET)
+    assert ex.free_symbols(e) == {"x1", "x2", "y1"}
+    # The sets are shared: a variable's, the constants' one empty set, and
+    # a child's where the union adds nothing.
+    assert ex.free_symbols(ex.parse("1 + x2^2", ALPHABET)) is ex.free_symbols(_x2)
+    assert ex.free_symbols(ex.Const(2)) is ex.free_symbols(ex.Const(0.5))
+    for walk in ("_memoized", "distinct_nodes"):
+        monkeypatch.setattr(ex, walk, None)  # a second call walks nothing
+    assert ex.free_symbols(e) == {"x1", "x2", "y1"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_trees(), st.sampled_from(ALPHABET + ("w",)))
+def test_diff_and_free_names_match_a_fresh_walk(tree, name):
+    try:
+        want = reference_diff(tree, name)
+    except DomainError as err:
+        want = type(err)
+    try:
+        got = ex.diff(tree, name)
+    except DomainError as err:
+        got = type(err)
+    assert got is want
+    fresh = {node.name for node in ex.distinct_nodes(tree) if isinstance(node, ex.Var)}
+    assert ex.free_symbols(tree) == fresh
+    assert all(ex.free_symbols(node) == {n.name for n in ex.distinct_nodes(node)
+                                         if isinstance(n, ex.Var)}
+               for node in ex.distinct_nodes(tree))
+
+
+def test_parser_keeps_a_frozenset_alphabet():
+    names = frozenset(ALPHABET)
+    assert ex._Parser("x1", names).alphabet is names
+    assert ex.parse("12*x1 + 007", names) is ex.eadd(ex.Const(7), ex.emul(ex.Const(12), _x1_var))
+    assert type(ex.parse("12", names).value) is int
+
+
 @st.composite
 def canonical_pairs(draw):
     """Two constructor outputs, with float and rational constants and

@@ -128,6 +128,18 @@ class TestModelLoading:
         model = load_model(doc)
         assert "mass" in ex.free_symbols(model.lagrangian)
 
+    def test_fields_parse_over_two_frozen_alphabets(self, monkeypatch):
+        alphabets = []
+        parse = ex.parse
+        monkeypatch.setattr(ex, "parse", lambda src, names: alphabets.append(names)
+                            or parse(src, names))
+        load_model(dict(SO3_DOC, params={"mass": 2.0}))
+        fields = [a for a in alphabets if len(a) > 1]  # not the one-name checks of each name
+        assert {type(a) for a in fields} == {frozenset}
+        assert len({id(a) for a in fields}) == 2
+        assert {"x1", "x2", "x3", "mass"} in fields
+        assert {"x1", "x2", "x3", "y1", "y2", "y3", "mass"} in fields
+
 
 class TestCliCommands:
     def test_validate_passes(self, so3_path):
