@@ -763,6 +763,14 @@ def _memoized(step, e: Expr, arg, known=None):
     return memo[e]
 
 
+def _canonical_monomial(f: Expr) -> bool:
+    """Whether ``f`` is a constant, a ``Var``, a ``Func`` or a canonical power
+    of one, which ``emul(Const(c), f)`` rescales as the general path builds
+    it; a raw tree may be anything else."""
+    return type(f) in (Const, Var, Func) or (type(f) is Pow and type(f.base) in _MONOMIAL_BASES
+                                             and epow(f.base, f.exponent) is f)
+
+
 def _diff(e: Expr, name: str, result) -> Expr:
     if isinstance(e, Const):
         return ZERO
@@ -777,12 +785,18 @@ def _diff(e: Expr, name: str, result) -> Expr:
             if is_zero_literal(df):
                 continue
             others = e.factors[:i] + e.factors[i + 1:]
-            pieces.append(emul(df, *others))
+            if df is ONE and len(others) == 2 and type(others[0]) is Const \
+                    and _canonical_monomial(others[1]):
+                pieces.append(emul(*others))  # rescaled: an int 1 changes no coefficient
+            else:
+                pieces.append(emul(df, *others))
         return eadd(*pieces)
     if isinstance(e, Pow):
         db = result(e.base)
         if is_zero_literal(db):
             return ZERO
+        if type(e.base) is Var:  # d(v^k)/dv = k v^(k-1), rescaled; the chain factor is 1
+            return emul(Const(e.exponent), epow(e.base, e.exponent - 1))
         return emul(Const(e.exponent), epow(e.base, e.exponent - 1), db)
     if isinstance(e, Div):
         dn = result(e.num)
@@ -1155,8 +1169,16 @@ class Box:
             raise ValueError(f"box for {name!r} has no volume: [{lo}, {hi}]")
         return float(lo), float(hi)
 
-    def sample(self, names: Sequence[str], rng: random.Random) -> dict:
-        return {n: rng.uniform(*self.interval(n)) for n in sorted(names)}
+    def spans(self, names: Sequence[str]) -> list:
+        """``(name, lo, hi - lo)`` for each of ``names``, sorted: what
+        :meth:`draw` reads, formed once per sampling loop."""
+        return [(n, lo, hi - lo) for n in sorted(names) for lo, hi in (self.interval(n),)]
+
+    @staticmethod
+    def draw(spans: list, rng: random.Random) -> dict:
+        """A uniform point over ``spans``: ``lo + w * rng.random()`` is
+        ``rng.uniform(lo, hi)`` to the bit, and draws as much."""
+        return {n: lo + w * rng.random() for n, lo, w in spans}
 
     def center(self, names: Sequence[str]) -> dict:
         out = {}
@@ -1263,10 +1285,11 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
     box = box or Box()
     params = params or {}
     rng = random.Random(seed)
+    spans = box.spans(names)
     max_abs = 0.0
     evaluated = 0
     for _ in range(trials):
-        env = box.sample(names, rng)
+        env = box.draw(spans, rng)
         env.update(params)
         try:
             v = value(env)

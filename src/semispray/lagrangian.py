@@ -1,14 +1,16 @@
 """Derived data of a regular Lagrangian on an algebroid chart.
 
-``build`` computes the fiber Hessian ``M``, the fiber derivative
-coefficients, and the energy function ``E_L = y^k dL/dy^k - L``.  The exact
-inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None)
-is built on first use: only the symbolic bracket reads it.  ``integrate``
-and every check solve with ``M`` pointwise.
+``build`` computes the fiber Hessian ``M`` and the fiber derivative
+coefficients.  The energy function ``E_L = y^k dL/dy^k - L`` is formed on
+first read (``validate`` and ``bracket`` never read it), and so is the exact
+inverse ``Minv`` (adjugate over determinant, ranks up to 4; above that None):
+only the symbolic bracket reads it.  ``integrate`` and every check solve
+with ``M`` pointwise.
 A singular Hessian is always an error.  Regularity is certified on a sample
 box, never globally: the probe set is the uniform sample plus the box center
 and the fiber origin, so Hessians degenerating on the zero section are
-caught deterministically.
+caught deterministically.  A determinant that reads no sampled name has
+the same value at every probe point, so it is probed once, at the center.
 """
 
 from __future__ import annotations
@@ -27,14 +29,19 @@ SYMBOLIC_INVERSE_MAX_RANK = 4
 
 class LagrangianData:
     def __init__(self, chart: AlgebroidChart, lagrangian: ex.Expr,
-                 hessian: linalg.Matrix, fiber_derivative: List[ex.Expr], energy: ex.Expr,
+                 hessian: linalg.Matrix, fiber_derivative: List[ex.Expr],
                  hessian_det: ex.Expr):
         self.chart = chart
         self.L = lagrangian
         self.M = hessian
         self.thetaL = fiber_derivative
-        self.EL = energy
         self.detM = hessian_det
+
+    @functools.cached_property
+    def EL(self) -> ex.Expr:
+        """The energy ``E_L = y^k dL/dy^k - L``."""
+        return ex.eadd(*(ex.emul(ex.Var(nm), self.thetaL[k])
+                         for k, nm in enumerate(self.chart.fibers)), ex.eneg(self.L))
 
     @functools.cached_property
     def Minv(self) -> Optional[linalg.Matrix]:
@@ -54,20 +61,16 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
 
     The probe set is the box center, the same point moved to the fiber
     origin, and ``trials`` uniform samples; points where ``det`` leaves the
-    real domain are skipped."""
-    rng = random.Random(seed)
+    real domain are skipped.  A ``det`` that reads no name outside
+    ``params`` is the same at every point, so only the center is probed."""
     program = ex.Program([det])
     names = sorted({name for _, name in program.reads} - set(params))
-    probes = []
     center = box.center(chart.alphabet)
-    probes.append({n: center[n] for n in names})
-    origin = dict(probes[0])
-    for fiber in chart.fibers:
-        if fiber in origin:
-            origin[fiber] = 0.0
-    probes.append(origin)
-    for _ in range(trials):
-        probes.append(box.sample(names, rng))
+    probes = [{n: center[n] for n in names}]
+    if names:
+        probes.append({n: 0.0 if n in chart.fibers else v for n, v in probes[0].items()})
+        rng, spans = random.Random(seed), box.spans(names)
+        probes += (box.draw(spans, rng) for _ in range(trials))
     for env in probes:
         env = dict(env)
         env.update(params)
@@ -82,15 +85,18 @@ def probe_determinant(chart: AlgebroidChart, det: ex.Expr, box: ex.Box,
 
 def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 64,
           tol: float = 1e-9, seed: int = 0, params: dict = None) -> LagrangianData:
-    """Derive Hessian, fiber derivative, and energy from ``L``.
+    """Derive Hessian and fiber derivative from ``L``; the energy ``EL`` is
+    formed on first read.
 
     ``lagrangian`` is source text or a canonical tree (:func:`expr.simplify`
     is for a raw-node one).
 
     The Hessian determinant must stay away from zero on the probe set of
     :func:`probe_determinant`, else :class:`SingularHessian` carries the
-    witness point.  The Hessian inverse ``Minv`` is built on first use,
-    exact for ranks up to ``SYMBOLIC_INVERSE_MAX_RANK`` and None above it.
+    witness point.  A determinant free of sampled names (a constant Hessian)
+    is probed at the center alone.  The Hessian inverse ``Minv`` is built on
+    first use, exact for ranks up to ``SYMBOLIC_INVERSE_MAX_RANK`` and None
+    above it.
     """
     if isinstance(lagrangian, str):
         lagrangian = chart.parse(lagrangian)
@@ -98,8 +104,6 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
     fibers = chart.fibers
     theta = [ex.diff(lagrangian, nm) for nm in fibers]
     hessian = [[ex.diff(theta[i], fibers[j]) for j in range(chart.r)] for i in range(chart.r)]
-    energy = ex.eadd(*(ex.emul(ex.Var(nm), theta[k]) for k, nm in enumerate(fibers)),
-                     ex.eneg(lagrangian))
     det = linalg.det(hessian)
 
     if ex.is_zero_literal(det):
@@ -110,4 +114,4 @@ def build(lagrangian, chart: AlgebroidChart, box: ex.Box = None, trials: int = 6
     if witness is not None:
         raise SingularHessian(witness)
 
-    return LagrangianData(chart, lagrangian, hessian, theta, energy, det)
+    return LagrangianData(chart, lagrangian, hessian, theta, det)

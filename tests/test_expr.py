@@ -628,7 +628,8 @@ class TestOneVerdictLoop:
         regular = ex.parse("sin(x1)^2 + cos(x1)^2 - 1", self.NAMES)
         singular = ex.parse("log(x1^2) - 2*log(x1)", self.NAMES)
         rng = random.Random(0)
-        positive = sum(ex.Box().sample(["x1"], rng)["x1"] > 0 for _ in range(64))
+        spans = ex.Box().spans(["x1"])
+        positive = sum(ex.Box.draw(spans, rng)["x1"] > 0 for _ in range(64))
         assert 0 < positive < 64
         alone = ex.is_zero(regular, seed=0)
         assert (alone.status, alone.evaluated) == (ZeroStatus.LIKELY_ZERO, 64)
@@ -657,7 +658,8 @@ class TestOneVerdictLoop:
         # asked for, and evaluated says how few there were.
         e = ex.parse("sqrt(x1 - 0.8)^2 - x1 + 0.8", ("x1",))
         rng = random.Random(0)
-        regular = sum(ex.Box().sample(["x1"], rng)["x1"] >= 0.8 for _ in range(64))
+        spans = ex.Box().spans(["x1"])
+        regular = sum(ex.Box.draw(spans, rng)["x1"] >= 0.8 for _ in range(64))
         result = ex.is_zero(e, seed=0)
         assert (result.status, result.trials, result.evaluated) == \
             (ZeroStatus.LIKELY_ZERO, 64, regular)
@@ -1443,6 +1445,19 @@ def test_diff_by_an_absent_name_visits_no_node(monkeypatch):
     assert ex.parse("1 + x2^2", ALPHABET) not in steps and ex.Var("x2") not in steps
 
 
+def test_a_chain_factor_of_one_is_rescaled(monkeypatch):
+    # The power rule's chain factor dy1/dy1 = 1 and the product rule's
+    # dx1/dx1 = 1 are dropped, so each product is a constant times a
+    # monomial: rescaled, with no general product.
+    power, product, want = (ex.parse(t, ALPHABET) for t in ("1/2*y1^2", "3*x1*y1", "3*y1"))
+    calls = []
+    mul_plain = ex._mul_plain
+    monkeypatch.setattr(ex, "_mul_plain", lambda *a: calls.append(a) or mul_plain(*a))
+    assert ex.diff(power, "y1") is ex.Var("y1")
+    assert ex.diff(product, "x1") is want
+    assert calls == []
+
+
 def test_free_names_are_held_on_the_node(monkeypatch):
     e = ex.parse("sin(x1*x2)^2/(1 + x2^2) + exp(y1)", ALPHABET)
     assert ex.free_symbols(e) == {"x1", "x2", "y1"}
@@ -1803,3 +1818,23 @@ def test_box_rejects_empty_interval():
     box = ex.Box(ranges={"x1": (1.0, 1.0)})
     with pytest.raises(ValueError):
         box.interval("x1")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.floats(1e-6, 1e6),
+       st.dictionaries(st.sampled_from(ALPHABET), st.tuples(st.floats(-1e3, 1e3),
+                                                            st.floats(1e-9, 1e3))),
+       st.lists(st.sampled_from(ALPHABET), unique=True), st.integers(0, 2**32))
+def test_spans_draw_what_uniform_draws(lo, width, overrides, names, seed):
+    # lo + w * random() is CPython's ``uniform``: the same floats to the
+    # bit, and the same state of the generator after every draw.
+    box = ex.Box((lo, lo + width), {n: (a, a + w) for n, (a, w) in overrides.items()})
+    assume(all(a < b for a, b in [box.default, *box.ranges.values()]))
+    drawn, uniform = random.Random(seed), random.Random(seed)
+    spans = box.spans(names)
+    for _ in range(5):
+        point = ex.Box.draw(spans, drawn)
+        want = {n: uniform.uniform(*box.interval(n)) for n in sorted(names)}
+        assert list(point) == list(want)
+        assert [v.hex() for v in point.values()] == [v.hex() for v in want.values()]
+    assert drawn.getstate() == uniform.getstate()

@@ -63,6 +63,39 @@ class TestBuild:
             assert cli.main(["bracket", str(path)]) == 0
         assert len(calls) == 2
 
+    def test_energy_is_formed_on_first_read(self, curved_metric, tmp_path, monkeypatch):
+        # validate and bracket never read E_L, so they do not form it;
+        # hamiltonian does.
+        built = []
+        build = cli.build_lagrangian
+        monkeypatch.setattr(cli, "build_lagrangian", lambda *a, **k: built.append(build(*a, **k))
+                            or built[-1])
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps({"n": 2, "r": 2, "rho": [["1", "0"], ["0", "1"]],
+                                    "L": "1/2*(y1^2 + (1 + x1^2)*y2^2)"}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("validate", "bracket", "hamiltonian"):
+                assert cli.main([command, str(path)]) == 0
+        assert ["EL" in data.__dict__ for data in built] == [False, False, True]
+
+    def test_name_free_determinant_is_probed_once(self, tangent2, monkeypatch):
+        # A constant Hessian, or one that reads only bound parameters, has
+        # the same determinant at every probe point: one evaluation, at the
+        # center, decides it.
+        calls = []
+        value = ex.Program.value
+        monkeypatch.setattr(ex.Program, "value", lambda self, env: calls.append(env)
+                            or value(self, env))
+        lagrangian.build("1/2*(y1^2 + y2^2)", tangent2.chart)
+        assert calls == [{}]
+        chart = tangent2.chart
+        det = ex.parse("a - 2", ("a",))
+        assert lagrangian.probe_determinant(chart, det, ex.Box(), 64, 1e-9, 0,
+                                            {"a": 3.0}) is None
+        assert lagrangian.probe_determinant(chart, det, ex.Box(), 64, 1e-9, 0,
+                                            {"a": 2.0}) == {"a": 2.0}
+        assert len(calls) == 3
+
     def test_energy_formula(self, curved_metric):
         data = lagrangian.build(curved_metric.lagrangian, curved_metric.chart)
         fibers = curved_metric.chart.fibers

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from semispray import cli, errors, expr as ex
 from semispray.errors import ModelError, StepCollapse
 from semispray.model import load_model
+from semispray.report import ZeroStatus
 
 from helpers import point_env
 
@@ -662,6 +663,56 @@ def test_constant_beyond_float_range(tmp_path, capsys, constant, command):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _report_values(floats):
+    """Report-shaped JSON: string keys; leaves of every type a report holds,
+    among them ``ZeroStatus`` (a ``str`` subclass), non-ASCII and control
+    characters and ints past 64 bits; lists, tuples and empty containers."""
+    leaves = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**200),
+                       floats, st.text(), st.sampled_from(list(ZeroStatus)),
+                       st.sampled_from(["\u00e9\u2028\U0001f600", "\x00\x1f\x7f\"\\/"]))
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4)), max_leaves=30)
+
+
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([-0.0, 5e-324, 2.2250738585072e-308, 1e308, -1e308]))
+
+
+def _emitted(payload) -> str:
+    stream = io.StringIO()
+    with redirect_stdout(stream):
+        cli._emit(payload)
+    return stream.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_report_values(_FINITE))
+def test_reports_are_written_as_json_dumps_writes_them(payload):
+    assert _emitted(payload) == json.dumps(payload, indent=2, sort_keys=True,
+                                           allow_nan=False) + "\n"
+
+
+def _json_safe(value):
+    """Every non-finite float as its ``repr``, the string ``"inf"``,
+    ``"-inf"`` or ``"nan"``: JSON has no token for them."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else repr(value)
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(v) for v in value]
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(_report_values(st.one_of(_FINITE, st.sampled_from([math.inf, -math.inf, math.nan]))))
+def test_non_finite_floats_are_written_as_strings(payload):
+    assert _emitted(payload) == json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+    assert _emitted({"x": [1.5, math.inf, (math.nan, -math.inf)]}) == \
+        '{\n  "x": [\n    1.5,\n    "inf",\n    [\n      "nan",\n      "-inf"\n    ]\n  ]\n}\n'
 
 
 @pytest.mark.parametrize("seed", ["0", "2", "6"])

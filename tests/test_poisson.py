@@ -567,8 +567,9 @@ class TestJacobiFromJets:
         trees = [ex.Program([r]) for _, r in reference_jacobi_residuals(p)]
         box = ex.Box(ranges={"x1": (0.25, 1.0)})
         rng = random.Random(2024)
+        spans = box.spans(names)
         for _ in range(20):
-            env = box.sample(names, rng)
+            env = box.draw(spans, rng)
             jets = bracket(program.jets(env, names, ex.FLOAT), ex.FLOAT)
             for tree, (_, terms) in zip(trees, triples):
                 want = tree.value(env)
