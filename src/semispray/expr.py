@@ -529,10 +529,15 @@ def _expand_monomials(const, factors, adds) -> Optional[Expr]:
                             m[base] = e
                 products.append((1 if m and c == 1 else c, m))
         partial = products
+    return _assemble(partial)
 
+
+def _assemble(monomials) -> Expr:
+    """The canonical sum of ``(coefficient, {base: nonzero exponent})`` monomials: like
+    maps collect in order of appearance, a coefficient 0 drops its term and 1 its ``Const``."""
     const = 0
     buckets: dict = {}  # frozen map -> [summed coefficient, the first map]
-    for c, m in partial:
+    for c, m in monomials:
         if not m:
             const = const + c
             continue
@@ -642,7 +647,7 @@ def epow(base: Expr, exponent) -> Expr:
 
 
 def _factor_map(e: Expr):
-    """Decompose a canonical Add-free expression into (const, {base: exp})."""
+    """Decompose an Add-free expression into (const, {base: exp}), cancelled bases left out."""
     const = 1
     powers: dict = {}
     stack = [e]
@@ -652,10 +657,12 @@ def _factor_map(e: Expr):
             stack.extend(f.factors)
         elif isinstance(f, Const):
             const = const * f.value
-        elif isinstance(f, Pow):
-            powers[f.base] = powers.get(f.base, 0) + f.exponent
         else:
-            powers[f] = powers.get(f, 0) + 1
+            base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
+            if k := k + powers.get(base, 0):
+                powers[base] = k
+            else:
+                powers.pop(base, None)
     return const, powers
 
 

@@ -18,7 +18,9 @@ satisfy ``h(dw) + d(hw) = w - psi_star_0(w)``, with the ``t -> 0`` limit
 vanishing in positive degree and restricting to the fiber origin in degree
 zero.  Coefficients polynomial in the fibers integrate exactly by fiber
 degree: the part ``w^(d)`` of degree ``d`` of ``w_{jJ}`` gives
-``y^j w^(d) / (q + d)``.  Any other integrand ``e``, where the scaling
+``y^j w^(d) / (q + d)``.  The operators act on a sum of monomials as exponent
+maps; a float coefficient, a quotient, a root, a negative power or a function of
+a fiber takes the tree way, to the same node.  Any other integrand ``e``, where the scaling
 parameter is left non-polynomial, is stored as itself and stands for
 ``int_0^1 e d_t``: a coefficient is a fiber integral exactly when the
 reserved scaling parameter ``TVAR`` is free in it, and :func:`fiber_value`
@@ -143,24 +145,56 @@ def bigrade(form: AForm) -> Dict[Tuple[int, int], AForm]:
     return {pq: AForm(form.chart, form.degree, coeffs) for pq, coeffs in blocks.items()}
 
 
+def _monomial_reader(chart: AlgebroidChart) -> Callable[[ex.Expr], Optional[list]]:
+    """``read(e)``, memoized: the ``expr._factor_map`` pairs ``(coefficient, {base:
+    exponent})`` of the terms of ``e`` where each is a monomial, an exact coefficient
+    times positive integer powers of ``Var``s and of ``Func``s that read no fiber; else None."""
+    barred = frozenset(chart.fibers) | {TVAR}
+    memo: dict = {}
+
+    def read(e: ex.Expr) -> Optional[list]:
+        if e not in memo:
+            pairs = [ex._factor_map(t) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
+            memo[e] = pairs if all(not isinstance(c, float) and all(
+                type(k) is int and k > 0 and (base.name != TVAR if isinstance(base, ex.Var) else
+                                              isinstance(base, ex.Func)
+                                              and barred.isdisjoint(ex.free_symbols(base)))
+                for base, k in powers.items()) for c, powers in pairs) else None
+        return memo[e]
+
+    return read
+
+
 def dsecond(form: AForm) -> AForm:
     """Vertical part of the bigraded differential: on each bidegree-(p, q)
     component, ``(-1)^p`` times the alternating fiber derivative on the
     vertical legs.  On a vertical form it is the differential of the vertical
     algebroid, whose bracket is trivial and whose anchor images are the
-    coordinate fields."""
+    coordinate fields.  An output whose inputs are sums of monomials
+    (:func:`_monomial_reader`) is derived on their exponent maps, else by ``diff``."""
     chart = form.chart.base
     r = chart.r
+    ys = [ex.Var(y) for y in chart.fibers]
+    read = _monomial_reader(chart)
     coeffs = {}
     for (p, q), block in bigrade(form).items():
         for idx_i in itertools.combinations(range(r), p):
             for tup in itertools.combinations(range(r, 2 * r), q + 1):
-                pieces = []
-                for pos, j in enumerate(tup):
-                    rest = tup[:pos] + tup[pos + 1:]
-                    value = ex.diff(block.get(idx_i + rest), chart.fibers[j - r])
-                    pieces.append(value if pos % 2 == 0 else ex.eneg(value))
-                total = ex.eadd(*pieces)
+                legs = [(ys[j - r], block.get(idx_i + tup[:pos] + tup[pos + 1:]))
+                        for pos, j in enumerate(tup)]
+                monomials = []
+                for pos, (y, v) in enumerate(legs):
+                    if (pairs := read(v)) is None:
+                        break
+                    sign = -1 if (p + pos) % 2 else 1
+                    monomials += [(sign * k * c, {b: e - (b is y) for b, e in m.items()
+                                                  if b is not y or e > 1})
+                                  for c, m in pairs if (k := m.get(y))]
+                else:
+                    coeffs[idx_i + tup] = ex._assemble(monomials)
+                    continue
+                total = ex.eadd(*[ex.eneg(ex.diff(v, y)) if pos % 2 else ex.diff(v, y)
+                                  for pos, (y, v) in enumerate(legs)])
                 coeffs[idx_i + tup] = ex.eneg(total) if p % 2 else total
     return AForm(form.chart, form.degree + 1, coeffs)
 
@@ -168,16 +202,22 @@ def dsecond(form: AForm) -> AForm:
 def psi_star(form: AForm, t) -> AForm:
     """Pullback along the fiber scaling: ``t^q * w(x, t y)`` on each
     coefficient with ``q`` vertical legs (the canonical transport is the
-    identity in the pullback frame)."""
+    identity in the pullback frame).  At ``t = 0`` a sum of monomials is read, not
+    substituted: 0 if ``q >= 1``, else its fiber-free terms; ``1/y1`` still raises."""
     t = ex.as_expr(t)
     if not isinstance(t, ex.Const):
         raise ValueError("scaling parameter must be numeric")
     mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.base.fibers}
+    fibers = {ex.Var(y) for y in form.chart.base.fibers}
+    read = _monomial_reader(form.chart.base)
     coeffs = {}
     for (_, q), block in bigrade(form).items():
         factor = ex.epow(t, q) if q else ex.ONE
         for key, v in block.coeffs.items():
-            coeffs[key] = ex.emul(factor, ex.subs(v, mapping))
+            if (pairs := read(v) if t.value == 0 else None) is None:
+                coeffs[key] = ex.emul(factor, ex.subs(v, mapping))
+            elif not q:
+                coeffs[key] = ex._assemble([(c, m) for c, m in pairs if fibers.isdisjoint(m)])
     return AForm(form.chart, form.degree, coeffs)
 
 
@@ -188,7 +228,8 @@ def radial_homotopy(form: AForm) -> AForm:
     on each bidegree-(p, q) component, with the frame legs ``I`` as labels;
     it is the zero map on components with q = 0.  Where ``(-1)^p y^j w`` is polynomial
     in the fibers (none under a root or in a denominator), the part ``w^(d)`` of
-    degree ``d`` of ``w`` gives ``(-1)^p y^j w^(d) / (q + d)``, with no substitution.
+    degree ``d`` of ``w`` gives ``(-1)^p y^j w^(d) / (q + d)``, with no substitution:
+    on exponent maps where each ``w`` is a sum of monomials (:func:`_monomial_reader`).
     Any other output is built from its integrand (``y -> ty``, times ``t^(q-1)``),
     integrated term by term where the parameter is left polynomial in it, else
     kept as a fiber integral.  The input is not checked for closure.
@@ -196,6 +237,8 @@ def radial_homotopy(form: AForm) -> AForm:
     chart = form.chart.base
     r = chart.r
     fibers = frozenset(chart.fibers)
+    ys = [ex.Var(y) for y in chart.fibers]
+    read = _monomial_reader(chart)
     coeffs = {}
     for (p, q), block in bigrade(form).items():
         if q == 0:
@@ -203,9 +246,18 @@ def radial_homotopy(form: AForm) -> AForm:
         sign = ex.eneg if p % 2 else (lambda e: e)
         for idx_i in itertools.combinations(range(r), p):
             for rest in itertools.combinations(range(r, 2 * r), q - 1):
-                values = [(ex.Var(y), v) for j, y in enumerate(chart.fibers)
+                values = [(y, v) for j, y in enumerate(ys)
                           if not ex.is_zero_literal(v := block.get(idx_i + (r + j,) + rest))]
                 if not values:
+                    continue
+                monomials = []  # (-1)^p y^j w_j, a term of fiber degree D over q - 1 + D
+                for y, v in values:
+                    if (pairs := read(v)) is None:
+                        break
+                    monomials += [(Fraction(-c if p % 2 else c, q + sum(m.get(f, 0) for f in ys)),
+                                   {**m, y: m.get(y, 0) + 1}) for c, m in pairs]
+                else:
+                    coeffs[idx_i + rest] = ex._assemble(monomials)
                     continue
                 # A fiber under a root or in a denominator takes the integrand way:
                 # y*y^(1/2) and y*(2/y) merge in the contraction, not in the integrand.

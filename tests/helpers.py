@@ -402,3 +402,36 @@ def reference_radial_homotopy(form):
                 exact = _integrate_unit(integrand)
                 coeffs[idx_i + rest] = exact if exact is not None else integrand
     return AForm(form.chart, form.degree - 1, coeffs)
+
+
+def reference_dsecond(form):
+    """The vertical differential by ``diff``: on each bidegree-(p, q)
+    component, ``(-1)^p`` times the alternating fiber derivative."""
+    chart = form.chart.base
+    r = chart.r
+    coeffs = {}
+    for (p, q), block in bigrade(form).items():
+        for idx_i in itertools.combinations(range(r), p):
+            for tup in itertools.combinations(range(r, 2 * r), q + 1):
+                pieces = []
+                for pos, j in enumerate(tup):
+                    rest = tup[:pos] + tup[pos + 1:]
+                    value = ex.diff(block.get(idx_i + rest), chart.fibers[j - r])
+                    pieces.append(value if pos % 2 == 0 else ex.eneg(value))
+                total = ex.eadd(*pieces)
+                coeffs[idx_i + tup] = ex.eneg(total) if p % 2 else total
+    return AForm(form.chart, form.degree + 1, coeffs)
+
+
+def reference_psi_star(form, t):
+    """The fiber-scaling pullback by substitution: ``t^q * w(x, t y)``."""
+    t = ex.as_expr(t)
+    if not isinstance(t, ex.Const):
+        raise ValueError("scaling parameter must be numeric")
+    mapping = {nm: ex.emul(t, ex.Var(nm)) for nm in form.chart.base.fibers}
+    coeffs = {}
+    for (_, q), block in bigrade(form).items():
+        factor = ex.epow(t, q) if q else ex.ONE
+        for key, v in block.coeffs.items():
+            coeffs[key] = ex.emul(factor, ex.subs(v, mapping))
+    return AForm(form.chart, form.degree, coeffs)

@@ -1489,6 +1489,18 @@ def test_diff_and_free_names_match_a_fresh_walk(tree, name):
                for node in ex.distinct_nodes(tree))
 
 
+def test_cancelling_powers_of_a_raw_term_leave_no_base():
+    # y1 * (-x1) * y1^-1 is a raw term whose y1 powers cancel: its exponent
+    # map holds no y1, so the monomial expansion and diff through it work.
+    x1, y1, y2 = ex.Var("x1"), ex.Var("y1"), ex.Var("y2")
+    term = ex.Mul((y1, ex.Mul((ex.MINUS_ONE, x1)), ex.Pow(y1, -1)))
+    assert ex._factor_map(term) == (-1, {x1: 1})
+    raw = ex.Add((y2, term))
+    assert ex.emul(raw, ex.Const(3)) is ex.emul(ex.simplify(raw), ex.Const(3))
+    product = ex.Mul((ex.Const(3), raw, x1))
+    assert ex.diff(product, "x1") is ex.diff(ex.simplify(product), "x1")
+
+
 def test_parser_keeps_a_frozenset_alphabet():
     names = frozenset(ALPHABET)
     assert ex._Parser("x1", names).alphabet is names

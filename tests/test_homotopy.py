@@ -13,8 +13,8 @@ from semispray.algebroid import AForm, AlgebroidChart, prolong_chart, tangent
 from semispray.errors import DomainError, NotClosed, QuadratureFailure
 from semispray.report import ZeroStatus
 
-from helpers import (assert_proven_zero, random_polynomial, reference_radial_homotopy,
-                     reference_value)
+from helpers import (assert_proven_zero, random_polynomial, reference_dsecond, reference_psi_star,
+                     reference_radial_homotopy, reference_value)
 
 
 def prolong_key(chart, idx_i, idx_j):
@@ -408,10 +408,26 @@ def _denominators(chart):
     return out
 
 
+def _monomial_factors(chart):
+    """The factors of a fiber-polynomial monomial: coordinates and their
+    squares, ``exp``/``sin`` of base coordinates."""
+    out = []
+    for x, y in zip(chart.coords, chart.fibers):
+        out += [ex.Var(x), ex.Var(y), ex.epow(ex.Var(y), 2), ex.efunc("exp", ex.Var(x)),
+                ex.efunc("sin", ex.emul(ex.Const(2), ex.Var(x)))]
+    return out
+
+
 @st.composite
-def coefficients(draw, chart):
+def coefficients(draw, chart, monomials=False):
     """A sum of one to three terms, each a monomial or a quotient of a sum
-    of monomials; all coefficients exact, or all their float twins."""
+    of monomials; all coefficients exact, or all their float twins.  With
+    ``monomials``, half the sums hold only exact fiber-polynomial monomials."""
+    if monomials and draw(st.booleans()):
+        factors = _monomial_factors(chart)
+        return ex.eadd(*[ex.emul(ex.Const(draw(st.sampled_from(_COEFFS))),
+                                 *draw(st.lists(st.sampled_from(factors), max_size=4)))
+                         for _ in range(draw(st.integers(1, 4)))])
     twin = draw(st.booleans())
     factors, dens = _factors(chart), _denominators(chart)
 
@@ -430,16 +446,16 @@ def coefficients(draw, chart):
 
 
 @st.composite
-def prolonged_forms(draw):
+def prolonged_forms(draw, monomials=False, min_degree=1):
     """A form on the prolongation of ``tangent(r)``: any legs, frame ones
     included, with a coefficient on some keys; now and then one is a fiber
-    integral, which the operator refuses."""
+    integral, which the radial operator refuses."""
     r = draw(st.integers(1, 3))
     chart = tangent(r).chart
-    degree = draw(st.integers(1, min(3, 2 * r)))
+    degree = draw(st.integers(min_degree, min(3, 2 * r)))
     keys = list(itertools.combinations(range(2 * r), degree))
     chosen = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=4, unique=True))
-    coeffs = {key: draw(coefficients(chart)) for key in chosen}
+    coeffs = {key: draw(coefficients(chart, monomials)) for key in chosen}
     if draw(st.integers(0, 19)) == 0:
         scaled = ex.efunc("exp", ex.emul(ex.Var(ho.TVAR), ex.Var(chart.fibers[0])))
         coeffs[chosen[0]] = ex.emul(coeffs[chosen[0]], scaled)
@@ -528,6 +544,80 @@ class TestRadialByDegree:
         assert ho.TVAR not in built
         assert got.coeffs.keys() == want.coeffs.keys()
         assert all(got.coeffs[k] is v for k, v in want.coeffs.items())
+
+
+# ---------------------------------------------------------------------------
+# The monomial path of the three operators against their tree references
+
+
+def _assert_same_outcome(got, want):
+    """``got`` is ``want``'s form key for key, node for node, or the same error."""
+    if isinstance(want, AForm):
+        assert isinstance(got, AForm) and got.degree == want.degree
+        assert got.coeffs.keys() == want.coeffs.keys()
+        for key, value in want.coeffs.items():
+            assert got.coeffs[key] is value, key
+    else:
+        assert got == want
+
+
+def _operator_pairs(t):
+    return ((ho.dsecond, reference_dsecond), (ho.radial_homotopy, reference_radial_homotopy),
+            (lambda f: ho.psi_star(f, t), lambda f: reference_psi_star(f, t)))
+
+
+class TestMonomialPath:
+    @settings(max_examples=300, deadline=None)
+    @given(prolonged_forms(monomials=True, min_degree=0),
+           st.sampled_from([0, 0.0, -0.0, Fraction(1, 2)]))
+    def test_same_node_as_the_tree_operators(self, form, t):
+        for op, reference in _operator_pairs(t):
+            _assert_same_outcome(_outcome(lambda: op(form)), _outcome(lambda: reference(form)))
+
+    @pytest.mark.parametrize("text", [
+        "3*x1*y1^2 + y2 - 2", "1/2*y1*y2 - 1/3*x2*y2^3", "x1^2*y1 + 1/2*x1^2*y1",
+        "2.0*y1^2 + y2", "1.0*y1", "exp(x1)*y1 + sin(2*x2)*y2^2", "y1/(1 + x1^2)",
+        "x2*y1^-1", "y1^(1/2)*y2", "1/y1", "exp(y1)*y2", "sqrt(x1)*y2", "x1^-1*y2 + y1",
+        "exp(x1*y2)", "x1", "_t*y1 + x2", "exp(_t)*y2"])
+    def test_cases_on_every_leg_pattern(self, rank2, text):
+        # Int, rational and float coefficients, functions and quotients of
+        # base coordinates, negative and fractional fiber powers, fiber
+        # integrals, on the 0-form and on every key of degrees 1 and 2,
+        # frame legs included.
+        value = ex.parse(text, rank2.alphabet + (ho.TVAR,))
+        forms = [AForm(prolong_chart(rank2), k, {key: value})
+                 for k in (0, 1, 2) for key in itertools.combinations(range(4), k)]
+        forms.append(AForm(prolong_chart(rank2), 2, {(2, 3): value, (0, 3): ex.eneg(value),
+                                                     (1, 2): ex.emul(ex.Var("y2"), value)}))
+        for form in forms:
+            for op, reference in _operator_pairs(0):
+                _assert_same_outcome(_outcome(lambda: op(form)), _outcome(lambda: reference(form)))
+
+    def test_restriction_of_a_fiber_pole_still_raises(self, rank1):
+        form = vertical_form(rank1, 1, {(0,): ex.parse("1/y1", rank1.alphabet)})
+        with pytest.raises(DomainError):
+            ho.psi_star(form, 0)
+
+    def test_vertical_calculus_of_random_forms_builds_no_tree(self, monkeypatch):
+        # The suite's random forms are sums of monomials: no diff, no
+        # integration by degree, no substitution for the limit at 0.
+        rng = random.Random(7)
+        forms = [ho.random_vertical_form(rng, tangent(r).chart, k)
+                 for r in (1, 2, 3) for k in range(r + 1) for _ in range(4)]
+        want = [(reference_dsecond(f), reference_radial_homotopy(f), reference_psi_star(f, 0))
+                for f in forms]
+
+        def refuse(*args):
+            raise AssertionError("a tree operator ran on a sum of monomials")
+
+        monkeypatch.setattr(ex, "diff", refuse)
+        monkeypatch.setattr(ho, "_by_degree", refuse)
+        monkeypatch.setattr(ex, "subs", refuse)
+        got = [(ho.dsecond(f), ho.radial_homotopy(f), ho.psi_star(f, 0)) for f in forms]
+        monkeypatch.undo()
+        for pair_got, pair_want in zip(got, want):
+            for g, w in zip(pair_got, pair_want):
+                _assert_same_outcome(g, w)
 
 
 # ---------------------------------------------------------------------------
