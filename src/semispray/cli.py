@@ -30,7 +30,7 @@ from . import expr as ex
 from . import dynamics, homotopy, poisson, prolongation, twoform
 from .errors import EXIT_CODES, ModelError, SingularHessian, exit_code
 from .lagrangian import SYMBOLIC_INVERSE_MAX_RANK, build as build_lagrangian
-from .model import ModelDocument, finite, load_model, positive
+from .model import ModelDocument, count, finite, load_model, positive
 from .report import ValidationReport
 
 EXIT_PASS = 0
@@ -191,7 +191,7 @@ def cmd_check(model: ModelDocument, args) -> int:
         report = check(field, box=box, trials=trials, tol=tol, seed=seed)
     elif which == "homotopy":
         ranks = tuple(range(1, min(model.chart.r, 3) + 1))
-        report = homotopy.identity_suite(ranks=ranks, forms_per_case=args.forms,
+        report = homotopy.identity_suite(ranks=ranks, forms_per_case=count(args.forms, "--forms"),
                                          seed=seed, tol=tol, box=box)
     elif which == "prolongation":
         data = _lagrangian_data(model, box, trials, tol, seed)

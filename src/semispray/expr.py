@@ -134,8 +134,8 @@ class Const(Expr):
         sign = (math.copysign(1.0, value),) if isinstance(value, float) else ()  # -0.0 != 0.0
         return _interned(cls, (cls, value, *sign), value)
 
-    def _fields(self):
-        return (self.value,)
+    def _children(self):
+        return ()
 
     def _make_key(self):
         v = self.value
@@ -148,8 +148,8 @@ class Var(Expr):
     def __new__(cls, name: str):
         return _interned(cls, name, name)
 
-    def _fields(self):
-        return (self.name,)
+    def _children(self):
+        return ()
 
     def _make_key(self):
         return (1, self.name)
@@ -163,8 +163,8 @@ class Func(Expr):
             raise ValueError(f"unsupported function {name!r}")
         return _interned(cls, (cls, name, arg), name, arg)
 
-    def _fields(self):
-        return (self.name, self.arg)
+    def _children(self):
+        return (self.arg,)
 
     def _make_key(self):
         return (2, self.name, self.arg.sort_key())
@@ -181,8 +181,8 @@ class Pow(Expr):
             exponent = _exact(exponent)
         return _interned(cls, (cls, base, exponent), base, exponent)
 
-    def _fields(self):
-        return (self.base, self.exponent)
+    def _children(self):
+        return (self.base,)
 
     def _make_key(self):
         return (3, self.base.sort_key(), _float_key(self.exponent), str(self.exponent))
@@ -196,7 +196,7 @@ class Div(Expr):
     def __new__(cls, num: Expr, den: Expr):
         return _interned(cls, (cls, num, den), num, den)
 
-    def _fields(self):
+    def _children(self):
         return (self.num, self.den)
 
     def _make_key(self):
@@ -209,7 +209,7 @@ class Mul(Expr):
     def __new__(cls, factors: tuple):
         return _interned(cls, (cls, factors), factors)
 
-    def _fields(self):
+    def _children(self):
         return self.factors
 
     def _make_key(self):
@@ -222,7 +222,7 @@ class Add(Expr):
     def __new__(cls, terms: tuple):
         return _interned(cls, (cls, terms), terms)
 
-    def _fields(self):
+    def _children(self):
         return self.terms
 
     def _make_key(self):
@@ -324,14 +324,18 @@ def eadd(*args) -> Expr:
             terms.append(_with_coeff(coeff, core))
     if requoted and len({_split_coeff(t)[1] for t in terms}) < len(terms):
         return eadd(Const(const), *terms)  # a merged quotient is now another term's core
+    return _sum(const, terms)
+
+
+def _sum(const: Number, terms: list) -> Expr:
+    """The canonical sum of the constant ``const`` and ``terms``, canonical
+    non-constant terms of distinct cores: sorted, a nonzero constant first."""
     terms.sort(key=Expr.sort_key)
     if const != 0:
         terms.insert(0, Const(const))
     if not terms:
         return ZERO
-    if len(terms) == 1:
-        return terms[0]
-    return Add(tuple(terms))
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 def _expansion_size(factors) -> int:
@@ -410,12 +414,7 @@ def _rescaled(c: Number, e: Expr) -> Optional[Expr]:
             scaled.append(core[0] if len(core) == 1 else Mul(core))
         elif coeff != 0:
             scaled.append(Mul((Const(coeff),) + core))
-    scaled.sort(key=Expr.sort_key)
-    if const != 0:
-        scaled.insert(0, Const(const))
-    if len(scaled) > 1:
-        return Add(tuple(scaled))
-    return scaled[0] if scaled else ZERO
+    return _sum(const, scaled)
 
 
 def _mul_plain(const, plain) -> Expr:
@@ -555,12 +554,7 @@ def _assemble(monomials) -> Expr:
             if c != 1:
                 term.insert(0, Const(c))
             terms.append(term[0] if len(term) == 1 else Mul(tuple(term)))
-    terms.sort(key=Expr.sort_key)
-    if const != 0:
-        terms.insert(0, Const(const))
-    if not terms:
-        return ZERO
-    return terms[0] if len(terms) == 1 else Add(tuple(terms))
+    return _sum(const, terms)
 
 
 def _power_base(f: Expr) -> Expr:
@@ -742,32 +736,34 @@ def diff(e: Expr, var) -> Expr:
     name = var.name if isinstance(var, Var) else var
     if name not in free_symbols(e):  # and so every node of ``e`` holds its names
         return ZERO
-    return _memoized(_diff, e, name, lambda node, name: None if name in node._free else ZERO)
+    return _memoized(_diff, (e,), name, lambda node, name: None if name in node._free else ZERO)[0]
 
 
-def _memoized(step, e: Expr, arg, known=None):
-    """``step(node, arg, result)`` once per distinct subtree of ``e``, children
-    first; returns ``e``'s.  ``result`` is the memo's ``__getitem__``, which
-    the memo does not hold, so the memo is freed when the call returns.  A
-    ``known(node, arg)`` not None is the node's result, its children unvisited."""
+def _memoized(step, roots: Sequence[Expr], arg=None, known=None) -> list:
+    """``step(node, arg, result)`` once per distinct subtree of ``roots``,
+    children first and left to right, the roots in turn with one memo;
+    returns the roots' results.  This is the kernel's one tree walk.
+    ``result`` is the memo's ``__getitem__``, which the memo does not hold,
+    so the memo is freed when the call returns.  A ``known(node, arg)`` not
+    None is the node's result, its children unvisited."""
     memo: dict = {}
     result = memo.__getitem__
-    stack = [e]
+    stack = list(reversed(roots))
     while stack:
         node = stack.pop()
         if node is None:  # the children of the node below are done
             node = stack.pop()
             memo[node] = step(node, arg, result)
-        elif node in memo or not isinstance(node, Expr):  # done, or a name or exponent
+        elif node in memo:
             continue
         elif known is not None and (value := known(node, arg)) is not None:
             memo[node] = value
         elif isinstance(node, _INNER):
             stack += (node, None)
-            stack += reversed(node._fields())
+            stack += reversed(node._children())
         else:
             memo[node] = step(node, arg, result)
-    return memo[e]
+    return [memo[e] for e in roots]
 
 
 def _canonical_monomial(f: Expr) -> bool:
@@ -831,7 +827,7 @@ def _diff(e: Expr, name: str, result) -> Expr:
 def subs(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
     """Substitute variables by expressions and rebuild the tree through the
     canonical constructors (with an empty mapping, :func:`simplify`)."""
-    return _memoized(_subs, e, mapping)
+    return _memoized(_subs, (e,), mapping)[0]
 
 
 def _subs(e: Expr, mapping: Mapping[str, Expr], result) -> Expr:
@@ -853,31 +849,25 @@ def _subs(e: Expr, mapping: Mapping[str, Expr], result) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def distinct_nodes(*exprs: Expr) -> Iterable[Expr]:
-    """Every distinct node of ``exprs``, each once, parents before children."""
-    seen = set()
-    stack = list(exprs)
-    while stack:
-        node = stack.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        yield node
-        if not isinstance(node, (Const, Var)):
-            stack.extend(c for c in node._fields() if isinstance(c, Expr))
+def distinct_nodes(*exprs: Expr) -> list:
+    """Every distinct node of ``exprs``, each once, in the order the one
+    walker, :func:`_memoized`, visits them: children first, left to right."""
+    nodes: list = []
+    _memoized(lambda node, _, __: nodes.append(node), exprs)
+    return nodes
 
 
 def free_symbols(e: Expr) -> frozenset:
     """Names of the variables in ``e``, held on each node once computed, like
     its sort key; a node shares a child's set where it adds no name to it."""
     if e._free is None:
-        _memoized(_free_names, e, None, lambda node, _: node._free)
+        _memoized(_free_names, (e,), None, lambda node, _: node._free)
     return e._free
 
 
 def _free_names(e: Expr, _, result) -> frozenset:
     names = frozenset((e.name,)) if type(e) is Var else _NO_NAMES
-    for more in (result(c) for c in e._fields() if isinstance(c, Expr)):
+    for more in map(result, e._children()):
         if not more <= names:
             names = more if names <= more else names | more
     object.__setattr__(e, "_free", names)
@@ -891,51 +881,25 @@ def _free_names(e: Expr, _, result) -> frozenset:
 def to_text(e: Expr) -> str:
     """Canonical printer; emits the same grammar :func:`parse` accepts.
 
-    Walks an explicit stack and prints each distinct subtree once, after
-    its children; a leaf is printed here, an inner node by :func:`_to_text`.
-    A non-finite constant, which :func:`parse` has no literal for, raises
-    :class:`DomainError`."""
-    if isinstance(e, Const):
-        return _const_text(e.value)
-    if isinstance(e, Var):
-        return e.name
+    Prints each distinct subtree once, after its children, by
+    :func:`_to_text`; a leaf needs no walk.  A non-finite constant, which
+    :func:`parse` has no literal for, raises :class:`DomainError`."""
+    if type(e) in (Const, Var):
+        return _to_text(e, None, None)
     if not isinstance(e, Expr):
         raise TypeError(f"not an expression: {e!r}")
-    memo: dict = {}
-    text = memo.__getitem__
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if node is None:  # the children of the node below are printed
-            node = stack.pop()
-            memo[node] = _to_text(node, text)
-        elif node not in memo:
-            stack += (node, None)
-            for child in node._fields():
-                if child in memo:
-                    continue
-                kind = type(child)
-                if kind is Const:
-                    memo[child] = _const_text(child.value)
-                elif kind is Var:
-                    memo[child] = child.name
-                elif kind in _INNER:  # not a name or exponent
-                    stack.append(child)
-            if stack[-1] is None:  # no child left to print
-                del stack[-2:]
-                memo[node] = _to_text(node, text)
-    return memo[e]
+    return _memoized(_to_text, (e,))[0]
 
 
-def _const_text(value: Number) -> str:
-    if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"the constant {value} has no text that parse reads")
-    return str(value)
-
-
-def _to_text(e: Expr, text) -> str:
-    """The text of the inner node ``e`` from ``text``, the texts of its
-    children."""
+def _to_text(e: Expr, _, text) -> str:
+    """The text of ``e`` from ``text``, the texts of its children."""
+    if type(e) is Var:
+        return e.name
+    if type(e) is Const:
+        value = e.value
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"the constant {value} has no text that parse reads")
+        return str(value)
     if isinstance(e, Add):
         out = text(e.terms[0])
         for t in e.terms[1:]:
@@ -1317,10 +1281,11 @@ def sample_zero(value: Callable[[dict], float], names: Sequence[str], *, box: Op
 # ---------------------------------------------------------------------------
 # Evaluation: one program, two back ends
 #
-# ``Program`` is the only walk that evaluates: one slot per variable read and
-# per distinct node, in post-order of first occurrence, which is
-# the order of the nested left-to-right expression, so every float operation
-# and the first guard to raise are those of the tree.  The guards are those
+# ``Program`` is the only walk that evaluates, built by the kernel's one
+# walker, ``_memoized``: one slot per variable read and per distinct node, in
+# post-order of first occurrence, which is the order of the nested
+# left-to-right expression, so every float operation and the first guard to
+# raise are those of the tree.  The guards are those
 # of ``_guarded_namespace``.  The back ends differ only in how they sum:
 # ``compile_evaluator`` renders Python source with ``+`` (fast, for the flow
 # integrator; where Python's own ``/`` and ``**`` raise exactly where their
@@ -1422,40 +1387,34 @@ class Program:
 
     def __init__(self, exprs: Sequence[Expr]):
         reads, ops, consts, exact, nodes = [], [], [], [], []
-        local: dict = {}  # distinct node -> its operand
-        stack = [(e, None) for e in reversed(exprs)]
-        while stack:
-            node, children = stack.pop()
-            if children is not None:  # every child has its operand
-                args = tuple([local[c] for c in children])
-                if type(node) is Pow:
-                    consts.append(_to_float(node.exponent))
-                    exact.append(node.exponent)
-                    args += (-len(consts),)
-                    op = _GUARDS["_pow" if node.exponent.denominator == 1 else "_root"]
-                else:
-                    op = _OPS.get(type(node)) or _GUARDS[f"_{node.name}"]
-                local[node] = slot = len(reads) + len(ops)
-                ops.append((slot, op, args))
-                nodes.append(node)
-            elif node in local:
-                continue
-            elif isinstance(node, Const):
+
+        def operand(node: Expr, _, local) -> int:
+            """A constant's operand, or the slot a name is read into or an op writes."""
+            if isinstance(node, Const):
                 consts.append(_to_float(node.value))
                 exact.append(node.value)
-                local[node] = -len(consts)
-            elif isinstance(node, Var):
-                local[node] = slot = len(reads) + len(ops)
+                return -len(consts)
+            slot = len(reads) + len(ops)
+            if isinstance(node, Var):
                 reads.append((slot, node.name))
+                return slot
+            args = tuple(map(local, node._children()))
+            if type(node) is Pow:
+                consts.append(_to_float(node.exponent))
+                exact.append(node.exponent)
+                args += (-len(consts),)
+                op = _GUARDS["_pow" if node.exponent.denominator == 1 else "_root"]
             else:
-                children = [c for c in node._fields() if isinstance(c, Expr)]
-                stack.append((node, children))
-                stack.extend([(c, None) for c in reversed(children)])
+                op = _OPS.get(type(node)) or _GUARDS[f"_{node.name}"]
+            ops.append((slot, op, args))
+            nodes.append(node)
+            return slot
+
+        self.outputs = _memoized(operand, exprs)
         consts.reverse()  # the n-th constant found is consts[-n]
         exact.reverse()
         self.size = len(reads) + len(ops)
         self.reads, self.ops, self.consts, self.exact, self.nodes = reads, ops, consts, exact, nodes
-        self.outputs = [local[e] for e in exprs]
 
     def run(self, env: Mapping[str, float]) -> list:
         """Every output at ``env``, a mapping of names to numbers, with

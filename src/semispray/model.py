@@ -110,7 +110,7 @@ def positive(value, path) -> float:
 
 
 def count(value, path) -> int:
-    """A whole number of at least 1 (``trials``)."""
+    """A whole number of at least 1 (``trials``, ``--forms``)."""
     value = finite(value, path)
     _require(value.is_integer() and value >= 1, path, "must be an integer of at least 1")
     return int(value)

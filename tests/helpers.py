@@ -215,12 +215,123 @@ def reference_diff(e, name):
     raise TypeError(f"not an expression: {e!r}")
 
 
+class ReferenceProgram(ex.Program):
+    """Reference for :class:`expr.Program`'s build, on its own explicit
+    stack: one slot per name read and per distinct node in post-order of
+    first occurrence, each constant an operand where it is first found."""
+
+    def __init__(self, exprs):
+        reads, ops, consts, exact, nodes = [], [], [], [], []
+        local: dict = {}  # distinct node -> its operand
+        stack = [(e, None) for e in reversed(exprs)]
+        while stack:
+            node, children = stack.pop()
+            if children is not None:  # every child has its operand
+                args = tuple([local[c] for c in children])
+                if type(node) is ex.Pow:
+                    consts.append(ex._to_float(node.exponent))
+                    exact.append(node.exponent)
+                    args += (-len(consts),)
+                    op = ex._GUARDS["_pow" if node.exponent.denominator == 1 else "_root"]
+                else:
+                    op = ex._OPS.get(type(node)) or ex._GUARDS[f"_{node.name}"]
+                local[node] = slot = len(reads) + len(ops)
+                ops.append((slot, op, args))
+                nodes.append(node)
+            elif node in local:
+                continue
+            elif isinstance(node, ex.Const):
+                consts.append(ex._to_float(node.value))
+                exact.append(node.value)
+                local[node] = -len(consts)
+            elif isinstance(node, ex.Var):
+                local[node] = slot = len(reads) + len(ops)
+                reads.append((slot, node.name))
+            else:
+                children = node._children()
+                stack.append((node, children))
+                stack.extend([(c, None) for c in reversed(children)])
+        consts.reverse()  # the n-th constant found is consts[-n]
+        exact.reverse()
+        self.size = len(reads) + len(ops)
+        self.reads, self.ops, self.consts, self.exact, self.nodes = reads, ops, consts, exact, nodes
+        self.outputs = [local[e] for e in exprs]
+
+
+def reference_to_text(e):
+    """Reference for :func:`expr.to_text`'s walk: its own explicit stack,
+    each distinct subtree printed once after its children, a leaf here and
+    an inner node by ``expr._to_text``."""
+
+    def leaf(node):
+        if type(node) is ex.Var:
+            return node.name
+        if isinstance(node.value, float) and not math.isfinite(node.value):
+            raise DomainError(f"the constant {node.value} has no text that parse reads")
+        return str(node.value)
+
+    if isinstance(e, (ex.Const, ex.Var)):
+        return leaf(e)
+    memo: dict = {}
+    text = memo.__getitem__
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if node is None:  # the children of the node below are printed
+            node = stack.pop()
+            memo[node] = ex._to_text(node, None, text)
+        elif node not in memo:
+            stack += (node, None)
+            for child in node._children():
+                if child in memo:
+                    continue
+                if type(child) in (ex.Const, ex.Var):
+                    memo[child] = leaf(child)
+                else:
+                    stack.append(child)
+            if stack[-1] is None:  # no child left to print
+                del stack[-2:]
+                memo[node] = ex._to_text(node, None, text)
+    return memo[e]
+
+
+def compiled_source(exprs, names, program=ex.Program):
+    """The source :func:`expr.compile_evaluator` writes for ``exprs`` over
+    ``names``, built on ``program`` (:class:`expr.Program` or a reference)."""
+    sources = []
+    saved = ex.Program
+    ex.Program = program
+    ex.exec = lambda source, ns: sources.append(source) or exec(source, ns)  # noqa: S102
+    try:
+        ex.compile_evaluator(exprs, names)
+    finally:
+        ex.Program = saved
+        del ex.exec
+    return sources[0]
+
+
+def reference_nodes(e):
+    """Reference for :func:`expr.distinct_nodes` and :func:`expr.free_symbols`:
+    the set of distinct nodes of ``e``, by a recursive walk that enters each
+    once."""
+    seen = set()
+
+    def visit(node):
+        if node not in seen:
+            seen.add(node)
+            for child in node._children():
+                visit(child)
+
+    visit(e)
+    return seen
+
+
 def constant_types(e):
     """The type of every constant in ``e``, in pre-order: with
     :func:`expr.to_text` it tells ``2.0`` from ``2`` at every position."""
     if isinstance(e, ex.Const):
         return [type(e.value)]
-    return [t for c in e._fields() if isinstance(c, ex.Expr) for t in constant_types(c)]
+    return [t for c in e._children() for t in constant_types(c)]
 
 
 def point_env(point, chart):

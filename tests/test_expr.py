@@ -1,11 +1,13 @@
 import ast
 import copy
+import inspect
 import math
 import os
 import pathlib
 import pickle
 import random
 import re
+import textwrap
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from semispray import expr as ex
 from semispray.errors import DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
-from helpers import (COEFFS, assert_certified_zero, central_difference, constant_types,
-                     precise_value, random_raw_tree, reference_diff, reference_subs,
+from helpers import (COEFFS, ReferenceProgram, assert_certified_zero, central_difference,
+                     compiled_source, constant_types, precise_value, random_raw_tree,
+                     reference_diff, reference_nodes, reference_subs, reference_to_text,
                      reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
@@ -952,7 +955,7 @@ def _floated(e, rng):
         return ex.Pow(_floated(e.base, rng), e.exponent)
     if isinstance(e, ex.Div):
         return ex.Div(_floated(e.num, rng), _floated(e.den, rng))
-    return type(e)(tuple(_floated(c, rng) for c in e._fields()))
+    return type(e)(tuple(_floated(c, rng) for c in e._children()))
 
 
 @st.composite
@@ -1482,11 +1485,85 @@ def test_diff_and_free_names_match_a_fresh_walk(tree, name):
     except DomainError as err:
         got = type(err)
     assert got is want
-    fresh = {node.name for node in ex.distinct_nodes(tree) if isinstance(node, ex.Var)}
-    assert ex.free_symbols(tree) == fresh
-    assert all(ex.free_symbols(node) == {n.name for n in ex.distinct_nodes(node)
+    nodes = reference_nodes(tree)
+    assert ex.free_symbols(tree) == {node.name for node in nodes if isinstance(node, ex.Var)}
+    assert all(ex.free_symbols(node) == {n.name for n in reference_nodes(node)
                                          if isinstance(n, ex.Var)}
-               for node in ex.distinct_nodes(tree))
+               for node in nodes)
+
+
+#: Nodes the program build and the printer treat apart: signed zeros,
+#: non-finite floats (no text), a rational beyond float range (no float) and
+#: roots.
+EDGE_NODES = [ex.Const(-0.0), ex.Const(0.0), ex.Const(math.inf), ex.Const(math.nan),
+              ex.Const(Fraction(10 ** 400, 3)), ex.Pow(ex.Var("x1"), Fraction(1, 2)),
+              ex.Pow(ex.Add((ex.Const(2), ex.Var("y1"))), Fraction(-3, 2))]
+
+
+@st.composite
+def walker_roots(draw):
+    """Roots that share subtrees: the parts of a shared tree, the tree
+    itself, edge nodes and products of edge nodes with parts, in any order."""
+    tree = draw(shared_trees())
+    parts = list(tree.terms) + [tree]
+    for edge in draw(st.lists(st.sampled_from(EDGE_NODES), max_size=3)):
+        parts.append(draw(st.sampled_from([edge, ex.Mul((edge, draw(st.sampled_from(parts))))])))
+    roots = draw(st.permutations(parts))
+    return roots[:draw(st.integers(min_value=1, max_value=len(roots)))]
+
+
+def _build(program, roots):
+    """What ``program(roots)`` holds, floats by their bits, or its error."""
+    try:
+        p = program(roots)
+    except DomainError as err:
+        return str(err)
+    return (p.size, p.reads, p.ops, [c.hex() for c in p.consts],
+            [(type(v), str(v)) for v in p.exact], p.nodes, p.outputs)
+
+
+def _text(printer, e):
+    try:
+        return printer(e)
+    except DomainError as err:
+        return f"DomainError: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(walker_roots())
+def test_walker_builds_match_the_stack_references(roots):
+    # The program, the evaluator source and the text built through
+    # ``_memoized`` are those of the explicit-stack references.
+    want = _build(ReferenceProgram, roots)
+    assert _build(ex.Program, roots) == want
+    if not isinstance(want, str):
+        assert compiled_source(roots, ALPHABET) == compiled_source(roots, ALPHABET,
+                                                                   ReferenceProgram)
+    for e in roots:
+        assert _text(ex.to_text, e) == _text(reference_to_text, e)
+    nodes = ex.distinct_nodes(*roots)
+    assert len(set(nodes)) == len(nodes)
+    assert set(nodes) == set().union(*map(reference_nodes, roots))
+    position = {node: k for k, node in enumerate(nodes)}
+    assert all(position[c] < position[node] for node in nodes
+               for c in node._children())
+
+
+def test_program_printer_and_node_list_take_the_one_walker(monkeypatch):
+    x1 = ex.Var("x1")
+    e = ex.parse("2*x1*sin(x2)", ALPHABET)
+    assert isinstance(e, ex.Mul)
+    walks = []
+    walk = ex._memoized
+    monkeypatch.setattr(ex, "_memoized",
+                        lambda step, roots, *rest: walks.append(roots) or walk(step, roots, *rest))
+    assert ex.to_text(e) == "2*x1*sin(x2)"
+    assert ex.Program([e, x1]).outputs == [3, 0]
+    assert ex.distinct_nodes(e, x1)[-1] is e
+    assert walks == [(e,), [e, x1], (e, x1)]
+    for fn in (ex.Program.__init__, ex.to_text, ex.distinct_nodes):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        assert not any(isinstance(node, ast.While) for node in ast.walk(tree)), fn
 
 
 def test_cancelling_powers_of_a_raw_term_leave_no_base():
@@ -1573,7 +1650,7 @@ def _numbers(e):
             out.append(node.value)
         elif isinstance(node, ex.Pow):
             out.append(node.exponent)
-        stack.extend(c for c in node._fields() if isinstance(c, ex.Expr))
+        stack.extend(node._children())
     return out
 
 
@@ -1814,7 +1891,7 @@ def nested_value(e, env):
     if isinstance(e, ex.Var):
         return env[e.name]
     if isinstance(e, (ex.Add, ex.Mul)):
-        parts = [nested_value(p, env) for p in e._fields()]
+        parts = [nested_value(p, env) for p in e._children()]
         out = parts[0]
         for p in parts[1:]:
             out = out + p if isinstance(e, ex.Add) else out * p

@@ -214,10 +214,14 @@ class TestCliCommands:
         assert stderr.startswith("input error: L: syntax error: at offset 7: ")
         assert "Traceback" not in stderr
 
-    @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"),
-                                            ("--tol", "0"), ("--tol", "-1")])
-    def test_out_of_range_settings_are_input_errors(self, so3_path, flag, value, capsys):
-        code, out = run_cli(["check", "jacobi", so3_path, flag, value])
+    @pytest.mark.parametrize("which,flag,value", [
+        ("jacobi", "--trials", "0"), ("jacobi", "--trials", "-3"),
+        ("jacobi", "--tol", "0"), ("jacobi", "--tol", "-1"),
+        ("homotopy", "--forms", "0"), ("homotopy", "--forms", "-3"),
+    ], ids=["--trials-0", "--trials--3", "--tol-0", "--tol--1", "homotopy---forms-0",
+            "homotopy---forms--3"])
+    def test_out_of_range_settings_are_input_errors(self, so3_path, which, flag, value, capsys):
+        code, out = run_cli(["check", which, so3_path, flag, value])
         assert code == 2 and out == ""
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
 
