@@ -13,6 +13,7 @@ and the one form class :class:`AForm` serve both levels of the calculus.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -123,44 +124,58 @@ class AlgebroidChart:
             return self.structure.get((k, i, j), ex.ZERO)
         return ex.eneg(self.structure.get((k, j, i), ex.ZERO))
 
-    def anchor_derivative(self, j: int, f: ex.Expr) -> ex.Expr:
-        """Derivative of ``f`` along the anchor of frame section j (where ``rho^i_j`` is not 0)."""
-        return ex.eadd(*(ex.emul(self.rho[i][j], ex.diff(f, name))
+    def anchor_derivative(self, j: int, f: ex.Expr, partial=None) -> ex.Expr:
+        """Derivative of ``f`` along the anchor of frame section j: a term per coordinate
+        ``f`` reads where ``rho^i_j`` is not 0, by ``partial(f, name)`` (default ``diff``)."""
+        partial, free = partial or ex.diff, ex.free_symbols(f)
+        return ex.eadd(*(ex.emul(self.rho[i][j], partial(f, name))
                          for i, name in enumerate(self.coords)
-                         if not ex.is_zero_literal(self.rho[i][j])))
+                         if name in free and not ex.is_zero_literal(self.rho[i][j])))
 
     # -- exterior calculus --------------------------------------------------
 
     def d(self, form: "AForm") -> "AForm":
-        """Koszul differential; capped at input degree 2."""
+        """Koszul differential; capped at input degree 2.
+
+        Visits only nonzero data, so it costs nonzero coefficients × nonzero
+        anchor entries (each partial taken once) plus nonzero ``C^c_{ab}`` ×
+        coefficients whose key holds ``c``.  Each output coefficient sums its
+        pieces in the dense formula's order: anchor pieces by position, then
+        bracket pieces by position pair, each over ``c`` ascending.  So every
+        node is the dense sum's, where ``rho`` and ``C`` hold no non-finite
+        constant: a piece left out is the literal 0, which ``eadd`` drops."""
         if form.chart is not self:
             raise ValueError("form belongs to a different chart")
         k = form.degree
         if k >= 3:
             raise DegreeError(f"differential of a degree-{k} form is not supported")
-        coeffs: Dict[Tuple[int, ...], ex.Expr] = {}
-        for tup in itertools.combinations(range(self.r), k + 1):
-            pieces = []
-            for pos, a in enumerate(tup):
-                rest = tup[:pos] + tup[pos + 1:]
-                value = self.anchor_derivative(a, form.get(rest))
-                pieces.append(value if pos % 2 == 0 else ex.eneg(value))
-            for p1 in range(k + 1):
-                for p2 in range(p1 + 1, k + 1):
-                    a, b = tup[p1], tup[p2]
-                    rest = tuple(v for pos, v in enumerate(tup) if pos not in (p1, p2))
-                    inner = []
-                    for c_idx in range(self.r):
-                        coeff = self.c(c_idx, a, b)
-                        if ex.is_zero_literal(coeff):
-                            continue
-                        inner.append(ex.emul(coeff, form.get((c_idx,) + rest)))
-                    if not inner:
-                        continue
-                    value = ex.eadd(*inner)
-                    pieces.append(ex.eneg(value) if (p1 + p2) % 2 == 1 else value)
-            coeffs[tup] = ex.eadd(*pieces)
-        return AForm(self, k + 1, coeffs)
+        partial = functools.lru_cache(maxsize=None)(ex.diff)  # one partial per (coefficient, name)
+        reads = [frozenset(name for i, name in enumerate(self.coords)
+                           if not ex.is_zero_literal(self.rho[i][a])) for a in range(self.r)]
+        brackets = [[(a, b, v) for (e, a, b), v in self.structure.items() if e == c]
+                    for c in range(self.r)]
+        pieces, inner = {}, {}  # tuple -> [(order, piece)]; (tuple, p1, p2) -> [(c, term)]
+        for key, f in form.coeffs.items():
+            free = ex.free_symbols(f)
+            for a in range(self.r):
+                if a not in key and not reads[a].isdisjoint(free):
+                    pos = sum(v < a for v in key)
+                    value = self.anchor_derivative(a, f, partial)
+                    pieces.setdefault(key[:pos] + (a,) + key[pos:], []).append(
+                        ((0, pos), value if pos % 2 == 0 else ex.eneg(value)))
+            for q, c in enumerate(key):
+                rest = key[:q] + key[q + 1:]
+                for a, b, coeff in brackets[c]:
+                    if a not in rest and b not in rest:
+                        tup = tuple(sorted(rest + (a, b)))
+                        inner.setdefault((tup, tup.index(a), tup.index(b)), []).append(
+                            (c, ex.emul(coeff, f if q % 2 == 0 else ex.eneg(f))))
+        for (tup, p1, p2), terms in inner.items():
+            value = ex.eadd(*(term for _, term in sorted(terms)))
+            pieces.setdefault(tup, []).append(
+                ((1, p1, p2), ex.eneg(value) if (p1 + p2) % 2 == 1 else value))
+        return AForm(self, k + 1, {tup: ex.eadd(*(piece for _, piece in sorted(found)))
+                                   for tup, found in sorted(pieces.items())})
 
     # -- structure equations ------------------------------------------------
 

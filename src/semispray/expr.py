@@ -398,8 +398,8 @@ def _rescaled(c: Number, e: Expr) -> Optional[Expr]:
     const, scaled = 0, []
     for t in e.terms if type(e) is Add else (e,):
         coeff, core = 1, (t,)
-        if type(t) is Const:
-            const = c * t.value
+        if type(t) is Const:  # a raw sum may hold several; ``0 + Fraction`` is slow
+            const = const + c * t.value if const else c * t.value
             continue
         if type(t) is Mul:
             coeff, core = ((t.factors[0].value, t.factors[1:]) if type(t.factors[0]) is Const

@@ -133,12 +133,14 @@ def _box(base: ex.Box, entries, names) -> ex.Box:
 
 
 def _variable_name(name, path) -> None:
-    """Refuse a name no expression can use: one that :func:`expr.parse`
-    does not read back as exactly that variable."""
+    """Refuse a name no expression can use: one that :func:`expr.parse` does not
+    read back as exactly that variable, as it reads a whole name token that
+    names no function."""
     try:
-        ok = isinstance(name, str) and ex.parse(name, [name]) is ex.Var(name)
-    except (SyntaxError, UnknownSymbol):
-        ok = False
+        token = ex._tokenize(name)[0] if isinstance(name, str) else None
+    except SyntaxError:
+        token = None
+    ok = token is not None and (token.kind, token.text) == ("name", name) and name not in ex.FUNCTIONS
     _require(ok, path, f"must be a variable name, got {name!r}")
 
 

@@ -17,7 +17,7 @@ from semispray.homotopy import TVAR, bigrade, is_fiber_integral
 from semispray.algebroid import AForm, prolong_chart
 from semispray.poisson import VectorFieldOnA
 from semispray.prolongation import ProlongSection
-from semispray.errors import DomainError, UnknownSymbol
+from semispray.errors import DegreeError, DomainError, UnknownSymbol
 from semispray.report import ZeroStatus
 
 COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
@@ -546,3 +546,52 @@ def reference_psi_star(form, t):
         for key, v in block.coeffs.items():
             coeffs[key] = ex.emul(factor, ex.subs(v, mapping))
     return AForm(form.chart, form.degree, coeffs)
+
+
+def reference_anchor_derivative(chart, j, f):
+    """``rho_j(f)`` as the dense differential formed it: one term per
+    nonzero ``rho^i_j``, whether or not ``f`` reads ``x^i``."""
+    return ex.eadd(*(ex.emul(chart.rho[i][j], ex.diff(f, name))
+                     for i, name in enumerate(chart.coords)
+                     if not ex.is_zero_literal(chart.rho[i][j])))
+
+
+def reference_d(chart, form):
+    """The dense Koszul differential: every ``(k+1)``-tuple, every position
+    pair and every frame index, each tested for the literal 0."""
+    if form.chart is not chart:
+        raise ValueError("form belongs to a different chart")
+    k = form.degree
+    if k >= 3:
+        raise DegreeError(f"differential of a degree-{k} form is not supported")
+    coeffs = {}
+    for tup in itertools.combinations(range(chart.r), k + 1):
+        pieces = []
+        for pos, a in enumerate(tup):
+            rest = tup[:pos] + tup[pos + 1:]
+            value = reference_anchor_derivative(chart, a, form.get(rest))
+            pieces.append(value if pos % 2 == 0 else ex.eneg(value))
+        for p1 in range(k + 1):
+            for p2 in range(p1 + 1, k + 1):
+                a, b = tup[p1], tup[p2]
+                rest = tuple(v for pos, v in enumerate(tup) if pos not in (p1, p2))
+                inner = []
+                for c_idx in range(chart.r):
+                    coeff = chart.c(c_idx, a, b)
+                    if ex.is_zero_literal(coeff):
+                        continue
+                    inner.append(ex.emul(coeff, form.get((c_idx,) + rest)))
+                if not inner:
+                    continue
+                value = ex.eadd(*inner)
+                pieces.append(ex.eneg(value) if (p1 + p2) % 2 == 1 else value)
+        coeffs[tup] = ex.eadd(*pieces)
+    return AForm(chart, k + 1, coeffs)
+
+
+def reference_variable_name(name) -> bool:
+    """Whether :func:`expr.parse` reads ``name`` back as exactly that variable."""
+    try:
+        return isinstance(name, str) and ex.parse(name, [name]) is ex.Var(name)
+    except (SyntaxError, UnknownSymbol):
+        return False

@@ -5,13 +5,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semispray import algebroid as alg
 from semispray import expr as ex
 from semispray.errors import DegreeError, InvalidFixtureParam
 from conftest import cotangent_poisson, epsilon3
 from helpers import (assert_certified_zero, assert_proven_zero, random_polynomial,
-                     reference_value)
+                     reference_d, reference_value)
 
 
 def _eval_rho(chart, env):
@@ -141,6 +143,119 @@ class TestDifferential:
         three = alg.AForm(chart, 3, {(0, 1, 2): ex.ONE})
         with pytest.raises(DegreeError):
             chart.d(three)
+
+
+def _entry(rng, names, polynomial_share):
+    """A coefficient over ``names``: a polynomial, else an exact or float
+    constant (signed zeros among them, and 1e200, whose products overflow),
+    a float multiple or a quotient."""
+    if rng.random() < polynomial_share:
+        return random_polynomial(rng, names, max_degree=2, terms=rng.randint(1, 3))
+    x, y = ex.Var(names[0]), ex.Var(names[-1])
+    return rng.choice([
+        ex.ZERO, ex.Const(0.0), ex.Const(-0.0), ex.ONE, ex.Const(-2), ex.Const(Fraction(1, 3)),
+        ex.Const(0.5), ex.Const(1e200), ex.Const(-1e200), ex.emul(ex.Const(1e200), x),
+        ex.emul(ex.Const(-0.5), x, y), ex.ediv(x, ex.eadd(ex.ONE, ex.emul(y, y))),
+        ex.ediv(ex.ONE, ex.eadd(ex.Const(2), x)), ex.efunc("exp", x)])
+
+
+def _random_chart(rng):
+    """A chart of rank 1-4 with sparse anchor and bracket entries."""
+    n, r = rng.randint(1, 3), rng.randint(1, 4)
+    coords = [f"x{i + 1}" for i in range(n)]
+    rho = [[_entry(rng, coords, 0.5) if rng.random() < 0.4 else ex.ZERO for _ in range(r)]
+           for _ in range(n)]
+    structure = {(c, a, b): _entry(rng, coords, 0.5)
+                 for c in range(r) for a, b in itertools.combinations(range(r), 2)
+                 if rng.random() < 0.3}
+    return alg.AlgebroidChart(coords, [f"y{j + 1}" for j in range(r)], rho, structure,
+                              name="random")
+
+
+@st.composite
+def charts_and_forms(draw, degrees=(0, 1, 2)):
+    """A catalog or random sparse chart, or its prolongation, and a form on
+    it of one of ``degrees``, some keys left out."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10 ** 6)))
+    kind = draw(st.sampled_from(["tangent1", "tangent3", "so3", "cotangent", "random"]))
+    if kind == "random":
+        chart = _random_chart(rng)
+    elif kind == "so3":
+        chart = alg.action_so3().chart
+    elif kind == "cotangent":
+        chart = cotangent_poisson().chart
+    else:
+        chart = alg.tangent(int(kind[-1])).chart
+    if draw(st.booleans()):
+        chart = alg.prolong_chart(chart)
+    degree = draw(st.sampled_from(degrees))
+    keys = [key for key in itertools.combinations(range(chart.r), degree) if rng.random() < 0.6]
+    return alg.AForm(chart, degree, {key: _entry(rng, chart.coords, 0.6) for key in keys})
+
+
+class TestSparseDifferential:
+    """``d`` visits only nonzero data and builds the dense formula's nodes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(charts_and_forms())
+    def test_same_nodes_as_the_dense_formula(self, form):
+        chart = form.chart
+        assert list(chart.d(form).coeffs.items()) == list(reference_d(chart, form).coeffs.items())
+
+    def test_float_sums_follow_the_dense_order(self):
+        # Float sums do not associate: (1e200 + -1e200) + 1.0 is 1.0, while
+        # (1.0 + -1e200) + 1e200 is 0.  The first form pins the bracket terms
+        # to c ascending, the second the anchor pieces before the bracket's.
+        x = ex.Var("x1")
+        terms = alg.AlgebroidChart(["x1"], ["y1", "y2", "y3"], [[ex.ZERO] * 3],
+                                   {(0, 0, 1): ex.Const(1e200), (1, 0, 1): ex.Const(-1e200),
+                                    (2, 0, 1): ex.Const(1.0)})
+        pieces = alg.AlgebroidChart(["x1"], ["y1", "y2"], [[x, x]], {(0, 0, 1): ex.Const(-1e200)})
+        cases = ((alg.AForm(terms, 1, {(c,): x for c in range(3)}), True),
+                 (alg.AForm(pieces, 1, {(0,): ex.emul(ex.Const(-1.0), x),
+                                        (1,): ex.emul(ex.Const(1e200), x)}), False))
+        for form, kept in cases:  # in the other order, the x1 term is kept where it cancels
+            dense = reference_d(form.chart, form)
+            assert list(form.chart.d(form).coeffs.items()) == list(dense.coeffs.items())
+            assert ((0, 1) in dense.coeffs) is kept
+
+    @settings(max_examples=20, deadline=None)
+    @given(charts_and_forms(degrees=(1, 3)))
+    def test_same_errors_as_the_dense_formula(self, form):
+        cases = [(alg.tangent(1).chart, ValueError)]
+        if form.degree == 3:
+            cases.append((form.chart, DegreeError))
+        for chart, error in cases:
+            with pytest.raises(error) as new:
+                chart.d(form)
+            with pytest.raises(error) as old:
+                reference_d(chart, form)
+            assert str(new.value) == str(old.value)
+
+    @pytest.mark.parametrize("fixture", ["tangent3", "so3", "cotangent"])
+    def test_each_partial_is_taken_once_along_an_anchor(self, fixture, request, monkeypatch):
+        chart = alg.prolong_chart(request.getfixturevalue(fixture).chart)
+        names = chart.coords
+        one = alg.AForm(chart, 1, {(a,): ex.eadd(ex.Const(a + 1), *(
+            ex.emul(ex.Const(i + a + 1), ex.Var(x), ex.Var(names[-1 - i]))
+            for i, x in enumerate(names))) for a in range(chart.r - 1)})  # one key left out
+        calls = []
+        original = ex.diff
+
+        def counting(e, var):
+            calls.append((e, var))
+            return original(e, var)
+
+        monkeypatch.setattr(ex, "diff", counting)
+        result = chart.d(one)
+        monkeypatch.undo()
+        assert list(result.coeffs.items()) == list(reference_d(chart, one).coeffs.items())
+        assert calls and len(set(calls)) == len(calls)
+        key_of = {value: key for key, value in one.coeffs.items()}
+        for e, var in calls:  # a coefficient of the form, never a literal 0
+            key = key_of[e]
+            assert any(not ex.is_zero_literal(chart.rho[names.index(var)][a])
+                       for a in range(chart.r) if a not in key)
 
 
 class TestAForm:

@@ -1578,6 +1578,36 @@ def test_cancelling_powers_of_a_raw_term_leave_no_base():
     assert ex.diff(product, "x1") is ex.diff(ex.simplify(product), "x1")
 
 
+@st.composite
+def raw_monomial_sums(draw):
+    """A raw ``Add`` of constants and monomials, in any order and with
+    repeats: several constant terms among them."""
+    names = ("x1", "x2")
+    coeff = st.sampled_from(COEFFS + [Fraction(0), Fraction(5)])
+    monomial = st.tuples(coeff, st.lists(st.tuples(st.sampled_from(names), st.integers(1, 3)),
+                                         min_size=1, max_size=2))
+    terms = []
+    for item in draw(st.lists(st.one_of(coeff, monomial), min_size=2, max_size=6)):
+        if not isinstance(item, tuple):
+            terms.append(ex.Const(item))
+            continue
+        c, powers = item
+        factors = tuple(ex.Var(n) if k == 1 else ex.Pow(ex.Var(n), k) for n, k in powers)
+        terms.append(factors[0] if c == 1 and len(factors) == 1 else ex.Mul((ex.Const(c),) + factors))
+    return ex.Add(tuple(terms))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_monomial_sums(), st.sampled_from([3, -1, Fraction(-2, 3), 1]),
+       st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+def test_a_constant_times_a_raw_sum_has_its_value(raw, c, point):
+    # Exact values at an integer point: every constant term counts.
+    mapping = {"x1": ex.Const(point[0]), "x2": ex.Const(point[1])}
+    value = ex.subs(raw, mapping).value
+    assert ex.subs(ex.emul(ex.Const(c), raw), mapping).value == c * value
+    assert ex.subs(ex.eneg(raw), mapping).value == -value
+
+
 def test_parser_keeps_a_frozenset_alphabet():
     names = frozenset(ALPHABET)
     assert ex._Parser("x1", names).alphabet is names

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from semispray import cli, errors, expr as ex
+from semispray import cli, errors, expr as ex, model
 from semispray.errors import ModelError, StepCollapse
 from semispray.model import load_model
 from semispray.report import ZeroStatus
 
-from helpers import point_env
+from helpers import point_env, reference_variable_name
 
 SO3_DOC = {
     "n": 3, "r": 3,
@@ -303,6 +303,21 @@ class TestCliCommands:
         assert code == 2 and out == ""
         assert stderr.startswith(f"input error: {source}: must be a variable name, got ")
         assert "Traceback" not in stderr
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(
+        st.text(), st.from_regex(r"[A-Za-z_\u00c0-\u00ff][\w\u0660-\u0669]*", fullmatch=True),
+        st.sampled_from(ex.FUNCTIONS + ("x1 ", " x1", "x1+x2", "sinx", "(x1)", "1e5", "x.1"))))
+    @example(None)
+    def test_names_are_checked_as_the_parser_reads_them(self, name):
+        # One name token as the whole string, not a function's name: what
+        # the parser reads back as exactly that variable.
+        try:
+            model._variable_name(name, "coords[0]")
+            accepted = True
+        except ModelError:
+            accepted = False
+        assert accepted == reference_variable_name(name)
 
     @pytest.mark.parametrize("argv,expected_code", [
         (["bracket"], 2), (["hamiltonian"], 2),
