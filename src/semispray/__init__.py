@@ -6,9 +6,9 @@ Given a chart-level Lie algebroid, a regular Lagrangian, and a closed
 verifies that the Hamiltonian dynamics of the energy function projects to the
 anchor (the semispray property), integrates its flow, and exposes the
 prolongation calculus used to certify the construction: the prolonged chart
-and its differential, the vertical endomorphism, Cartan 1- and 2-sections,
-Hamiltonian sections, bigrading, and the constructive radial homotopy
-operator.
+and its differential, Cartan 1- and 2-sections, bigrading, the constructive
+radial homotopy operator, and the check that the Hamiltonian sections of the
+prolongation anchor to the field.
 """
 
 from . import algebroid, dynamics, homotopy, lagrangian, poisson, prolongation, twoform

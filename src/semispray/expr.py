@@ -641,8 +641,10 @@ def epow(base: Expr, exponent) -> Expr:
 
 
 def _factor_map(e: Expr):
-    """Decompose an Add-free expression into (const, {base: exp}), cancelled bases left out."""
-    const = 1
+    """Decompose an Add-free expression into (const, {base: exp}), cancelled bases left out.
+    The product starts at the first constant met, which has the same value and
+    type as ``1`` times it."""
+    const = None
     powers: dict = {}
     stack = [e]
     while stack:
@@ -650,14 +652,14 @@ def _factor_map(e: Expr):
         if isinstance(f, Mul):
             stack.extend(f.factors)
         elif isinstance(f, Const):
-            const = const * f.value
+            const = f.value if const is None else const * f.value
         else:
             base, k = (f.base, f.exponent) if isinstance(f, Pow) else (f, 1)
             if k := k + powers.get(base, 0):
                 powers[base] = k
             else:
                 powers.pop(base, None)
-    return const, powers
+    return 1 if const is None else const, powers
 
 
 def ediv(num: Expr, den: Expr) -> Expr:

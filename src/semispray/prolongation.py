@@ -16,104 +16,29 @@ prolonged chart's Koszul differential.  Indices ``0..r-1`` of the
 prolongation frame are the ``E`` sections, ``r..2r-1`` the vertical ``U``
 sections: a 2-form's frame-frame, (vertical, frame) and vertical-vertical
 blocks are read with ``get`` at ``(i, j)``, ``(r+i, j)`` and ``(r+i, r+j)``,
-and a coefficient's bidegree is read off its key.  On top of it: sections,
-the interior product, the vertical endomorphism, Cartan sections, exact
-Hamiltonian sections, the decomposition of 2-sections vanishing on vertical
-pairs, and the consistency suite behind ``check prolongation``.
+and a coefficient's bidegree is read off its key.  On top of it: the Cartan
+sections of a Lagrangian, the bidegree split of the differential, the
+decomposition of 2-sections vanishing on vertical pairs, and the consistency
+suite behind ``check prolongation``, which solves for the Hamiltonian sections
+at points.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from . import expr as ex
 from . import linalg, poisson, twoform
-from .algebroid import AForm, AlgebroidChart, prolong_chart
-from .errors import DegenerateForm, DegreeError, NotClosed, NotVerticalVanishing
+from .algebroid import AForm, prolong_chart
+from .errors import DegreeError, NotClosed, NotVerticalVanishing
 from .homotopy import bigrade, dprime_primitive, is_fiber_integral
-from .lagrangian import LagrangianData, probe_determinant
+from .lagrangian import LagrangianData
 from .report import ValidationReport
 
 
-class ProlongSection:
-    """Section of the prolongation: ``a^j E_j + b^k U_k`` with coefficients
-    on the total space."""
-
-    def __init__(self, chart: AlgebroidChart, a: Sequence[ex.Expr], b: Sequence[ex.Expr]):
-        if len(a) != chart.r or len(b) != chart.r:
-            raise ValueError("component counts must equal the chart rank")
-        self.chart = chart
-        self.a = [ex.as_expr(v) for v in a]
-        self.b = [ex.as_expr(v) for v in b]
-
-    def coefficients(self) -> List[ex.Expr]:
-        return list(self.a) + list(self.b)
-
-    def __repr__(self):
-        a = ", ".join(ex.to_text(v) for v in self.a)
-        b = ", ".join(ex.to_text(v) for v in self.b)
-        return f"<ProlongSection E:({a}) U:({b})>"
-
-
-def liouville(chart: AlgebroidChart) -> ProlongSection:
-    """The fiber-radial vertical section; its anchor image is the fiber
-    dilation field."""
-    return ProlongSection(chart, [ex.ZERO] * chart.r,
-                          [ex.Var(nm) for nm in chart.fibers])
-
-
-def insert_section(form: AForm, section: ProlongSection) -> AForm:
-    """Interior product ``i_S F`` of a form on the prolongation."""
-    if form.degree == 0:
-        raise DegreeError("cannot insert into a degree-0 form")
-    size = form.chart.r
-    s = section.coefficients()
-    coeffs = {}
-    for rest in itertools.combinations(range(size), form.degree - 1):
-        coeffs[rest] = ex.eadd(*(ex.emul(s[a], form.get((a,) + rest))
-                                 for a in range(size) if not ex.is_zero_literal(s[a])))
-    return AForm(form.chart, form.degree - 1, coeffs)
-
-
 # ---------------------------------------------------------------------------
-# Vertical endomorphism
-
-
-def vertical_endomorphism(section: ProlongSection) -> ProlongSection:
-    """The square-zero bundle map on sections: ``(a, b) -> (0, a)``."""
-    return ProlongSection(section.chart, [ex.ZERO] * section.chart.r, list(section.a))
-
-
-def j_dual(form: AForm) -> AForm:
-    """Degree-zero derivation on forms dual to the vertical endomorphism:
-    it annihilates functions and frame covectors and sends a vertical dual
-    covector ``U^j`` to ``-E^j``."""
-    r = form.chart.base.r
-    if form.degree == 0:
-        return AForm(form.chart, 0, {})
-    coeffs = {}
-    for tup in itertools.combinations(range(2 * r), form.degree):
-        pieces = []
-        for pos, a in enumerate(tup):
-            if a < r:  # J maps the frame section E_a to the vertical U_a
-                replaced = tup[:pos] + (r + a,) + tup[pos + 1:]
-                pieces.append(form.get(replaced))
-        if pieces:
-            coeffs[tup] = ex.eneg(ex.eadd(*pieces))
-    return AForm(form.chart, form.degree, coeffs)
-
-
-def is_sode(section: ProlongSection, box: ex.Box = None, trials: int = 64,
-            tol: float = 1e-9, seed: int = 0) -> ValidationReport:
-    """Residuals ``a^j - y^j`` of the second-order condition."""
-    residuals = ((f"E-component {j + 1}", ex.eadd(section.a[j], ex.eneg(ex.Var(name))))
-                 for j, name in enumerate(section.chart.fibers))
-    return ex.certify("sode", residuals, box, trials, tol, seed)
-
-
-# ---------------------------------------------------------------------------
-# Cartan sections and Hamiltonian sections
+# Cartan sections
 
 
 def cartan_sections(data: LagrangianData) -> Tuple[AForm, AForm]:
@@ -122,52 +47,6 @@ def cartan_sections(data: LagrangianData) -> Tuple[AForm, AForm]:
     pchart = prolong_chart(data.chart)
     theta = AForm(pchart, 1, {(j,): value for j, value in enumerate(data.thetaL)})
     return theta, pchart.d(theta)
-
-
-def hamiltonian_section(omega: AForm, hamiltonian: ex.Expr,
-                        box: ex.Box = None, trials: int = 16, tol: float = 1e-9,
-                        seed: int = 0, check: bool = True) -> ProlongSection:
-    """The unique section ``s`` with ``i_s omega = -d(hamiltonian)``.
-
-    ``omega`` must vanish on vertical pairs, as ``omega_L + pi*Theta`` does
-    by construction; a vertical-vertical coefficient that is not the literal
-    0 raises :class:`NotVerticalVanishing`.  The system then decouples, and
-    it is solved exactly by inverting the (vertical, frame) block, whose size
-    is the rank: a rank above 4 raises ``ValueError``.  Raises
-    :class:`DegenerateForm` when the block's determinant vanishes on the
-    probe set.
-    """
-    chart = omega.chart.base
-    if omega.degree != 2:
-        raise DegreeError("Hamiltonian sections need a degree-2 section")
-    r = chart.r
-    for i in range(r):
-        for j in range(i + 1, r):
-            if not ex.is_zero_literal(omega.get((r + i, r + j))):
-                raise NotVerticalVanishing(f"vertical-vertical block ({i + 1},{j + 1}) is nonzero")
-    if r > 4:
-        raise ValueError("symbolic solve supports rank <= 4")
-    g = ex.as_expr(hamiltonian)
-    dg_e = [chart.anchor_derivative(j, g) for j in range(r)]
-    dg_u = [ex.diff(g, nm) for nm in chart.fibers]
-    matrix = [[omega.get((r + i, j)) for j in range(r)] for i in range(r)]
-    det = linalg.det(matrix)
-    if ex.is_zero_literal(det):
-        raise DegenerateForm({"det": 0.0})
-    if check:
-        witness = probe_determinant(chart, det, box or ex.Box(), trials, tol, seed, {})
-        if witness is not None:
-            raise DegenerateForm(witness)
-    inverse = linalg.inverse(matrix, det)
-    a = linalg.mat_vec(inverse, dg_u)
-    rhs = []
-    for j in range(r):
-        acc = [ex.eneg(dg_e[j])]
-        for i in range(r):
-            acc.append(ex.eneg(ex.emul(a[i], omega.get((i, j)))))
-        rhs.append(ex.eadd(*acc))
-    b = linalg.mat_vec(linalg.transpose(inverse), rhs)
-    return ProlongSection(chart, a, b)
 
 
 # ---------------------------------------------------------------------------

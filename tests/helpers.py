@@ -1,7 +1,7 @@
 """Shared test utilities: random raw expression trees, reference evaluator,
 substitution and derivative walkers, finite differences, zero-assertion
-helpers, and the symbolic prolongation sections that ``check prolongation``
-is compared with."""
+helpers, and the symbolic section library of the prolongation that
+``check prolongation`` is compared with."""
 
 import contextlib
 import gc
@@ -9,16 +9,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import List, Sequence
 
 import mpmath
 
 from semispray import dynamics, expr as ex, linalg
 from semispray.homotopy import TVAR, bigrade, is_fiber_integral
-from semispray.algebroid import AForm, prolong_chart
+from semispray.algebroid import AForm, AlgebroidChart, prolong_chart
 from semispray.poisson import VectorFieldOnA
-from semispray.prolongation import ProlongSection
-from semispray.errors import DegreeError, DomainError, UnknownSymbol
-from semispray.report import ZeroStatus
+from semispray.errors import (DegenerateForm, DegreeError, DomainError,
+                              NotVerticalVanishing, UnknownSymbol)
+from semispray.lagrangian import probe_determinant
+from semispray.report import ValidationReport, ZeroStatus
 
 COEFFS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
           Fraction(-1, 3), Fraction(3), Fraction(-2), Fraction(1, 4)]
@@ -413,6 +415,135 @@ def generated_inverse(a, literal=False):
     return [[columns[j][i] for j in range(size)] for i in range(size)]
 
 
+# ---------------------------------------------------------------------------
+# The symbolic section library of the prolongation: sections, the interior
+# product, the vertical endomorphism and its dual, the second-order test and
+# exact Hamiltonian sections.  No command runs them; the tests check the
+# paper's section-level facts with them.
+
+
+class ProlongSection:
+    """Section of the prolongation: ``a^j E_j + b^k U_k`` with coefficients
+    on the total space."""
+
+    def __init__(self, chart: AlgebroidChart, a: Sequence[ex.Expr], b: Sequence[ex.Expr]):
+        if len(a) != chart.r or len(b) != chart.r:
+            raise ValueError("component counts must equal the chart rank")
+        self.chart = chart
+        self.a = [ex.as_expr(v) for v in a]
+        self.b = [ex.as_expr(v) for v in b]
+
+    def coefficients(self) -> List[ex.Expr]:
+        return list(self.a) + list(self.b)
+
+    def __repr__(self):
+        a = ", ".join(ex.to_text(v) for v in self.a)
+        b = ", ".join(ex.to_text(v) for v in self.b)
+        return f"<ProlongSection E:({a}) U:({b})>"
+
+
+def liouville(chart: AlgebroidChart) -> ProlongSection:
+    """The fiber-radial vertical section; its anchor image is the fiber
+    dilation field."""
+    return ProlongSection(chart, [ex.ZERO] * chart.r,
+                          [ex.Var(nm) for nm in chart.fibers])
+
+
+def insert_section(form: AForm, section: ProlongSection) -> AForm:
+    """Interior product ``i_S F`` of a form on the prolongation."""
+    if form.degree == 0:
+        raise DegreeError("cannot insert into a degree-0 form")
+    size = form.chart.r
+    s = section.coefficients()
+    coeffs = {}
+    for rest in itertools.combinations(range(size), form.degree - 1):
+        coeffs[rest] = ex.eadd(*(ex.emul(s[a], form.get((a,) + rest))
+                                 for a in range(size) if not ex.is_zero_literal(s[a])))
+    return AForm(form.chart, form.degree - 1, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Vertical endomorphism
+
+
+def vertical_endomorphism(section: ProlongSection) -> ProlongSection:
+    """The square-zero bundle map on sections: ``(a, b) -> (0, a)``."""
+    return ProlongSection(section.chart, [ex.ZERO] * section.chart.r, list(section.a))
+
+
+def j_dual(form: AForm) -> AForm:
+    """Degree-zero derivation on forms dual to the vertical endomorphism:
+    it annihilates functions and frame covectors and sends a vertical dual
+    covector ``U^j`` to ``-E^j``."""
+    r = form.chart.base.r
+    if form.degree == 0:
+        return AForm(form.chart, 0, {})
+    coeffs = {}
+    for tup in itertools.combinations(range(2 * r), form.degree):
+        pieces = []
+        for pos, a in enumerate(tup):
+            if a < r:  # J maps the frame section E_a to the vertical U_a
+                replaced = tup[:pos] + (r + a,) + tup[pos + 1:]
+                pieces.append(form.get(replaced))
+        if pieces:
+            coeffs[tup] = ex.eneg(ex.eadd(*pieces))
+    return AForm(form.chart, form.degree, coeffs)
+
+
+def is_sode(section: ProlongSection, box: ex.Box = None, trials: int = 64,
+            tol: float = 1e-9, seed: int = 0) -> ValidationReport:
+    """Residuals ``a^j - y^j`` of the second-order condition."""
+    residuals = ((f"E-component {j + 1}", ex.eadd(section.a[j], ex.eneg(ex.Var(name))))
+                 for j, name in enumerate(section.chart.fibers))
+    return ex.certify("sode", residuals, box, trials, tol, seed)
+
+
+def hamiltonian_section(omega: AForm, hamiltonian: ex.Expr,
+                        box: ex.Box = None, trials: int = 16, tol: float = 1e-9,
+                        seed: int = 0, check: bool = True) -> ProlongSection:
+    """The unique section ``s`` with ``i_s omega = -d(hamiltonian)``.
+
+    ``omega`` must vanish on vertical pairs, as ``omega_L + pi*Theta`` does
+    by construction; a vertical-vertical coefficient that is not the literal
+    0 raises :class:`NotVerticalVanishing`.  The system then decouples, and
+    it is solved exactly by inverting the (vertical, frame) block, whose size
+    is the rank: a rank above 4 raises ``ValueError``.  Raises
+    :class:`DegenerateForm` when the block's determinant vanishes on the
+    probe set.
+    """
+    chart = omega.chart.base
+    if omega.degree != 2:
+        raise DegreeError("Hamiltonian sections need a degree-2 section")
+    r = chart.r
+    for i in range(r):
+        for j in range(i + 1, r):
+            if not ex.is_zero_literal(omega.get((r + i, r + j))):
+                raise NotVerticalVanishing(f"vertical-vertical block ({i + 1},{j + 1}) is nonzero")
+    if r > 4:
+        raise ValueError("symbolic solve supports rank <= 4")
+    g = ex.as_expr(hamiltonian)
+    dg_e = [chart.anchor_derivative(j, g) for j in range(r)]
+    dg_u = [ex.diff(g, nm) for nm in chart.fibers]
+    matrix = [[omega.get((r + i, j)) for j in range(r)] for i in range(r)]
+    det = linalg.det(matrix)
+    if ex.is_zero_literal(det):
+        raise DegenerateForm({"det": 0.0})
+    if check:
+        witness = probe_determinant(chart, det, box or ex.Box(), trials, tol, seed, {})
+        if witness is not None:
+            raise DegenerateForm(witness)
+    inverse = linalg.inverse(matrix, det)
+    a = linalg.mat_vec(inverse, dg_u)
+    rhs = []
+    for j in range(r):
+        acc = [ex.eneg(dg_e[j])]
+        for i in range(r):
+            acc.append(ex.eneg(ex.emul(a[i], omega.get((i, j)))))
+        rhs.append(ex.eadd(*acc))
+    b = linalg.mat_vec(linalg.transpose(inverse), rhs)
+    return ProlongSection(chart, a, b)
+
+
 def anchor(section):
     """The vector field of a prolongation section ``a^j E_j + b^k U_k``:
     ``Vx^i = rho^i_j a^j``, ``Vy^k = b^k``."""
@@ -447,6 +578,37 @@ def vertical_correction(data, horizontal, base_potential):
             pieces += [ex.eneg(ex.emul(y[a], horizontal.get((a, j)))) for a in range(chart.r)]
         rhs.append(ex.eadd(*pieces))
     return ProlongSection(chart, [ex.ZERO] * chart.r, linalg.mat_vec(data.Minv, rhs))
+
+
+def euler_lagrange_rhs(chart, lagrangian, theta=None, potential=None):
+    """The right side of the algebroid Euler-Lagrange equations of ``L`` with
+    the Lorentz-type term of a 2-section ``Theta`` and the force of a base
+    potential ``f`` (Martinez, "Lagrangian mechanics on Lie algebroids",
+    2001), written out from the formula: component ``alpha`` is
+    ``rho^i_alpha dL/dx^i - rho^i_beta y^beta d(theta_alpha)/dx^i
+    - C^gamma_{alpha beta} y^beta theta_gamma + Theta_{alpha beta} y^beta
+    - rho^i_alpha df/dx^i``, with ``theta_alpha = dL/dy^alpha``."""
+    r = chart.r
+    y = [ex.Var(nm) for nm in chart.fibers]
+    theta_l = [ex.diff(lagrangian, nm) for nm in chart.fibers]
+    f = ex.ZERO if potential is None else ex.as_expr(potential)
+    out = []
+    for alpha in range(r):
+        pieces = []
+        for i, x in enumerate(chart.coords):
+            pieces.append(ex.emul(chart.rho[i][alpha], ex.diff(lagrangian, x)))
+            pieces.append(ex.eneg(ex.emul(chart.rho[i][alpha], ex.diff(f, x))))
+            for beta in range(r):
+                pieces.append(ex.eneg(ex.emul(chart.rho[i][beta], y[beta],
+                                              ex.diff(theta_l[alpha], x))))
+        for beta in range(r):
+            for gamma in range(r):
+                pieces.append(ex.eneg(ex.emul(chart.c(gamma, alpha, beta), y[beta],
+                                              theta_l[gamma])))
+            if theta is not None:
+                pieces.append(ex.emul(theta.get((alpha, beta)), y[beta]))
+        out.append(ex.eadd(*pieces))
+    return out
 
 
 def _integrate_unit(e):
@@ -587,6 +749,26 @@ def reference_d(chart, form):
                 pieces.append(ex.eneg(value) if (p1 + p2) % 2 == 1 else value)
         coeffs[tup] = ex.eadd(*pieces)
     return AForm(chart, k + 1, coeffs)
+
+
+def reference_factor_map(e):
+    """``expr._factor_map`` with its product started at the int ``1``."""
+    const = 1
+    powers = {}
+    stack = [e]
+    while stack:
+        f = stack.pop()
+        if isinstance(f, ex.Mul):
+            stack.extend(f.factors)
+        elif isinstance(f, ex.Const):
+            const = const * f.value
+        else:
+            base, k = (f.base, f.exponent) if isinstance(f, ex.Pow) else (f, 1)
+            if k := k + powers.get(base, 0):
+                powers[base] = k
+            else:
+                powers.pop(base, None)
+    return const, powers
 
 
 def reference_variable_name(name) -> bool:

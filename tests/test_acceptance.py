@@ -14,12 +14,15 @@ import pytest
 from semispray import algebroid as alg
 from semispray import dynamics, expr as ex
 from semispray import homotopy as ho
-from semispray import lagrangian, poisson, prolongation as pr, twoform
+from semispray import lagrangian, linalg, poisson, prolongation as pr, twoform
+from semispray.model import load_model
 from semispray.report import ZeroStatus
 
 from conftest import cotangent_poisson
-from helpers import (add_sections, anchor, pullback_horizontal, random_polynomial,
+from helpers import (add_sections, anchor, euler_lagrange_rhs, hamiltonian_section, is_sode,
+                     j_dual, liouville, pullback_horizontal, random_polynomial,
                      vertical_correction)
+from test_golden_cli import MODELS as GOLDEN_MODELS
 
 
 def _report_line(name, ok, detail=""):
@@ -155,7 +158,7 @@ def test_criterion_04_prolongation_oracle_equivalence(fixtures, built):
         data = built[fixture.label]
         chart = fixture.chart
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL, check=False)
+        sigma = hamiltonian_section(omega, data.EL, check=False)
         plain_field = poisson.hamiltonian_field(_bivector(fixture, data, None), data.EL)
         anchored = anchor(sigma)
         for lhs, rhs in zip(anchored.components(), plain_field.components()):
@@ -185,11 +188,11 @@ def test_criterion_05_second_order_property(fixtures, built):
     for fixture in fixtures:
         data = built[fixture.label]
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL, check=False)
-        if not pr.is_sode(sigma).passed:
+        sigma = hamiltonian_section(omega, data.EL, check=False)
+        if not is_sode(sigma).passed:
             ok = False
             details.append(f"{fixture.label} energy section is not second order")
-    if pr.is_sode(pr.liouville(alg.catalog("action_so3").chart)).passed:
+    if is_sode(liouville(alg.catalog("action_so3").chart)).passed:
         ok = False
         details.append("the fiber-radial section must fail the check")
     _report_line("criterion 5: second-order property of the energy section", ok,
@@ -331,7 +334,7 @@ def test_criterion_11_decomposition_roundtrip(fixtures, built):
         data = built[fixture.label]
         _, omega_l = pr.cartan_sections(data)
         total = omega_l + pullback_horizontal(fixture.theta)
-        if not pr.j_dual(total).is_structurally_zero():
+        if not j_dual(total).is_structurally_zero():
             ok = False
             details.append(f"{fixture.label} dual endomorphism image not zero")
         horizontal, exact_part = pr.decompose_symplectic(total)
@@ -340,3 +343,35 @@ def test_criterion_11_decomposition_roundtrip(fixtures, built):
             ok = False
             details.append(f"{fixture.label} reassembly not exact")
     _report_line("criterion 11: decomposition round trip", ok, "; ".join(details))
+
+
+def test_criterion_12_magnetic_euler_lagrange_identity():
+    # M X_y = N y - rho^T dG/dx with G = E_L + f: on every golden model its
+    # difference from the Euler-Lagrange right side, written out from rho,
+    # C, L, Theta and f, is the literal 0.  On quotient_metric a component is
+    # x1*y1^2/D - 2*x1*y1^2/D - x1*y1^2/D + 2*x1*y1^2/D, with D = 1 + x1^4 + 2*x1^2:
+    # 0, but the canonical form does not collect terms over the same
+    # denominator (ROADMAP item 8).  There it must not be NONZERO.
+    ok = True
+    details = []
+    for name, doc in GOLDEN_MODELS.items():
+        model = load_model(doc)
+        chart = model.chart
+        data = lagrangian.build(model.lagrangian, chart)
+        twist = twoform.assemble_N(data, chart, None if model.theta is None
+                                   else twoform.ThetaSection(model.theta))
+        g = data.EL if model.potential is None else ex.eadd(data.EL, model.potential)
+        _, dgx, _, _ = poisson.FactoredField(chart, data.M, twist, g).gradient()
+        ny = linalg.mat_vec(twist, [ex.Var(nm) for nm in chart.fibers])
+        rhs = euler_lagrange_rhs(chart, model.lagrangian, model.theta, model.potential)
+        for k in range(chart.r):
+            residual = ex.eadd(ny[k], ex.eneg(rhs[k]),
+                               *(ex.eneg(ex.emul(chart.rho[i][k], dgx[i])) for i in range(chart.n)))
+            if name == "quotient_metric":
+                if ex.is_zero(residual, seed=k).status is ZeroStatus.NONZERO:
+                    ok = False
+                    details.append(f"{name} component {k + 1} is nonzero")
+            elif residual is not ex.ZERO:
+                ok = False
+                details.append(f"{name} component {k + 1} is not the literal 0")
+    _report_line("criterion 12: magnetic Euler-Lagrange identity", ok, "; ".join(details))

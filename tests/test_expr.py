@@ -20,8 +20,8 @@ from semispray.report import ZeroStatus
 
 from helpers import (COEFFS, ReferenceProgram, assert_certified_zero, central_difference,
                      compiled_source, constant_types, precise_value, random_raw_tree,
-                     reference_diff, reference_nodes, reference_subs, reference_to_text,
-                     reference_value)
+                     reference_diff, reference_factor_map, reference_nodes, reference_subs,
+                     reference_to_text, reference_value)
 
 ALPHABET = ("x1", "x2", "y1", "y2")
 
@@ -1576,6 +1576,33 @@ def test_cancelling_powers_of_a_raw_term_leave_no_base():
     assert ex.emul(raw, ex.Const(3)) is ex.emul(ex.simplify(raw), ex.Const(3))
     product = ex.Mul((ex.Const(3), raw, x1))
     assert ex.diff(product, "x1") is ex.diff(ex.simplify(product), "x1")
+
+
+def _product_trees():
+    """Raw ``Add``-free trees: products of constants (int, ``Fraction`` and
+    float, ``-0.0`` among them), names, powers that may cancel and functions."""
+    constants = st.sampled_from([1, -1, 2, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4),
+                                 0.5, -0.0, 3.0, 1e200, -2.5]).map(ex.Const)
+    leaves = st.one_of(constants, st.sampled_from([ex.Var(nm) for nm in ALPHABET]),
+                       st.sampled_from(ALPHABET).map(lambda nm: ex.Func("sin", ex.Var(nm))))
+    exponents = st.sampled_from([Fraction(k) for k in (-2, -1, 2, 3)] + [Fraction(1, 2)])
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=4).map(lambda fs: ex.Mul(tuple(fs))),
+            st.tuples(children, exponents).map(lambda be: ex.Pow(*be)))
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_product_trees())
+def test_the_factor_map_starts_at_the_first_constant(e):
+    # The same constant, of the same type and sign, and the same powers in
+    # the same order as a product started at the int 1.
+    const, powers = ex._factor_map(e)
+    want, want_powers = reference_factor_map(e)
+    assert (type(const), const, repr(const)) == (type(want), want, repr(want))
+    assert list(powers.items()) == list(want_powers.items())
 
 
 @st.composite

@@ -10,22 +10,23 @@ from semispray.errors import DegenerateForm, DegreeError, NotClosed, NotVertical
 from semispray.model import load_model
 from semispray.report import ZeroStatus
 
-from helpers import (add_sections, anchor, assert_certified_zero, assert_proven_zero,
-                     generated_inverse, point_env, pullback_horizontal, random_polynomial,
-                     reference_value, vertical_correction)
+from helpers import (ProlongSection, add_sections, anchor, assert_certified_zero,
+                     assert_proven_zero, generated_inverse, hamiltonian_section, insert_section,
+                     is_sode, j_dual, liouville, point_env, pullback_horizontal, random_polynomial,
+                     reference_value, vertical_correction, vertical_endomorphism)
 from test_golden_cli import MODELS as GOLDEN_MODELS
 from test_poisson import optional
 
 
 def zero_section(chart):
-    return pr.ProlongSection(chart, [ex.ZERO] * chart.r, [ex.ZERO] * chart.r)
+    return ProlongSection(chart, [ex.ZERO] * chart.r, [ex.ZERO] * chart.r)
 
 
 def random_section(rng, chart, vertical=False):
     a = [ex.ZERO if vertical else random_polynomial(rng, chart.alphabet, 2, 2)
          for _ in range(chart.r)]
     b = [random_polynomial(rng, chart.alphabet, 2, 2) for _ in range(chart.r)]
-    return pr.ProlongSection(chart, a, b)
+    return ProlongSection(chart, a, b)
 
 
 def assert_sections_equal(s1, s2):
@@ -35,20 +36,20 @@ def assert_sections_equal(s1, s2):
 
 class TestAnchor:
     def test_liouville_projects_to_dilation(self, so3):
-        field = anchor(pr.liouville(so3.chart))
+        field = anchor(liouville(so3.chart))
         assert field.vx == [ex.ZERO] * 3
         assert field.vy == [ex.Var(nm) for nm in so3.chart.fibers]
 
     def test_fiber_weighted_frame_sections(self, tangent1):
         chart = tangent1.chart
-        section = pr.ProlongSection(chart, [ex.Var("y1")], [ex.ZERO])
+        section = ProlongSection(chart, [ex.Var("y1")], [ex.ZERO])
         field = anchor(section)
         assert field.vx == [ex.Var("y1")] and field.vy == [ex.ZERO]
 
     def test_energy_section_on_line(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
+        sigma = hamiltonian_section(omega, data.EL)
         field = anchor(sigma)
         assert field.vx == [ex.Var("y1")] and field.vy == [ex.ZERO]
 
@@ -111,7 +112,7 @@ class TestLieBracket:
         v1 = random_section(rng, so3.chart, vertical=True)
         v2 = random_section(rng, so3.chart, vertical=True)
         for k in range(3):
-            paired = pr.insert_section(pr.insert_section(d(coframe(so3.chart, k)), v1), v2)
+            paired = insert_section(insert_section(d(coframe(so3.chart, k)), v1), v2)
             assert paired.is_structurally_zero()
 
 
@@ -165,31 +166,31 @@ class TestVerticalEndomorphism:
     def test_second_order_sections_map_to_liouville(self, so3):
         chart = so3.chart
         rng = random.Random(5)
-        sode = pr.ProlongSection(chart, [ex.Var(nm) for nm in chart.fibers],
-                                 [random_polynomial(rng, chart.alphabet) for _ in range(3)])
-        assert_sections_equal(pr.vertical_endomorphism(sode), pr.liouville(chart))
+        sode = ProlongSection(chart, [ex.Var(nm) for nm in chart.fibers],
+                              [random_polynomial(rng, chart.alphabet) for _ in range(3)])
+        assert_sections_equal(vertical_endomorphism(sode), liouville(chart))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_squares_to_zero_with_matching_kernel_and_image(self, so3, seed):
         rng = random.Random(900 + seed)
         section = random_section(rng, so3.chart)
-        once = pr.vertical_endomorphism(section)
+        once = vertical_endomorphism(section)
         assert once.a == [ex.ZERO] * 3  # image inside the vertical subbundle
-        twice = pr.vertical_endomorphism(once)
+        twice = vertical_endomorphism(once)
         assert_sections_equal(twice, zero_section(so3.chart))
 
     def test_dual_annihilates_fundamental_section(self, catalog_fixtures, lagrangian_data):
         for fixture in catalog_fixtures:
             data = lagrangian_data(fixture)
             _, omega = pr.cartan_sections(data)
-            assert pr.j_dual(omega).is_structurally_zero()
+            assert j_dual(omega).is_structurally_zero()
 
     def test_dual_on_coframe(self, tangent1):
         chart = tangent1.chart
         e_cov = one_form(chart, [ex.ONE], [ex.ZERO])
         u_cov = one_form(chart, [ex.ZERO], [ex.ONE])
-        assert pr.j_dual(e_cov).is_structurally_zero()
-        got = pr.j_dual(u_cov)
+        assert j_dual(e_cov).is_structurally_zero()
+        got = j_dual(u_cov)
         assert got.get((0,)) == ex.MINUS_ONE and got.get((1,)) == ex.ZERO
 
 
@@ -216,26 +217,26 @@ class TestHamiltonianSection:
     def test_line_energy(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
+        sigma = hamiltonian_section(omega, data.EL)
         assert sigma.a == [ex.Var("y1")] and sigma.b == [ex.ZERO]
 
     def test_line_energy_with_potential(self, tangent1):
         data = lagrangian.build("1/2*y1^2", tangent1.chart)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, ex.eadd(data.EL, ex.Var("x1")))
+        sigma = hamiltonian_section(omega, ex.eadd(data.EL, ex.Var("x1")))
         assert sigma.a == [ex.Var("y1")] and sigma.b == [ex.MINUS_ONE]
 
     def test_degenerate_form_rejected(self, tangent1):
         chart = tangent1.chart
         omega = prolong_form(chart, 2, {})
         with pytest.raises(DegenerateForm):
-            pr.hamiltonian_section(omega, ex.Var("x1"))
+            hamiltonian_section(omega, ex.Var("x1"))
 
     def test_block_vanishing_on_the_box_rejected(self, tangent1):
         # det = x1 is not literally zero but vanishes at the box center.
         omega = prolong_form(tangent1.chart, 2, {(1, 0): ex.Var("x1")})
         with pytest.raises(DegenerateForm):
-            pr.hamiltonian_section(omega, ex.Var("x1"))
+            hamiltonian_section(omega, ex.Var("x1"))
 
     def test_rank_above_four_rejected(self):
         three = alg.tangent(3)
@@ -243,11 +244,11 @@ class TestHamiltonianSection:
         # A vertical-vertical entry is refused before any solve.
         omega += prolong_form(three.chart, 2, {(3, 4): ex.ONE})
         with pytest.raises(NotVerticalVanishing):
-            pr.hamiltonian_section(omega, ex.ZERO)
+            hamiltonian_section(omega, ex.ZERO)
         five = alg.tangent(5)
         _, omega = pr.cartan_sections(lagrangian.build(five.lagrangian, five.chart))
         with pytest.raises(ValueError, match=r"^symbolic solve supports rank <= 4$"):
-            pr.hamiltonian_section(omega, ex.ZERO)
+            hamiltonian_section(omega, ex.ZERO)
 
     def test_vertical_pair_block_rejected(self, tangent2):
         # Only 2-sections vanishing on vertical pairs have a solve.
@@ -255,7 +256,7 @@ class TestHamiltonianSection:
         _, omega = pr.cartan_sections(lagrangian.build("1/2*(y1^2 + y2^2)", chart))
         omega += prolong_form(chart, 2, {(2, 3): ex.Var("x1")})
         with pytest.raises(NotVerticalVanishing, match=r"block \(1,2\) is nonzero"):
-            pr.hamiltonian_section(omega, ex.ZERO)
+            hamiltonian_section(omega, ex.ZERO)
 
     def test_closed_form_coefficients(self, curved_metric):
         # sigma = y^a E_a - M^{rl} (rho^b_l dE_L/dx^b + N_sl y^s) U_r, checked
@@ -263,7 +264,7 @@ class TestHamiltonianSection:
         chart = curved_metric.chart
         data = lagrangian.build(curved_metric.lagrangian, chart)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
+        sigma = hamiltonian_section(omega, data.EL)
         n_plain = twoform.assemble_N(data, chart, None)
         y = [ex.Var(nm) for nm in chart.fibers]
         for r_ in range(chart.r):
@@ -281,19 +282,19 @@ class TestHamiltonianSection:
         for fixture in catalog_fixtures:
             data = lagrangian_data(fixture)
             _, omega = pr.cartan_sections(data)
-            sigma = pr.hamiltonian_section(omega, data.EL, check=False)
-            assert pr.is_sode(sigma).passed, fixture.label
+            sigma = hamiltonian_section(omega, data.EL, check=False)
+            assert is_sode(sigma).passed, fixture.label
 
     def test_liouville_is_not_second_order(self, so3):
-        report = pr.is_sode(pr.liouville(so3.chart))
+        report = is_sode(liouville(so3.chart))
         assert not report.passed
 
     def test_second_order_modulo_vertical(self, so3):
         chart = so3.chart
         rng = random.Random(6)
-        section = pr.ProlongSection(chart, [ex.Var(nm) for nm in chart.fibers],
-                                    [random_polynomial(rng, chart.alphabet) for _ in range(3)])
-        assert pr.is_sode(section).passed
+        section = ProlongSection(chart, [ex.Var(nm) for nm in chart.fibers],
+                                 [random_polynomial(rng, chart.alphabet) for _ in range(3)])
+        assert is_sode(section).passed
 
 
 class TestBigrading:
@@ -455,7 +456,7 @@ class TestVerticalCorrection:
         pulled = pullback_horizontal(cotangent.theta)
         z = vertical_correction(data, pulled, None)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
+        sigma = hamiltonian_section(omega, data.EL)
         via_sections = anchor(add_sections(sigma, z))
         n = twoform.assemble_N(data, cotangent.chart, twoform.ThetaSection(cotangent.theta))
         bivector = poisson.build_bracket(cotangent.chart, data, n)
@@ -474,10 +475,10 @@ class TestVerticalCorrection:
         horizontal = None if fixture.theta is None else pullback_horizontal(fixture.theta)
         z = vertical_correction(data, horizontal, f)
         _, omega = pr.cartan_sections(data)
-        sigma = pr.hamiltonian_section(omega, data.EL)
+        sigma = hamiltonian_section(omega, data.EL)
         total = omega if horizontal is None else omega + horizontal
         energy = alg.AForm(omega.chart, 0, {(): ex.eadd(data.EL, f or ex.ZERO)})
-        residual = pr.insert_section(total, add_sections(sigma, z)) + d(energy)
+        residual = insert_section(total, add_sections(sigma, z)) + d(energy)
         for value in residual.coeffs.values():
             assert_certified_zero(value)
 
@@ -496,12 +497,12 @@ class TestInducedBracket:
         n = twoform.assemble_N(data, chart, twoform.ThetaSection(fixture.theta))
         bivector = poisson.build_bracket(chart, data, n)
         names = list(chart.coords) + list(chart.fibers)
-        sections = {nm: pr.hamiltonian_section(omega, ex.Var(nm), check=False)
+        sections = {nm: hamiltonian_section(omega, ex.Var(nm), check=False)
                     for nm in names}
         for a, na in enumerate(names):
             for b, nb in enumerate(names):
-                paired = pr.insert_section(pr.insert_section(omega, sections[na]),
-                                           sections[nb])
+                paired = insert_section(insert_section(omega, sections[na]),
+                                        sections[nb])
                 expected = bivector.coefficient(a, b)
                 assert_certified_zero(
                     ex.eadd(paired.get(()), ex.eneg(expected)), tol=1e-9)
@@ -515,7 +516,7 @@ def reference_items(data, theta, potential):
     chart = data.chart
     r = chart.r
     _, omega = pr.cartan_sections(data)
-    sigma = pr.hamiltonian_section(omega, data.EL, check=False)
+    sigma = hamiltonian_section(omega, data.EL, check=False)
     items = [(f"E-component {j + 1}", ex.eadd(sigma.a[j], ex.eneg(ex.Var(name))))
              for j, name in enumerate(chart.fibers)]
     n_plain = twoform.assemble_N(data, chart, None)

@@ -28,3 +28,12 @@ def test_functions_are_named_by_module_and_qualname():
     assert len(names) == len(set(names))
     assert "dynamics.Trajectory.to_csv" in names
     assert "poisson._jacobi_terms.<locals>.oriented" in names
+
+
+def test_the_symbolic_section_library_is_not_in_the_package():
+    # It lives in ``tests/helpers.py``; no command ran it.
+    moved = {"prolongation.ProlongSection.__init__", "prolongation.ProlongSection.coefficients",
+             "prolongation.ProlongSection.__repr__", "prolongation.liouville",
+             "prolongation.insert_section", "prolongation.vertical_endomorphism",
+             "prolongation.j_dual", "prolongation.is_sode", "prolongation.hamiltonian_section"}
+    assert moved.isdisjoint(name for name, _ in _load_tool().functions())
